@@ -24,8 +24,6 @@ from .bubbles import (
     diameter_report,
     dist_to_anchor,
     functional_eval,
-    h_eval,
-    h_ode_residual,
     halving_schedule,
     horizon_sequence,
     minimize,
@@ -86,11 +84,9 @@ from .profiles import (
 )
 from .trumpet import (
     SmoothCutoff,
-    TrumpetParams,
     TrumpetProfile,
     TrumpetVerification,
     build_trumpet,
-    cutoff_eval,
     export_trumpet,
     find_r0,
     min_alpha,

@@ -15,10 +15,12 @@ functional over radial balls {r < x}:
 
 Because dA/dx = (H(S_x) - h(rho(x))) area(S_x) u^{2/(n-2)}, an interior
 minimizer satisfies the first-variation identity H = h o rho exactly, and
-the functional blows up at the inner barrier where h does.  Minimization is
-a 512-point logarithmic scan followed by golden-section refinement; a global
-scan runs first because the functional can have several critical points near
-the barrier.
+the functional blows up at the inner barrier where h does.  So every
+interior minimizer is a sign change of g = H - h o rho from - to +:
+minimization brackets each such change on a 512-point logarithmic scan of
+g, refines it with Brent's method to a few ulps in r, and keeps the root
+with the lowest functional value.  The scan is global because g can change
+sign several times near the barrier.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}) (bisection, then doubled).  ``select_beta``
@@ -45,16 +47,24 @@ from .errors import (
     DegenerateMinimizerError,
     EpsilonTooLargeError,
     OutOfCollectionError,
+    PenroseLabError,
     UnsupportedDimensionError,
 )
-from .geometry import intrinsic_diameter, sphere_area, sphere_mean_curvature, volume_between
+from .geometry import (
+    _arc_weight,
+    geodesic_distance,
+    intrinsic_diameter,
+    sphere_area,
+    sphere_mean_curvature,
+    volume_between,
+)
 from .masses import _hawking_value, area_infimum_radial, penrose_check, EQUALITY_TOL
 from .profiles import RadialProfile
-from .quadrature import PanelAntiderivative, adaptive_simpson
+from .quadrature import PanelAntiderivative
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
 SCAN_POINTS = 512
-SCAN_RTOL = 1e-10
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 _PANELS = 4096
 _BETA_MARGIN = 0.9
 _DEPTH_COTH = 1.8  # h is kept below this multiple of eps on the reachable region
@@ -109,14 +119,6 @@ class PrescribedMeanCurvature:
         return float(out) if np.ndim(t) == 0 else out
 
 
-def h_eval(h: PrescribedMeanCurvature, t):
-    return h(t)
-
-
-def h_ode_residual(h: PrescribedMeanCurvature, t):
-    return h.ode_residual(t)
-
-
 class MuBubbleProblem:
     """Anchor sphere, prescribed curvature, and Lipschitz-shrunk distance."""
 
@@ -149,46 +151,37 @@ class MuBubbleProblem:
             self._ws = _Workspace(self)
         return self._ws
 
-    def _extend_floor(self) -> bool:
-        ws = self.workspace()
-        dom = self.profile.domain
-        hard_floor = max(dom.lo * (1 + 1e-12) if dom.lo > 0 else 0.0, 1e-15 * self.anchor_radius)
-        if dom.lo_closed:
-            hard_floor = dom.lo
-        new_floor = max(ws.floor * 1e-3, hard_floor)
-        if new_floor >= ws.floor:
-            return False
-        self._ws = _Workspace(self, floor=new_floor)
-        return True
-
 
 class _Workspace:
-    """Cached arc-length and bulk antiderivatives for one bubble problem."""
+    """Cached arc-length and bulk antiderivatives for one bubble problem.
 
-    def __init__(self, problem: MuBubbleProblem, floor: float | None = None):
+    The arc-length table reaches down to the floor: the inner edge of a
+    closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  The bulk table and
+    the scan start at the barrier radius when the blow-up barrier lies above
+    the floor, else at the floor.
+    """
+
+    def __init__(self, problem: MuBubbleProblem):
         self.problem = problem
         profile = problem.profile
         r0 = problem.anchor_radius
         dom = profile.domain
-        if floor is None:
-            edge = dom.lo if dom.lo_closed else dom.lo * (1 + 1e-12)
-            floor = max(1e-6 * r0, edge)
-        self.floor = floor
-        n = profile.n
-        arc = lambda s: profile.u(s) ** (2.0 / (n - 2))
+        self.floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * r0)
         edges = np.geomspace(self.floor, r0, _PANELS + 1)
-        self._arc_prefix = PanelAntiderivative(arc, edges)
+        self._arc_prefix = PanelAntiderivative(_arc_weight(profile), edges)
 
-        barrier = problem.h.barrier
+        h = problem.h
         self.barrier_radius = None
-        target = barrier * (1.0 - 1e-6)  # back off in rho, not in r
-        if self.dist(self.floor) <= barrier:
+        target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
+        if self.dist(self.floor) <= h.barrier:
             self.barrier_radius = float(
                 brentq(lambda r: self.dist(r) - target, self.floor, r0, xtol=1e-300, rtol=1e-15)
             )
         self.scan_lo = self.barrier_radius if self.barrier_radius is not None else self.floor
 
-        dens = _bulk_density(problem, self.dist)
+        def dens(r):
+            return h(self.dist(r)) * 4.0 * math.pi * profile.u(r) ** 6 * r**2
+
         bulk_edges = np.geomspace(self.scan_lo, r0, _PANELS + 1)
         self._bulk_prefix = PanelAntiderivative(dens, bulk_edges)
 
@@ -203,59 +196,44 @@ class _Workspace:
     def functional(self, rho):
         return np.asarray(sphere_area(self.problem.profile, rho)) + self.bulk(rho)
 
-
-def _bulk_density(problem: MuBubbleProblem, dist):
-    profile = problem.profile
-    h = problem.h
-
-    def dens(r):
-        return h(dist(r)) * 4.0 * math.pi * profile.u(r) ** 6 * r**2
-
-    return dens
+    def first_variation(self, rho):
+        """g = H(S_rho) - h(rho(rho)); dA/drho = g area(S_rho) u(rho)^2."""
+        return sphere_mean_curvature(self.problem.profile, rho) - self.problem.h(self.dist(rho))
 
 
 def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:
     """Signed, Lipschitz-shrunk arc length from S_r to the anchor sphere.
 
     Negative inside the anchor, zero at it, positive outside; the shrink
-    factor keeps the Lipschitz constant strictly below one.
+    factor keeps the Lipschitz constant strictly below one.  Radii below the
+    workspace floor raise :class:`OutOfCollectionError`.
     """
     profile = problem.profile
     profile.require_radius(r)
     r0 = problem.anchor_radius
     if r >= r0:
-        n = profile.n
-        arc = lambda s: profile.u(s) ** (2.0 / (n - 2))
-        return problem.lip_factor * adaptive_simpson(arc, r0, r)
+        return problem.lip_factor * geodesic_distance(profile, r0, r)
     ws = problem.workspace()
-    while r < ws.floor:
-        if not problem._extend_floor():
-            break
-        ws = problem.workspace()
-    if r >= ws.floor:
-        return float(ws.dist(r))
-    n = profile.n
-    arc = lambda s: profile.u(s) ** (2.0 / (n - 2))
-    return float(ws.dist(ws.floor)) - problem.lip_factor * adaptive_simpson(arc, r, ws.floor)
+    if r < ws.floor:
+        raise OutOfCollectionError(f"r = {r} lies below the workspace floor {ws.floor:.6g}")
+    return float(ws.dist(r))
 
 
 def functional_eval(problem: MuBubbleProblem, rho: float) -> float:
-    """Area of S_rho plus the prescribed-curvature bulk term out to the anchor."""
-    profile = problem.profile
-    profile.require_radius(rho)
-    if rho > problem.anchor_radius:
-        raise OutOfCollectionError(
-            f"rho = {rho} lies outside the anchor sphere r0 = {problem.anchor_radius}"
-        )
-    d = dist_to_anchor(problem, rho)
-    if d <= problem.h.barrier:
-        raise BarrierError(f"rho = {rho} lies at or below the blow-up barrier")
+    """Area of S_rho plus the prescribed-curvature bulk term out to the anchor.
+
+    Radii outside [workspace floor, r0] raise :class:`OutOfCollectionError`;
+    radii below the barrier radius raise :class:`BarrierError`.
+    """
+    problem.profile.require_radius(rho)
     ws = problem.workspace()
-    if rho >= ws.scan_lo:
-        return float(ws.functional(rho))
-    dens = _bulk_density(problem, lambda r: dist_to_anchor(problem, r))
-    extra = adaptive_simpson(dens, rho, ws.scan_lo)
-    return float(sphere_area(profile, rho)) + extra + float(ws.bulk(ws.scan_lo))
+    if not ws.floor <= rho <= problem.anchor_radius:
+        raise OutOfCollectionError(
+            f"rho = {rho} lies outside [{ws.floor:.6g}, r0 = {problem.anchor_radius}]"
+        )
+    if rho < ws.scan_lo:
+        raise BarrierError(f"rho = {rho} lies below the barrier radius {ws.scan_lo:.6g}")
+    return float(ws.functional(rho))
 
 
 @dataclass(frozen=True)
@@ -280,82 +258,58 @@ class MuBubbleSolution:
 
 
 def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
-    """Global scan plus golden-section refinement of the bubble functional.
+    """Minimizer of the bubble functional from the first-variation identity.
 
-    Raises :class:`DegenerateMinimizerError` when the scan minimum sits on the
-    outer anchor (beta too small) or on the inner edge of an incomplete
-    domain (no interior bubble).
+    Every interior minimizer is a - to + sign change of g = H - h o rho.
+    Each one on the logarithmic scan is refined by Brent's method, and the
+    root with the lowest functional value is kept; its bracket signs are the
+    second-order certificate.
+
+    Raises :class:`DegenerateMinimizerError` when g has no such sign change,
+    when the best root is not below the anchor value (beta too small), or,
+    with no barrier radius, not below the value at the inner edge of the
+    scan (no interior bubble).
     """
+    ws = problem.workspace()
     r0 = problem.anchor_radius
-    for _attempt in range(6):
-        ws = problem.workspace()
-        radii = np.geomspace(ws.scan_lo, r0, SCAN_POINTS)
-        values = np.asarray(ws.functional(radii))
-        i = int(np.argmin(values))
-        if i == 0 and ws.barrier_radius is None and problem._extend_floor():
-            continue
-        break
-    else:
-        raise DegenerateMinimizerError("inner scan floor could not be extended further")
-
-    a = float(radii[max(i - 1, 0)])
-    b = float(radii[min(i + 1, SCAN_POINTS - 1)])
-    tol = SCAN_RTOL * r0
-    rho = _golden_section(lambda x: float(ws.functional(x)), a, b, tol)
-    # a refined minimizer pinned to an endpoint marks a genuine boundary minimum
-    if r0 - rho <= 100.0 * tol:
+    radii = np.geomspace(ws.scan_lo, r0, SCAN_POINTS)
+    g = ws.first_variation(radii)
+    best = None
+    for i in np.nonzero((g[:-1] < 0) & (g[1:] >= 0))[0]:
+        rho = brentq(ws.first_variation, radii[i], radii[i + 1], xtol=1e-300, rtol=_ROOT_RTOL)
+        fval = float(ws.functional(rho))
+        if best is None or fval < best[1]:
+            best = (rho, fval, bool(g[i] < 0 < g[i + 1]))
+    if best is None:
+        raise DegenerateMinimizerError("H - h(rho) never changes sign from - to +; no interior bubble")
+    rho, fval, second_ok = best
+    if not fval < float(ws.functional(r0)):
         raise DegenerateMinimizerError("functional minimized at the anchor sphere; beta too small")
-    if rho - ws.scan_lo <= 100.0 * tol:
+    if ws.barrier_radius is None and not fval < float(ws.functional(ws.scan_lo)):
         raise DegenerateMinimizerError("functional minimized at the inner edge; no interior bubble")
 
     profile = problem.profile
-    area = float(sphere_area(profile, rho))
     mean_curv = float(sphere_mean_curvature(profile, rho))
-    el = abs(mean_curv - problem.h(float(ws.dist(rho))))
-    fval = float(ws.functional(rho))
-
-    delta = min(1e-4 * rho, 0.25 * (b - a) if b - a > 0 else 1e-6 * rho)
-    delta = max(delta, 1e-9 * r0)
-    lo, hi = rho - delta, rho + delta
-    if lo > ws.scan_lo and hi < r0:
-        curvature = float(ws.functional(lo)) + float(ws.functional(hi)) - 2.0 * fval
-        second_ok = curvature >= -1e-8 * max(1.0, abs(fval))
-    else:
-        second_ok = True
     return MuBubbleSolution(
         rho_star=rho,
-        area=area,
+        area=float(sphere_area(profile, rho)),
         functional_value=fval,
         mean_curvature=mean_curv,
-        el_residual=float(el),
+        el_residual=abs(mean_curv - problem.h(ws.dist(rho))),
         second_order_ok=second_ok,
         problem=problem,
     )
-
-
-def _golden_section(f, a, b, tol):
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
 
 
 def choose_beta(profile: RadialProfile, anchor_radius: float, epsilon: float) -> float:
     """Smallest beta with h(0) <= 0.9 H(S_{r0}), found by bisection, then doubled.
 
     The 0.9 margin makes the effective requirement epsilon < 0.9 H(S_{r0});
-    larger epsilon raises :class:`EpsilonTooLargeError`.
+    larger epsilon raises :class:`EpsilonTooLargeError`, and so does a
+    nonpositive one.
     """
+    if not epsilon > 0:
+        raise EpsilonTooLargeError(f"epsilon = {epsilon} must be positive")
     h0 = float(sphere_mean_curvature(profile, anchor_radius))
     if not epsilon < h0:
         raise EpsilonTooLargeError(f"epsilon = {epsilon} >= H(S_r0) = {h0:.6g}")
@@ -498,8 +452,8 @@ def horizon_sequence(
     """Solve the bubble problem along a decreasing curvature schedule.
 
     Each step emits the mass lower bound sqrt(A/16pi)(1 - A H^2/16pi) of its
-    bubble sphere.  Per-step failures are recorded on the step and the
-    schedule continues.
+    bubble sphere.  A step that raises :class:`PenroseLabError` is recorded
+    on the step and the schedule continues; any other exception propagates.
     """
     if epsilons is None:
         epsilons = halving_schedule()
@@ -513,7 +467,7 @@ def horizon_sequence(
             sol = minimize(problem)
             bound = _hawking_value(sol.area, sol.mean_curvature)
             steps.append(HorizonStep(eps, beta, sol, None, float(bound)))
-        except Exception as exc:  # noqa: BLE001 - step errors attach to the trace
+        except PenroseLabError as exc:
             steps.append(HorizonStep(eps, beta, None, f"{type(exc).__name__}: {exc}", None))
     return HorizonSequenceResult(anchor_radius=float(anchor_radius), area_infimum=float(a_inf), steps=steps)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -20,11 +19,18 @@ import numpy as np
 from . import bubbles, trumpet as trumpet_mod
 from .errors import ConfigError, DegenerateMinimizerError, PenroseLabError
 from .geometry import (
+    _arc_weight,
     scalar_curvature,
     sphere_area,
     sphere_mean_curvature,
 )
-from .masses import VERDICT_VIOLATED, adm_mass_from_tail, area_infimum_radial, penrose_check
+from .masses import (
+    VERDICT_VIOLATED,
+    _hawking_value,
+    adm_mass_from_tail,
+    area_infimum_radial,
+    penrose_check,
+)
 from .profiles import (
     CylinderProfile,
     EuclideanProfile,
@@ -49,6 +55,15 @@ def build_profile(cfg: dict):
     spec = cfg.get("profile")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("config needs a 'profile' object with a 'kind' field")
+    try:
+        return _build_profile(spec, cfg)
+    except KeyError as exc:
+        raise ConfigError(f"profile {spec['kind']!r} needs the field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"profile {spec['kind']!r}: {exc}") from exc
+
+
+def _build_profile(spec: dict, cfg: dict):
     kind = spec["kind"]
     n = int(cfg.get("n", 3))
     if kind == "euclidean":
@@ -76,12 +91,15 @@ def build_profile(cfg: dict):
 
 def build_grid(cfg: dict, profile) -> RadialGrid:
     g = cfg.get("grid", {})
-    return default_grid(
-        profile,
-        r_lo=float(g.get("r_lo", 1e-4)),
-        r_hi=float(g.get("r_hi", 1e4)),
-        count=int(g.get("count", 4096)),
-    )
+    try:
+        return default_grid(
+            profile,
+            r_lo=float(g.get("r_lo", 1e-4)),
+            r_hi=float(g.get("r_hi", 1e4)),
+            count=int(g.get("count", 4096)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid: {exc}") from exc
 
 
 _TOLERANCE_DEFAULTS = {"quadrature": 1e-10, "el_residual": 1e-6, "equality": 1e-6}
@@ -155,12 +173,10 @@ def cmd_analyze(cfg: dict) -> int:
     h = sphere_mean_curvature(profile, radii)
     area = sphere_area(profile, radii)
     # arc length measured from the inner grid edge, accumulated per interval
-    n = profile.n
-    arc = lambda s: profile.u(s) ** (2.0 / (n - 2))
-    seg = gauss_panel(arc, radii[:-1], radii[1:])
+    seg = gauss_panel(_arc_weight(profile), radii[:-1], radii[1:])
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    if n == 3:
-        mh = np.sqrt(area / (16 * math.pi)) * (1 - area * h**2 / (16 * math.pi))
+    if profile.n == 3:
+        mh = _hawking_value(area, h)
     else:
         mh = np.full_like(area, np.nan)
 
@@ -331,7 +347,7 @@ def cmd_trumpet(cfg: dict) -> int:
     grid = build_grid(cfg, profile)
     verification = trumpet_mod.verify_trumpet(profile, grid)
     out = _out_dir(cfg)
-    trumpet_mod.export_trumpet(profile, out / "trumpet_profile.dat", json_path=None)
+    trumpet_mod.export_trumpet(profile, out / "trumpet_profile.dat")
     payload = {
         "command": "trumpet",
         "config": cfg,

@@ -34,7 +34,7 @@ class DegenerateMinimizerError(PenroseLabError):
 
 
 class EpsilonTooLargeError(PenroseLabError):
-    """The curvature scale is too large for the anchor sphere's mean curvature."""
+    """The curvature scale is too large for the anchor sphere's mean curvature, or not positive."""
 
 
 class ConfigError(PenroseLabError):

@@ -36,11 +36,9 @@ def radial_laplacian(profile: RadialProfile, r):
 
 def scalar_curvature(profile: RadialProfile, r):
     """Scalar curvature of the conformal metric; vectorized over r."""
-    profile.require_radius(r)
     n = profile.n
-    u = profile.u(r)
-    lap = profile.d2u(r) + (n - 1) * profile.du(r) / r
-    return -4.0 * (n - 1) / (n - 2) * u ** (-(n + 2) / (n - 2)) * lap
+    lap = radial_laplacian(profile, r)
+    return -4.0 * (n - 1) / (n - 2) * profile.u(r) ** (-(n + 2) / (n - 2)) * lap
 
 
 def sphere_area(profile: RadialProfile, r):

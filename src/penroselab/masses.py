@@ -150,8 +150,9 @@ def adm_flux(profile: RadialProfile, rho: float) -> float:
     )
 
 
-def _hawking_value(area: float, mean_curvature: float) -> float:
-    return math.sqrt(area / (16 * math.pi)) * (1.0 - area * mean_curvature**2 / (16 * math.pi))
+def _hawking_value(area, mean_curvature):
+    """sqrt(A/16pi) (1 - A H^2/16pi); vectorized over arrays of A and H."""
+    return np.sqrt(area / (16 * math.pi)) * (1.0 - area * mean_curvature**2 / (16 * math.pi))
 
 
 def hawking_mass(profile: RadialProfile, r: float) -> HawkingMassValue:
@@ -165,7 +166,7 @@ def hawking_mass(profile: RadialProfile, r: float) -> HawkingMassValue:
     area = float(sphere_area(profile, r))
     h = float(sphere_mean_curvature(profile, r))
     h2int = area * h * h
-    return HawkingMassValue(area=area, h_squared_integral=h2int, value=_hawking_value(area, h))
+    return HawkingMassValue(area=area, h_squared_integral=h2int, value=float(_hawking_value(area, h)))
 
 
 def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:

@@ -72,7 +72,3 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         writer.writerow([_cell(v) for v in row])
     _atomic_write(path, buf.getvalue())
-
-
-def rows_from_dicts(records: list[dict], columns: list[str]) -> list[list]:
-    return [[rec.get(col) for col in columns] for rec in records]

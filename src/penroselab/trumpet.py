@@ -31,10 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WeakAlphaWarning
+from .errors import PenroseLabError, WeakAlphaWarning
 from .geometry import geodesic_distance, scalar_curvature
 from .masses import adm_mass_from_tail, area_infimum_radial
-from .profiles import RadialGrid, RadialProfile, default_grid, unit_sphere_area, write_tabulated
+from .profiles import (
+    CylinderProfile,
+    RadialGrid,
+    RadialProfile,
+    SchwarzschildLikeProfile,
+    default_grid,
+    unit_sphere_area,
+    write_tabulated,
+)
 from .quadrature import PanelAntiderivative
 
 
@@ -86,32 +94,13 @@ def _phi(s):
     return val, dval
 
 
-def cutoff_eval(cutoff: SmoothCutoff, t):
-    return cutoff(t)
+def _models(n: int) -> tuple[CylinderProfile, SchwarzschildLikeProfile]:
+    """The two model factors u1 (cylinder) and u2 = 1 + r^{2-n}.
 
-
-def _u1(r, n):
-    return r ** (0.5 * (2 - n))
-
-
-def _du1(r, n):
-    return 0.5 * (2 - n) * r ** (-0.5 * n)
-
-
-def _d2u1(r, n):
-    return 0.25 * (2 - n) * (-n) * r ** (-0.5 * n - 1)
-
-
-def _u2(r, n):
-    return 1.0 + r ** (2 - n)
-
-
-def _du2(r, n):
-    return (2 - n) * r ** (1 - n)
-
-
-def _d2u2(r, n):
-    return (2 - n) * (1 - n) * r ** (-n)
+    Callers use their array evaluators ``_u``/``_du``/``_d2u`` directly, which
+    skip the scalar dispatch on the profile's hot path.
+    """
+    return CylinderProfile(n), SchwarzschildLikeProfile(1.0, 1.0, n)
 
 
 def min_alpha(n: int, r0: float, samples: int = 2048) -> float:
@@ -120,22 +109,15 @@ def min_alpha(n: int, r0: float, samples: int = 2048) -> float:
     The bound is max((2 r0)^{2-n}, (2/(n-2)) sup |r u1'| + |r u2'| over
     [r0, 2 r0]), the supremum taken by dense sampling.
     """
+    u1, u2 = _models(n)
     r = np.linspace(r0, 2.0 * r0, samples)
-    sup = float(np.max(np.abs(r * _du1(r, n)) + np.abs(r * _du2(r, n))))
+    sup = float(np.max(np.abs(r * u1._du(r)) + np.abs(r * u2._du(r))))
     return 1.1 * max((2.0 * r0) ** (2 - n), (2.0 / (n - 2)) * sup)
 
 
 def required_alpha(n: int, r0: float) -> float:
     """The un-margined certificate bound (min_alpha without the 1.1 factor)."""
     return min_alpha(n, r0) / 1.1
-
-
-@dataclass(frozen=True)
-class TrumpetParams:
-    n: int
-    r0: float
-    alpha: float
-    alpha0: float
 
 
 class TrumpetProfile(RadialProfile):
@@ -157,7 +139,8 @@ class TrumpetProfile(RadialProfile):
                 WeakAlphaWarning,
                 stacklevel=2,
             )
-        self.alpha0 = self.alpha + _u1(self.r0, n)
+        self._u1, self._u2 = _models(n)
+        self.alpha0 = self.alpha + self._u1._u(self.r0)
         self.cutoff = SmoothCutoff(self.r0)
         edges = np.linspace(self.r0, 2.0 * self.r0, self._BLEND_PANELS + 1)
         self._blend_prefix = PanelAntiderivative(self._slope, edges)
@@ -165,16 +148,12 @@ class TrumpetProfile(RadialProfile):
         # below r0 the factor is exactly u1 plus this constant
         self.c1 = self.alpha + (2.0 * self.r0) ** (2 - n) - self._i_blend
 
-    @property
-    def params_record(self) -> TrumpetParams:
-        return TrumpetParams(n=self.n, r0=self.r0, alpha=self.alpha, alpha0=self.alpha0)
-
     def params(self):
         return {"r0": self.r0, "alpha": self.alpha, "alpha0": self.alpha0}
 
     def _slope(self, r):
         zeta, _ = self.cutoff(r)
-        return zeta * _du1(r, self.n) + (1.0 - zeta) * _du2(r, self.n)
+        return zeta * self._u1._du(r) + (1.0 - zeta) * self._u2._du(r)
 
     def _u(self, r):
         n = self.n
@@ -182,7 +161,7 @@ class TrumpetProfile(RadialProfile):
         inner = r <= self.r0
         outer = r >= 2.0 * self.r0
         mid = ~(inner | outer)
-        out[inner] = _u1(r[inner], n) + self.c1
+        out[inner] = self._u1._u(r[inner]) + self.c1
         out[outer] = self.alpha0 + r[outer] ** (2 - n)
         if np.any(mid):
             out[mid] = self.alpha0 + (2.0 * self.r0) ** (2 - n) - self._blend_prefix(r[mid])
@@ -192,12 +171,12 @@ class TrumpetProfile(RadialProfile):
         return self._slope(r)
 
     def _d2u(self, r):
-        n = self.n
+        u1, u2 = self._u1, self._u2
         zeta, dzeta = self.cutoff(r)
         return (
-            dzeta * (_du1(r, n) - _du2(r, n))
-            + zeta * _d2u1(r, n)
-            + (1.0 - zeta) * _d2u2(r, n)
+            dzeta * (u1._du(r) - u2._du(r))
+            + zeta * u1._d2u(r)
+            + (1.0 - zeta) * u2._d2u(r)
         )
 
     def laplacian_terms(self, r):
@@ -207,11 +186,11 @@ class TrumpetProfile(RadialProfile):
         nonpositive for an admissible gluing radius.
         """
         r = np.asarray(r, dtype=float)
-        n = self.n
+        n, u1, u2 = self.n, self._u1, self._u2
         zeta, dzeta = self.cutoff(r)
-        lap1 = _d2u1(r, n) + (n - 1) / r * _du1(r, n)
-        lap2 = _d2u2(r, n) + (n - 1) / r * _du2(r, n)
-        return zeta * lap1, (1.0 - zeta) * lap2, dzeta * (_du1(r, n) - _du2(r, n))
+        lap1 = u1._d2u(r) + (n - 1) / r * u1._du(r)
+        lap2 = u2._d2u(r) + (n - 1) / r * u2._du(r)
+        return zeta * lap1, (1.0 - zeta) * lap2, dzeta * (u1._du(r) - u2._du(r))
 
 
 def build_trumpet(n: int = 3, r0: float | None = None, alpha: float | None = None) -> TrumpetProfile:
@@ -281,7 +260,7 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
         else:
             af_ok = True
             detail = {"fit_residual": tail.fit_residual, "a": tail.a, "b": tail.b}
-    except Exception as exc:  # noqa: BLE001
+    except PenroseLabError as exc:
         af_ok = False
         detail = {"error": str(exc)}
     checks.append(CheckResult("asymptotically_flat", af_ok, detail))
@@ -357,21 +336,10 @@ EXPORT_COUNT = 32768
 def export_trumpet(
     profile: TrumpetProfile,
     dat_path,
-    json_path=None,
-    verification: TrumpetVerification | None = None,
     r_lo: float = EXPORT_R_LO,
     r_hi: float = EXPORT_R_HI,
     count: int = EXPORT_COUNT,
 ) -> None:
-    """Write the profile as a two-column table plus a JSON parameter sidecar."""
-    import json
-
+    """Write the profile as a two-column (r, u) table readable by ``read_tabulated``."""
     radii = np.geomspace(r_lo, r_hi, count)
     write_tabulated(dat_path, radii, profile.u(radii), header="trumpet conformal factor")
-    if json_path is not None:
-        payload = {"params": profile.describe()}
-        if verification is not None:
-            payload["verification"] = verification.to_dict()
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -125,7 +125,7 @@ def test_criterion_4_euler_lagrange():
         with _Timer(2.0) as t:
             solution = minimize(build_problem(profile, 2.0, eps))
         ok = (
-            solution.el_residual <= 1e-6
+            solution.el_residual <= 1e-12
             and 0 < solution.mean_curvature < 2 * eps
             and 16 * math.pi - 1e-9 <= solution.area <= area_r0
             and t.elapsed < 2.0

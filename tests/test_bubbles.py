@@ -13,8 +13,6 @@ from penroselab import (
     EpsilonTooLargeError,
     OutOfCollectionError,
     PrescribedMeanCurvature,
-    h_eval,
-    h_ode_residual,
     build_problem,
     choose_beta,
     diameter_report,
@@ -39,8 +37,6 @@ class TestPrescribedFamily:
     def test_value_example(self):
         h = PrescribedMeanCurvature(0.1, 2.0)
         assert h(0.0) == pytest.approx(0.1 * coth(2.0), rel=1e-15)
-        assert h_eval(h, 0.0) == h(0.0)
-        assert h_ode_residual(h, 0.0) == h.ode_residual(0.0)
 
     def test_large_beta_limit(self):
         h = PrescribedMeanCurvature(0.1, 50.0)
@@ -153,6 +149,11 @@ class TestProblemSetup:
         prob = build_problem(schw, 2.0, 0.1)
         with pytest.raises(OutOfCollectionError):
             functional_eval(prob, 2.5)
+        # below the workspace floor 1e-15 r0
+        with pytest.raises(OutOfCollectionError):
+            functional_eval(prob, 1e-16)
+        with pytest.raises(OutOfCollectionError):
+            dist_to_anchor(prob, 1e-16)
 
     def test_functional_below_barrier(self, schw):
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
@@ -175,7 +176,7 @@ class TestMinimize:
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     def test_schwarzschild_el_identity(self, schw, eps):
         sol = minimize(build_problem(schw, 2.0, eps))
-        assert sol.el_residual <= 1e-6
+        assert sol.el_residual <= 1e-12
         assert 0 < sol.mean_curvature < 2 * eps
         assert 16 * math.pi - 1e-9 <= sol.area <= sphere_area(schw, 2.0)
         assert sol.second_order_ok
@@ -185,6 +186,25 @@ class TestMinimize:
         sol = minimize(build_problem(schw, 2.0, 0.05))
         assert 0.5 < sol.rho_star < 0.7
         assert 0.05 < sol.mean_curvature < 0.1
+
+    @pytest.mark.parametrize("r0", [4.4, 6.0])
+    def test_trumpet_far_anchor_first_variation(self, trumpet, r0):
+        # the minimizer sits at rho* ~ 5e-8, eight decades inside the anchor;
+        # rho(rho*) is recomputed by QUADPACK as an arc length in log r
+        prob = build_problem(trumpet, r0, 1e-3)
+        sol = minimize(prob)
+        assert 0 < sol.rho_star < 1e-6
+
+        def integrand(t):
+            return trumpet.u(math.exp(t)) ** 2 * math.exp(t)
+
+        kinks = [math.log(trumpet.r0), math.log(2 * trumpet.r0)]
+        arc, _ = quad(
+            integrand, math.log(sol.rho_star), math.log(r0), points=kinks, epsabs=0, epsrel=1e-13, limit=200
+        )
+        h = prob.h(-prob.lip_factor * arc)
+        assert sphere_mean_curvature(trumpet, sol.rho_star) == pytest.approx(h, rel=1e-9)
+        assert sol.second_order_ok
 
     def test_euclid_degenerate(self, euclid):
         prob = build_problem(euclid, 1.0, 0.1, beta=2.0)
@@ -238,10 +258,10 @@ class TestSchedules:
         assert all(s.solution.mean_curvature > 0 for s in result.steps)
 
     def test_horizon_sequence_records_step_errors(self, schw):
-        result = horizon_sequence(schw, 2.0, [0.2, 10.0])
+        result = horizon_sequence(schw, 2.0, [0.2, 10.0, 0.0])
         assert result.steps[0].error is None
-        assert result.steps[1].error is not None
-        assert "EpsilonTooLarge" in result.steps[1].error
+        for step in result.steps[1:]:
+            assert "EpsilonTooLarge" in step.error
 
     def test_horizon_sequence_far_anchor_refuses_then_converges(self):
         # H(S_5) < 0.2, so the first default step is refused and the rest run

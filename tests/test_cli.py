@@ -127,6 +127,18 @@ def test_config_error_exit_2(tmp_path):
     assert run(tmp_path, "penrose", "--profile", "nonesuch") == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--profile", "schwarzschild", "--mass", "-1"],
+        ["--profile", "schwarzschild-like", "--a", "1"],
+        ["--profile", "schwarzschild", "--grid-count", "1"],
+    ],
+)
+def test_bad_profile_or_grid_exit_2(tmp_path, flags):
+    assert run(tmp_path, "penrose", *flags) == 2
+
+
 def test_bad_tolerances_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -144,12 +143,7 @@ class TestVerification:
 
 def test_export_roundtrip(tmp_path, trumpet):
     dat = tmp_path / "trumpet.dat"
-    sidecar = tmp_path / "trumpet.json"
-    export_trumpet(trumpet, dat, sidecar, verification=verify_trumpet(trumpet))
-    payload = json.loads(sidecar.read_text())
-    assert payload["params"]["alpha0"] == pytest.approx(trumpet.alpha0, rel=1e-15)
-    assert payload["verification"]["ok"] is True
-
+    export_trumpet(trumpet, dat)
     tab = read_tabulated(dat)
     probe = np.geomspace(1e-3, 1e3, 64)
     assert np.allclose(tab.u(probe), trumpet.u(probe), rtol=1e-10)
