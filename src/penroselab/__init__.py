@@ -39,7 +39,9 @@ from .errors import (
     NotAsymptoticallyFlatError,
     NotOuterMinimizingError,
     OutOfCollectionError,
+    ParameterError,
     PenroseLabError,
+    QuadratureError,
     UnsupportedDimensionError,
     WeakAlphaWarning,
 )

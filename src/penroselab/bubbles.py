@@ -47,6 +47,7 @@ from .errors import (
     DegenerateMinimizerError,
     EpsilonTooLargeError,
     OutOfCollectionError,
+    ParameterError,
     PenroseLabError,
     UnsupportedDimensionError,
 )
@@ -87,9 +88,9 @@ class PrescribedMeanCurvature:
 
     def __post_init__(self):
         if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
         if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ParameterError(f"beta must be positive, got {self.beta}")
 
     @property
     def barrier(self) -> float:
@@ -132,7 +133,7 @@ class MuBubbleProblem:
         if profile.n != 3:
             raise UnsupportedDimensionError("bubble problems are defined only for n = 3")
         if not 0 < lip_factor < 1:
-            raise ValueError(f"lip_factor must lie in (0, 1), got {lip_factor}")
+            raise ParameterError(f"lip_factor must lie in (0, 1), got {lip_factor}")
         profile.require_radius(anchor_radius)
         h0 = float(sphere_mean_curvature(profile, anchor_radius))
         if not h0 > h(0.0):
@@ -531,7 +532,6 @@ def rigidity_iteration(
     gamma: float,
     max_steps: int = 20,
     epsilon_floor: float = 1e-6,
-    quad_tol: float = 1e-10,
 ) -> RigidityTrace:
     """Shrinking-curvature schedule eps^(gamma^k) with nested re-anchoring.
 
@@ -550,7 +550,7 @@ def rigidity_iteration(
     if profile.n != 3:
         raise UnsupportedDimensionError("rigidity_iteration is defined only for n = 3")
     if not 1.0 < gamma < 2.0:
-        raise ValueError(f"gamma must lie in (1, 2), got {gamma}")
+        raise ParameterError(f"gamma must lie in (1, 2), got {gamma}")
     a0 = float(sphere_area(profile, anchor_radius))
     eps0 = math.sqrt(8.0 * math.pi / a0)
     if not 0 < epsilon < eps0:
@@ -589,9 +589,7 @@ def rigidity_iteration(
 
     cumulative = 0.0
     for k in range(len(steps) - 1):
-        vol = float(
-            volume_between(profile, solutions[k + 1].rho_star, solutions[k].rho_star, tol=quad_tol)
-        )
+        vol = volume_between(profile, solutions[k + 1].rho_star, solutions[k].rho_star)
         cumulative += vol
         bound = lambda0 * eps_list[k] ** (2.0 - gamma)
         steps[k] = replace(

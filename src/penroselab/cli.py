@@ -3,7 +3,8 @@
 Runs are config-first: a JSON file with a ``command`` field plus profile,
 grid, and command parameters; every long-form flag overrides its config
 field.  Exit codes: 0 ok, 2 config error, 3 inequality violated, 4 degenerate
-minimizer, 5 trumpet verification failure.
+minimizer, 5 trumpet verification failure, 6 hypothesis refused (the profile
+is not asymptotically flat).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bubbles, trumpet as trumpet_mod
-from .errors import ConfigError, DegenerateMinimizerError, PenroseLabError
+from .errors import ConfigError, DegenerateMinimizerError, NotAsymptoticallyFlatError, PenroseLabError
 from .geometry import (
     _arc_weight,
     scalar_curvature,
@@ -47,6 +48,7 @@ EXIT_CONFIG = 2
 EXIT_VIOLATED = 3
 EXIT_DEGENERATE = 4
 EXIT_TRUMPET = 5
+EXIT_REFUSED = 6
 
 COMMANDS = ("analyze", "penrose", "mu-bubble", "horizon", "rigidity", "trumpet", "batch")
 
@@ -102,7 +104,7 @@ def build_grid(cfg: dict, profile) -> RadialGrid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-_TOLERANCE_DEFAULTS = {"quadrature": 1e-10, "el_residual": 1e-6, "equality": 1e-6}
+_TOLERANCE_DEFAULTS = {"el_residual": 1e-6, "equality": 1e-6}
 
 
 def tolerances(cfg: dict) -> dict:
@@ -322,9 +324,7 @@ def cmd_rigidity(cfg: dict) -> int:
     r0 = float(_require(cfg, "r0", 2.0))
     epsilon = float(_require(cfg, "epsilon", 0.1))
     gamma = float(_require(cfg, "gamma", 1.5))
-    trace = bubbles.rigidity_iteration(
-        profile, r0, epsilon, gamma, quad_tol=tolerances(cfg)["quadrature"]
-    )
+    trace = bubbles.rigidity_iteration(profile, r0, epsilon, gamma)
     out = _out_dir(cfg)
     write_json(out / "rigidity.json", {"command": "rigidity", "config": cfg, "trace": trace.to_dict()})
     records = [s.to_dict() for s in trace.steps]
@@ -417,6 +417,9 @@ def run_command(cfg: dict) -> int:
     except DegenerateMinimizerError as exc:
         print(f"{command}: degenerate minimizer: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except NotAsymptoticallyFlatError as exc:
+        print(f"{command}: hypothesis refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     elapsed = time.perf_counter() - started
     print(f"{command}: done in {elapsed:.3f}s")
     return code

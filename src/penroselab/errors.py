@@ -37,8 +37,16 @@ class EpsilonTooLargeError(PenroseLabError):
     """The curvature scale is too large for the anchor sphere's mean curvature, or not positive."""
 
 
+class QuadratureError(PenroseLabError):
+    """QUADPACK did not reach its tolerance on a radial integral."""
+
+
 class ConfigError(PenroseLabError):
     """A scenario configuration is malformed or inconsistent."""
+
+
+class ParameterError(ConfigError, ValueError):
+    """A numeric parameter lies outside its admissible range."""
 
 
 class WeakAlphaWarning(UserWarning):

@@ -14,6 +14,13 @@ transformation rules reduce everything to one-dimensional expressions:
 H > 0 means mean-convex toward the asymptotically flat end; its sign equals
 the sign of d/dr [u^{2/(n-2)} r].  All functions are pure and accept scalar
 or array radii where noted.
+
+Arc length and volume are QUADPACK integrals (``scipy.integrate.quad``) in
+log r to 1e-10 relative, split at the profile's ``breakpoints``; a QUADPACK
+message raises :class:`QuadratureError`.  At an open inner end,
+u ~ c r^{-q} (q is the profile's ``inner_exponent``) makes ds and dV go
+like r^{-p} with p = 2q/(n-2) and 2nq/(n-2) - (n-1): the integral is inf
+iff p >= 1.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .profiles import RadialProfile, unit_sphere_area
-from .quadrature import adaptive_simpson, improper_lower
+from scipy.integrate import quad
 
-QUAD_TOL = 1e-10
+from .errors import DomainError, QuadratureError
+from .profiles import RadialProfile, unit_sphere_area
 
 
 def radial_laplacian(profile: RadialProfile, r):
@@ -93,43 +99,56 @@ def _volume_density(profile):
     return lambda s: w * profile.u(s) ** p * s ** (n - 1)
 
 
-def geodesic_distance(profile: RadialProfile, r_a: float, r_b: float, tol: float = QUAD_TOL) -> float:
+def _quad(f, a, b, breaks):
+    """QUADPACK to 1e-10 relative; any message it returns is raised, never a number."""
+    points = [x for x in breaks if a < x < b] or None
+    value, _err, _info, *message = quad(
+        f, a, b, epsabs=0.0, epsrel=1e-10, points=points, full_output=1
+    )
+    if message:
+        raise QuadratureError(f"integral over [{a:.6g}, {b:.6g}]: {message[0]}")
+    return value
+
+
+def _radial_integral(profile: RadialProfile, density, tail_power, r_a: float, r_b: float) -> float:
+    """Integral of ``density`` over [r_a, r_b], split at the profile's breakpoints.
+
+    From an open inner end the density goes like r^{-tail_power(q)}: inf if
+    that power is >= 1, else QUADPACK on the integrable singularity in r (in
+    log r it would underflow to 0 * inf).  A closed span is integrated in log r.
+    """
+    if r_b < r_a:
+        raise DomainError(f"need r_a <= r_b, got ({r_a}, {r_b})")
+    dom = profile.domain
+    profile.require_radius(r_b)
+    if r_a == dom.lo and not dom.lo_closed:
+        if tail_power(profile.inner_exponent) >= 1.0:
+            return math.inf
+        return _quad(density, dom.lo, r_b, profile.breakpoints)
+    profile.require_radius(r_a)
+    if r_a == r_b:
+        return 0.0
+    breaks = [math.log(x) for x in profile.breakpoints]
+    return _quad(lambda t: density(math.exp(t)) * math.exp(t), math.log(r_a), math.log(r_b), breaks)
+
+
+def geodesic_distance(profile: RadialProfile, r_a: float, r_b: float) -> float:
     """Radial arc length between S_{r_a} and S_{r_b}, r_a <= r_b.
 
     ``r_a`` equal to an open inner endpoint of the domain requests the
     improper limit; a divergent limit (complete inner end) returns inf.
     """
-    if r_b < r_a:
-        raise DomainError(f"need r_a <= r_b, got ({r_a}, {r_b})")
-    dom = profile.domain
-    f = _arc_weight(profile)
-    if r_a == dom.lo and not dom.lo_closed:
-        profile.require_radius(r_b)
-        value, diverged = improper_lower(f, dom.lo, r_b, tol)
-        return math.inf if diverged else value
-    profile.require_radius(r_a)
-    profile.require_radius(r_b)
-    if r_a == r_b:
-        return 0.0
-    return adaptive_simpson(f, r_a, r_b, tol)
+    n = profile.n
+    return _radial_integral(profile, _arc_weight(profile), lambda q: 2.0 * q / (n - 2), r_a, r_b)
 
 
-def volume_between(profile: RadialProfile, r_a: float, r_b: float, tol: float = QUAD_TOL) -> float:
+def volume_between(profile: RadialProfile, r_a: float, r_b: float) -> float:
     """Volume of the annulus between S_{r_a} and S_{r_b}, r_a <= r_b.
 
     As with :func:`geodesic_distance`, an open inner endpoint requests the
     improper limit, with inf returned on divergence.
     """
-    if r_b < r_a:
-        raise DomainError(f"need r_a <= r_b, got ({r_a}, {r_b})")
-    dom = profile.domain
-    f = _volume_density(profile)
-    if r_a == dom.lo and not dom.lo_closed:
-        profile.require_radius(r_b)
-        value, diverged = improper_lower(f, dom.lo, r_b, tol)
-        return math.inf if diverged else value
-    profile.require_radius(r_a)
-    profile.require_radius(r_b)
-    if r_a == r_b:
-        return 0.0
-    return adaptive_simpson(f, r_a, r_b, tol)
+    n = profile.n
+    return _radial_integral(
+        profile, _volume_density(profile), lambda q: 2.0 * n * q / (n - 2) - (n - 1), r_a, r_b
+    )

@@ -48,9 +48,17 @@ class Domain:
 
 
 class RadialProfile:
-    """Base class: dimension, domain, and the u / u' / u'' evaluators."""
+    """Base class: dimension, domain, and the u / u' / u'' evaluators.
+
+    A profile whose domain has an open inner end also carries
+    ``inner_exponent``, the q with u ~ c r^{-q} as r -> 0, from which the
+    radial integrals decide whether that end is at finite distance.
+    ``breakpoints`` lists the radii where u switches between closed forms;
+    the radial integrals split there.
+    """
 
     kind = "base"
+    breakpoints: tuple[float, ...] = ()
 
     def __init__(self, n: int = 3):
         if int(n) != n or n < 3:
@@ -101,6 +109,7 @@ class EuclideanProfile(RadialProfile):
     """u identically 1: flat space."""
 
     kind = "euclidean"
+    inner_exponent = 0.0
 
     def _u(self, r):
         return np.ones_like(r)
@@ -130,6 +139,7 @@ class SchwarzschildLikeProfile(RadialProfile):
             raise ValueError(f"tail coefficient must be nonnegative, got {b}")
         self.a = float(a)
         self.b = float(b)
+        self.inner_exponent = float(self.n - 2) if b > 0 else 0.0
 
     @classmethod
     def from_mass(cls, mass: float, n: int = 3) -> "SchwarzschildLikeProfile":
@@ -158,6 +168,10 @@ class CylinderProfile(RadialProfile):
 
     kind = "cylinder"
 
+    @property
+    def inner_exponent(self) -> float:
+        return 0.5 * (self.n - 2)
+
     def _u(self, r):
         return r ** (0.5 * (2 - self.n))
 
@@ -177,11 +191,16 @@ class ScaledProfile(RadialProfile):
             raise ValueError("scale factor must be positive")
         self.base = base
         self.lam = float(lam)
+        self.breakpoints = base.breakpoints
         self.kind = f"scaled-{base.kind}"
 
     @property
     def domain(self):
         return self.base.domain
+
+    @property
+    def inner_exponent(self) -> float:
+        return self.base.inner_exponent
 
     def params(self):
         return {"lam": self.lam, "base": self.base.describe()}

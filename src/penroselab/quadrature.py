@@ -1,13 +1,11 @@
-"""One-dimensional quadrature helpers.
+"""Fixed-panel Gauss-Legendre quadrature.
 
-Three tools cover every integral in the package:
+Arc lengths and volumes between two radii go through QUADPACK in
+:mod:`penroselab.geometry`.  This module holds the vectorised pieces that
+need the same integral at many points at once:
 
-- ``adaptive_simpson``: classic recursive Simpson with Richardson correction,
-  absolute tolerance, and a hard subdivision cap.
-- ``improper_lower``: integrals with an open lower endpoint, evaluated on a
-  geometric sequence of cutoffs.  The tail is extrapolated from the observed
-  decay ratio of the cutoff increments; increments that stop decaying signal
-  divergence, which is reported as a flag instead of a large finite number.
+- ``gauss_panel``: one 8-point Gauss-Legendre panel per interval, for
+  arrays of intervals.
 - ``PanelAntiderivative``: a fixed piecewise Gauss-Legendre antiderivative
   F(x) = integral from x to the right edge, cheap to evaluate anywhere and
   smooth enough for line searches.
@@ -15,74 +13,9 @@ Three tools cover every integral in the package:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
-    """Integrate f over [a, b] to absolute tolerance ``tol``."""
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _simpson_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _simpson_step(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def improper_lower(
-    f,
-    lo: float,
-    b: float,
-    tol: float = 1e-10,
-    max_steps: int = 60,
-) -> tuple[float, bool]:
-    """Integrate f over (lo, b] where f may blow up at ``lo``.
-
-    Returns ``(value, diverged)``.  Cutoffs approach ``lo`` geometrically;
-    three consecutive increments that fail to decay mark the integral as
-    divergent and the value is ``math.inf``.
-    """
-    if b <= lo:
-        return 0.0, False
-    span = b - lo
-    a_prev = lo + 0.5 * span
-    total = adaptive_simpson(f, a_prev, b, tol)
-    prev_piece = None
-    bad = 0
-    for k in range(2, max_steps + 2):
-        a_next = lo + span / 2.0**k
-        piece = adaptive_simpson(f, a_next, a_prev, tol)
-        total += piece
-        if prev_piece is not None and prev_piece > 0:
-            ratio = piece / prev_piece
-            bad = bad + 1 if ratio >= 0.97 else 0
-            if bad >= 3:
-                return math.inf, True
-            if piece <= tol * (1.0 + abs(total)) and ratio < 0.97:
-                # geometric tail estimate for what remains below a_next
-                total += piece * ratio / (1.0 - ratio)
-                return total, False
-        elif piece <= tol * (1.0 + abs(total)):
-            return total, False
-        prev_piece = piece
-        a_prev = a_next
-    return total, False
 
 
 def gauss_panel(f, a, b):

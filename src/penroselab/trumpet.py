@@ -147,6 +147,8 @@ class TrumpetProfile(RadialProfile):
         self._i_blend = float(self._blend_prefix(self.r0))
         # below r0 the factor is exactly u1 plus this constant
         self.c1 = self.alpha + (2.0 * self.r0) ** (2 - n) - self._i_blend
+        self.inner_exponent = self._u1.inner_exponent
+        self.breakpoints = (self.r0, 2.0 * self.r0)
 
     def params(self):
         return {"r0": self.r0, "alpha": self.alpha, "alpha0": self.alpha0}

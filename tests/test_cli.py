@@ -46,6 +46,7 @@ def test_penrose_exit_codes(tmp_path):
     assert run(tmp_path / "s", "penrose", "--profile", "schwarzschild", "--mass", "2") == 0
     assert run(tmp_path / "e", "penrose", "--profile", "euclidean") == 0
     assert run(tmp_path / "t", "penrose", "--profile", "trumpet") == 0
+    assert run(tmp_path / "c", "penrose", "--profile", "cylinder") == 6  # not asymptotically flat
     report = json.loads((tmp_path / "s" / "penrose" / "penrose.json").read_text())
     assert report["report"]["verdict"] == "equality-within-tol"
     strict = json.loads((tmp_path / "t" / "penrose" / "penrose.json").read_text())
@@ -130,31 +131,30 @@ def test_config_error_exit_2(tmp_path):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--profile", "schwarzschild", "--mass", "-1"],
-        ["--profile", "schwarzschild-like", "--a", "1"],
-        ["--profile", "schwarzschild", "--grid-count", "1"],
+        ["penrose", "--profile", "schwarzschild", "--mass", "-1"],
+        ["penrose", "--profile", "schwarzschild-like", "--a", "1"],
+        ["penrose", "--profile", "schwarzschild", "--grid-count", "1"],
+        ["mu-bubble", "--profile", "schwarzschild", "--beta", "-1"],
+        ["mu-bubble", "--profile", "schwarzschild", "--lip-factor", "2"],
+        ["rigidity", "--profile", "schwarzschild", "--gamma", "3"],
     ],
 )
-def test_bad_profile_or_grid_exit_2(tmp_path, flags):
-    assert run(tmp_path, "penrose", *flags) == 2
+def test_bad_profile_or_grid_exit_2(tmp_path, capsys, flags):
+    assert run(tmp_path, *flags) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_bad_tolerances_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "command": "penrose",
-        "profile": {"kind": "euclidean"},
-        "tolerances": {"equality": -1.0},
-        "out_dir": str(tmp_path),
-    }))
-    assert main(["penrose", "--config", str(cfg)]) == 2
-    cfg.write_text(json.dumps({
-        "command": "penrose",
-        "profile": {"kind": "euclidean"},
-        "tolerances": {"bogus": 1.0},
-        "out_dir": str(tmp_path),
-    }))
-    assert main(["penrose", "--config", str(cfg)]) == 2
+    # "quadrature" is unknown too: the radial integrals have a fixed tolerance
+    for tolerances in ({"equality": -1.0}, {"bogus": 1.0}, {"quadrature": 1e-10}):
+        cfg.write_text(json.dumps({
+            "command": "penrose",
+            "profile": {"kind": "euclidean"},
+            "tolerances": tolerances,
+            "out_dir": str(tmp_path),
+        }))
+        assert main(["penrose", "--config", str(cfg)]) == 2
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -186,6 +186,22 @@ def test_batch_runs_scenarios(tmp_path):
     summary = json.loads((tmp_path / "batch" / "batch.json").read_text())
     assert [s["exit_code"] for s in summary["scenarios"]] == [0, 0]
     assert (tmp_path / "batch" / "scenario_000" / "penrose" / "penrose.json").exists()
+
+
+def test_batch_records_refused_hypothesis(tmp_path):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({
+        "command": "batch",
+        "out_dir": str(tmp_path),
+        "scenarios": [
+            {"command": "penrose", "profile": {"kind": "schwarzschild", "mass": 1.0}},
+            {"command": "penrose", "profile": {"kind": "euclidean"}},
+            {"command": "penrose", "profile": {"kind": "cylinder"}},
+        ],
+    }))
+    assert main(["batch", "--config", str(cfg)]) == 6
+    summary = json.loads((tmp_path / "batch" / "batch.json").read_text())
+    assert [s["exit_code"] for s in summary["scenarios"]] == [0, 0, 6]
 
 
 def test_reports_are_bit_identical(tmp_path):

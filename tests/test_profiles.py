@@ -9,8 +9,10 @@ from penroselab import (
     RadialGrid,
     SchwarzschildLikeProfile,
     TabulatedProfile,
+    build_trumpet,
     default_grid,
     read_tabulated,
+    scaled,
     unit_sphere_area,
     write_tabulated,
 )
@@ -103,3 +105,28 @@ def test_default_grid_respects_domain(tmp_path, schw):
     tab = read_tabulated(path)
     grid = default_grid(tab)
     assert grid.r_lo >= 1e-2 and grid.r_hi <= 1e2
+
+
+_INNER_END_PROFILES = {
+    "trumpet-n3": lambda: build_trumpet(3),
+    "trumpet-n4": lambda: build_trumpet(4),
+    "trumpet-n5": lambda: build_trumpet(5),
+    "schwarzschild-like": lambda: SchwarzschildLikeProfile(2.0, 0.7),
+    "schwarzschild-like-n4": lambda: SchwarzschildLikeProfile(1.0, 0.5, n=4),
+    "schwarzschild-like-b0": lambda: SchwarzschildLikeProfile(1.5, 0.0),
+    "euclidean": lambda: EuclideanProfile(),
+    "cylinder": lambda: CylinderProfile(),
+    "cylinder-n5": lambda: CylinderProfile(5),
+    "scaled-trumpet": lambda: scaled(build_trumpet(3), 2.5),
+}
+
+
+@pytest.mark.parametrize("make", _INNER_END_PROFILES.values(), ids=_INNER_END_PROFILES.keys())
+def test_inner_exponent_matches_evaluator(make):
+    # u ~ c r^{-q} at the puncture: u r^q settles to a positive constant
+    profile = make()
+    assert not profile.domain.lo_closed
+    q = profile.inner_exponent
+    near, nearer = (profile.u(r) * r**q for r in (1e-8, 1e-12))
+    assert near > 0 and nearer > 0
+    assert near == pytest.approx(nearer, rel=1e-3)
