@@ -61,7 +61,7 @@ from .geometry import (
 )
 from .masses import _hawking_value, area_infimum_radial, penrose_check, EQUALITY_TOL
 from .profiles import RadialProfile
-from .quadrature import PanelAntiderivative
+from .quadrature import PanelAntiderivative, PanelTable, edge_suffix, gauss_nodes, node_suffix
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
 SCAN_POINTS = 512
@@ -160,6 +160,13 @@ class _Workspace:
     closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  The bulk table and
     the scan start at the barrier radius when the blow-up barrier lies above
     the floor, else at the floor.
+
+    The bulk table takes one evaluation of u at its Gauss nodes.  The same
+    values give the arc length from each node to the anchor (the quadrature
+    tail matrix inside the node's panel, whole panels beyond it), hence rho
+    and the weight h(rho) dV/dr at every node, hence the panel sums.  A query
+    below the anchor adds one 8-point panel of that weight, with rho from the
+    arc-length table.
     """
 
     def __init__(self, problem: MuBubbleProblem):
@@ -180,11 +187,19 @@ class _Workspace:
             )
         self.scan_lo = self.barrier_radius if self.barrier_radius is not None else self.floor
 
-        def dens(r):
-            return h(self.dist(r)) * 4.0 * math.pi * profile.u(r) ** 6 * r**2
-
         bulk_edges = np.geomspace(self.scan_lo, r0, _PANELS + 1)
-        self._bulk_prefix = PanelAntiderivative(dens, bulk_edges)
+        nodes, half = gauss_nodes(bulk_edges[:-1], bulk_edges[1:])
+        u = profile.u(nodes)
+        rho = -problem.lip_factor * node_suffix(u**2, half)  # arc weight u^{2/(n-2)}, n = 3
+        suffix = edge_suffix(self._bulk_weight(nodes, u, rho), half)
+        self._bulk_prefix = PanelTable(self._bulk_density, bulk_edges, suffix)
+
+    def _bulk_weight(self, r, u, rho):
+        """h(rho) dV/dr at radius r, from u(r) and rho(r)."""
+        return self.problem.h(rho) * 4.0 * math.pi * u**6 * r**2
+
+    def _bulk_density(self, r):
+        return self._bulk_weight(r, self.problem.profile.u(r), self.dist(r))
 
     def dist(self, r):
         """Lipschitz-shrunk signed arc length to the anchor (<= 0 inside)."""
@@ -545,7 +560,9 @@ def rigidity_iteration(
       (1 - eps^((gamma-1)(2-gamma)))^(-1),
 
     with eps_0 = sqrt(8 pi / area(S_{r0})) the admissible-curvature threshold
-    and Lambda_0 = A_inf area(S_{r0}) / (2 pi).
+    and Lambda_0 = A_inf area(S_{r0}) / (2 pi).  The schedule stops before
+    the first eps_k below ``epsilon_floor``; an epsilon below it, which would
+    leave no step, raises :class:`ParameterError`.
     """
     if profile.n != 3:
         raise UnsupportedDimensionError("rigidity_iteration is defined only for n = 3")
@@ -555,6 +572,8 @@ def rigidity_iteration(
     eps0 = math.sqrt(8.0 * math.pi / a0)
     if not 0 < epsilon < eps0:
         raise EpsilonTooLargeError(f"need 0 < epsilon < {eps0:.6g}, got {epsilon}")
+    if epsilon < epsilon_floor:
+        raise ParameterError(f"epsilon = {epsilon} lies below epsilon_floor = {epsilon_floor:g}")
     report = penrose_check(profile)
     a_inf = report.area_infimum
     lambda0 = a_inf * a0 / (2.0 * math.pi)

@@ -146,7 +146,7 @@ def _load_config(args) -> dict:
         if val is not None:
             cfg[key] = val
     if args.epsilons is not None:
-        cfg["epsilons"] = [float(x) for x in args.epsilons.split(",") if x.strip()]
+        cfg["epsilons"] = [_float("epsilons", x) for x in args.epsilons.split(",") if x.strip()]
     grid_over = {}
     if args.grid_lo is not None:
         grid_over["r_lo"] = args.grid_lo
@@ -225,24 +225,39 @@ def cmd_penrose(cfg: dict) -> int:
     return EXIT_VIOLATED if report.verdict == VERDICT_VIOLATED else EXIT_OK
 
 
-def _require(cfg: dict, key: str, default=None):
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"config field {key!r} is required for command {cfg.get('command')!r}")
+def _float(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {key!r} must be a number, got {value!r}") from exc
+
+
+def _number(cfg: dict, key: str, default):
+    """Config field ``key`` as a float; ``default`` when it is absent or null."""
+    value = cfg.get(key)
+    return default if value is None else _float(key, value)
+
+
+def _epsilons(cfg: dict):
+    """The horizon schedule: None for the default one, else a non-empty list of numbers."""
+    value = cfg.get("epsilons")
+    if value is None:
+        return None
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config field 'epsilons' must be a non-empty list of numbers, got {value!r}")
+    return [_float("epsilons", v) for v in value]
 
 
 def cmd_mu_bubble(cfg: dict) -> int:
     profile = build_profile(cfg)
-    r0 = float(_require(cfg, "r0", 2.0))
-    epsilon = float(_require(cfg, "epsilon", 0.1))
+    r0 = _number(cfg, "r0", 2.0)
+    epsilon = _number(cfg, "epsilon", 0.1)
     problem = bubbles.build_problem(
         profile,
         r0,
         epsilon,
-        beta=cfg.get("beta"),
-        lip_factor=float(cfg.get("lip_factor", bubbles.LIP_FACTOR_DEFAULT)),
+        beta=_number(cfg, "beta", None),
+        lip_factor=_number(cfg, "lip_factor", bubbles.LIP_FACTOR_DEFAULT),
     )
     sol = bubbles.minimize(problem)
     diam = bubbles.diameter_report(sol, epsilon)
@@ -285,9 +300,7 @@ _STEP_COLS = [
 
 def cmd_horizon(cfg: dict) -> int:
     profile = build_profile(cfg)
-    r0 = float(_require(cfg, "r0", 2.0))
-    epsilons = cfg.get("epsilons")
-    result = bubbles.horizon_sequence(profile, r0, epsilons)
+    result = bubbles.horizon_sequence(profile, _number(cfg, "r0", 2.0), _epsilons(cfg))
     out = _out_dir(cfg)
     write_json(out / "horizon.json", {"command": "horizon", "config": cfg, "result": result.to_dict()})
     records = [s.to_dict() for s in result.steps]
@@ -321,17 +334,15 @@ _RIGIDITY_COLS = [
 
 def cmd_rigidity(cfg: dict) -> int:
     profile = build_profile(cfg)
-    r0 = float(_require(cfg, "r0", 2.0))
-    epsilon = float(_require(cfg, "epsilon", 0.1))
-    gamma = float(_require(cfg, "gamma", 1.5))
-    trace = bubbles.rigidity_iteration(profile, r0, epsilon, gamma)
+    trace = bubbles.rigidity_iteration(
+        profile, _number(cfg, "r0", 2.0), _number(cfg, "epsilon", 0.1), _number(cfg, "gamma", 1.5)
+    )
     out = _out_dir(cfg)
     write_json(out / "rigidity.json", {"command": "rigidity", "config": cfg, "trace": trace.to_dict()})
     records = [s.to_dict() for s in trace.steps]
     write_csv(out / "rigidity.csv", _RIGIDITY_COLS, [[r.get(c) for c in _RIGIDITY_COLS] for r in records])
-    last = trace.steps[-1].solution.rho_star if trace.steps else float("nan")
     print(
-        f"rigidity: {len(trace.steps)} steps, final rho_star = {last:.9g}, "
+        f"rigidity: {len(trace.steps)} steps, final rho_star = {trace.steps[-1].solution.rho_star:.9g}, "
         f"cumulative volume {trace.cumulative_volume:.6g} <= {trace.cumulative_bound:.6g}: "
         f"{trace.cumulative_bound_ok}"
     )

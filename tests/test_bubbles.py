@@ -12,6 +12,7 @@ from penroselab import (
     DegenerateMinimizerError,
     EpsilonTooLargeError,
     OutOfCollectionError,
+    ParameterError,
     PrescribedMeanCurvature,
     build_problem,
     choose_beta,
@@ -27,10 +28,23 @@ from penroselab import (
     sphere_mean_curvature,
 )
 from penroselab.bubbles import MuBubbleProblem, _arccoth
+from penroselab.profiles import ScaledProfile
 
 
 def coth(x):
     return 1.0 / math.tanh(x)
+
+
+class PointCountingProfile(ScaledProfile):
+    """The base profile unchanged (scale 1), counting the radii u is evaluated at."""
+
+    def __init__(self, base):
+        super().__init__(base, 1.0)
+        self.points = 0
+
+    def _u(self, r):
+        self.points += np.size(r)
+        return super()._u(r)
 
 
 class TestPrescribedFamily:
@@ -140,6 +154,25 @@ class TestProblemSetup:
         assert value == pytest.approx(expected, rel=1e-9)
         assert value >= 4 * math.pi * 0.81
 
+    @pytest.mark.parametrize("frac", [0.05, 0.3, 0.6, 0.9])
+    def test_functional_schwarzschild_against_closed_forms(self, schw, frac):
+        # u = 1 + 1/(2r): closed-form area and arc length, the bulk term by QUADPACK
+        r0 = 2.0
+        prob = build_problem(schw, r0, 0.05)
+        lip, h = prob.lip_factor, prob.h
+        r_b = prob.workspace().barrier_radius
+        rho = r_b * (r0 / r_b) ** frac
+
+        def arc(r):
+            return (r0 - r) + math.log(r0 / r) + 0.25 * (1 / r - 1 / r0)
+
+        def integrand(r):
+            return h(-lip * arc(r)) * 4 * math.pi * (1 + 0.5 / r) ** 6 * r**2
+
+        bulk, _ = quad(integrand, rho, r0, epsabs=0, epsrel=1e-13, limit=200)
+        area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
+        assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-9, abs=0)
+
     def test_functional_dominates_area(self, schw):
         prob = build_problem(schw, 2.0, 0.1)
         for rho in (0.6, 1.0, 1.5, 2.0):
@@ -205,6 +238,13 @@ class TestMinimize:
         h = prob.h(-prob.lip_factor * arc)
         assert sphere_mean_curvature(trumpet, sol.rho_star) == pytest.approx(h, rel=1e-9)
         assert sol.second_order_ok
+
+    def test_profile_work_bound(self, schw):
+        # one u evaluation per bulk Gauss node: 4096 x 8 for the arc table, as
+        # many for the bulk table, then the barrier search, scan and root finds
+        profile = PointCountingProfile(schw)
+        minimize(build_problem(profile, 2.0, 0.05))
+        assert profile.points <= 100_000
 
     def test_euclid_degenerate(self, euclid):
         prob = build_problem(euclid, 1.0, 0.1, beta=2.0)
@@ -290,6 +330,13 @@ class TestRigidity:
             rigidity_iteration(schw, 2.0, 0.1, 2.5)
         with pytest.raises(EpsilonTooLargeError):
             rigidity_iteration(schw, 2.0, 0.9, 1.5)
+
+    def test_epsilon_below_floor_refused(self, schw):
+        # eps_0 = epsilon itself would already stop the schedule: no steps at all
+        with pytest.raises(ParameterError, match="epsilon_floor = 1e-06"):
+            rigidity_iteration(schw, 2.0, 1e-9, 1.5)
+        with pytest.raises(ParameterError, match="epsilon_floor = 0.01"):
+            rigidity_iteration(schw, 2.0, 0.005, 1.5, epsilon_floor=1e-2)
 
     def test_schwarzschild_trace(self, schw):
         trace = rigidity_iteration(schw, 2.0, 0.1, 1.5)

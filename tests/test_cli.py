@@ -137,10 +137,33 @@ def test_config_error_exit_2(tmp_path):
         ["mu-bubble", "--profile", "schwarzschild", "--beta", "-1"],
         ["mu-bubble", "--profile", "schwarzschild", "--lip-factor", "2"],
         ["rigidity", "--profile", "schwarzschild", "--gamma", "3"],
+        ["rigidity", "--profile", "schwarzschild", "--epsilon", "1e-9"],  # below epsilon_floor
+        ["horizon", "--profile", "schwarzschild", "--epsilons", "0.1,a"],
     ],
 )
 def test_bad_profile_or_grid_exit_2(tmp_path, capsys, flags):
     assert run(tmp_path, *flags) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,fields",
+    [
+        ("horizon", {"epsilons": 0.1}),
+        ("horizon", {"epsilons": ["a"]}),
+        ("horizon", {"epsilons": []}),
+        ("horizon", {"r0": [2.0]}),
+        ("rigidity", {"r0": "x"}),
+        ("rigidity", {"epsilon": "x"}),
+        ("rigidity", {"gamma": {}}),
+        ("mu-bubble", {"beta": "x"}),
+        ("mu-bubble", {"lip_factor": "x"}),
+    ],
+)
+def test_bad_schedule_config_exit_2(tmp_path, capsys, command, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": {"kind": "schwarzschild"}, "out_dir": str(tmp_path), **fields}))
+    assert main([command, "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from penroselab import (
     CylinderProfile,
+    EuclideanProfile,
     SchwarzschildLikeProfile,
+    build_trumpet,
     default_grid,
     geodesic_distance,
     intrinsic_diameter,
@@ -90,21 +92,44 @@ def test_trumpet_throat_volume_diverges(trumpet):
     assert math.isinf(volume_between(trumpet, 0.0, 1.0))
 
 
-@given(lam=st.floats(min_value=0.5, max_value=2.0))
-@settings(max_examples=30, deadline=None)
-def test_conformal_covariance(lam):
-    base = SchwarzschildLikeProfile(1.0, 0.5)
+_CLOSED_FORMS = {
+    "euclidean": EuclideanProfile(),
+    "schwarzschild-like": SchwarzschildLikeProfile(1.0, 0.5),
+    "cylinder": CylinderProfile(),
+    "trumpet": build_trumpet(3),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(_CLOSED_FORMS)),
+    lam=st.floats(min_value=0.25, max_value=4.0),
+    t_a=st.floats(min_value=-6.0, max_value=3.0),
+    gap=st.floats(min_value=0.1, max_value=6.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_conformal_covariance(kind, lam, t_a, gap):
+    # u -> lam u in n = 3 is g -> lam^4 g: lengths scale by lam^2, areas by
+    # lam^4, volumes by lam^6 and mean curvatures by lam^-2
+    base = _CLOSED_FORMS[kind]
     lifted = scaled(base, lam)
-    for rv in (0.3, 1.0, 5.0):
+    r_a, r_b = math.exp(t_a), math.exp(t_a + gap)
+    for rv in (r_a, r_b):
         assert sphere_area(lifted, rv) == pytest.approx(
-            lam**4 * sphere_area(base, rv), rel=1e-10
+            lam**4 * sphere_area(base, rv), rel=1e-12
         )
         h_base = sphere_mean_curvature(base, rv)
+        h_scale = 1.0 / (base.u(rv) ** 2 * rv)  # H of S_r is this times an O(1) factor
         assert sphere_mean_curvature(lifted, rv) == pytest.approx(
-            h_base / lam**2, rel=1e-10, abs=1e-13
+            h_base / lam**2, rel=1e-12, abs=1e-13 * h_scale / lam**2
         )
-        if abs(h_base) > 1e-12:
+        if abs(h_base) > 1e-12 * h_scale:
             assert math.copysign(1, sphere_mean_curvature(lifted, rv)) == math.copysign(1, h_base)
+    assert geodesic_distance(lifted, r_a, r_b) == pytest.approx(
+        lam**2 * geodesic_distance(base, r_a, r_b), rel=1e-10
+    )
+    assert volume_between(lifted, r_a, r_b) == pytest.approx(
+        lam**6 * volume_between(base, r_a, r_b), rel=1e-10
+    )
 
 
 @given(

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penroselab import (
     CylinderProfile,
@@ -16,7 +20,7 @@ from penroselab import (
     unit_sphere_area,
     write_tabulated,
 )
-from penroselab.geometry import radial_laplacian
+from penroselab.geometry import radial_laplacian, sphere_mean_curvature
 
 
 def test_unit_sphere_area():
@@ -80,6 +84,35 @@ def test_tabulated_roundtrip(tmp_path, schw):
     assert np.allclose(tab.u(probe), schw.u(probe), rtol=1e-12)
     assert np.allclose(tab.du(probe), schw.du(probe), rtol=1e-8)
     assert np.allclose(tab.d2u(probe), schw.d2u(probe), rtol=1e-6, atol=1e-12)
+
+
+_TABLE_RADII = np.geomspace(1e-3, 1e3, 4097)
+_CLOSED_FORMS = {
+    "euclidean": EuclideanProfile(),
+    "schwarzschild": SchwarzschildLikeProfile.from_mass(1.0),
+    "schwarzschild-like": SchwarzschildLikeProfile(2.0, 1.0),
+    "schwarzschild-n4": SchwarzschildLikeProfile.from_mass(1.0, n=4),
+    "cylinder": CylinderProfile(),
+    "trumpet": build_trumpet(3),
+    "trumpet-n4": build_trumpet(4),
+}
+_TABLES = {
+    kind: TabulatedProfile(_TABLE_RADII, p.u(_TABLE_RADII), n=p.n) for kind, p in _CLOSED_FORMS.items()
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(_CLOSED_FORMS)),
+    t=st.floats(min_value=math.log(_TABLE_RADII[0]), max_value=math.log(_TABLE_RADII[-1])),
+)
+@settings(max_examples=150, deadline=None)
+def test_tabulated_agrees_with_closed_form(kind, t):
+    exact, tab = _CLOSED_FORMS[kind], _TABLES[kind]
+    r = min(max(math.exp(t), _TABLE_RADII[0]), _TABLE_RADII[-1])
+    assert tab.u(r) == pytest.approx(exact.u(r), rel=1e-9)
+    # H vanishes on horizons and on the cylinder: compare on its natural scale
+    scale = (exact.n - 1) / (exact.u(r) ** (2 / (exact.n - 2)) * r)
+    assert abs(sphere_mean_curvature(tab, r) - sphere_mean_curvature(exact, r)) <= 1e-6 * scale
 
 
 def test_tabulated_reader_rejects_single_column(tmp_path):

@@ -13,7 +13,14 @@ from penroselab import (
     volume_between,
 )
 from penroselab.profiles import RadialProfile, ScaledProfile
-from penroselab.quadrature import PanelAntiderivative
+from penroselab.quadrature import (
+    _GL_NODES,
+    _GL_TAIL,
+    PanelAntiderivative,
+    edge_suffix,
+    gauss_nodes,
+    node_suffix,
+)
 
 # 12 Gauss-Kronrod panels of 21 points; QUADPACK's own cap is 2079 points
 MAX_U_EVALS = 252
@@ -113,3 +120,29 @@ def test_panel_antiderivative_matches_quad():
     xs = np.array([0.2, 1.0, 10.0])
     out = anti(xs)
     assert out.shape == xs.shape
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_tail_matrix_exact_for_degree_seven(m):
+    # row j integrates from node j to 1: exact for every polynomial of degree <= 7
+    x = _GL_NODES
+    exact = (1 - x ** (m + 1)) / (m + 1)
+    assert np.abs(_GL_TAIL @ x**m - exact).max() <= 1e-15
+
+
+def test_tail_matrix_rows_sum_to_remaining_length():
+    assert np.abs(_GL_TAIL.sum(axis=1) - (1 - _GL_NODES)).max() <= 1e-15
+
+
+def test_node_and_edge_suffix_match_quad():
+    f = lambda x: np.sin(x) / x
+    edges = np.geomspace(0.1, 20.0, 257)
+    nodes, half = gauss_nodes(edges[:-1], edges[1:])
+    vals = f(nodes)
+    at_nodes = node_suffix(vals, half)
+    at_edges = edge_suffix(vals, half)
+    assert at_nodes.shape == nodes.shape and at_edges.shape == edges.shape
+    assert at_edges == pytest.approx(PanelAntiderivative(f, edges).suffix, rel=0, abs=1e-14)
+    for i, j in ((0, 0), (3, 5), (100, 7), (255, 2)):
+        ref, _ = quad(f, nodes[i, j], 20.0, limit=200, epsabs=0, epsrel=1e-13)
+        assert at_nodes[i, j] == pytest.approx(ref, rel=1e-12, abs=0)
