@@ -22,6 +22,16 @@ g, refines it with Brent's method to a few ulps in r, and keeps the root
 with the lowest functional value.  The scan is global because g can change
 sign several times near the barrier.
 
+The work splits by what it depends on.  A table per anchor holds, from one
+evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
+length to the anchor at every node and every panel edge, and the volume
+weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` builds it once, and
+every curvature of its schedule reuses it.  Per curvature, the barrier radius
+comes from inverting the table: ``searchsorted`` on the edge values of rho
+finds its panel, and Brent's method finds it inside that panel.  The bulk
+term reuses the table's panels above the barrier radius and adds one fresh
+8-point panel below the first of them.
+
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}) (bisection, then doubled).  ``select_beta``
 additionally floors beta with the depth bound
@@ -61,7 +71,7 @@ from .geometry import (
 )
 from .masses import _hawking_value, area_infimum_radial, penrose_check, EQUALITY_TOL
 from .profiles import RadialProfile
-from .quadrature import PanelAntiderivative, PanelTable, edge_suffix, gauss_nodes, node_suffix
+from .quadrature import PanelTable, edge_suffix, gauss_nodes, node_suffix
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
 SCAN_POINTS = 512
@@ -153,68 +163,107 @@ class MuBubbleProblem:
         return self._ws
 
 
-class _Workspace:
-    """Cached arc-length and bulk antiderivatives for one bubble problem.
+def _volume_weight(r, w):
+    """dV/dr = 4 pi u^6 r^2 at radius r, from the arc weight w = u(r)^2; n = 3."""
+    return w * w * w * r * r * (4.0 * math.pi)  # one product chain: numpy reuses its temporaries
 
-    The arc-length table reaches down to the floor: the inner edge of a
-    closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  The bulk table and
-    the scan start at the barrier radius when the blow-up barrier lies above
-    the floor, else at the floor.
 
-    The bulk table takes one evaluation of u at its Gauss nodes.  The same
-    values give the arc length from each node to the anchor (the quadrature
-    tail matrix inside the node's panel, whole panels beyond it), hence rho
-    and the weight h(rho) dV/dr at every node, hence the panel sums.  A query
-    below the anchor adds one 8-point panel of that weight, with rho from the
-    arc-length table.
+class _AnchorTable:
+    """What a bubble problem needs of its profile and anchor alone.
+
+    The panels are geomspace(floor, r0, 4097), the floor being the inner edge
+    of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  One evaluation
+    of u at their 4096 x 8 Gauss nodes gives the arc length to the anchor at
+    every edge (``arc``, the panel table behind rho) and at every node (the
+    quadrature tail matrix inside the node's panel), and the volume weight
+    4 pi u^6 r^2 at every node.  A schedule that keeps its anchor builds one
+    table for all its curvatures.
     """
 
-    def __init__(self, problem: MuBubbleProblem):
-        self.problem = problem
-        profile = problem.profile
-        r0 = problem.anchor_radius
+    def __init__(self, profile: RadialProfile, anchor_radius: float):
         dom = profile.domain
-        self.floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * r0)
-        edges = np.geomspace(self.floor, r0, _PANELS + 1)
-        self._arc_prefix = PanelAntiderivative(_arc_weight(profile), edges)
+        self.floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
+        self.edges = np.geomspace(self.floor, anchor_radius, _PANELS + 1)
+        nodes, self.half = gauss_nodes(self.edges[:-1], self.edges[1:])
+        arc_weight = profile.u(nodes) ** 2  # u^{2/(n-2)}, n = 3
+        self.arc = PanelTable.from_nodes(_arc_weight(profile), self.edges, arc_weight, self.half)
+        self.arc_nodes = node_suffix(arc_weight, self.half)
+        self.volume_weight = _volume_weight(nodes, arc_weight)
 
-        h = problem.h
+
+def _shrunk(arc, lip):
+    """rho = -lip * arc: the Lipschitz-shrunk signed arc length to the anchor (<= 0 inside)."""
+    return lambda r: -lip * arc(r)
+
+
+def _bulk_density(profile, h, dist):
+    """The bulk weight h(rho) dV/dr as a function of r."""
+    return lambda r: h(dist(r)) * _volume_weight(r, profile.u(r) ** 2)
+
+
+def _first_variation(profile, h, dist):
+    """g = H(S_rho) - h(rho(rho)); dA/drho = g area(S_rho) u(rho)^2."""
+    return lambda rho: sphere_mean_curvature(profile, rho) - h(dist(rho))
+
+
+class _Workspace:
+    """One prescribed curvature on an anchor table: barrier radius and bulk table.
+
+    The barrier radius is where rho reaches the barrier of h, backed off by
+    1e-6 in rho.  rho rises monotonically to 0 at the anchor, so when the
+    table's floor edge already lies above the barrier there is none, and the
+    bulk table and the scan start at the floor.  Otherwise ``searchsorted``
+    on the edge values of rho finds the one panel holding the barrier radius,
+    and Brent's method runs inside it.
+
+    The bulk table keeps the anchor panels above the barrier radius: there
+    the weight h(rho) dV/dr is h(-lip * stored node arc length) times the
+    stored volume weight, with no new evaluation of u.  One fresh 8-point
+    panel covers the barrier radius to the next edge.  A query below the
+    anchor adds one 8-point panel of the weight, with rho from the arc table.
+
+    ``dist``, ``first_variation`` and the bulk density are closures over the
+    profile, h and the arc table, never bound methods, and nothing here points
+    back at the problem.  So a finished problem is freed by reference
+    counting alone, even though ``brentq`` keeps each function it is given
+    in a reference cycle of its own until the cyclic collector runs.
+    """
+
+    def __init__(self, problem: MuBubbleProblem, table: _AnchorTable | None = None):
+        profile, h, lip = problem.profile, problem.h, problem.lip_factor
+        if table is None:
+            table = _AnchorTable(profile, problem.anchor_radius)
+        self.profile = profile
+        self.floor = table.floor
+        self.dist = dist = _shrunk(table.arc, lip)
+        self.first_variation = _first_variation(profile, h, dist)
+
+        edges = table.edges
+        edge_rho = -lip * table.arc.suffix  # rho at each edge, exactly as dist returns it
         self.barrier_radius = None
-        target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
-        if self.dist(self.floor) <= h.barrier:
+        k = 0  # first anchor edge of the bulk table
+        if edge_rho[0] <= h.barrier:
+            target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
+            k = int(np.searchsorted(edge_rho, target, side="right"))
             self.barrier_radius = float(
-                brentq(lambda r: self.dist(r) - target, self.floor, r0, xtol=1e-300, rtol=1e-15)
+                brentq(lambda r: dist(r) - target, edges[k - 1], edges[k], xtol=1e-300, rtol=1e-15)
             )
         self.scan_lo = self.barrier_radius if self.barrier_radius is not None else self.floor
 
-        bulk_edges = np.geomspace(self.scan_lo, r0, _PANELS + 1)
-        nodes, half = gauss_nodes(bulk_edges[:-1], bulk_edges[1:])
-        u = profile.u(nodes)
-        rho = -problem.lip_factor * node_suffix(u**2, half)  # arc weight u^{2/(n-2)}, n = 3
-        suffix = edge_suffix(self._bulk_weight(nodes, u, rho), half)
-        self._bulk_prefix = PanelTable(self._bulk_density, bulk_edges, suffix)
-
-    def _bulk_weight(self, r, u, rho):
-        """h(rho) dV/dr at radius r, from u(r) and rho(r)."""
-        return self.problem.h(rho) * 4.0 * math.pi * u**6 * r**2
-
-    def _bulk_density(self, r):
-        return self._bulk_weight(r, self.problem.profile.u(r), self.dist(r))
-
-    def dist(self, r):
-        """Lipschitz-shrunk signed arc length to the anchor (<= 0 inside)."""
-        return -self.problem.lip_factor * self._arc_prefix(r)
-
-    def bulk(self, rho):
-        """Weighted volume term of the functional from rho out to the anchor."""
-        return self._bulk_prefix(rho)
+        bulk_edges = edges[k:]
+        half = table.half[k:]
+        weight = h(-lip * table.arc_nodes[k:]) * table.volume_weight[k:]
+        if self.barrier_radius is not None:
+            nodes, fresh_half = gauss_nodes([self.barrier_radius], edges[k])
+            fresh_weight = profile.u(nodes) ** 2
+            rho = -lip * (node_suffix(fresh_weight, fresh_half) + table.arc.suffix[k])
+            bulk_edges = np.concatenate([[self.barrier_radius], bulk_edges])
+            half = np.concatenate([fresh_half, half])
+            weight = np.concatenate([h(rho) * _volume_weight(nodes, fresh_weight), weight])
+        self.bulk = PanelTable(_bulk_density(profile, h, dist), bulk_edges, edge_suffix(weight, half))
 
     def functional(self, rho):
-        return np.asarray(sphere_area(self.problem.profile, rho)) + self.bulk(rho)
-
-    def first_variation(self, rho):
-        """g = H(S_rho) - h(rho(rho)); dA/drho = g area(S_rho) u(rho)^2."""
-        return sphere_mean_curvature(self.problem.profile, rho) - self.problem.h(self.dist(rho))
+        return np.asarray(sphere_area(self.profile, rho)) + self.bulk(rho)
 
 
 def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:
@@ -475,11 +524,15 @@ def horizon_sequence(
         epsilons = halving_schedule()
     a_inf = area_infimum_radial(profile).value
     steps: list[HorizonStep] = []
+    table = None  # the anchor's table, built with the first problem and shared by the rest
     for eps in epsilons:
         beta = None
         try:
             beta = select_beta(profile, anchor_radius, eps, area_infimum=a_inf)
             problem = build_problem(profile, anchor_radius, eps, beta=beta, area_infimum=a_inf)
+            if table is None:
+                table = _AnchorTable(profile, anchor_radius)
+            problem._ws = _Workspace(problem, table)
             sol = minimize(problem)
             bound = _hawking_value(sol.area, sol.mean_curvature)
             steps.append(HorizonStep(eps, beta, sol, None, float(bound)))

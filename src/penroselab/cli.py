@@ -67,7 +67,7 @@ def build_profile(cfg: dict):
 
 def _build_profile(spec: dict, cfg: dict):
     kind = spec["kind"]
-    n = int(cfg.get("n", 3))
+    n = _dimension(cfg)
     if kind == "euclidean":
         return EuclideanProfile(n=n)
     if kind == "schwarzschild":
@@ -92,7 +92,7 @@ def _build_profile(spec: dict, cfg: dict):
 
 
 def build_grid(cfg: dict, profile) -> RadialGrid:
-    g = cfg.get("grid", {})
+    g = _object(cfg, "grid")
     try:
         return default_grid(
             profile,
@@ -108,11 +108,11 @@ _TOLERANCE_DEFAULTS = {"el_residual": 1e-6, "equality": 1e-6}
 
 
 def tolerances(cfg: dict) -> dict:
-    tol = {**_TOLERANCE_DEFAULTS, **cfg.get("tolerances", {})}
+    tol = {**_TOLERANCE_DEFAULTS, **_object(cfg, "tolerances")}
     for key, value in tol.items():
         if key not in _TOLERANCE_DEFAULTS:
             raise ConfigError(f"unknown tolerance {key!r}")
-        if not value > 0:
+        if not _float(f"tolerances.{key}", value) > 0:
             raise ConfigError(f"tolerance {key!r} must be positive, got {value}")
     return tol
 
@@ -130,7 +130,7 @@ def _load_config(args) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: top-level config must be a JSON object")
     # flag overrides, config-first semantics
-    cfg.setdefault("profile", {})
+    cfg["profile"] = _object(cfg, "profile")
     if args.profile is not None:
         cfg["profile"]["kind"] = args.profile
     for key in ("mass", "a", "b", "alpha", "r0_glue"):
@@ -155,7 +155,7 @@ def _load_config(args) -> dict:
     if args.grid_count is not None:
         grid_over["count"] = args.grid_count
     if grid_over:
-        cfg["grid"] = {**cfg.get("grid", {}), **grid_over}
+        cfg["grid"] = {**_object(cfg, "grid"), **grid_over}
     cfg["command"] = args.command
     return cfg
 
@@ -230,6 +230,24 @@ def _float(key: str, value) -> float:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {key!r} must be a number, got {value!r}") from exc
+
+
+def _object(cfg: dict, key: str) -> dict:
+    """Config field ``key`` as a JSON object; empty when it is absent or null."""
+    value = cfg.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field {key!r} must be an object, got {value!r}")
+    return value
+
+
+def _dimension(cfg: dict) -> int:
+    """Config field ``n``, an integer >= 3; 3 when it is absent or null."""
+    n = _number(cfg, "n", 3.0)
+    if not (n.is_integer() and n >= 3):
+        raise ConfigError(f"config field 'n' must be an integer >= 3, got {cfg['n']!r}")
+    return int(n)
 
 
 def _number(cfg: dict, key: str, default):
@@ -350,11 +368,11 @@ def cmd_rigidity(cfg: dict) -> int:
 
 
 def cmd_trumpet(cfg: dict) -> int:
-    spec = cfg.get("profile", {})
-    if spec and spec.get("kind") not in (None, "trumpet"):
+    spec = _object(cfg, "profile")
+    if spec.get("kind") not in (None, "trumpet"):
         raise ConfigError("the trumpet command builds its own profile")
-    n = int(cfg.get("n", 3))
-    profile = trumpet_mod.build_trumpet(n=n, r0=spec.get("r0_glue"), alpha=cfg.get("alpha", spec.get("alpha")))
+    alpha = cfg.get("alpha", spec.get("alpha"))
+    profile = build_profile({**cfg, "profile": {**spec, "kind": "trumpet", "alpha": alpha}})
     grid = build_grid(cfg, profile)
     verification = trumpet_mod.verify_trumpet(profile, grid)
     out = _out_dir(cfg)
@@ -365,7 +383,7 @@ def cmd_trumpet(cfg: dict) -> int:
         "params": profile.describe(),
         "verification": verification.to_dict(),
     }
-    if n == 3:
+    if profile.n == 3:
         report = penrose_check(profile, grid)
         payload["penrose"] = report.to_dict()
         print(

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
+from .reports import _atomic_write
 
 
 def unit_sphere_area(n: int) -> float:
@@ -279,18 +280,15 @@ def read_tabulated(path, n: int = 3) -> TabulatedProfile:
 
 
 def write_tabulated(path, radii, values, header: str = "") -> None:
-    """Write a two-column (r, u) text file readable by :func:`read_tabulated`."""
-    import os
+    """Write a two-column (r, u) text file readable by :func:`read_tabulated`.
 
-    parent = os.path.dirname(os.path.abspath(os.fspath(path)))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("# r u\n")
-        for r, u in zip(radii, values):
-            fh.write(f"{float(r)!r} {float(u)!r}\n")
+    The file is replaced atomically, so a failed write leaves any previous
+    table whole rather than a truncated one that would read as shorter.
+    """
+    lines = [f"# {line}\n" for line in header.splitlines()]
+    lines.append("# r u\n")
+    lines.extend(f"{float(r)!r} {float(u)!r}\n" for r, u in zip(radii, values))
+    _atomic_write(path, "".join(lines))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ need the same integral at many points at once:
 - ``PanelAntiderivative``: a fixed piecewise Gauss-Legendre antiderivative
   F(x) = integral from x to the right edge, cheap to evaluate anywhere and
   smooth enough for line searches.  ``PanelTable`` is the same object with
-  its edge sums supplied by the caller.
+  its edge sums supplied by the caller; ``PanelTable.from_nodes`` sums them
+  from the integrand's values at the nodes, exactly as
+  ``PanelAntiderivative`` would.
 - ``edge_suffix`` / ``node_suffix``: that antiderivative at the panel edges
   and at the Gauss nodes themselves, from the integrand's values at the
   nodes alone.  Inside a panel the node values come from the tail matrix
@@ -56,7 +58,10 @@ def gauss_panel(f, a, b):
     ``a`` may be an array (with scalar or matching ``b``); f must accept arrays.
     """
     nodes, half = gauss_nodes(a, b)
-    vals = f(nodes.reshape(-1)).reshape(nodes.shape)
+    return _panel_sums(f(nodes.reshape(-1)).reshape(nodes.shape), half)
+
+
+def _panel_sums(vals, half):
     return (vals * _GL_WEIGHTS).sum(axis=-1) * half
 
 
@@ -96,6 +101,16 @@ class PanelTable:
         self.f = f
         self.edges = np.asarray(edges, dtype=float)
         self.suffix = suffix
+
+    @classmethod
+    def from_nodes(cls, f, edges, vals, half):
+        """The table ``PanelAntiderivative(f, edges)`` builds, from f at ``gauss_nodes(edges)``.
+
+        The panels are summed as ``gauss_panel`` sums them, so for an
+        elementwise f the table at an edge returns its stored edge value bit
+        for bit (``edge_suffix`` agrees only up to rounding).
+        """
+        return cls(f, edges, _suffix(_panel_sums(vals, half)))
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from penroselab import (
@@ -6,6 +7,27 @@ from penroselab import (
     SchwarzschildLikeProfile,
     build_trumpet,
 )
+from penroselab.profiles import ScaledProfile
+
+
+class CountingProfile(ScaledProfile):
+    """The base profile unchanged (scale 1), counting u evaluations: ``calls`` and ``points`` (radii)."""
+
+    def __init__(self, base):
+        super().__init__(base, 1.0)
+        self.calls = 0
+        self.points = 0
+
+    def _u(self, r):
+        self.calls += 1
+        self.points += np.size(r)
+        return super()._u(r)
+
+
+@pytest.fixture
+def counting():
+    """``counting(profile)`` wraps a profile in a :class:`CountingProfile`."""
+    return CountingProfile
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,23 +30,10 @@ from penroselab import (
     sphere_mean_curvature,
 )
 from penroselab.bubbles import MuBubbleProblem, _arccoth
-from penroselab.profiles import ScaledProfile
 
 
 def coth(x):
     return 1.0 / math.tanh(x)
-
-
-class PointCountingProfile(ScaledProfile):
-    """The base profile unchanged (scale 1), counting the radii u is evaluated at."""
-
-    def __init__(self, base):
-        super().__init__(base, 1.0)
-        self.points = 0
-
-    def _u(self, r):
-        self.points += np.size(r)
-        return super()._u(r)
 
 
 class TestPrescribedFamily:
@@ -173,6 +162,16 @@ class TestProblemSetup:
         area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
         assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01, 0.001])
+    def test_barrier_radius_against_closed_form(self, schw, eps):
+        # the table inversion lands where the closed-form rho meets the backed-off barrier
+        r0 = 2.0
+        prob = build_problem(schw, r0, eps)
+        r_b = prob.workspace().barrier_radius
+        arc = (r0 - r_b) + math.log(r0 / r_b) + 0.25 * (1 / r_b - 1 / r0)
+        target = prob.h.barrier * (1 - 1e-6)
+        assert -prob.lip_factor * arc == pytest.approx(target, rel=1e-13, abs=0)
+
     def test_functional_dominates_area(self, schw):
         prob = build_problem(schw, 2.0, 0.1)
         for rho in (0.6, 1.0, 1.5, 2.0):
@@ -199,6 +198,10 @@ class TestProblemSetup:
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
         ws = prob.workspace()
         assert ws.barrier_radius is not None
+        # the table's own bulk term at the barrier radius (its fresh first panel)
+        # is what a query there integrates afresh
+        at_barrier = functional_eval(prob, ws.barrier_radius)
+        assert at_barrier == pytest.approx(sphere_area(schw, ws.barrier_radius) + ws.bulk.suffix[0], rel=1e-12)
         rhos = ws.barrier_radius * (1 + 10.0 ** -np.arange(1, 6))
         vals = [functional_eval(prob, r) for r in rhos]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -239,12 +242,36 @@ class TestMinimize:
         assert sphere_mean_curvature(trumpet, sol.rho_star) == pytest.approx(h, rel=1e-9)
         assert sol.second_order_ok
 
-    def test_profile_work_bound(self, schw):
-        # one u evaluation per bulk Gauss node: 4096 x 8 for the arc table, as
-        # many for the bulk table, then the barrier search, scan and root finds
-        profile = PointCountingProfile(schw)
+    def test_profile_work_bound(self, schw, counting):
+        # one anchor table, 4096 x 8 u points for both the arc length and the
+        # bulk weights, then the scan and root finds
+        profile = counting(schw)
         minimize(build_problem(profile, 2.0, 0.05))
         assert profile.points <= 100_000
+
+    def test_schedule_work_bounds(self, schw, counting):
+        # the horizon schedule shares one anchor table (4096 x 8 points) across
+        # its 9 steps; a rigidity step re-anchors, so it builds its own
+        profile = counting(schw)
+        horizon_sequence(profile, 2.0)
+        assert profile.points <= 150_000
+        profile = counting(schw)
+        rigidity_iteration(profile, 2.0, 0.1, 1.5)
+        assert profile.points <= 250_000
+
+    def test_workspace_freed_without_cyclic_gc(self, schw):
+        gc.disable()
+        try:
+            sol = minimize(build_problem(schw, 2.0, 0.05))
+            ref = weakref.ref(sol.problem.workspace())
+            del sol
+            assert ref() is None
+            result = horizon_sequence(schw, 2.0, [0.1, 0.05])
+            refs = [weakref.ref(s.solution.problem.workspace()) for s in result.steps]
+            del result
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_euclid_degenerate(self, euclid):
         prob = build_problem(euclid, 1.0, 0.1, beta=2.0)
@@ -296,6 +323,14 @@ class TestSchedules:
         assert all(b < a for a, b in zip(rhos, rhos[1:]))
         assert rhos[-1] < 1e-4
         assert all(s.solution.mean_curvature > 0 for s in result.steps)
+
+    @pytest.mark.parametrize("case", ["schwarzschild", "trumpet"])
+    def test_horizon_steps_equal_standalone_problems(self, schw, trumpet, case):
+        # the shared anchor table changes nothing: each step is the lone problem
+        profile, r0, eps = (schw, 2.0, None) if case == "schwarzschild" else (trumpet, 3.0, [0.05, 0.01])
+        for step in horizon_sequence(profile, r0, eps).steps:
+            alone = minimize(build_problem(profile, r0, step.epsilon, beta=step.beta))
+            assert alone.to_dict() == step.solution.to_dict()
 
     def test_horizon_sequence_records_step_errors(self, schw):
         result = horizon_sequence(schw, 2.0, [0.2, 10.0, 0.0])

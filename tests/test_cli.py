@@ -158,6 +158,15 @@ def test_bad_profile_or_grid_exit_2(tmp_path, capsys, flags):
         ("rigidity", {"gamma": {}}),
         ("mu-bubble", {"beta": "x"}),
         ("mu-bubble", {"lip_factor": "x"}),
+        ("trumpet", {"profile": {"kind": "trumpet"}, "n": "x"}),
+        ("trumpet", {"profile": {"kind": "trumpet"}, "n": 2}),
+        ("trumpet", {"profile": {"kind": "trumpet"}, "n": 3.5}),  # not an integer, so not truncated to 3
+        ("trumpet", {"profile": {"kind": "trumpet"}, "alpha": "x"}),
+        ("trumpet", {"profile": "x"}),
+        ("penrose", {"n": 4.9}),
+        ("penrose", {"tolerances": {"equality": "x"}}),
+        ("penrose", {"tolerances": [1]}),
+        ("analyze", {"grid": "x"}),
     ],
 )
 def test_bad_schedule_config_exit_2(tmp_path, capsys, command, fields):
@@ -209,6 +218,24 @@ def test_batch_runs_scenarios(tmp_path):
     summary = json.loads((tmp_path / "batch" / "batch.json").read_text())
     assert [s["exit_code"] for s in summary["scenarios"]] == [0, 0]
     assert (tmp_path / "batch" / "scenario_000" / "penrose" / "penrose.json").exists()
+
+
+def test_batch_records_config_errors(tmp_path):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({
+        "command": "batch",
+        "out_dir": str(tmp_path),
+        "scenarios": [
+            {"command": "trumpet", "n": "x"},
+            {"command": "analyze", "profile": {"kind": "euclidean"}, "grid": "x"},
+            {"command": "penrose", "profile": {"kind": "euclidean"}, "tolerances": [1]},
+            {"command": "penrose", "profile": {"kind": "schwarzschild", "mass": 1.0}},
+        ],
+    }))
+    assert main(["batch", "--config", str(cfg)]) == 2
+    summary = json.loads((tmp_path / "batch" / "batch.json").read_text())
+    assert [s["exit_code"] for s in summary["scenarios"]] == [2, 2, 2, 0]
+    assert all("ConfigError" in s["error"] for s in summary["scenarios"][:3])
 
 
 def test_batch_records_refused_hypothesis(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penroselab import (
     NotAsymptoticallyFlatError,
@@ -12,8 +14,11 @@ from penroselab import (
     adm_hawking_check,
     adm_mass_from_tail,
     area_infimum_radial,
+    build_trumpet,
     find_horizon,
+    find_r0,
     hawking_mass,
+    min_alpha,
     penrose_check,
     sphere_mean_curvature,
 )
@@ -47,6 +52,35 @@ def test_adm_flux_first_order_convergence(schw):
     errs = [abs(adm_flux(schw, rho) - m) for rho in (1e2, 2e2, 4e2, 8e2)]
     for a, b in zip(errs, errs[1:]):
         assert b <= 0.5 * a * (1 + 1e-6)
+
+
+_FLUX_RADII = np.geomspace(1e2, 1e4, 5)
+
+
+def _assert_flux_tends_to(profile, a, b):
+    # pure tail u = a + b r^(2-n): the flux mass tends to 2ab, with error
+    # ((6-n)/(n-2)) (b/a) rho^(2-n) to leading order
+    mass = 2.0 * a * b
+    errs = [abs(adm_flux(profile, rho) - mass) / mass for rho in _FLUX_RADII]
+    assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:])), errs
+    n = profile.n
+    assert errs[-1] <= 1.1 * (6 - n) / (n - 2) * (b / a) * _FLUX_RADII[-1] ** (2 - n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), a=st.floats(0.5, 4.0), b=st.floats(0.5, 4.0))
+def test_adm_flux_tends_to_tail_mass(n, a, b):
+    _assert_flux_tends_to(SchwarzschildLikeProfile(a, b, n=n), a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from([3, 4]), stretch=st.floats(1.0, 3.0))
+def test_adm_flux_tends_to_trumpet_mass(n, stretch):
+    # beyond 2 r0 the trumpet is exactly alpha0 + r^(2-n)
+    r0 = find_r0(n)
+    trumpet = build_trumpet(n, r0=r0, alpha=stretch * min_alpha(n, r0))
+    assert 2 * trumpet.r0 < _FLUX_RADII[0]
+    _assert_flux_tends_to(trumpet, trumpet.alpha0, 1.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

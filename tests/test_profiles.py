@@ -86,6 +86,31 @@ def test_tabulated_roundtrip(tmp_path, schw):
     assert np.allclose(tab.d2u(probe), schw.d2u(probe), rtol=1e-6, atol=1e-12)
 
 
+def test_failed_table_write_keeps_previous_file(tmp_path, schw, monkeypatch):
+    radii = np.geomspace(1e-2, 1e2, 64)
+    path = tmp_path / "profile.dat"
+    write_tabulated(path, radii, schw.u(radii))
+    before = path.read_bytes()
+
+    def values():  # the row generator fails partway through the table
+        yield from schw.u(radii[:10])
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_tabulated(path, radii, values())
+    assert path.read_bytes() == before
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("penroselab.reports.os.replace", no_replace)
+    with pytest.raises(OSError):
+        write_tabulated(path, radii, 2 * schw.u(radii))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["profile.dat"]  # no temporary file left
+    assert len(read_tabulated(path).radii) == 64
+
+
 _TABLE_RADII = np.geomspace(1e-3, 1e3, 4097)
 _CLOSED_FORMS = {
     "euclidean": EuclideanProfile(),

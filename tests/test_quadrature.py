@@ -12,11 +12,12 @@ from penroselab import (
     geodesic_distance,
     volume_between,
 )
-from penroselab.profiles import RadialProfile, ScaledProfile
+from penroselab.profiles import RadialProfile
 from penroselab.quadrature import (
     _GL_NODES,
     _GL_TAIL,
     PanelAntiderivative,
+    PanelTable,
     edge_suffix,
     gauss_nodes,
     node_suffix,
@@ -42,18 +43,6 @@ class PowerProfile(RadialProfile):
         return r ** (-0.5 * self.p)
 
 
-class CountingProfile(ScaledProfile):
-    """The base profile unchanged (scale 1), counting u evaluations."""
-
-    def __init__(self, base: RadialProfile):
-        super().__init__(base, 1.0)
-        self.calls = 0
-
-    def _u(self, r):
-        self.calls += 1
-        return super()._u(r)
-
-
 @pytest.mark.parametrize("b", [1.0, 7.3])
 @pytest.mark.parametrize("p", [0.5, 0.9, 0.99, 1.0, 1.5])
 def test_power_profile_from_puncture(p, b):
@@ -74,19 +63,19 @@ _SCHW_VOLUME = sp.integrate(4 * sp.pi * (1 + 1 / (2 * _R)) ** 6 * _R**2, _R)
 
 
 @pytest.mark.parametrize("r_a,r_b", [(1.0, 80.0), (1.0, 100.0), (1.0, 1e3), (2.7e-3, 617.0)])
-def test_schwarzschild_volume_against_sympy(r_a, r_b):
-    profile = CountingProfile(SchwarzschildLikeProfile.from_mass(1.0))
+def test_schwarzschild_volume_against_sympy(r_a, r_b, counting):
+    profile = counting(SchwarzschildLikeProfile.from_mass(1.0))
     exact = sp.N(_SCHW_VOLUME.subs(_R, sp.Rational(r_b)) - _SCHW_VOLUME.subs(_R, sp.Rational(r_a)), 30)
     assert volume_between(profile, r_a, r_b) == pytest.approx(float(exact), rel=1e-12, abs=0)
     assert profile.calls <= MAX_U_EVALS
 
 
 @pytest.mark.parametrize("r_a,r_b", [(0.09349036408190234, 7.491869864420243), (0.0099, 886.0)])
-def test_trumpet_arc_across_the_blend(r_a, r_b):
+def test_trumpet_arc_across_the_blend(r_a, r_b, counting):
     # closed forms below r0 (u = r^{-1/2} + c1) and above 2 r0 (u = alpha0 + 1/r);
     # the blend between them by a tight QUADPACK run of its own.  Unsplit at r0
     # and 2 r0, QUADPACK reports success on the first span 1.5e-7 off.
-    trumpet = CountingProfile(build_trumpet(3, alpha=2.3836749032336413))
+    trumpet = counting(build_trumpet(3, alpha=2.3836749032336413))
     base = trumpet.base
     r0, c1, a0 = base.r0, base.c1, base.alpha0
     inner = math.log(r0 / r_a) + 4 * c1 * (math.sqrt(r0) - math.sqrt(r_a)) + c1**2 * (r0 - r_a)
@@ -146,3 +135,13 @@ def test_node_and_edge_suffix_match_quad():
     for i, j in ((0, 0), (3, 5), (100, 7), (255, 2)):
         ref, _ = quad(f, nodes[i, j], 20.0, limit=200, epsabs=0, epsrel=1e-13)
         assert at_nodes[i, j] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_panel_table_from_nodes_is_the_antiderivative():
+    # same edge sums as PanelAntiderivative, and each edge query returns its own sum
+    f = lambda x: np.sin(x) / x
+    edges = np.geomspace(0.1, 20.0, 257)
+    nodes, half = gauss_nodes(edges[:-1], edges[1:])
+    table = PanelTable.from_nodes(f, edges, f(nodes), half)
+    assert np.array_equal(table.suffix, PanelAntiderivative(f, edges).suffix)
+    assert np.array_equal(table(edges), table.suffix)
