@@ -60,7 +60,6 @@ from .masses import (
     AdmHawkingResult,
     AreaInfimum,
     AsymptoticTail,
-    HawkingMassValue,
     PenroseReport,
     adm_flux,
     adm_hawking_check,

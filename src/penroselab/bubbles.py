@@ -18,9 +18,9 @@ minimizer satisfies the first-variation identity H = h o rho exactly, and
 the functional blows up at the inner barrier where h does.  So every
 interior minimizer is a sign change of g = H - h o rho from - to +:
 minimization brackets each such change on a 512-point logarithmic scan of
-g, refines it with Brent's method to a few ulps in r, and keeps the root
-with the lowest functional value.  The scan is global because g can change
-sign several times near the barrier.
+g, refines it to a few ulps in r with ``masses._root`` (Brent's method),
+and keeps the root with the lowest functional value.  The scan is global
+because g can change sign several times near the barrier.
 
 The work splits by what it depends on.  A table per anchor holds, from one
 evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
@@ -33,7 +33,8 @@ term reuses the table's panels above the barrier radius and adds one fresh
 8-point panel below the first of them.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
-barrier h(0) <= 0.9 H(S_{r0}) (bisection, then doubled).  ``select_beta``
+barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
+arccoth(0.9 H(S_{r0}) / eps).  ``select_beta``
 additionally floors beta with the depth bound
 
     arccoth(1.8) + (3/4) area(S_{r0}) / A_inf + pi,
@@ -50,7 +51,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BarrierError,
@@ -69,13 +69,12 @@ from .geometry import (
     sphere_mean_curvature,
     volume_between,
 )
-from .masses import _hawking_value, area_infimum_radial, penrose_check, EQUALITY_TOL
+from .masses import _hawking_value, _root, area_infimum_radial, penrose_check, EQUALITY_TOL
 from .profiles import RadialProfile
 from .quadrature import PanelTable, edge_suffix, gauss_nodes, node_suffix
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
 SCAN_POINTS = 512
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
 _PANELS = 4096
 _BETA_MARGIN = 0.9
 _DEPTH_COTH = 1.8  # h is kept below this multiple of eps on the reachable region
@@ -157,9 +156,10 @@ class MuBubbleProblem:
         self.anchor_mean_curvature = h0
         self._ws: _Workspace | None = None
 
-    def workspace(self) -> "_Workspace":
+    def workspace(self, table: "_AnchorTable | None" = None) -> "_Workspace":
+        """The workspace, built on first use, on the anchor table ``table`` when given."""
         if self._ws is None:
-            self._ws = _Workspace(self)
+            self._ws = _Workspace(self, table)
         return self._ws
 
 
@@ -214,7 +214,7 @@ class _Workspace:
     table's floor edge already lies above the barrier there is none, and the
     bulk table and the scan start at the floor.  Otherwise ``searchsorted``
     on the edge values of rho finds the one panel holding the barrier radius,
-    and Brent's method runs inside it.
+    and :func:`masses._root` runs inside it.
 
     The bulk table keeps the anchor panels above the barrier radius: there
     the weight h(rho) dV/dr is h(-lip * stored node arc length) times the
@@ -245,9 +245,7 @@ class _Workspace:
         if edge_rho[0] <= h.barrier:
             target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
             k = int(np.searchsorted(edge_rho, target, side="right"))
-            self.barrier_radius = float(
-                brentq(lambda r: dist(r) - target, edges[k - 1], edges[k], xtol=1e-300, rtol=1e-15)
-            )
+            self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
         self.scan_lo = self.barrier_radius if self.barrier_radius is not None else self.floor
 
         bulk_edges = edges[k:]
@@ -341,7 +339,7 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     g = ws.first_variation(radii)
     best = None
     for i in np.nonzero((g[:-1] < 0) & (g[1:] >= 0))[0]:
-        rho = brentq(ws.first_variation, radii[i], radii[i + 1], xtol=1e-300, rtol=_ROOT_RTOL)
+        rho = _root(ws.first_variation, radii[i], radii[i + 1])
         fval = float(ws.functional(rho))
         if best is None or fval < best[1]:
             best = (rho, fval, bool(g[i] < 0 < g[i + 1]))
@@ -367,7 +365,7 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
 
 
 def choose_beta(profile: RadialProfile, anchor_radius: float, epsilon: float) -> float:
-    """Smallest beta with h(0) <= 0.9 H(S_{r0}), found by bisection, then doubled.
+    """Twice the smallest beta with h(0) = eps coth(beta) <= 0.9 H(S_{r0}), in closed form.
 
     The 0.9 margin makes the effective requirement epsilon < 0.9 H(S_{r0});
     larger epsilon raises :class:`EpsilonTooLargeError`, and so does a
@@ -383,18 +381,7 @@ def choose_beta(profile: RadialProfile, anchor_radius: float, epsilon: float) ->
         raise EpsilonTooLargeError(
             f"epsilon = {epsilon} leaves no margin below 0.9 H(S_r0) = {_BETA_MARGIN * h0:.6g}"
         )
-    lo, hi = 1e-12, 1.0
-    while _coth(hi) > target:
-        hi *= 2.0
-        if hi > 1e6:  # pragma: no cover
-            raise EpsilonTooLargeError("bisection for beta failed to bracket")
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if _coth(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return 2.0 * hi
+    return 2.0 * _arccoth(target)
 
 
 def select_beta(
@@ -532,7 +519,7 @@ def horizon_sequence(
             problem = build_problem(profile, anchor_radius, eps, beta=beta, area_infimum=a_inf)
             if table is None:
                 table = _AnchorTable(profile, anchor_radius)
-            problem._ws = _Workspace(problem, table)
+            problem.workspace(table)
             sol = minimize(problem)
             bound = _hawking_value(sol.area, sol.mean_curvature)
             steps.append(HorizonStep(eps, beta, sol, None, float(bound)))

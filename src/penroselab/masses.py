@@ -8,18 +8,21 @@ metric it reduces to a closed expression in u(r) and u'(r), and its limit at
 infinity is the cross-check for the tail fit.
 
 The area infimum is taken over coordinate spheres only, which is the natural
-computable restriction in the rotationally symmetric class.  When the
-infimum is approached only at the inner edge of the domain (no minimal
-sphere), the limit is extrapolated and flagged as a throat limit.
+computable restriction in the rotationally symmetric class.  There
+d area(S_r)/dr has the sign of H(S_r), so a least area sits at a - to + root
+of H and a horizon is a root of H; ``_root`` refines both.  When the infimum
+is approached only at the inner edge of the domain (no minimal sphere), the
+limit is extrapolated and flagged as a throat limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     NotAsymptoticallyFlatError,
@@ -33,6 +36,7 @@ TAIL_RESIDUAL_REL = 1e-6
 EQUALITY_TOL = 1e-6
 ADM_HAWKING_SLACK = 1e-8
 _DEGENERATE_BOUND = 1e-9
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 VERDICT_STRICT = "strict"
 VERDICT_EQUALITY = "equality-within-tol"
@@ -46,13 +50,6 @@ class AsymptoticTail:
     a: float
     b: float
     fit_residual: float
-
-
-@dataclass(frozen=True)
-class HawkingMassValue:
-    area: float
-    h_squared_integral: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ def _hawking_value(area, mean_curvature):
     return np.sqrt(area / (16 * math.pi)) * (1.0 - area * mean_curvature**2 / (16 * math.pi))
 
 
-def hawking_mass(profile: RadialProfile, r: float) -> HawkingMassValue:
+def hawking_mass(profile: RadialProfile, r: float) -> float:
     """Hawking mass of the coordinate sphere S_r (dimension three only).
 
     H is constant on a coordinate sphere, so the mean-curvature integral is
@@ -163,10 +160,16 @@ def hawking_mass(profile: RadialProfile, r: float) -> HawkingMassValue:
     """
     if profile.n != 3:
         raise UnsupportedDimensionError("hawking_mass is defined only for n = 3")
-    area = float(sphere_area(profile, r))
-    h = float(sphere_mean_curvature(profile, r))
-    h2int = area * h * h
-    return HawkingMassValue(area=area, h_squared_integral=h2int, value=float(_hawking_value(area, h)))
+    return float(_hawking_value(sphere_area(profile, r), sphere_mean_curvature(profile, r)))
+
+
+def _root(f, a: float, b: float) -> float:
+    """A root of f in [a, b], where f changes sign, to a few ulps.
+
+    Every root in the package goes through here: Brent's method with no
+    absolute floor and the least relative tolerance brentq accepts.
+    """
+    return float(brentq(f, a, b, xtol=1e-300, rtol=_ROOT_RTOL))
 
 
 def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
@@ -180,11 +183,14 @@ def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) -> AreaInfimum:
-    """Infimum of coordinate-sphere areas over the grid, refined locally.
+    """Infimum of coordinate-sphere areas: the grid's least area S_{r_i}, then a root of H.
 
-    An infimum attained only at the inner edge of the sampling range is
-    extrapolated toward the domain's inner endpoint (Richardson in
-    sqrt(r - r_min)) and flagged as a throat limit with no argmin.
+    When H goes from - to + across [r_{i-1}, r_{i+1}], the minimal sphere is
+    the root of H there; otherwise (H = 0 up to rounding, as on the cylinder)
+    the sampled minimum stands.  An infimum attained only at the inner edge of
+    the sampling range is extrapolated toward the domain's inner endpoint
+    (Richardson in sqrt(r - r_min)) and flagged as a throat limit with no
+    argmin, unless that edge is the domain's closed inner end itself.
     """
     grid = grid or default_grid(profile)
     radii = grid.radii()
@@ -192,20 +198,19 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
     i = int(np.argmin(areas))
     if i == 0:
         lo = profile.domain.lo
+        if radii[0] == lo:  # only a closed inner end can lie on the grid
+            return AreaInfimum(value=float(areas[0]), argmin_radius=float(lo), throat_limit=False)
         # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
         nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
         vals = np.asarray(sphere_area(profile, nodes))
         limit = _neville_to_zero(np.sqrt(nodes - lo), vals)
         return AreaInfimum(value=float(limit), argmin_radius=None, throat_limit=True)
-    if i == len(radii) - 1:
-        return AreaInfimum(value=float(areas[i]), argmin_radius=float(radii[i]), throat_limit=False)
-    res = minimize_scalar(
-        lambda r: float(sphere_area(profile, r)),
-        bounds=(radii[i - 1], radii[i + 1]),
-        method="bounded",
-        options={"xatol": 1e-10 * radii[i]},
-    )
-    return AreaInfimum(value=float(res.fun), argmin_radius=float(res.x), throat_limit=False)
+    if i < len(radii) - 1:
+        h_lo, h_hi = sphere_mean_curvature(profile, radii[[i - 1, i + 1]])
+        if h_lo < 0 < h_hi:
+            r = _root(partial(sphere_mean_curvature, profile), radii[i - 1], radii[i + 1])
+            return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
+    return AreaInfimum(value=float(areas[i]), argmin_radius=float(radii[i]), throat_limit=False)
 
 
 def find_horizon(profile: RadialProfile, grid: RadialGrid | None = None) -> float | None:
@@ -218,7 +223,7 @@ def find_horizon(profile: RadialProfile, grid: RadialGrid | None = None) -> floa
         zero = np.nonzero(h == 0)[0]
         return float(radii[zero[-1]]) if len(zero) else None
     j = int(sign_change[-1])
-    return float(brentq(lambda r: float(sphere_mean_curvature(profile, r)), radii[j], radii[j + 1]))
+    return _root(partial(sphere_mean_curvature, profile), radii[j], radii[j + 1])
 
 
 def penrose_check(
@@ -269,7 +274,8 @@ def adm_hawking_check(
     The outer-minimizing hypothesis is tested in its coordinate-sphere form:
     every sphere of larger radius on the grid must have at least the area of
     S_r.  Failure raises :class:`NotOuterMinimizingError` (check refused, not
-    failed).
+    failed).  The grid comparison is deliberate: it decides a refusal and
+    solves for nothing, so no root is refined.
     """
     if profile.n != 3:
         raise UnsupportedDimensionError("adm_hawking_check is defined only for n = 3")
@@ -282,7 +288,7 @@ def adm_hawking_check(
         raise NotOuterMinimizingError(
             f"sphere_area dips below area(S_{r}) at larger radii; hypothesis refused"
         )
-    mh = hawking_mass(profile, r).value
+    mh = hawking_mass(profile, r)
     m, _ = adm_mass_from_tail(profile, grid)
     return AdmHawkingResult(
         radius=float(r), adm_mass=float(m), hawking_mass=float(mh), passed=m >= mh - slack

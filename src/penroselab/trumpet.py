@@ -97,27 +97,26 @@ def _phi(s):
 def _models(n: int) -> tuple[CylinderProfile, SchwarzschildLikeProfile]:
     """The two model factors u1 (cylinder) and u2 = 1 + r^{2-n}.
 
-    Callers use their array evaluators ``_u``/``_du``/``_d2u`` directly, which
-    skip the scalar dispatch on the profile's hot path.
+    The blend calls their array evaluators ``_u``/``_du``/``_d2u`` directly,
+    which skip the scalar dispatch on the profile's hot path.
     """
     return CylinderProfile(n), SchwarzschildLikeProfile(1.0, 1.0, n)
 
 
-def min_alpha(n: int, r0: float, samples: int = 2048) -> float:
-    """Certified shift constant, 1.1 times the binding lower bound.
+def required_alpha(n: int, r0: float) -> float:
+    """The certificate bound max((2 r0)^{2-n}, (2/(n-2)) sup |r u1'| + |r u2'| over [r0, 2 r0]).
 
-    The bound is max((2 r0)^{2-n}, (2/(n-2)) sup |r u1'| + |r u2'| over
-    [r0, 2 r0]), the supremum taken by dense sampling.
+    |r u1'| = ((n-2)/2) r^{(2-n)/2} and |r u2'| = (n-2) r^{2-n} both decrease
+    in r, so the supremum sits at r0.
     """
     u1, u2 = _models(n)
-    r = np.linspace(r0, 2.0 * r0, samples)
-    sup = float(np.max(np.abs(r * u1._du(r)) + np.abs(r * u2._du(r))))
-    return 1.1 * max((2.0 * r0) ** (2 - n), (2.0 / (n - 2)) * sup)
+    sup = abs(r0 * u1.du(r0)) + abs(r0 * u2.du(r0))
+    return max((2.0 * r0) ** (2 - n), (2.0 / (n - 2)) * sup)
 
 
-def required_alpha(n: int, r0: float) -> float:
-    """The un-margined certificate bound (min_alpha without the 1.1 factor)."""
-    return min_alpha(n, r0) / 1.1
+def min_alpha(n: int, r0: float) -> float:
+    """Certified shift constant, 1.1 times the binding lower bound :func:`required_alpha`."""
+    return 1.1 * required_alpha(n, r0)
 
 
 class TrumpetProfile(RadialProfile):

@@ -85,14 +85,14 @@ class TestPrescribedFamily:
 
 class TestBetaSelection:
     def test_choose_beta_closed_form(self, euclid):
-        # H(S_2) = 1 in flat space, so the bisection target is arccoth(9)
+        # H(S_2) = 1 in flat space, so the least admissible beta is arccoth(9)
         beta = choose_beta(euclid, 2.0, 0.1)
-        assert beta == pytest.approx(2 * _arccoth(9.0), abs=2e-7)
+        assert beta == pytest.approx(2 * math.atanh(1 / 9.0), rel=1e-15)
         assert beta == pytest.approx(0.22314, abs=1e-4)
 
     def test_choose_beta_half(self, euclid):
         beta = choose_beta(euclid, 2.0, 0.5)
-        assert beta == pytest.approx(2 * _arccoth(1.8), abs=2e-7)
+        assert beta == pytest.approx(2 * math.atanh(1 / 1.8), rel=1e-15)
         h = PrescribedMeanCurvature(0.5, beta)
         assert h(0.0) <= 0.9
 

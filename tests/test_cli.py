@@ -64,6 +64,17 @@ def test_penrose_violated_exits_3(tmp_path):
     assert report["report"]["verdict"] == "violated"
 
 
+def test_penrose_table_with_least_area_at_its_inner_edge(tmp_path, capsys):
+    # a trumpet table cut at 1e-3: the least sphere is the closed inner edge itself
+    radii = np.geomspace(1e-3, 1e3, 4096)
+    path = tmp_path / "trumpet.dat"
+    write_tabulated(path, radii, build_trumpet().u(radii))
+    assert run(tmp_path, "penrose", "--profile", "tabulated", "--path", str(path)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "penrose" / "penrose.json").read_text())
+    assert report["report"]["verdict"] == "strict"
+
+
 def test_mu_bubble_echo(tmp_path, capsys):
     code = run(tmp_path, "mu-bubble", "--profile", "schwarzschild", "--mass", "1", "--r0", "2", "--epsilon", "0.1")
     assert code == 0

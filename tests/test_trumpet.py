@@ -65,7 +65,7 @@ def test_min_alpha_example():
     # sup of |r u1'| + |r u2'| on [2, 4] sits at the left endpoint
     sup = 0.5 / math.sqrt(2.0) + 0.5
     expected = 1.1 * max(0.25, 2 * sup)
-    assert min_alpha(3, 2.0) == pytest.approx(expected, rel=1e-6)
+    assert min_alpha(3, 2.0) == expected
     assert min_alpha(3, 2.0) == pytest.approx(1.8778, abs=1e-4)
     assert min_alpha(3, 2.0) > 0.25
 
