@@ -46,13 +46,11 @@ from .errors import (
     WeakAlphaWarning,
 )
 from .geometry import (
-    SphereGeometry,
     geodesic_distance,
     intrinsic_diameter,
     radial_laplacian,
     scalar_curvature,
     sphere_area,
-    sphere_geometry,
     sphere_mean_curvature,
     volume_between,
 )
@@ -79,7 +77,6 @@ from .profiles import (
     TabulatedProfile,
     default_grid,
     read_tabulated,
-    scaled,
     unit_sphere_area,
     write_tabulated,
 )

@@ -17,10 +17,10 @@ Because dA/dx = (H(S_x) - h(rho(x))) area(S_x) u^{2/(n-2)}, an interior
 minimizer satisfies the first-variation identity H = h o rho exactly, and
 the functional blows up at the inner barrier where h does.  So every
 interior minimizer is a sign change of g = H - h o rho from - to +:
-minimization brackets each such change on a 512-point logarithmic scan of
-g, refines it to a few ulps in r with ``masses._root`` (Brent's method),
-and keeps the root with the lowest functional value.  The scan is global
-because g can change sign several times near the barrier.
+minimization brackets each such change between consecutive anchor-table
+edges, refines it to a few ulps in r with ``masses._root`` (Brent's method),
+and keeps the root with the lowest functional value.  Every edge from the
+barrier radius up is a bracket end: g can change sign several times near it.
 
 The work splits by what it depends on.  A table per anchor holds, from one
 evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
@@ -29,8 +29,8 @@ weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` builds it once, and
 every curvature of its schedule reuses it.  Per curvature, the barrier radius
 comes from inverting the table: ``searchsorted`` on the edge values of rho
 finds its panel, and Brent's method finds it inside that panel.  The bulk
-term reuses the table's panels above the barrier radius and adds one fresh
-8-point panel below the first of them.
+term reuses the table's panels from 1.02 times the barrier radius up; below,
+where h blows up, fresh 8-point panels halve in width toward it.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -74,8 +74,9 @@ from .profiles import RadialProfile
 from .quadrature import PanelTable, edge_suffix, gauss_nodes, node_suffix
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
-SCAN_POINTS = 512
 _PANELS = 4096
+_GRADED_FROM = 1.02  # below this multiple of the barrier radius the bulk panels are graded
+_HALVINGS = 30  # the graded panels halve in width this many times toward the barrier radius
 _BETA_MARGIN = 0.9
 _DEPTH_COTH = 1.8  # h is kept below this multiple of eps on the reachable region
 
@@ -207,20 +208,21 @@ def _first_variation(profile, h, dist):
 
 
 class _Workspace:
-    """One prescribed curvature on an anchor table: barrier radius and bulk table.
+    """One prescribed curvature on an anchor table: barrier radius, g at the edges, bulk table.
 
-    The barrier radius is where rho reaches the barrier of h, backed off by
-    1e-6 in rho.  rho rises monotonically to 0 at the anchor, so when the
-    table's floor edge already lies above the barrier there is none, and the
-    bulk table and the scan start at the floor.  Otherwise ``searchsorted``
-    on the edge values of rho finds the one panel holding the barrier radius,
-    and :func:`masses._root` runs inside it.
+    The barrier radius r_b is where rho reaches the barrier of h, backed off
+    by 1e-6 in rho.  rho rises monotonically to 0 at the anchor, so when the
+    table's floor edge already lies above the barrier there is none and
+    everything starts at the floor.  Otherwise ``searchsorted`` on the edge
+    values of rho finds its panel, and :func:`masses._root` runs inside it.
 
-    The bulk table keeps the anchor panels above the barrier radius: there
-    the weight h(rho) dV/dr is h(-lip * stored node arc length) times the
-    stored volume weight, with no new evaluation of u.  One fresh 8-point
-    panel covers the barrier radius to the next edge.  A query below the
-    anchor adds one 8-point panel of the weight, with rho from the arc table.
+    ``g`` is H - h(rho) at ``edges``, the lowest radius and the anchor edges
+    above it, from one vector call of H: rho at an anchor edge is its stored
+    value, which ``dist`` returns there, so these brackets are the ones
+    Brent's method sees.  The bulk table weights the anchor panels from the
+    first edge at or above 1.02 r_b with the stored node data, evaluating no
+    u.  Below it, where h blows up, fresh panels halve in width toward r_b.
+    A query adds one 8-point panel of the weight up to the edge above it.
 
     ``dist``, ``first_variation`` and the bulk density are closures over the
     profile, h and the arc table, never bound methods, and nothing here points
@@ -240,24 +242,30 @@ class _Workspace:
 
         edges = table.edges
         edge_rho = -lip * table.arc.suffix  # rho at each edge, exactly as dist returns it
-        self.barrier_radius = None
-        k = 0  # first anchor edge of the bulk table
+        self.barrier_radius = r_b = None
+        k = j = 0  # first anchor edge above the barrier radius; first anchor edge of the bulk table
         if edge_rho[0] <= h.barrier:
             target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
             k = int(np.searchsorted(edge_rho, target, side="right"))
-            self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
-        self.scan_lo = self.barrier_radius if self.barrier_radius is not None else self.floor
+            r_b = self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
+            j = min(int(np.searchsorted(edges, _GRADED_FROM * r_b)), _PANELS)
+        self.edges, rho = edges[k:], edge_rho[k:]
 
-        bulk_edges = edges[k:]
-        half = table.half[k:]
-        weight = h(-lip * table.arc_nodes[k:]) * table.volume_weight[k:]
-        if self.barrier_radius is not None:
-            nodes, fresh_half = gauss_nodes([self.barrier_radius], edges[k])
+        bulk_edges = edges[j:]
+        half = table.half[j:]
+        weight = h(-lip * table.arc_nodes[j:]) * table.volume_weight[j:]
+        if r_b is not None:
+            self.edges = np.concatenate([[r_b], self.edges])
+            rho = np.concatenate([[dist(r_b)], rho])
+            graded = r_b + (edges[j] - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1)
+            fresh = np.concatenate([[r_b], graded, edges[j : j + 1]])
+            nodes, fresh_half = gauss_nodes(fresh[:-1], fresh[1:])
             fresh_weight = profile.u(nodes) ** 2
-            rho = -lip * (node_suffix(fresh_weight, fresh_half) + table.arc.suffix[k])
-            bulk_edges = np.concatenate([[self.barrier_radius], bulk_edges])
+            fresh_rho = -lip * (node_suffix(fresh_weight, fresh_half) + table.arc.suffix[j])
+            bulk_edges = np.concatenate([fresh[:-1], bulk_edges])
             half = np.concatenate([fresh_half, half])
-            weight = np.concatenate([h(rho) * _volume_weight(nodes, fresh_weight), weight])
+            weight = np.concatenate([h(fresh_rho) * _volume_weight(nodes, fresh_weight), weight])
+        self.g = sphere_mean_curvature(profile, self.edges) - h(rho)
         self.bulk = PanelTable(_bulk_density(profile, h, dist), bulk_edges, edge_suffix(weight, half))
 
     def functional(self, rho):
@@ -294,8 +302,8 @@ def functional_eval(problem: MuBubbleProblem, rho: float) -> float:
         raise OutOfCollectionError(
             f"rho = {rho} lies outside [{ws.floor:.6g}, r0 = {problem.anchor_radius}]"
         )
-    if rho < ws.scan_lo:
-        raise BarrierError(f"rho = {rho} lies below the barrier radius {ws.scan_lo:.6g}")
+    if rho < ws.bulk.edges[0]:
+        raise BarrierError(f"rho = {rho} lies below the barrier radius {ws.bulk.edges[0]:.6g}")
     return float(ws.functional(rho))
 
 
@@ -324,31 +332,28 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     """Minimizer of the bubble functional from the first-variation identity.
 
     Every interior minimizer is a - to + sign change of g = H - h o rho.
-    Each one on the logarithmic scan is refined by Brent's method, and the
-    root with the lowest functional value is kept; its bracket signs are the
-    second-order certificate.
+    Each one between consecutive workspace edges is refined by Brent's
+    method; the functional is evaluated once, as a vector over the roots, the
+    anchor and the lowest edge, and the root with the lowest value is kept.
+    Its bracket signs are the second-order certificate.
 
     Raises :class:`DegenerateMinimizerError` when g has no such sign change,
     when the best root is not below the anchor value (beta too small), or,
-    with no barrier radius, not below the value at the inner edge of the
-    scan (no interior bubble).
+    with no barrier radius, not below the value at the floor (no interior
+    bubble).
     """
     ws = problem.workspace()
-    r0 = problem.anchor_radius
-    radii = np.geomspace(ws.scan_lo, r0, SCAN_POINTS)
-    g = ws.first_variation(radii)
-    best = None
-    for i in np.nonzero((g[:-1] < 0) & (g[1:] >= 0))[0]:
-        rho = _root(ws.first_variation, radii[i], radii[i + 1])
-        fval = float(ws.functional(rho))
-        if best is None or fval < best[1]:
-            best = (rho, fval, bool(g[i] < 0 < g[i + 1]))
-    if best is None:
+    x, g = ws.edges, ws.g
+    brackets = np.nonzero((g[:-1] < 0) & (g[1:] >= 0))[0]
+    if not len(brackets):
         raise DegenerateMinimizerError("H - h(rho) never changes sign from - to +; no interior bubble")
-    rho, fval, second_ok = best
-    if not fval < float(ws.functional(r0)):
+    roots = [_root(ws.first_variation, x[i], x[i + 1]) for i in brackets]
+    values = ws.functional(np.array([*roots, problem.anchor_radius, x[0]]))
+    best = int(np.argmin(values[:-2]))
+    rho, fval = roots[best], float(values[best])
+    if not fval < values[-2]:
         raise DegenerateMinimizerError("functional minimized at the anchor sphere; beta too small")
-    if ws.barrier_radius is None and not fval < float(ws.functional(ws.scan_lo)):
+    if ws.barrier_radius is None and not fval < values[-1]:
         raise DegenerateMinimizerError("functional minimized at the inner edge; no interior bubble")
 
     profile = problem.profile
@@ -359,7 +364,7 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
         functional_value=fval,
         mean_curvature=mean_curv,
         el_residual=abs(mean_curv - problem.h(ws.dist(rho))),
-        second_order_ok=second_ok,
+        second_order_ok=bool(g[brackets[best]] < 0 < g[brackets[best] + 1]),
         problem=problem,
     )
 

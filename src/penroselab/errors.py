@@ -30,7 +30,7 @@ class OutOfCollectionError(PenroseLabError):
 
 
 class DegenerateMinimizerError(PenroseLabError):
-    """The bubble functional attains its minimum on the boundary of the scan."""
+    """No interior bubble: H - h(rho) never goes from - to +, or no root beats the anchor or the floor."""
 
 
 class EpsilonTooLargeError(PenroseLabError):

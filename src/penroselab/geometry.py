@@ -26,7 +26,6 @@ iff p >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 
@@ -56,35 +55,22 @@ def sphere_area(profile: RadialProfile, r):
 
 def sphere_mean_curvature(profile: RadialProfile, r):
     """Mean curvature of S_r with respect to the outward normal; vectorized."""
+    scale, inv_r, log_slope = _mean_curvature_terms(profile, r)
+    return scale * (inv_r + log_slope)
+
+
+def _mean_curvature_terms(profile: RadialProfile, r):
+    """(n-1) u^{-2/(n-2)}, 1/r and (2/(n-2)) u'/u: H(S_r) is the first times the sum of the others."""
     profile.require_radius(r)
     n = profile.n
     u = profile.u(r)
-    return (n - 1) * u ** (-2.0 / (n - 2)) * (1.0 / r + (2.0 / (n - 2)) * profile.du(r) / u)
+    return (n - 1) * u ** (-2.0 / (n - 2)), 1.0 / r, (2.0 / (n - 2)) * profile.du(r) / u
 
 
 def intrinsic_diameter(profile: RadialProfile, r):
     """Diameter of S_r in its induced round metric: pi u^{2/(n-2)} r."""
     profile.require_radius(r)
     return math.pi * profile.u(r) ** (2.0 / (profile.n - 2)) * r
-
-
-@dataclass(frozen=True)
-class SphereGeometry:
-    """Per-radius geometric data of one coordinate sphere."""
-
-    r: float
-    area: float
-    mean_curvature: float
-    intrinsic_diameter: float
-
-
-def sphere_geometry(profile: RadialProfile, r: float) -> SphereGeometry:
-    return SphereGeometry(
-        r=float(r),
-        area=float(sphere_area(profile, r)),
-        mean_curvature=float(sphere_mean_curvature(profile, r)),
-        intrinsic_diameter=float(intrinsic_diameter(profile, r)),
-    )
 
 
 def _arc_weight(profile):

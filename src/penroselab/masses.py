@@ -29,7 +29,7 @@ from .errors import (
     NotOuterMinimizingError,
     UnsupportedDimensionError,
 )
-from .geometry import sphere_area, sphere_mean_curvature
+from .geometry import _mean_curvature_terms, sphere_area, sphere_mean_curvature
 from .profiles import RadialGrid, RadialProfile, default_grid
 
 TAIL_RESIDUAL_REL = 1e-6
@@ -37,6 +37,7 @@ EQUALITY_TOL = 1e-6
 ADM_HAWKING_SLACK = 1e-8
 _DEGENERATE_BOUND = 1e-9
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
+_H_NOISE = 4.0 * np.finfo(float).eps
 
 VERDICT_STRICT = "strict"
 VERDICT_EQUALITY = "equality-within-tol"
@@ -172,6 +173,13 @@ def _root(f, a: float, b: float) -> float:
     return float(brentq(f, a, b, xtol=1e-300, rtol=_ROOT_RTOL))
 
 
+def _mean_curvature_or_zero(profile: RadialProfile, r):
+    """H(S_r), or 0 within rounding: |H| <= 4 eps (n-1) u^{-2/(n-2)} (1/r + |2u'/((n-2)u)|)."""
+    scale, inv_r, log_slope = _mean_curvature_terms(profile, r)
+    h = scale * (inv_r + log_slope)
+    return np.where(np.abs(h) <= _H_NOISE * scale * (inv_r + np.abs(log_slope)), 0.0, h)
+
+
 def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
     """Neville extrapolation of (x_i, y_i) to x = 0."""
     p = list(map(float, y))
@@ -206,7 +214,7 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
         limit = _neville_to_zero(np.sqrt(nodes - lo), vals)
         return AreaInfimum(value=float(limit), argmin_radius=None, throat_limit=True)
     if i < len(radii) - 1:
-        h_lo, h_hi = sphere_mean_curvature(profile, radii[[i - 1, i + 1]])
+        h_lo, h_hi = _mean_curvature_or_zero(profile, radii[[i - 1, i + 1]])
         if h_lo < 0 < h_hi:
             r = _root(partial(sphere_mean_curvature, profile), radii[i - 1], radii[i + 1])
             return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
@@ -214,10 +222,10 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
 
 
 def find_horizon(profile: RadialProfile, grid: RadialGrid | None = None) -> float | None:
-    """Outermost radius with H = 0, or None when every sphere is mean-convex."""
+    """Outermost radius with H = 0 to rounding (r_hi on the cylinder), or None when all are mean-convex."""
     grid = grid or default_grid(profile)
     radii = grid.radii()
-    h = np.asarray(sphere_mean_curvature(profile, radii))
+    h = _mean_curvature_or_zero(profile, radii)
     sign_change = np.nonzero(h[:-1] * h[1:] < 0)[0]
     if len(sign_change) == 0:
         zero = np.nonzero(h == 0)[0]

@@ -10,9 +10,8 @@ expression in u, u' and u'', so a profile exposes exactly those three
 evaluators, vectorized over radii, together with its dimension and domain.
 
 Closed-form kinds carry analytic derivatives.  Tabulated profiles interpolate
-with a cubic spline in log r and differentiate with fourth-order central
-differences of relative step 1e-5 (floored at 1e-8 absolute), which keeps the
-second derivative quiet enough for curvature work.
+with a cubic spline in log r and take u' and u'' from the spline's own
+derivatives.
 """
 
 from __future__ import annotations
@@ -181,43 +180,6 @@ class CylinderProfile(RadialProfile):
 
     def _d2u(self, r):
         return 0.25 * (2 - self.n) * (-self.n) * r ** (-0.5 * self.n - 1)
-
-
-class ScaledProfile(RadialProfile):
-    """lam * u for a base profile; handy for conformal covariance checks."""
-
-    def __init__(self, base: RadialProfile, lam: float):
-        super().__init__(base.n)
-        if not lam > 0:
-            raise ValueError("scale factor must be positive")
-        self.base = base
-        self.lam = float(lam)
-        self.breakpoints = base.breakpoints
-        self.kind = f"scaled-{base.kind}"
-
-    @property
-    def domain(self):
-        return self.base.domain
-
-    @property
-    def inner_exponent(self) -> float:
-        return self.base.inner_exponent
-
-    def params(self):
-        return {"lam": self.lam, "base": self.base.describe()}
-
-    def _u(self, r):
-        return self.lam * self.base._u(r)
-
-    def _du(self, r):
-        return self.lam * self.base._du(r)
-
-    def _d2u(self, r):
-        return self.lam * self.base._d2u(r)
-
-
-def scaled(profile: RadialProfile, lam: float) -> ScaledProfile:
-    return ScaledProfile(profile, lam)
 
 
 class TabulatedProfile(RadialProfile):

@@ -8,7 +8,7 @@ need the same integral at many points at once:
   arrays of intervals; ``gauss_nodes`` gives its nodes.
 - ``PanelAntiderivative``: a fixed piecewise Gauss-Legendre antiderivative
   F(x) = integral from x to the right edge, cheap to evaluate anywhere and
-  smooth enough for line searches.  ``PanelTable`` is the same object with
+  smooth enough for root finding.  ``PanelTable`` is the same object with
   its edge sums supplied by the caller; ``PanelTable.from_nodes`` sums them
   from the integrand's values at the nodes, exactly as
   ``PanelAntiderivative`` would.

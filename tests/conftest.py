@@ -4,10 +4,47 @@ import pytest
 from penroselab import (
     CylinderProfile,
     EuclideanProfile,
+    RadialProfile,
     SchwarzschildLikeProfile,
     build_trumpet,
 )
-from penroselab.profiles import ScaledProfile
+
+
+class ScaledProfile(RadialProfile):
+    """lam * u for a base profile; handy for conformal covariance checks."""
+
+    def __init__(self, base: RadialProfile, lam: float):
+        super().__init__(base.n)
+        if not lam > 0:
+            raise ValueError("scale factor must be positive")
+        self.base = base
+        self.lam = float(lam)
+        self.breakpoints = base.breakpoints
+        self.kind = f"scaled-{base.kind}"
+
+    @property
+    def domain(self):
+        return self.base.domain
+
+    @property
+    def inner_exponent(self) -> float:
+        return self.base.inner_exponent
+
+    def params(self):
+        return {"lam": self.lam, "base": self.base.describe()}
+
+    def _u(self, r):
+        return self.lam * self.base._u(r)
+
+    def _du(self, r):
+        return self.lam * self.base._du(r)
+
+    def _d2u(self, r):
+        return self.lam * self.base._d2u(r)
+
+
+def scaled(profile: RadialProfile, lam: float) -> ScaledProfile:
+    return ScaledProfile(profile, lam)
 
 
 class CountingProfile(ScaledProfile):

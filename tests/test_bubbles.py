@@ -30,10 +30,40 @@ from penroselab import (
     sphere_mean_curvature,
 )
 from penroselab.bubbles import MuBubbleProblem, _arccoth
+from penroselab.masses import _root
+from penroselab.profiles import RadialProfile
 
 
 def coth(x):
     return 1.0 / math.tanh(x)
+
+
+class TwoNecks(RadialProfile):
+    """u = sqrt((1 + r^-2)/2) exp(-(s/2)(1 + tanh((log r - t1)/0.3))).
+
+    H < 0 where d log u / d log r < -1/2: inside the Schwarzschild-type neck
+    at r = 1, and again where log u steps down by s around log r = t1.
+    """
+
+    kind = "two-necks"
+    inner_exponent = 1.0
+
+    def __init__(self, s, t1):
+        super().__init__(3)
+        self.s, self.t1 = s, t1
+
+    def _u(self, r):
+        return np.sqrt(0.5 + 0.5 / r**2) * np.exp(-0.5 * self.s * (1 + np.tanh((np.log(r) - self.t1) / 0.3)))
+
+    def _du(self, r):
+        log_slope = -1 / (1 + r**2) - self.s / (0.6 * np.cosh((np.log(r) - self.t1) / 0.3) ** 2)
+        return self._u(r) * log_slope / r
+
+
+def schwarzschild_arc(mass, r0):
+    """Arc length from S_r to S_{r0} for u = 1 + c/r, c = m/2: the integral of u^2 in closed form."""
+    c = 0.5 * mass
+    return lambda r: (r0 - r) + 2 * c * math.log(r0 / r) + c * c * (1 / r - 1 / r0)
 
 
 class TestPrescribedFamily:
@@ -152,8 +182,7 @@ class TestProblemSetup:
         r_b = prob.workspace().barrier_radius
         rho = r_b * (r0 / r_b) ** frac
 
-        def arc(r):
-            return (r0 - r) + math.log(r0 / r) + 0.25 * (1 / r - 1 / r0)
+        arc = schwarzschild_arc(1.0, r0)
 
         def integrand(r):
             return h(-lip * arc(r)) * 4 * math.pi * (1 + 0.5 / r) ** 6 * r**2
@@ -162,13 +191,60 @@ class TestProblemSetup:
         area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
         assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("eps", [0.05, 0.01])
+    @pytest.mark.parametrize("ratio", [1.0005, 1.001, 1.002])
+    def test_functional_near_barrier_against_closed_forms(self, schw, eps, ratio):
+        # within a few per mille of the barrier radius h(rho) varies by orders of
+        # magnitude; QUADPACK on 60 geometric pieces against the graded panels
+        r0 = 2.0
+        prob = build_problem(schw, r0, eps, beta=choose_beta(schw, r0, eps))
+        lip, h = prob.lip_factor, prob.h
+        arc = schwarzschild_arc(1.0, r0)
+        rho = ratio * prob.workspace().barrier_radius
+
+        def integrand(r):
+            return h(-lip * arc(r)) * 4 * math.pi * (1 + 0.5 / r) ** 6 * r**2
+
+        pieces = np.geomspace(rho, r0, 61)
+        bulk = math.fsum(
+            quad(integrand, a, b, epsabs=0, epsrel=1e-13, limit=200)[0] for a, b in zip(pieces[:-1], pieces[1:])
+        )
+        area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
+        assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-10, abs=0)
+
+    def test_barrier_radius_within_two_percent_of_the_anchor(self):
+        # u = r^30: H(S_1) = 122 and rho falls steeply inside r0 = 1, so a small
+        # beta puts the barrier radius above r0 / 1.02 and the graded panels
+        # end at the anchor itself.  Closed forms: arc (1 - r^61)/61, area 4 pi r^122
+        class Power30(RadialProfile):
+            kind = "power"
+            inner_exponent = -30.0
+
+            def _u(self, r):
+                return r**30
+
+            def _du(self, r):
+                return 30 * r**29
+
+        prob = MuBubbleProblem(Power30(), 1.0, PrescribedMeanCurvature(1.0, 0.0085))
+        lip, h = prob.lip_factor, prob.h
+        r_b = prob.workspace().barrier_radius
+        assert 1 / 1.02 < r_b < 1.0
+        rho = 1.0005 * r_b
+        def integrand(r):
+            return h(-lip * (1 - r**61) / 61) * 4 * math.pi * r**182
+
+        bulk, _ = quad(integrand, rho, 1.0, epsabs=0, epsrel=1e-13)
+        assert functional_eval(prob, rho) == pytest.approx(4 * math.pi * rho**122 + bulk, rel=1e-10, abs=0)
+        assert minimize(prob).second_order_ok
+
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01, 0.001])
     def test_barrier_radius_against_closed_form(self, schw, eps):
         # the table inversion lands where the closed-form rho meets the backed-off barrier
         r0 = 2.0
         prob = build_problem(schw, r0, eps)
         r_b = prob.workspace().barrier_radius
-        arc = (r0 - r_b) + math.log(r0 / r_b) + 0.25 * (1 / r_b - 1 / r0)
+        arc = schwarzschild_arc(1.0, r0)(r_b)
         target = prob.h.barrier * (1 - 1e-6)
         assert -prob.lip_factor * arc == pytest.approx(target, rel=1e-13, abs=0)
 
@@ -218,6 +294,67 @@ class TestMinimize:
         assert sol.second_order_ok
         assert sol.functional_value <= sphere_area(schw, 2.0)
 
+    @pytest.mark.parametrize("mass", [1.0, 1.7])
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.01, 1e-3])
+    def test_schwarzschild_against_closed_form_root(self, mass, eps):
+        # u = 1 + c/r: H, the arc length and the area in closed form; the
+        # minimizer is the root of g = H - h(-lip arc) outside the horizon c
+        r0, c = 2.0, 0.5 * mass
+        profile = SchwarzschildLikeProfile.from_mass(mass)
+
+        def mean_curvature(r):
+            u = 1 + c / r
+            return 2 / u**2 * (1 / r - 2 * c / (r * r * u))
+
+        if not eps < 0.9 * mean_curvature(r0):
+            with pytest.raises(EpsilonTooLargeError):
+                build_problem(profile, r0, eps)
+            return
+        prob = build_problem(profile, r0, eps)
+        sol = minimize(prob)
+        arc = schwarzschild_arc(mass, r0)
+
+        def g(r):
+            return mean_curvature(r) - prob.h(-prob.lip_factor * arc(r))
+
+        radii = np.geomspace(c * (1 + 1e-9), r0, 2001)
+        signs = np.sign([g(r) for r in radii])
+        (i,) = np.nonzero((signs[:-1] < 0) & (signs[1:] > 0))[0]
+        root = _root(g, radii[i], radii[i + 1])
+        assert sol.rho_star == pytest.approx(root, rel=4e-15, abs=0)
+        assert sol.area == pytest.approx(4 * math.pi * (1 + c / root) ** 4 * root**2, rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize(
+        "case",
+        [("schw", 2.0, 0.2), ("schw", 2.0, 0.05), ("schw", 2.0, 1e-3), ("trumpet", 3.0, 0.05),
+         ("trumpet", 4.4, 1e-3)],
+    )
+    def test_bracket_signs_match_scalar_first_variation(self, schw, trumpet, case):
+        # g at the workspace edges comes from one vector call; Brent's method
+        # sees the scalar g at a bracket's ends, which must have the same signs
+        kind, r0, eps = case
+        ws = build_problem(schw if kind == "schw" else trumpet, r0, eps).workspace()
+        brackets = np.nonzero((ws.g[:-1] < 0) & (ws.g[1:] >= 0))[0]
+        assert len(brackets)
+        for i in brackets:
+            for j in (i, i + 1):
+                assert np.sign(ws.first_variation(float(ws.edges[j]))) == np.sign(ws.g[j])
+
+    @pytest.mark.parametrize("t1", [1.0, 1.5])
+    def test_two_necks_keep_the_least_functional(self, t1):
+        # g changes sign from - to + once past each neck; the inner root wins
+        # for t1 = 1.5, the outer one for t1 = 1.0.  Oracle: functional_eval
+        # on 400 radii across both
+        prob = build_problem(TwoNecks(0.5, t1), 30.0, 0.01)
+        ws = prob.workspace()
+        assert np.count_nonzero((ws.g[:-1] < 0) & (ws.g[1:] >= 0)) == 2
+        sol = minimize(prob)
+        radii = np.geomspace(0.9, 20.0, 400)
+        values = [functional_eval(prob, r) for r in radii]
+        i = int(np.argmin(values))
+        assert sol.functional_value <= values[i] * (1 + 1e-14)
+        assert radii[i - 1] <= sol.rho_star <= radii[i + 1]
+
     def test_minimizer_slightly_outside_horizon(self, schw):
         sol = minimize(build_problem(schw, 2.0, 0.05))
         assert 0.5 < sol.rho_star < 0.7
@@ -244,7 +381,7 @@ class TestMinimize:
 
     def test_profile_work_bound(self, schw, counting):
         # one anchor table, 4096 x 8 u points for both the arc length and the
-        # bulk weights, then the scan and root finds
+        # bulk weights, then g at its edges, the graded panels and root finds
         profile = counting(schw)
         minimize(build_problem(profile, 2.0, 0.05))
         assert profile.points <= 100_000
@@ -254,10 +391,10 @@ class TestMinimize:
         # its 9 steps; a rigidity step re-anchors, so it builds its own
         profile = counting(schw)
         horizon_sequence(profile, 2.0)
-        assert profile.points <= 150_000
+        assert profile.points <= 60_000
         profile = counting(schw)
         rigidity_iteration(profile, 2.0, 0.1, 1.5)
-        assert profile.points <= 250_000
+        assert profile.points <= 190_000
 
     def test_workspace_freed_without_cyclic_gc(self, schw):
         gc.disable()

@@ -16,12 +16,12 @@ from penroselab import (
     intrinsic_diameter,
     radial_laplacian,
     scalar_curvature,
-    scaled,
     sphere_area,
-    sphere_geometry,
     sphere_mean_curvature,
     volume_between,
 )
+
+from conftest import scaled
 
 
 def test_laplacian_examples(euclid, schw, cylinder):
@@ -66,11 +66,11 @@ def test_mean_curvature_examples(euclid, schw, cylinder):
 
 
 def test_sphere_geometry_consistency(schw):
-    geo = sphere_geometry(schw, 1.3)
     u = schw.u(1.3)
-    assert geo.area == pytest.approx(4 * math.pi * u**4 * 1.3**2, rel=1e-14)
-    assert geo.intrinsic_diameter == pytest.approx(math.pi * u**2 * 1.3, rel=1e-14)
-    assert geo.intrinsic_diameter == pytest.approx(intrinsic_diameter(schw, 1.3), rel=1e-15)
+    area, diameter = sphere_area(schw, 1.3), intrinsic_diameter(schw, 1.3)
+    assert area == pytest.approx(4 * math.pi * u**4 * 1.3**2, rel=1e-14)
+    assert diameter == pytest.approx(math.pi * u**2 * 1.3, rel=1e-14)
+    assert diameter == pytest.approx(area / (4 * u**2 * 1.3), rel=1e-15)
 
 
 def test_geodesic_distance_examples(euclid, cylinder, trumpet):

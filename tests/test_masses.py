@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penroselab import (
+    CylinderProfile,
     NotAsymptoticallyFlatError,
     NotOuterMinimizingError,
     SchwarzschildLikeProfile,
@@ -158,9 +159,8 @@ def test_minimal_sphere_is_the_root_of_h(a, b):
 
 
 def test_area_infimum_cylinder_work_bound(cylinder, counting):
-    # every coordinate sphere has area 4 pi and H = 0 up to rounding, so H
-    # changes sign all along the grid; only the least sampled area's bracket
-    # may be refined
+    # every coordinate sphere has area 4 pi and H = 0 up to rounding, which
+    # counts as 0: the least sampled area stands and no root is refined
     profile = counting(cylinder)
     res = area_infimum_radial(profile)
     assert res.value == pytest.approx(4 * math.pi, rel=1e-15)
@@ -204,6 +204,14 @@ def test_find_horizon(schw, trumpet, euclid):
     assert abs(find_horizon(schw) - 0.5) <= 4 * math.ulp(0.5)
     assert find_horizon(trumpet) is None
     assert find_horizon(euclid) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_find_horizon_cylinder(n):
+    # H = 0 on every sphere of the cylinder, and the computed H is rounding
+    # alone: every sampled sphere is minimal, the outermost one is r_hi
+    profile = CylinderProfile(n)
+    assert find_horizon(profile) == default_grid(profile).r_hi
 
 
 def test_penrose_equality_case(schw):

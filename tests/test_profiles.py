@@ -16,11 +16,12 @@ from penroselab import (
     build_trumpet,
     default_grid,
     read_tabulated,
-    scaled,
     unit_sphere_area,
     write_tabulated,
 )
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
+
+from conftest import scaled
 
 
 def test_unit_sphere_area():
