@@ -26,11 +26,13 @@ The work splits by what it depends on.  A table per anchor holds, from one
 evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
 length to the anchor at every node and every panel edge, and the volume
 weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` builds it once, and
-every curvature of its schedule reuses it.  Per curvature, the barrier radius
-comes from inverting the table: ``searchsorted`` on the edge values of rho
-finds its panel, and Brent's method finds it inside that panel.  The bulk
-term reuses the table's panels from 1.02 times the barrier radius up; below,
-where h blows up, fresh 8-point panels halve in width toward it.
+every curvature of its schedule reuses it.  One object per curvature: a
+``MuBubbleProblem`` does all its per-curvature work when it is made, on the
+table it is given or on a fresh one.  Its barrier radius comes from
+inverting the table: ``searchsorted`` on the edge values of rho finds its
+panel, and Brent's method finds it inside that panel.  The bulk term reuses
+the table's panels from 1.02 times the barrier radius up; below, where h
+blows up, fresh 8-point panels halve in width toward it.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -48,7 +50,7 @@ and makes the horizon-approaching and shrinking-curvature schedules work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,40 +132,6 @@ class PrescribedMeanCurvature:
         return float(out) if np.ndim(t) == 0 else out
 
 
-class MuBubbleProblem:
-    """Anchor sphere, prescribed curvature, and Lipschitz-shrunk distance."""
-
-    def __init__(
-        self,
-        profile: RadialProfile,
-        anchor_radius: float,
-        h: PrescribedMeanCurvature,
-        lip_factor: float = LIP_FACTOR_DEFAULT,
-    ):
-        if profile.n != 3:
-            raise UnsupportedDimensionError("bubble problems are defined only for n = 3")
-        if not 0 < lip_factor < 1:
-            raise ParameterError(f"lip_factor must lie in (0, 1), got {lip_factor}")
-        profile.require_radius(anchor_radius)
-        h0 = float(sphere_mean_curvature(profile, anchor_radius))
-        if not h0 > h(0.0):
-            raise BarrierError(
-                f"anchor sphere is not a barrier: H(S_r0) = {h0:.6g} <= h(0) = {h(0.0):.6g}"
-            )
-        self.profile = profile
-        self.anchor_radius = float(anchor_radius)
-        self.h = h
-        self.lip_factor = float(lip_factor)
-        self.anchor_mean_curvature = h0
-        self._ws: _Workspace | None = None
-
-    def workspace(self, table: "_AnchorTable | None" = None) -> "_Workspace":
-        """The workspace, built on first use, on the anchor table ``table`` when given."""
-        if self._ws is None:
-            self._ws = _Workspace(self, table)
-        return self._ws
-
-
 def _volume_weight(r, w):
     """dV/dr = 4 pi u^6 r^2 at radius r, from the arc weight w = u(r)^2; n = 3."""
     return w * w * w * r * r * (4.0 * math.pi)  # one product chain: numpy reuses its temporaries
@@ -207,8 +175,12 @@ def _first_variation(profile, h, dist):
     return lambda rho: sphere_mean_curvature(profile, rho) - h(dist(rho))
 
 
-class _Workspace:
-    """One prescribed curvature on an anchor table: barrier radius, g at the edges, bulk table.
+class MuBubbleProblem:
+    """Anchor sphere, prescribed curvature, and Lipschitz-shrunk distance, on an anchor table.
+
+    Made in one step: the anchor is checked, then the barrier radius, g at
+    the edges, ``dist``, ``first_variation`` and the bulk table are built on
+    ``table``, or on a fresh :class:`_AnchorTable` when it is None.
 
     The barrier radius r_b is where rho reaches the barrier of h, backed off
     by 1e-6 in rho.  rho rises monotonically to 0 at the anchor, so when the
@@ -225,17 +197,36 @@ class _Workspace:
     A query adds one 8-point panel of the weight up to the edge above it.
 
     ``dist``, ``first_variation`` and the bulk density are closures over the
-    profile, h and the arc table, never bound methods, and nothing here points
-    back at the problem.  So a finished problem is freed by reference
+    profile, h and the arc table, never bound methods, and none of them
+    points back at the problem.  So a finished problem is freed by reference
     counting alone, even though ``brentq`` keeps each function it is given
     in a reference cycle of its own until the cyclic collector runs.
     """
 
-    def __init__(self, problem: MuBubbleProblem, table: _AnchorTable | None = None):
-        profile, h, lip = problem.profile, problem.h, problem.lip_factor
-        if table is None:
-            table = _AnchorTable(profile, problem.anchor_radius)
+    def __init__(
+        self,
+        profile: RadialProfile,
+        anchor_radius: float,
+        h: PrescribedMeanCurvature,
+        lip_factor: float = LIP_FACTOR_DEFAULT,
+        table: _AnchorTable | None = None,
+    ):
+        if profile.n != 3:
+            raise UnsupportedDimensionError("bubble problems are defined only for n = 3")
+        if not 0 < lip_factor < 1:
+            raise ParameterError(f"lip_factor must lie in (0, 1), got {lip_factor}")
+        profile.require_radius(anchor_radius)
+        h0 = float(sphere_mean_curvature(profile, anchor_radius))
+        if not h0 > h(0.0):
+            raise BarrierError(
+                f"anchor sphere is not a barrier: H(S_r0) = {h0:.6g} <= h(0) = {h(0.0):.6g}"
+            )
         self.profile = profile
+        self.anchor_radius = float(anchor_radius)
+        self.h = h
+        self.lip_factor = lip = float(lip_factor)
+        if table is None:
+            table = _AnchorTable(profile, self.anchor_radius)
         self.floor = table.floor
         self.dist = dist = _shrunk(table.arc, lip)
         self.first_variation = _first_variation(profile, h, dist)
@@ -277,34 +268,32 @@ def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:
 
     Negative inside the anchor, zero at it, positive outside; the shrink
     factor keeps the Lipschitz constant strictly below one.  Radii below the
-    workspace floor raise :class:`OutOfCollectionError`.
+    anchor table's floor raise :class:`OutOfCollectionError`.
     """
     profile = problem.profile
     profile.require_radius(r)
     r0 = problem.anchor_radius
     if r >= r0:
         return problem.lip_factor * geodesic_distance(profile, r0, r)
-    ws = problem.workspace()
-    if r < ws.floor:
-        raise OutOfCollectionError(f"r = {r} lies below the workspace floor {ws.floor:.6g}")
-    return float(ws.dist(r))
+    if r < problem.floor:
+        raise OutOfCollectionError(f"r = {r} lies below the anchor table's floor {problem.floor:.6g}")
+    return float(problem.dist(r))
 
 
 def functional_eval(problem: MuBubbleProblem, rho: float) -> float:
     """Area of S_rho plus the prescribed-curvature bulk term out to the anchor.
 
-    Radii outside [workspace floor, r0] raise :class:`OutOfCollectionError`;
+    Radii outside [table floor, r0] raise :class:`OutOfCollectionError`;
     radii below the barrier radius raise :class:`BarrierError`.
     """
     problem.profile.require_radius(rho)
-    ws = problem.workspace()
-    if not ws.floor <= rho <= problem.anchor_radius:
+    if not problem.floor <= rho <= problem.anchor_radius:
         raise OutOfCollectionError(
-            f"rho = {rho} lies outside [{ws.floor:.6g}, r0 = {problem.anchor_radius}]"
+            f"rho = {rho} lies outside [{problem.floor:.6g}, r0 = {problem.anchor_radius}]"
         )
-    if rho < ws.bulk.edges[0]:
-        raise BarrierError(f"rho = {rho} lies below the barrier radius {ws.bulk.edges[0]:.6g}")
-    return float(ws.functional(rho))
+    if rho < problem.bulk.edges[0]:
+        raise BarrierError(f"rho = {rho} lies below the barrier radius {problem.bulk.edges[0]:.6g}")
+    return float(problem.functional(rho))
 
 
 @dataclass(frozen=True)
@@ -332,7 +321,7 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     """Minimizer of the bubble functional from the first-variation identity.
 
     Every interior minimizer is a - to + sign change of g = H - h o rho.
-    Each one between consecutive workspace edges is refined by Brent's
+    Each one between consecutive ``edges`` is refined by Brent's
     method; the functional is evaluated once, as a vector over the roots, the
     anchor and the lowest edge, and the root with the lowest value is kept.
     Its bracket signs are the second-order certificate.
@@ -342,18 +331,17 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     with no barrier radius, not below the value at the floor (no interior
     bubble).
     """
-    ws = problem.workspace()
-    x, g = ws.edges, ws.g
+    x, g = problem.edges, problem.g
     brackets = np.nonzero((g[:-1] < 0) & (g[1:] >= 0))[0]
     if not len(brackets):
         raise DegenerateMinimizerError("H - h(rho) never changes sign from - to +; no interior bubble")
-    roots = [_root(ws.first_variation, x[i], x[i + 1]) for i in brackets]
-    values = ws.functional(np.array([*roots, problem.anchor_radius, x[0]]))
+    roots = [_root(problem.first_variation, x[i], x[i + 1]) for i in brackets]
+    values = problem.functional(np.array([*roots, problem.anchor_radius, x[0]]))
     best = int(np.argmin(values[:-2]))
     rho, fval = roots[best], float(values[best])
     if not fval < values[-2]:
         raise DegenerateMinimizerError("functional minimized at the anchor sphere; beta too small")
-    if ws.barrier_radius is None and not fval < values[-1]:
+    if problem.barrier_radius is None and not fval < values[-1]:
         raise DegenerateMinimizerError("functional minimized at the inner edge; no interior bubble")
 
     profile = problem.profile
@@ -363,7 +351,7 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
         area=float(sphere_area(profile, rho)),
         functional_value=fval,
         mean_curvature=mean_curv,
-        el_residual=abs(mean_curv - problem.h(ws.dist(rho))),
+        el_residual=abs(mean_curv - problem.h(problem.dist(rho))),
         second_order_ok=bool(g[brackets[best]] < 0 < g[brackets[best] + 1]),
         problem=problem,
     )
@@ -424,12 +412,13 @@ def build_problem(
     beta: float | None = None,
     area_infimum: float | None = None,
     lip_factor: float = LIP_FACTOR_DEFAULT,
+    table: _AnchorTable | None = None,
 ) -> MuBubbleProblem:
-    """Assemble a bubble problem, selecting beta when not supplied."""
+    """Assemble a bubble problem on ``table`` (fresh when None), selecting beta when not supplied."""
     if beta is None:
         beta = select_beta(profile, anchor_radius, epsilon, area_infimum)
     return MuBubbleProblem(
-        profile, anchor_radius, PrescribedMeanCurvature(epsilon, beta), lip_factor
+        profile, anchor_radius, PrescribedMeanCurvature(epsilon, beta), lip_factor, table
     )
 
 
@@ -440,27 +429,20 @@ class DiameterReport:
     within_bound: bool
 
 
-def diameter_report(solution: MuBubbleSolution, epsilon: float) -> DiameterReport:
-    """Intrinsic diameter of the bubble sphere against the 4 pi/(3 eps) bound.
+def diameter_report(solution: MuBubbleSolution) -> DiameterReport:
+    """Intrinsic diameter of the bubble sphere against the 4 pi/(3 eps) bound, eps the bubble's own.
 
     Report only: the bound presumes a spectral condition that is not
     re-verified here, so exceeding it is recorded, never fatal.
     """
     diam = float(intrinsic_diameter(solution.problem.profile, solution.rho_star))
-    bound = 4.0 * math.pi / (3.0 * epsilon)
+    bound = 4.0 * math.pi / (3.0 * solution.problem.h.epsilon)
     return DiameterReport(intrinsic_diameter=diam, bound=bound, within_bound=diam <= bound)
 
 
-def halving_schedule(start: float = 0.2, floor: float = 1e-3) -> list[float]:
-    """Geometric halving from ``start`` down to and including ``floor``."""
-    vals = []
-    v = start
-    while v >= floor * (1 - 1e-12):
-        vals.append(v)
-        v *= 0.5
-    if vals and vals[-1] > floor * (1 + 1e-12):
-        vals.append(floor)
-    return vals
+def halving_schedule() -> list[float]:
+    """The default curvature schedule: 0.2 halved seven times, to 1.5625e-3, then the floor 1e-3."""
+    return [0.2 * 0.5**k for k in range(8)] + [1e-3]
 
 
 @dataclass(frozen=True)
@@ -516,16 +498,14 @@ def horizon_sequence(
         epsilons = halving_schedule()
     a_inf = area_infimum_radial(profile).value
     steps: list[HorizonStep] = []
-    table = None  # the anchor's table, built with the first problem and shared by the rest
+    table = None  # the anchor's table, built once select_beta has accepted the anchor, then shared
     for eps in epsilons:
         beta = None
         try:
             beta = select_beta(profile, anchor_radius, eps, area_infimum=a_inf)
-            problem = build_problem(profile, anchor_radius, eps, beta=beta, area_infimum=a_inf)
             if table is None:
                 table = _AnchorTable(profile, anchor_radius)
-            problem.workspace(table)
-            sol = minimize(problem)
+            sol = minimize(build_problem(profile, anchor_radius, eps, beta=beta, table=table))
             bound = _hawking_value(sol.area, sol.mean_curvature)
             steps.append(HorizonStep(eps, beta, sol, None, float(bound)))
         except PenroseLabError as exc:
@@ -541,9 +521,9 @@ class RigidityStep:
     solution: MuBubbleSolution
     area_bound: float | None
     area_bound_ok: bool | None
-    annulus_volume: float | None = None
-    annulus_bound: float | None = None
-    annulus_bound_ok: bool | None = None
+    annulus_volume: float | None
+    annulus_bound: float | None
+    annulus_bound_ok: bool | None
 
     def to_dict(self) -> dict:
         return {
@@ -624,40 +604,38 @@ def rigidity_iteration(
     lambda0 = a_inf * a0 / (2.0 * math.pi)
     equality = abs(report.ratio - 1.0) <= EQUALITY_TOL
 
-    steps: list[RigidityStep] = []
-    anchor = float(anchor_radius)
     solutions: list[MuBubbleSolution] = []
-    eps_list: list[float] = []
+    anchor = float(anchor_radius)
     for k in range(max_steps + 1):
         eps_k = epsilon ** (gamma**k)
         if eps_k < epsilon_floor:
             break
-        beta = select_beta(profile, anchor, eps_k, area_infimum=a_inf)
-        problem = build_problem(profile, anchor, eps_k, beta=beta, area_infimum=a_inf)
-        sol = minimize(problem)
-        area_bound = a_inf + lambda0 * eps_k**2
-        area_ok = (sol.area <= area_bound) if equality else None
+        solutions.append(minimize(build_problem(profile, anchor, eps_k, area_infimum=a_inf)))
+        anchor = solutions[-1].rho_star
+
+    # the annulus of step k lies between its sphere and the next step's, inside it
+    steps: list[RigidityStep] = []
+    cumulative = 0.0
+    for k, (sol, inner) in enumerate(zip(solutions, [*solutions[1:], None])):
+        h = sol.problem.h
+        area_bound = a_inf + lambda0 * h.epsilon**2
+        vol = bound = None
+        if inner is not None:
+            vol = volume_between(profile, inner.rho_star, sol.rho_star)
+            cumulative += vol
+            bound = lambda0 * h.epsilon ** (2.0 - gamma)
         steps.append(
             RigidityStep(
                 k=k,
-                epsilon=eps_k,
-                beta=beta,
+                epsilon=h.epsilon,
+                beta=h.beta,
                 solution=sol,
                 area_bound=area_bound,
-                area_bound_ok=area_ok,
+                area_bound_ok=(sol.area <= area_bound) if equality else None,
+                annulus_volume=vol,
+                annulus_bound=bound,
+                annulus_bound_ok=None if vol is None else vol <= bound,
             )
-        )
-        solutions.append(sol)
-        eps_list.append(eps_k)
-        anchor = sol.rho_star
-
-    cumulative = 0.0
-    for k in range(len(steps) - 1):
-        vol = volume_between(profile, solutions[k + 1].rho_star, solutions[k].rho_star)
-        cumulative += vol
-        bound = lambda0 * eps_list[k] ** (2.0 - gamma)
-        steps[k] = replace(
-            steps[k], annulus_volume=vol, annulus_bound=bound, annulus_bound_ok=vol <= bound
         )
     cum_bound = (
         lambda0

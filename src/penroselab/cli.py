@@ -3,8 +3,9 @@
 Runs are config-first: a JSON file with a ``command`` field plus profile,
 grid, and command parameters; every long-form flag overrides its config
 field.  Exit codes: 0 ok, 2 config error, 3 inequality violated, 4 degenerate
-minimizer, 5 trumpet verification failure, 6 hypothesis refused (the profile
-is not asymptotically flat).
+minimizer (for ``horizon``, curvatures refused as too large do not count), 5
+trumpet verification failure, 6 hypothesis refused (the profile is not
+asymptotically flat).
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bubbles, trumpet as trumpet_mod
-from .errors import ConfigError, DegenerateMinimizerError, NotAsymptoticallyFlatError, PenroseLabError
+from .errors import (
+    ConfigError,
+    DegenerateMinimizerError,
+    EpsilonTooLargeError,
+    NotAsymptoticallyFlatError,
+    PenroseLabError,
+)
 from .geometry import (
     _arc_weight,
     scalar_curvature,
@@ -278,7 +285,7 @@ def cmd_mu_bubble(cfg: dict) -> int:
         lip_factor=_number(cfg, "lip_factor", bubbles.LIP_FACTOR_DEFAULT),
     )
     sol = bubbles.minimize(problem)
-    diam = bubbles.diameter_report(sol, epsilon)
+    diam = bubbles.diameter_report(sol)
     out = _out_dir(cfg)
     payload = {
         "command": "mu-bubble",
@@ -287,11 +294,7 @@ def cmd_mu_bubble(cfg: dict) -> int:
         "beta": problem.h.beta,
         "solution": sol.to_dict(),
         "el_within_tol": sol.el_residual <= tolerances(cfg)["el_residual"],
-        "diameter": {
-            "intrinsic_diameter": diam.intrinsic_diameter,
-            "bound": diam.bound,
-            "within_bound": diam.within_bound,
-        },
+        "diameter": diam,
     }
     write_json(out / "mu_bubble.json", payload)
     cols = ["epsilon", "beta", "rho_star", "area", "mean_curvature", "el_residual"]
@@ -326,12 +329,13 @@ def cmd_horizon(cfg: dict) -> int:
     bounds = result.mass_lower_bounds
     final = f"{bounds[-1]:.9g}" if bounds else "n/a"
     print(f"horizon: {len(result.steps)} steps, final mass lower bound = {final}")
-    if any(s.error for s in result.steps):
-        for s in result.steps:
-            if s.error:
-                print(f"  eps = {s.epsilon:g}: {s.error}")
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    for s in result.steps:
+        if s.error:
+            print(f"  eps = {s.epsilon:g}: {s.error}")
+    # a curvature too large for the anchor is refused, not failed; far out, the default schedule starts so
+    refused = f"{EpsilonTooLargeError.__name__}:"
+    failed = any(s.error and not s.error.startswith(refused) for s in result.steps)
+    return EXIT_DEGENERATE if failed or not bounds else EXIT_OK
 
 
 _RIGIDITY_COLS = [

@@ -91,12 +91,11 @@ class AdmHawkingResult:
 def adm_mass_from_tail(
     profile: RadialProfile,
     grid: RadialGrid | None = None,
-    residual_rel: float = TAIL_RESIDUAL_REL,
 ) -> tuple[float, AsymptoticTail]:
     """Fit u = a + b r^{2-n} on [r_hi/10, r_hi] and return (2ab, tail).
 
     Raises :class:`NotAsymptoticallyFlatError` when the max fit deviation
-    exceeds ``residual_rel * a`` or the fitted leading coefficient is not
+    exceeds ``TAIL_RESIDUAL_REL * a`` or the fitted leading coefficient is not
     positive.
     """
     grid = grid or default_grid(profile)
@@ -112,9 +111,9 @@ def adm_mass_from_tail(
     b = float(coef[1] * r_scale ** (n - 2))
     residual = float(np.max(np.abs(u - (a + b * radii ** (2 - n)))))
     tail = AsymptoticTail(a=a, b=b, fit_residual=residual)
-    if a <= 0 or residual > residual_rel * abs(a):
+    if a <= 0 or residual > TAIL_RESIDUAL_REL * abs(a):
         raise NotAsymptoticallyFlatError(
-            f"tail fit residual {residual:.3e} vs threshold {residual_rel * abs(a):.3e} (a={a:.6g})"
+            f"tail fit residual {residual:.3e} vs threshold {TAIL_RESIDUAL_REL * abs(a):.3e} (a={a:.6g})"
         )
     return 2.0 * a * b, tail
 
@@ -275,7 +274,6 @@ def adm_hawking_check(
     profile: RadialProfile,
     r: float,
     grid: RadialGrid | None = None,
-    slack: float = ADM_HAWKING_SLACK,
 ) -> AdmHawkingResult:
     """Check total mass >= Hawking mass of S_r, refusing at non-outer-minimizing r.
 
@@ -299,5 +297,5 @@ def adm_hawking_check(
     mh = hawking_mass(profile, r)
     m, _ = adm_mass_from_tail(profile, grid)
     return AdmHawkingResult(
-        radius=float(r), adm_mass=float(m), hawking_mass=float(mh), passed=m >= mh - slack
+        radius=float(r), adm_mass=float(m), hawking_mass=float(mh), passed=m >= mh - ADM_HAWKING_SLACK
     )

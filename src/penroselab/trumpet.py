@@ -334,13 +334,10 @@ EXPORT_R_HI = 1e4
 EXPORT_COUNT = 32768
 
 
-def export_trumpet(
-    profile: TrumpetProfile,
-    dat_path,
-    r_lo: float = EXPORT_R_LO,
-    r_hi: float = EXPORT_R_HI,
-    count: int = EXPORT_COUNT,
-) -> None:
-    """Write the profile as a two-column (r, u) table readable by ``read_tabulated``."""
-    radii = np.geomspace(r_lo, r_hi, count)
+def export_trumpet(profile: TrumpetProfile, dat_path) -> None:
+    """Write the profile as a two-column (r, u) table readable by ``read_tabulated``.
+
+    The radii are EXPORT_COUNT geometric points from EXPORT_R_LO to EXPORT_R_HI.
+    """
+    radii = np.geomspace(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT)
     write_tabulated(dat_path, radii, profile.u(radii), header="trumpet conformal factor")

@@ -179,7 +179,7 @@ class TestProblemSetup:
         r0 = 2.0
         prob = build_problem(schw, r0, 0.05)
         lip, h = prob.lip_factor, prob.h
-        r_b = prob.workspace().barrier_radius
+        r_b = prob.barrier_radius
         rho = r_b * (r0 / r_b) ** frac
 
         arc = schwarzschild_arc(1.0, r0)
@@ -200,7 +200,7 @@ class TestProblemSetup:
         prob = build_problem(schw, r0, eps, beta=choose_beta(schw, r0, eps))
         lip, h = prob.lip_factor, prob.h
         arc = schwarzschild_arc(1.0, r0)
-        rho = ratio * prob.workspace().barrier_radius
+        rho = ratio * prob.barrier_radius
 
         def integrand(r):
             return h(-lip * arc(r)) * 4 * math.pi * (1 + 0.5 / r) ** 6 * r**2
@@ -228,7 +228,7 @@ class TestProblemSetup:
 
         prob = MuBubbleProblem(Power30(), 1.0, PrescribedMeanCurvature(1.0, 0.0085))
         lip, h = prob.lip_factor, prob.h
-        r_b = prob.workspace().barrier_radius
+        r_b = prob.barrier_radius
         assert 1 / 1.02 < r_b < 1.0
         rho = 1.0005 * r_b
         def integrand(r):
@@ -243,7 +243,7 @@ class TestProblemSetup:
         # the table inversion lands where the closed-form rho meets the backed-off barrier
         r0 = 2.0
         prob = build_problem(schw, r0, eps)
-        r_b = prob.workspace().barrier_radius
+        r_b = prob.barrier_radius
         arc = schwarzschild_arc(1.0, r0)(r_b)
         target = prob.h.barrier * (1 - 1e-6)
         assert -prob.lip_factor * arc == pytest.approx(target, rel=1e-13, abs=0)
@@ -257,7 +257,7 @@ class TestProblemSetup:
         prob = build_problem(schw, 2.0, 0.1)
         with pytest.raises(OutOfCollectionError):
             functional_eval(prob, 2.5)
-        # below the workspace floor 1e-15 r0
+        # below the anchor table's floor 1e-15 r0
         with pytest.raises(OutOfCollectionError):
             functional_eval(prob, 1e-16)
         with pytest.raises(OutOfCollectionError):
@@ -265,20 +265,20 @@ class TestProblemSetup:
 
     def test_functional_below_barrier(self, schw):
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
-        r_b = prob.workspace().barrier_radius
+        r_b = prob.barrier_radius
         with pytest.raises(BarrierError):
             functional_eval(prob, r_b * 0.5)
 
     def test_functional_blows_up_at_barrier(self, schw):
         # moderate beta keeps the barrier inside the domain
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
-        ws = prob.workspace()
-        assert ws.barrier_radius is not None
+        assert prob.barrier_radius is not None
         # the table's own bulk term at the barrier radius (its fresh first panel)
         # is what a query there integrates afresh
-        at_barrier = functional_eval(prob, ws.barrier_radius)
-        assert at_barrier == pytest.approx(sphere_area(schw, ws.barrier_radius) + ws.bulk.suffix[0], rel=1e-12)
-        rhos = ws.barrier_radius * (1 + 10.0 ** -np.arange(1, 6))
+        r_b = prob.barrier_radius
+        at_barrier = functional_eval(prob, r_b)
+        assert at_barrier == pytest.approx(sphere_area(schw, r_b) + prob.bulk.suffix[0], rel=1e-12)
+        rhos = r_b * (1 + 10.0 ** -np.arange(1, 6))
         vals = [functional_eval(prob, r) for r in rhos]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 10 * sphere_area(schw, 2.0)
@@ -330,15 +330,15 @@ class TestMinimize:
          ("trumpet", 4.4, 1e-3)],
     )
     def test_bracket_signs_match_scalar_first_variation(self, schw, trumpet, case):
-        # g at the workspace edges comes from one vector call; Brent's method
+        # g at the problem's edges comes from one vector call; Brent's method
         # sees the scalar g at a bracket's ends, which must have the same signs
         kind, r0, eps = case
-        ws = build_problem(schw if kind == "schw" else trumpet, r0, eps).workspace()
-        brackets = np.nonzero((ws.g[:-1] < 0) & (ws.g[1:] >= 0))[0]
+        prob = build_problem(schw if kind == "schw" else trumpet, r0, eps)
+        brackets = np.nonzero((prob.g[:-1] < 0) & (prob.g[1:] >= 0))[0]
         assert len(brackets)
         for i in brackets:
             for j in (i, i + 1):
-                assert np.sign(ws.first_variation(float(ws.edges[j]))) == np.sign(ws.g[j])
+                assert np.sign(prob.first_variation(float(prob.edges[j]))) == np.sign(prob.g[j])
 
     @pytest.mark.parametrize("t1", [1.0, 1.5])
     def test_two_necks_keep_the_least_functional(self, t1):
@@ -346,8 +346,7 @@ class TestMinimize:
         # for t1 = 1.5, the outer one for t1 = 1.0.  Oracle: functional_eval
         # on 400 radii across both
         prob = build_problem(TwoNecks(0.5, t1), 30.0, 0.01)
-        ws = prob.workspace()
-        assert np.count_nonzero((ws.g[:-1] < 0) & (ws.g[1:] >= 0)) == 2
+        assert np.count_nonzero((prob.g[:-1] < 0) & (prob.g[1:] >= 0)) == 2
         sol = minimize(prob)
         radii = np.geomspace(0.9, 20.0, 400)
         values = [functional_eval(prob, r) for r in radii]
@@ -400,11 +399,11 @@ class TestMinimize:
         gc.disable()
         try:
             sol = minimize(build_problem(schw, 2.0, 0.05))
-            ref = weakref.ref(sol.problem.workspace())
+            ref = weakref.ref(sol.problem)
             del sol
             assert ref() is None
             result = horizon_sequence(schw, 2.0, [0.1, 0.05])
-            refs = [weakref.ref(s.solution.problem.workspace()) for s in result.steps]
+            refs = [weakref.ref(s.solution.problem) for s in result.steps]
             del result
             assert all(r() is None for r in refs)
         finally:
@@ -423,7 +422,7 @@ class TestMinimize:
 class TestDiameter:
     def test_schwarzschild_report(self, schw):
         sol = minimize(build_problem(schw, 2.0, 0.05))
-        rep = diameter_report(sol, 0.05)
+        rep = diameter_report(sol)
         expected = math.pi * schw.u(sol.rho_star) ** 2 * sol.rho_star
         assert rep.intrinsic_diameter == pytest.approx(expected, rel=1e-12)
         assert 6.2 < rep.intrinsic_diameter < 6.5
@@ -432,7 +431,7 @@ class TestDiameter:
 
     def test_bound_formula(self, schw):
         sol = minimize(build_problem(schw, 2.0, 0.1))
-        assert diameter_report(sol, 1.0).bound == pytest.approx(4 * math.pi / 3, rel=1e-12)
+        assert diameter_report(sol).bound == pytest.approx(4 * math.pi / (3 * 0.1), rel=1e-12)
 
 
 class TestSchedules:
@@ -526,6 +525,24 @@ class TestRigidity:
                 assert s.annulus_bound_ok
         assert trace.cumulative_bound_ok
         assert rhos[-1] == pytest.approx(0.5, abs=1e-3)
+
+    def test_annulus_volumes_against_closed_form(self, schw):
+        # u = 1 + c/r: 4 pi u^6 r^2 expands in powers of r, so the volume has a closed form
+        c = 0.5
+
+        def volume(r):
+            powers = [math.log(r) if j == 3 else r ** (3 - j) / (3 - j) for j in range(7)]
+            return 4 * math.pi * math.fsum(math.comb(6, j) * c**j * p for j, p in enumerate(powers))
+
+        trace = rigidity_iteration(schw, 2.0, 0.1, 1.5)
+        steps = trace.steps
+        assert len(steps) >= 3 and steps[-1].annulus_volume is None
+        for outer, inner in zip(steps, steps[1:]):
+            expected = volume(outer.solution.rho_star) - volume(inner.solution.rho_star)
+            assert outer.annulus_volume == pytest.approx(expected, rel=1e-9)
+            assert outer.annulus_bound == pytest.approx(trace.lambda0 * outer.epsilon**0.5, rel=1e-15)
+        volumes = [s.annulus_volume for s in steps[:-1]]
+        assert trace.cumulative_volume == pytest.approx(sum(volumes), rel=1e-15)
 
     def test_trumpet_skips_equality_only_bound(self, trumpet):
         trace = rigidity_iteration(trumpet, 4.0, 0.02, 1.5, max_steps=3, epsilon_floor=1e-4)

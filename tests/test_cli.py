@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,21 @@ from penroselab import build_trumpet, export_trumpet, write_tabulated
 from penroselab.cli import main
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
 def run(tmp_path, *args):
     return main([*args, "--out-dir", str(tmp_path)])
+
+
+def run_script(monkeypatch, name, *args):
+    """Run ``scripts/<name>`` as ``__main__`` with ``args``; its exit code."""
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    except SystemExit as exc:
+        return 0 if exc.code is None else exc.code
+    return 0
 
 
 def read_csv(path):
@@ -101,6 +117,28 @@ def test_horizon_command(tmp_path):
     assert len(rows) == 3
     bound_i = header.index("mass_lower_bound")
     assert float(rows[-1][bound_i]) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        # far anchors: the largest curvatures of the default schedule are refused, the rest solve
+        (["--profile", "trumpet", "--r0", "3"], 0),
+        (["--profile", "schwarzschild", "--mass", "1", "--r0", "10"], 0),
+        (["--profile", "euclidean", "--r0", "1"], 4),  # no step has an interior bubble
+        # every step refused: nothing solved
+        (["--profile", "schwarzschild", "--mass", "1", "--r0", "10", "--epsilons", "0.2"], 4),
+    ],
+)
+def test_horizon_exit_code_ignores_refused_steps(tmp_path, flags, code):
+    assert run(tmp_path, "horizon", *flags) == code
+    steps = json.loads((tmp_path / "horizon" / "horizon.json").read_text())["result"]["steps"]
+    refused = [s for s in steps if s["error"] and s["error"].startswith("EpsilonTooLargeError:")]
+    solved = [s for s in steps if s["error"] is None]
+    if code == 0:
+        assert refused and solved and len(refused) + len(solved) == len(steps)
+    else:
+        assert not solved or len(refused) + len(solved) < len(steps)
 
 
 def test_rigidity_command(tmp_path):
@@ -305,3 +343,21 @@ def test_analyze_roundtrip_through_export(tmp_path):
     # the exported table truncates the throat at its inner edge, so the
     # extrapolated area limit agrees only to the truncation scale
     assert tab["area_infimum"] == pytest.approx(direct["area_infimum"], abs=5e-3)
+
+
+def test_run_corpus_script(tmp_path, monkeypatch, capsys):
+    assert run_script(monkeypatch, "run_corpus.py", "--out-dir", str(tmp_path)) == 0
+    header, rows = read_csv(tmp_path / "corpus_penrose.csv")
+    assert header == ["name", "adm_mass", "area_infimum", "bound", "ratio", "verdict", "horizon_radius"]
+    report = json.loads((tmp_path / "corpus_penrose.json").read_text())
+    verdicts = {row[0]: row[header.index("verdict")] for row in rows}
+    assert verdicts == {name: entry["verdict"] for name, entry in report.items()} and len(rows) == 6
+    assert verdicts["schwarzschild_m1"] == "equality-within-tol" and verdicts["trumpet"] == "strict"
+    assert "passed=True" in capsys.readouterr().out
+
+
+def test_rigidity_demo_script(monkeypatch, capsys):
+    assert run_script(monkeypatch, "rigidity_demo.py") == 0
+    out = capsys.readouterr().out
+    cumulative = [line for line in out.splitlines() if line.strip().startswith("cumulative volume")]
+    assert len(cumulative) == 2 and all(line.endswith(": True") for line in cumulative)
