@@ -22,17 +22,18 @@ edges, refines it to a few ulps in r with ``masses._root`` (Brent's method),
 and keeps the root with the lowest functional value.  Every edge from the
 barrier radius up is a bracket end: g can change sign several times near it.
 
-The work splits by what it depends on.  A table per anchor holds, from one
+The work splits by what it depends on.  A table per schedule holds, from one
 evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
 length to the anchor at every node and every panel edge, and the volume
-weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` builds it once, and
-every curvature of its schedule reuses it.  One object per curvature: a
-``MuBubbleProblem`` does all its per-curvature work when it is made, on the
-table it is given or on a fresh one.  Its barrier radius comes from
-inverting the table: ``searchsorted`` on the edge values of rho finds its
-panel, and Brent's method finds it inside that panel.  The bulk term reuses
-the table's panels from 1.02 times the barrier radius up; below, where h
-blows up, fresh 8-point panels halve in width toward it.
+weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` reuses it for every
+curvature; ``rigidity_iteration`` cuts it at each re-anchored step's anchor,
+evaluating u on one partial panel.  One object per curvature: a
+``MuBubbleProblem`` does all its work when it is made, on the table it is
+given or on a fresh one.  Its barrier radius comes from inverting the table:
+``searchsorted`` on the edge values of rho finds its panel, and Brent's
+method finds it inside that panel.  The bulk term reuses the table's panels
+from 1.02 times the barrier radius up; below, where h blows up, fresh
+8-point panels halve in width toward it.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -145,19 +146,43 @@ class _AnchorTable:
     of u at their 4096 x 8 Gauss nodes gives the arc length to the anchor at
     every edge (``arc``, the panel table behind rho) and at every node (the
     quadrature tail matrix inside the node's panel), and the volume weight
-    4 pi u^6 r^2 at every node.  A schedule that keeps its anchor builds one
-    table for all its curvatures.
+    4 pi u^6 r^2 at every node.  A schedule builds one table for all its
+    steps, ``cut`` at the anchor of each step it re-anchors inside it.
     """
 
     def __init__(self, profile: RadialProfile, anchor_radius: float):
         dom = profile.domain
-        self.floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
-        self.edges = np.geomspace(self.floor, anchor_radius, _PANELS + 1)
+        floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
+        self.edges = np.geomspace(floor, anchor_radius, _PANELS + 1)
         nodes, self.half = gauss_nodes(self.edges[:-1], self.edges[1:])
         arc_weight = profile.u(nodes) ** 2  # u^{2/(n-2)}, n = 3
         self.arc = PanelTable.from_nodes(_arc_weight(profile), self.edges, arc_weight, self.half)
         self.arc_nodes = node_suffix(arc_weight, self.half)
         self.volume_weight = _volume_weight(nodes, arc_weight)
+
+    def cut(self, anchor: float) -> _AnchorTable:
+        """The table of an anchor inside this one: the edges below it, one partial panel up to it.
+
+        Only the partial panel evaluates u.  The edge arc lengths are re-summed
+        from the per-panel ones, so ``arc`` at an edge returns its stored value
+        bit for bit; the node arc lengths, which only weight the bulk, are shifted.
+        """
+        floor, top = self.edges[[0, -1]]
+        if anchor == top:
+            return self
+        if not floor < anchor < top:
+            raise OutOfCollectionError(f"anchor {anchor} lies outside the table's ({floor:.6g}, {top:.6g}]")
+        m = int(np.searchsorted(self.edges, anchor)) - 1  # edges[m] < anchor <= edges[m + 1]
+        cut = object.__new__(_AnchorTable)
+        cut.edges = np.append(self.edges[: m + 1], anchor)
+        nodes, half = gauss_nodes(cut.edges[m:-1], cut.edges[m + 1 :])
+        weight = self.arc.f(nodes)
+        cut.half = np.append(self.half[:m], half)
+        cut.arc = PanelTable.from_nodes(self.arc.f, cut.edges, weight, half, head=self.arc.panels[:m])
+        shift = self.arc.suffix[m] - cut.arc.panels[m]  # arc length from the anchor to the old top edge
+        cut.arc_nodes = np.concatenate([self.arc_nodes[:m] - shift, node_suffix(weight, half)])
+        cut.volume_weight = np.concatenate([self.volume_weight[:m], _volume_weight(nodes, weight)])
+        return cut
 
 
 def _shrunk(arc, lip):
@@ -225,9 +250,8 @@ class MuBubbleProblem:
         self.anchor_radius = float(anchor_radius)
         self.h = h
         self.lip_factor = lip = float(lip_factor)
-        if table is None:
-            table = _AnchorTable(profile, self.anchor_radius)
-        self.floor = table.floor
+        table = _AnchorTable(profile, self.anchor_radius) if table is None else table
+        self.floor = table.edges[0]
         self.dist = dist = _shrunk(table.arc, lip)
         self.first_variation = _first_variation(profile, h, dist)
 
@@ -239,7 +263,7 @@ class MuBubbleProblem:
             target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
             k = int(np.searchsorted(edge_rho, target, side="right"))
             r_b = self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
-            j = min(int(np.searchsorted(edges, _GRADED_FROM * r_b)), _PANELS)
+            j = min(int(np.searchsorted(edges, _GRADED_FROM * r_b)), len(edges) - 1)
         self.edges, rho = edges[k:], edge_rho[k:]
 
         bulk_edges = edges[j:]
@@ -576,7 +600,8 @@ def rigidity_iteration(
     """Shrinking-curvature schedule eps^(gamma^k) with nested re-anchoring.
 
     Step k+1 anchors at step k's minimizing sphere, which enforces nesting by
-    construction.  Recorded bounds:
+    construction; its anchor table is the one built at r0, cut at its anchor
+    (:meth:`_AnchorTable.cut`).  Recorded bounds:
 
     - area_k <= A_inf + Lambda_0 eps_k^2, asserted only when the mass bound
       is saturated (equality-case profiles);
@@ -606,11 +631,13 @@ def rigidity_iteration(
 
     solutions: list[MuBubbleSolution] = []
     anchor = float(anchor_radius)
+    table = _AnchorTable(profile, anchor)
     for k in range(max_steps + 1):
         eps_k = epsilon ** (gamma**k)
         if eps_k < epsilon_floor:
             break
-        solutions.append(minimize(build_problem(profile, anchor, eps_k, area_infimum=a_inf)))
+        problem = build_problem(profile, anchor, eps_k, area_infimum=a_inf, table=table.cut(anchor))
+        solutions.append(minimize(problem))
         anchor = solutions[-1].rho_star
 
     # the annulus of step k lies between its sphere and the next step's, inside it

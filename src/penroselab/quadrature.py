@@ -97,20 +97,23 @@ class PanelTable:
     8-point panel of f from x to that edge.
     """
 
-    def __init__(self, f, edges, suffix):
+    def __init__(self, f, edges, suffix, panels=None):
         self.f = f
         self.edges = np.asarray(edges, dtype=float)
         self.suffix = suffix
+        self.panels = panels
 
     @classmethod
-    def from_nodes(cls, f, edges, vals, half):
+    def from_nodes(cls, f, edges, vals, half, head=()):
         """The table ``PanelAntiderivative(f, edges)`` builds, from f at ``gauss_nodes(edges)``.
 
         The panels are summed as ``gauss_panel`` sums them, so for an
         elementwise f the table at an edge returns its stored edge value bit
-        for bit (``edge_suffix`` agrees only up to rounding).
+        for bit (``edge_suffix`` agrees only up to rounding).  It keeps the
+        panel sums as ``panels``; ``head`` gives the first ones, ``vals`` the rest.
         """
-        return cls(f, edges, _suffix(_panel_sums(vals, half)))
+        panels = np.append(head, _panel_sums(vals, half))
+        return cls(f, edges, _suffix(panels), panels)
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)

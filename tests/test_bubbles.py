@@ -29,7 +29,7 @@ from penroselab import (
     sphere_area,
     sphere_mean_curvature,
 )
-from penroselab.bubbles import MuBubbleProblem, _arccoth
+from penroselab.bubbles import MuBubbleProblem, _AnchorTable, _arccoth
 from penroselab.masses import _root
 from penroselab.profiles import RadialProfile
 
@@ -64,6 +64,29 @@ def schwarzschild_arc(mass, r0):
     """Arc length from S_r to S_{r0} for u = 1 + c/r, c = m/2: the integral of u^2 in closed form."""
     c = 0.5 * mass
     return lambda r: (r0 - r) + 2 * c * math.log(r0 / r) + c * c * (1 / r - 1 / r0)
+
+
+def schwarzschild_mean_curvature(mass, r):
+    """H(S_r) = (2/u^2)(1/r - 2c/(r^2 u)) for u = 1 + c/r, c = m/2."""
+    u = 1 + 0.5 * mass / r
+    return 2 / u**2 * (1 / r - mass / (r * r * u))
+
+
+def schwarzschild_root(mass, prob):
+    """The minimizer in closed form: the root of g = H - h(-lip arc) outside the horizon c = m/2.
+
+    The arc length runs to the problem's own anchor.
+    """
+    c, r0 = 0.5 * mass, prob.anchor_radius
+    arc = schwarzschild_arc(mass, r0)
+
+    def g(r):
+        return schwarzschild_mean_curvature(mass, r) - prob.h(-prob.lip_factor * arc(r))
+
+    radii = np.geomspace(c * (1 + 1e-9), r0, 2001)
+    signs = np.sign([g(r) for r in radii])
+    (i,) = np.nonzero((signs[:-1] < 0) & (signs[1:] > 0))[0]
+    return _root(g, radii[i], radii[i + 1])
 
 
 class TestPrescribedFamily:
@@ -297,30 +320,16 @@ class TestMinimize:
     @pytest.mark.parametrize("mass", [1.0, 1.7])
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.01, 1e-3])
     def test_schwarzschild_against_closed_form_root(self, mass, eps):
-        # u = 1 + c/r: H, the arc length and the area in closed form; the
-        # minimizer is the root of g = H - h(-lip arc) outside the horizon c
+        # u = 1 + c/r: H, the arc length and the area in closed form
         r0, c = 2.0, 0.5 * mass
         profile = SchwarzschildLikeProfile.from_mass(mass)
-
-        def mean_curvature(r):
-            u = 1 + c / r
-            return 2 / u**2 * (1 / r - 2 * c / (r * r * u))
-
-        if not eps < 0.9 * mean_curvature(r0):
+        if not eps < 0.9 * schwarzschild_mean_curvature(mass, r0):
             with pytest.raises(EpsilonTooLargeError):
                 build_problem(profile, r0, eps)
             return
         prob = build_problem(profile, r0, eps)
         sol = minimize(prob)
-        arc = schwarzschild_arc(mass, r0)
-
-        def g(r):
-            return mean_curvature(r) - prob.h(-prob.lip_factor * arc(r))
-
-        radii = np.geomspace(c * (1 + 1e-9), r0, 2001)
-        signs = np.sign([g(r) for r in radii])
-        (i,) = np.nonzero((signs[:-1] < 0) & (signs[1:] > 0))[0]
-        root = _root(g, radii[i], radii[i + 1])
+        root = schwarzschild_root(mass, prob)
         assert sol.rho_star == pytest.approx(root, rel=4e-15, abs=0)
         assert sol.area == pytest.approx(4 * math.pi * (1 + c / root) ** 4 * root**2, rel=2e-15, abs=0)
 
@@ -386,14 +395,15 @@ class TestMinimize:
         assert profile.points <= 100_000
 
     def test_schedule_work_bounds(self, schw, counting):
-        # the horizon schedule shares one anchor table (4096 x 8 points) across
-        # its 9 steps; a rigidity step re-anchors, so it builds its own
+        # each schedule builds one anchor table (4096 x 8 points): the horizon
+        # schedule shares it across its 9 steps, and each re-anchored rigidity
+        # step cuts it, evaluating u at the 8 nodes of one partial panel
         profile = counting(schw)
         horizon_sequence(profile, 2.0)
         assert profile.points <= 60_000
         profile = counting(schw)
         rigidity_iteration(profile, 2.0, 0.1, 1.5)
-        assert profile.points <= 190_000
+        assert profile.points <= 60_000
 
     def test_workspace_freed_without_cyclic_gc(self, schw):
         gc.disable()
@@ -406,6 +416,10 @@ class TestMinimize:
             refs = [weakref.ref(s.solution.problem) for s in result.steps]
             del result
             assert all(r() is None for r in refs)
+            trace = rigidity_iteration(schw, 2.0, 0.1, 1.5)  # its steps share one table
+            refs = [weakref.ref(s.solution.problem) for s in trace.steps]
+            del trace
+            assert len(refs) >= 3 and all(r() is None for r in refs)
         finally:
             gc.enable()
 
@@ -544,6 +558,23 @@ class TestRigidity:
         volumes = [s.annulus_volume for s in steps[:-1]]
         assert trace.cumulative_volume == pytest.approx(sum(volumes), rel=1e-15)
 
+    @pytest.mark.parametrize("mass", [1.0, 1.7])
+    @pytest.mark.parametrize("r0, eps, gamma", [(2.0, 0.1, 1.5), (2.0, 0.2, 1.3), (5.0, 0.05, 1.7)])
+    def test_reanchored_steps_against_closed_form_root(self, mass, r0, eps, gamma):
+        # step k + 1 anchors at step k's sphere: its g takes the arc length to that anchor
+        profile = SchwarzschildLikeProfile.from_mass(mass)
+        if not eps < 0.9 * schwarzschild_mean_curvature(mass, r0):
+            with pytest.raises(EpsilonTooLargeError):
+                rigidity_iteration(profile, r0, eps, gamma)
+            return
+        steps = rigidity_iteration(profile, r0, eps, gamma).steps
+        assert len(steps) >= 3
+        anchors = [r0] + [s.solution.rho_star for s in steps[:-1]]
+        for anchor, step in zip(anchors, steps):
+            assert step.solution.problem.anchor_radius == anchor
+            root = schwarzschild_root(mass, step.solution.problem)
+            assert step.solution.rho_star == pytest.approx(root, rel=4e-15, abs=0)
+
     def test_trumpet_skips_equality_only_bound(self, trumpet):
         trace = rigidity_iteration(trumpet, 4.0, 0.02, 1.5, max_steps=3, epsilon_floor=1e-4)
         assert not trace.equality_case
@@ -552,6 +583,39 @@ class TestRigidity:
             if s.annulus_volume is not None:
                 assert s.annulus_bound_ok
         assert trace.cumulative_bound_ok
+
+
+class TestAnchorTableCut:
+    @pytest.mark.parametrize("kind, r0", [("schw", 2.0), ("trumpet", 4.0)])
+    def test_arc_at_every_edge_is_its_stored_value(self, schw, trumpet, kind, r0):
+        # the bracket signs come from rho at the edges as stored; Brent's
+        # method sees rho through the table's query, which must agree bit for bit
+        table = _AnchorTable(schw if kind == "schw" else trumpet, r0)
+        anchors = np.exp(np.random.default_rng(7).uniform(math.log(table.edges[1]), math.log(r0), 40))
+        for anchor in anchors:
+            cut = table.cut(float(anchor))
+            assert cut.edges[0] == table.edges[0] and cut.edges[-1] == anchor and cut.arc.suffix[-1] == 0
+            assert np.array_equal(cut.arc(cut.edges), cut.arc.suffix)
+            for i in [*range(0, len(cut.edges), 97), -3, -2, -1]:  # scalar queries, as brentq makes them
+                assert cut.arc(float(cut.edges[i])) == cut.arc.suffix[i]
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_functional_matches_a_fresh_table(self, schw, eps):
+        anchor = 0.8
+        cut = build_problem(schw, anchor, eps, table=_AnchorTable(schw, 2.0).cut(anchor))
+        fresh = build_problem(schw, anchor, eps, beta=cut.h.beta)
+        for r in np.geomspace(1.05 * fresh.barrier_radius, anchor, 10):
+            assert functional_eval(cut, r) == pytest.approx(functional_eval(fresh, r), rel=1e-13, abs=0)
+
+    def test_anchor_outside_the_table_refused(self, schw):
+        table = _AnchorTable(schw, 2.0)
+        for anchor in (0.5 * table.edges[0], 2.0 * (1 + 1e-12), 3.0):
+            with pytest.raises(OutOfCollectionError):
+                table.cut(anchor)
+
+    def test_cut_at_the_top_edge_is_the_table(self, schw):
+        table = _AnchorTable(schw, 2.0)
+        assert table.cut(2.0) is table
 
 
 def test_dimension_guard():
