@@ -94,7 +94,11 @@ def _arccoth(x: float) -> float:
 
 @dataclass(frozen=True)
 class PrescribedMeanCurvature:
-    """The (eps, beta) prescribed curvature eps coth(3 eps t/4 + beta)."""
+    """The (eps, beta) prescribed curvature eps coth(3 eps t/4 + beta).
+
+    A float t takes a scalar path with the same checks and the same numpy
+    ``tanh`` as an array, so its value is the array path's bit for bit.
+    """
 
     epsilon: float
     beta: float
@@ -111,14 +115,15 @@ class PrescribedMeanCurvature:
         return -4.0 * self.beta / (3.0 * self.epsilon)
 
     def _arg(self, t):
-        arg = 0.75 * self.epsilon * np.asarray(t, dtype=float) + self.beta
-        if np.any(arg <= 0):
+        scalar = isinstance(t, float)  # a float is checked by plain comparison, with no array made
+        arg = 0.75 * self.epsilon * (t if scalar else np.asarray(t, dtype=float)) + self.beta
+        if (arg <= 0) if scalar else np.any(arg <= 0):
             raise BarrierError(f"argument at or below the barrier t = {self.barrier}")
         return arg
 
     def __call__(self, t):
         out = self.epsilon * _coth(self._arg(t))
-        return float(out) if np.ndim(t) == 0 else out
+        return float(out) if isinstance(t, float) or np.ndim(t) == 0 else out
 
     def slope(self, t):
         """h'(t) = -(3 eps^2/4)(coth^2 - 1), from the chain rule."""
@@ -244,7 +249,8 @@ class MuBubbleProblem:
         h0 = float(sphere_mean_curvature(profile, anchor_radius))
         if not h0 > h(0.0):
             raise BarrierError(
-                f"anchor sphere is not a barrier: H(S_r0) = {h0:.6g} <= h(0) = {h(0.0):.6g}"
+                f"anchor sphere is not a barrier: H(S_r) = {h0:.6g} <= h(0) = {h(0.0):.6g}"
+                f" at the anchor r = {anchor_radius:.6g}"
             )
         self.profile = profile
         self.anchor_radius = float(anchor_radius)
@@ -391,12 +397,13 @@ def choose_beta(profile: RadialProfile, anchor_radius: float, epsilon: float) ->
     if not epsilon > 0:
         raise EpsilonTooLargeError(f"epsilon = {epsilon} must be positive")
     h0 = float(sphere_mean_curvature(profile, anchor_radius))
+    at = f"at the anchor r = {anchor_radius:.6g}"
     if not epsilon < h0:
-        raise EpsilonTooLargeError(f"epsilon = {epsilon} >= H(S_r0) = {h0:.6g}")
+        raise EpsilonTooLargeError(f"epsilon = {epsilon} >= H(S_r) = {h0:.6g} {at}")
     target = _BETA_MARGIN * h0 / epsilon  # need coth(beta) <= target
     if target <= 1.0:
         raise EpsilonTooLargeError(
-            f"epsilon = {epsilon} leaves no margin below 0.9 H(S_r0) = {_BETA_MARGIN * h0:.6g}"
+            f"epsilon = {epsilon} leaves no margin below 0.9 H(S_r) = {_BETA_MARGIN * h0:.6g} {at}"
         )
     return 2.0 * _arccoth(target)
 

@@ -8,6 +8,9 @@ on a punctured ball or all of R^n minus the origin.  Everything downstream
 (curvature, areas, masses, bubble functionals) is a pointwise or integral
 expression in u, u' and u'', so a profile exposes exactly those three
 evaluators, vectorized over radii, together with its dimension and domain.
+A float radius (``np.float64`` included) takes a scalar path: the domain
+check compares it directly and the evaluator sees it as a 1-element array,
+with results identical to the general path's.
 
 Closed-form kinds carry analytic derivatives.  Tabulated profiles interpolate
 with a cubic spline in log r and take u' and u'' from the spline's own
@@ -41,10 +44,12 @@ class Domain:
     hi_closed: bool = False
 
     def contains(self, r) -> bool:
-        r = np.asarray(r, dtype=float)
+        """Whether every radius in r lies in the interval; NaN never does."""
+        scalar = isinstance(r, float)  # a float is compared as it is, no array made
+        r = r if scalar else np.asarray(r, dtype=float)
         lo_ok = (r >= self.lo) if self.lo_closed else (r > self.lo)
         hi_ok = (r <= self.hi) if self.hi_closed else (r < self.hi)
-        return bool(np.all(lo_ok & hi_ok))
+        return bool(lo_ok and hi_ok) if scalar else bool(np.all(lo_ok & hi_ok))
 
 
 class RadialProfile:
@@ -59,15 +64,12 @@ class RadialProfile:
 
     kind = "base"
     breakpoints: tuple[float, ...] = ()
+    domain = Domain(0.0, math.inf)  # built once; a subclass with another domain builds its own once
 
     def __init__(self, n: int = 3):
         if int(n) != n or n < 3:
             raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
         self.n = int(n)
-
-    @property
-    def domain(self) -> Domain:
-        return Domain(0.0, math.inf)
 
     def require_radius(self, r) -> None:
         if not self.domain.contains(r):
@@ -100,6 +102,8 @@ class RadialProfile:
 
 
 def _dispatch(fn, r):
+    if isinstance(r, float):  # the 1-element array the general path would build, without its wrappers
+        return float(fn(np.array([r]))[0])
     arr = np.asarray(r, dtype=float)
     out = fn(np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out
@@ -211,10 +215,7 @@ class TabulatedProfile(RadialProfile):
         self._spline = CubicSpline(np.log(radii), values, extrapolate=True)
         self._spline_t = self._spline.derivative(1)
         self._spline_tt = self._spline.derivative(2)
-
-    @property
-    def domain(self):
-        return Domain(float(self.radii[0]), float(self.radii[-1]), True, True)
+        self.domain = Domain(float(radii[0]), float(radii[-1]), True, True)
 
     def params(self):
         p = {"samples": len(self.radii), "r_lo": float(self.radii[0]), "r_hi": float(self.radii[-1])}

@@ -94,7 +94,9 @@ class PanelTable:
     """Right-anchored antiderivative from its values at fixed panel edges.
 
     F(x) = integral_x^{x_P} f is ``suffix`` at the edge above x plus one
-    8-point panel of f from x to that edge.
+    8-point panel of f from x to that edge.  A float x takes a scalar path
+    (one ``searchsorted`` on the edges, clamped to the end panels) with the
+    same result as the array path.
     """
 
     def __init__(self, f, edges, suffix, panels=None):
@@ -116,13 +118,11 @@ class PanelTable:
         return cls(f, edges, _suffix(panels), panels)
 
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        xs = np.atleast_1d(x_arr)
-        idx = np.searchsorted(self.edges[1:-1], xs, side="right")  # panel of x, end panels extended
-        partial = gauss_panel(self.f, xs, self.edges[idx + 1])
-        out = partial + self.suffix[idx + 1]
-        return float(out[0]) if scalar else out
+        if isinstance(x, float):  # one searchsorted and one panel, no array wrappers; same result
+            top = min(max(int(self.edges.searchsorted(x, side="right")), 1), len(self.edges) - 1)
+            return float(gauss_panel(self.f, x, self.edges[top]) + self.suffix[top])
+        idx = np.searchsorted(self.edges[1:-1], x, side="right")  # panel of x, end panels extended
+        return gauss_panel(self.f, x, self.edges[idx + 1]) + self.suffix[idx + 1]
 
 
 class PanelAntiderivative(PanelTable):

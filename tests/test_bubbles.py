@@ -30,7 +30,7 @@ from penroselab import (
     sphere_mean_curvature,
 )
 from penroselab.bubbles import MuBubbleProblem, _AnchorTable, _arccoth
-from penroselab.masses import _root
+from penroselab.masses import _root, penrose_check
 from penroselab.profiles import RadialProfile
 
 
@@ -110,6 +110,21 @@ class TestPrescribedFamily:
             h(h.barrier)
         with pytest.raises(BarrierError):
             h(h.barrier - 1.0)
+        # the scalar path (float, np.float64) refuses exactly where the array path does
+        for t in (h.barrier, math.nextafter(h.barrier, -math.inf), -1e300):
+            for arg in (float(t), np.float64(t), np.array([t])):
+                with pytest.raises(BarrierError):
+                    h(arg)
+
+    @pytest.mark.parametrize("eps, beta", [(0.1, 2.0), (0.05, 0.3), (1e-3, 7.5), (0.7, 0.02)])
+    def test_float_argument_equals_array_evaluation(self, eps, beta):
+        # the scalar path keeps numpy's tanh: math.tanh differs from it in the last bits
+        h = PrescribedMeanCurvature(eps, beta)
+        ts = h.barrier * np.random.default_rng(3).uniform(-30.0, 1.0 - 1e-9, 2000)
+        values = h(ts)
+        assert np.array_equal([h(float(t)) for t in ts], values)
+        assert np.array_equal([h(np.float64(t)) for t in ts], values)
+        assert type(h(float(ts[0]))) is float
 
     def test_strictly_decreasing_above_epsilon(self):
         h = PrescribedMeanCurvature(0.3, 1.5)
@@ -165,7 +180,7 @@ class TestBetaSelection:
 class TestProblemSetup:
     def test_barrier_condition_enforced(self, schw):
         h = PrescribedMeanCurvature(0.1, 0.01)  # h(0) huge
-        with pytest.raises(BarrierError):
+        with pytest.raises(BarrierError, match="at the anchor r = 2$"):
             MuBubbleProblem(schw, 2.0, h)
 
     def test_dist_to_anchor(self, euclid, schw, trumpet):
@@ -575,6 +590,15 @@ class TestRigidity:
             root = schwarzschild_root(mass, step.solution.problem)
             assert step.solution.rho_star == pytest.approx(root, rel=4e-15, abs=0)
 
+    def test_refusal_names_the_anchor_it_refused(self, schw):
+        # gamma near 1: step 1's epsilon leaves no margin below 0.9 H at step 0's sphere, not at r0
+        a_inf = penrose_check(schw).area_infimum
+        rho0 = minimize(build_problem(schw, 2.0, 0.3, area_infimum=a_inf)).rho_star
+        with pytest.raises(EpsilonTooLargeError, match="no margin below 0.9 H") as refused:
+            rigidity_iteration(schw, 2.0, 0.3, 1.05)
+        assert f"at the anchor r = {rho0:.6g}" in str(refused.value)
+        assert "S_r0" not in str(refused.value)
+
     def test_trumpet_skips_equality_only_bound(self, trumpet):
         trace = rigidity_iteration(trumpet, 4.0, 0.02, 1.5, max_steps=3, epsilon_floor=1e-4)
         assert not trace.equality_case
@@ -606,6 +630,20 @@ class TestAnchorTableCut:
         fresh = build_problem(schw, anchor, eps, beta=cut.h.beta)
         for r in np.geomspace(1.05 * fresh.barrier_radius, anchor, 10):
             assert functional_eval(cut, r) == pytest.approx(functional_eval(fresh, r), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("kind, r0", [("schw", 2.0), ("trumpet", 4.0)])
+    def test_arc_at_floats_equals_the_array_query(self, schw, trumpet, kind, r0):
+        # Brent's method queries the table at floats, the bracket scan at arrays
+        table = _AnchorTable(schw if kind == "schw" else trumpet, r0)
+        edges = table.edges
+        mids = 0.5 * (edges[:-1:97] + edges[1::97])
+        below = edges[0] * np.array([0.5, 1 - 1e-12])
+        above = edges[-1] * np.array([1 + 1e-12, 2.0])
+        xs = np.concatenate([edges[::97], edges[-3:], mids, below, above])
+        values = table.arc(xs)
+        assert np.array_equal([table.arc(float(x)) for x in xs], values)
+        assert np.array_equal([table.arc(np.float64(x)) for x in xs], values)
+        assert type(table.arc(float(xs[0]))) is float
 
     def test_anchor_outside_the_table_refused(self, schw):
         table = _AnchorTable(schw, 2.0)

@@ -66,6 +66,66 @@ def test_domain_check(schw):
         radial_laplacian(schw, -1.0)
 
 
+def _tabulated_schwarzschild():
+    radii = np.geomspace(1.0, 20.0, 64)
+    return TabulatedProfile(radii, 1.0 + 0.5 / radii)
+
+
+FLOAT_PATH_PROFILES = {
+    "euclidean": EuclideanProfile,
+    "schwarzschild-like": lambda: SchwarzschildLikeProfile(1.3, 0.7),
+    "cylinder": CylinderProfile,
+    "trumpet-3": lambda: build_trumpet(3),
+    "trumpet-4": lambda: build_trumpet(4),
+    "tabulated": _tabulated_schwarzschild,
+}
+
+
+@pytest.mark.parametrize("kind", FLOAT_PATH_PROFILES)
+def test_float_radius_equals_array_evaluation(kind):
+    # a float takes the scalar path; it must give the array path's values bit for bit
+    profile = FLOAT_PATH_PROFILES[kind]()
+    dom = profile.domain
+    lo, hi = (dom.lo, dom.hi) if kind == "tabulated" else (1e-3, 1e3)
+    radii = np.exp(np.random.default_rng(11).uniform(math.log(lo), math.log(hi), 200))
+    radii[:3] = [lo, hi, 2.0]  # both table ends; 2.0 is the trumpet's r0 in n = 4 and its 2 r0 in n = 3
+    for name in ("u", "du", "d2u"):
+        evaluate = getattr(profile, name)
+        values = evaluate(radii)
+        scalar = np.array([evaluate(float(r)) for r in radii])
+        assert np.array_equal(scalar, values), name
+        assert np.array_equal([evaluate(np.float64(r)) for r in radii], values), name
+        assert all(type(evaluate(float(r))) is float for r in radii[:5])
+
+
+@pytest.mark.parametrize("convert", [float, np.float64])
+def test_require_radius_at_scalars(schw, convert):
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            schw.require_radius(convert(r))
+    schw.require_radius(convert(1e-300))
+    tab = _tabulated_schwarzschild()
+    lo, hi = tab.domain.lo, tab.domain.hi
+    for r in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 0.0, math.nan):
+        with pytest.raises(DomainError):
+            tab.require_radius(convert(r))
+    for r in (lo, hi, 0.5 * (lo + hi)):
+        tab.require_radius(convert(r))
+
+
+def test_require_radius_at_ints(schw):
+    for r in (0, -1):
+        with pytest.raises(DomainError):
+            schw.require_radius(r)
+    schw.require_radius(1)
+    tab = _tabulated_schwarzschild()  # its table spans [1, 20]
+    for r in (0, 21):
+        with pytest.raises(DomainError):
+            tab.require_radius(r)
+    for r in (1, 7, 20):
+        tab.require_radius(r)
+
+
 def test_tabulated_validation():
     r = np.array([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
