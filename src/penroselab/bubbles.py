@@ -483,6 +483,7 @@ class HorizonStep:
     solution: MuBubbleSolution | None
     error: str | None
     mass_lower_bound: float | None
+    error_type: type[PenroseLabError] | None = None  # the class behind ``error``; not serialised
 
     def to_dict(self) -> dict:
         row = {
@@ -540,7 +541,7 @@ def horizon_sequence(
             bound = _hawking_value(sol.area, sol.mean_curvature)
             steps.append(HorizonStep(eps, beta, sol, None, float(bound)))
         except PenroseLabError as exc:
-            steps.append(HorizonStep(eps, beta, None, f"{type(exc).__name__}: {exc}", None))
+            steps.append(HorizonStep(eps, beta, None, f"{type(exc).__name__}: {exc}", None, type(exc)))
     return HorizonSequenceResult(anchor_radius=float(anchor_radius), area_infimum=float(a_inf), steps=steps)
 
 

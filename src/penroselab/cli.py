@@ -1,11 +1,13 @@
 """Batch front-end: scenario configs in, machine-readable reports out.
 
 Runs are config-first: a JSON file with a ``command`` field plus profile,
-grid, and command parameters; every long-form flag overrides its config
-field.  Exit codes: 0 ok, 2 config error, 3 inequality violated, 4 degenerate
-minimizer (for ``horizon``, curvatures refused as too large do not count), 5
-trumpet verification failure, 6 hypothesis refused (the profile is not
-asymptotically flat).
+grid, and command parameters; each override flag (one row of ``_FLAGS``)
+sets its config field.  Every command writes its report through ``_report``.
+Exit codes: 0 ok, 2 config error (also an unreadable config or profile file,
+an unwritable ``out_dir`` or a non-finite profile parameter), 3 inequality
+violated, 4 degenerate minimizer (for ``horizon``, curvatures refused as too
+large do not count), 5 trumpet verification failure, 6 hypothesis refused
+(the profile is not asymptotically flat).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .geometry import (
     sphere_mean_curvature,
 )
 from .masses import (
+    EQUALITY_TOL,
     VERDICT_VIOLATED,
     _hawking_value,
     adm_mass_from_tail,
@@ -40,6 +43,9 @@ from .masses import (
     penrose_check,
 )
 from .profiles import (
+    DEFAULT_GRID_COUNT,
+    DEFAULT_GRID_HI,
+    DEFAULT_GRID_LO,
     CylinderProfile,
     EuclideanProfile,
     RadialGrid,
@@ -57,7 +63,28 @@ EXIT_DEGENERATE = 4
 EXIT_TRUMPET = 5
 EXIT_REFUSED = 6
 
-COMMANDS = ("analyze", "penrose", "mu-bubble", "horizon", "rigidity", "trumpet", "batch")
+# One row per override flag: (flag, argparse type, config path, help).  A
+# ``profile.*`` or ``grid.*`` path sets one field of that object.
+_FLAGS = (
+    ("--out-dir", str, "out_dir", None),
+    ("--profile", str, "profile.kind", "profile kind"),
+    ("--mass", float, "profile.mass", None),
+    ("--a", float, "profile.a", None),
+    ("--b", float, "profile.b", None),
+    ("--path", str, "profile.path", "tabulated profile file"),
+    ("--n", int, "n", None),
+    ("--r0", float, "r0", "anchor sphere radius"),
+    ("--r0-glue", float, "profile.r0_glue", None),
+    ("--alpha", float, "profile.alpha", None),
+    ("--epsilon", float, "epsilon", None),
+    ("--epsilons", str, "epsilons", "comma-separated schedule"),
+    ("--gamma", float, "gamma", None),
+    ("--beta", float, "beta", None),
+    ("--lip-factor", float, "lip_factor", None),
+    ("--grid-lo", float, "grid.r_lo", None),
+    ("--grid-hi", float, "grid.r_hi", None),
+    ("--grid-count", int, "grid.count", None),
+)
 
 
 def build_profile(cfg: dict):
@@ -68,7 +95,7 @@ def build_profile(cfg: dict):
         return _build_profile(spec, cfg)
     except KeyError as exc:
         raise ConfigError(f"profile {spec['kind']!r} needs the field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"profile {spec['kind']!r}: {exc}") from exc
 
 
@@ -103,15 +130,15 @@ def build_grid(cfg: dict, profile) -> RadialGrid:
     try:
         return default_grid(
             profile,
-            r_lo=float(g.get("r_lo", 1e-4)),
-            r_hi=float(g.get("r_hi", 1e4)),
-            count=int(g.get("count", 4096)),
+            r_lo=float(g.get("r_lo", DEFAULT_GRID_LO)),
+            r_hi=float(g.get("r_hi", DEFAULT_GRID_HI)),
+            count=int(g.get("count", DEFAULT_GRID_COUNT)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-_TOLERANCE_DEFAULTS = {"el_residual": 1e-6, "equality": 1e-6}
+_TOLERANCE_DEFAULTS = {"el_residual": 1e-6, "equality": EQUALITY_TOL}
 
 
 def tolerances(cfg: dict) -> dict:
@@ -134,42 +161,43 @@ def _load_config(args) -> dict:
             cfg = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: top-level config must be a JSON object")
     # flag overrides, config-first semantics
     cfg["profile"] = _object(cfg, "profile")
-    if args.profile is not None:
-        cfg["profile"]["kind"] = args.profile
-    for key in ("mass", "a", "b", "alpha", "r0_glue"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg["profile"][key] = val
-    if args.path is not None:
-        cfg["profile"]["path"] = args.path
+    for flag, _, target, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's name for the flag
+        if value is None:
+            continue
+        if target == "epsilons":  # split here: a ConfigError raised inside argparse would escape main
+            value = [_float("epsilons", x) for x in value.split(",") if x.strip()]
+        key, _, field = target.partition(".")
+        cfg[key] = {**_object(cfg, key), field: value} if field else value
     if not cfg["profile"]:
         del cfg["profile"]
-    for key in ("n", "r0", "epsilon", "gamma", "lip_factor", "beta", "out_dir"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if args.epsilons is not None:
-        cfg["epsilons"] = [_float("epsilons", x) for x in args.epsilons.split(",") if x.strip()]
-    grid_over = {}
-    if args.grid_lo is not None:
-        grid_over["r_lo"] = args.grid_lo
-    if args.grid_hi is not None:
-        grid_over["r_hi"] = args.grid_hi
-    if args.grid_count is not None:
-        grid_over["count"] = args.grid_count
-    if grid_over:
-        cfg["grid"] = {**_object(cfg, "grid"), **grid_over}
     cfg["command"] = args.command
     return cfg
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out_dir", "out")) / cfg["command"]
+    return Path(cfg.get("out_dir", "out")) / cfg["command"]
+
+
+def _report(cfg: dict, payload: dict, header=None, rows=()) -> Path:
+    """Write <out_dir>/<command>/<command>.json echoing the config, and the CSV when a header is given."""
+    out = _out_dir(cfg)
+    stem = cfg["command"].replace("-", "_")
+    write_json(out / f"{stem}.json", {"command": cfg["command"], "config": cfg, **payload})
+    if header is not None:
+        write_csv(out / f"{stem}.csv", header, rows)
     return out
+
+
+def _columns(header: list[str], records: list[dict]) -> list[list]:
+    """One CSV row per record, its fields in header order (absent ones empty)."""
+    return [[record.get(c) for c in header] for record in records]
 
 
 def cmd_analyze(cfg: dict) -> int:
@@ -189,15 +217,7 @@ def cmd_analyze(cfg: dict) -> int:
     else:
         mh = np.full_like(area, np.nan)
 
-    out = _out_dir(cfg)
-    header = ["r", "u", "du", "scalar_curvature", "mean_curvature", "area", "geodesic_s", "hawking_mass"]
-    rows = [
-        [radii[i], u[i], du[i], r_curv[i], h[i], area[i], s[i], mh[i]]
-        for i in range(len(radii))
-    ]
-    write_csv(out / "analyze.csv", header, rows)
-
-    summary: dict = {"command": "analyze", "config": cfg, "profile": profile.describe()}
+    summary: dict = {"profile": profile.describe()}
     try:
         m, tail = adm_mass_from_tail(profile, grid)
         summary["adm_mass"] = m
@@ -209,7 +229,8 @@ def cmd_analyze(cfg: dict) -> int:
     summary["area_infimum"] = inf_res.value
     summary["area_infimum_argmin"] = inf_res.argmin_radius
     summary["area_infimum_throat_limit"] = inf_res.throat_limit
-    write_json(out / "analyze.json", summary)
+    header = ["r", "u", "du", "scalar_curvature", "mean_curvature", "area", "geodesic_s", "hawking_mass"]
+    out = _report(cfg, summary, header, zip(radii, u, du, r_curv, h, area, s, mh))
     print(f"analyze: {len(radii)} rows -> {out}/analyze.csv")
     a_mass = summary["adm_mass"]
     mass_txt = f"{a_mass:.9g}" if a_mass is not None else "n/a"
@@ -221,10 +242,9 @@ def cmd_penrose(cfg: dict) -> int:
     profile = build_profile(cfg)
     grid = build_grid(cfg, profile)
     report = penrose_check(profile, grid, equality_tol=tolerances(cfg)["equality"])
-    out = _out_dir(cfg)
-    write_json(out / "penrose.json", {"command": "penrose", "config": cfg, "report": report.to_dict()})
+    record = report.to_dict()
     cols = ["adm_mass", "area_infimum", "bound", "ratio", "verdict", "horizon_radius"]
-    write_csv(out / "penrose.csv", cols, [[report.to_dict()[c] for c in cols]])
+    _report(cfg, {"report": record}, cols, _columns(cols, [record]))
     print(
         f"penrose: mass = {report.adm_mass:.9g}, bound = {report.bound:.9g}, "
         f"ratio = {report.ratio:.9g}, verdict = {report.verdict}"
@@ -273,6 +293,9 @@ def _epsilons(cfg: dict):
     return [_float("epsilons", v) for v in value]
 
 
+_BUBBLE_COLS = ["epsilon", "beta", "rho_star", "area", "mean_curvature", "el_residual"]
+
+
 def cmd_mu_bubble(cfg: dict) -> int:
     profile = build_profile(cfg)
     r0 = _number(cfg, "r0", 2.0)
@@ -285,21 +308,15 @@ def cmd_mu_bubble(cfg: dict) -> int:
         lip_factor=_number(cfg, "lip_factor", bubbles.LIP_FACTOR_DEFAULT),
     )
     sol = bubbles.minimize(problem)
-    diam = bubbles.diameter_report(sol)
-    out = _out_dir(cfg)
     payload = {
-        "command": "mu-bubble",
-        "config": cfg,
         "epsilon": epsilon,
         "beta": problem.h.beta,
         "solution": sol.to_dict(),
         "el_within_tol": sol.el_residual <= tolerances(cfg)["el_residual"],
-        "diameter": diam,
+        "diameter": bubbles.diameter_report(sol),
     }
-    write_json(out / "mu_bubble.json", payload)
-    cols = ["epsilon", "beta", "rho_star", "area", "mean_curvature", "el_residual"]
     row = [epsilon, problem.h.beta, sol.rho_star, sol.area, sol.mean_curvature, sol.el_residual]
-    write_csv(out / "mu_bubble.csv", cols, [row])
+    _report(cfg, payload, _BUBBLE_COLS, [row])
     print(
         f"mu-bubble: rho_star = {sol.rho_star:.9g}, H = {sol.mean_curvature:.9g}, "
         f"el_residual = {sol.el_residual:.3g}"
@@ -307,25 +324,14 @@ def cmd_mu_bubble(cfg: dict) -> int:
     return EXIT_OK
 
 
-_STEP_COLS = [
-    "epsilon",
-    "beta",
-    "rho_star",
-    "area",
-    "mean_curvature",
-    "el_residual",
-    "mass_lower_bound",
-    "error",
-]
+_STEP_COLS = [*_BUBBLE_COLS, "mass_lower_bound", "error"]
 
 
 def cmd_horizon(cfg: dict) -> int:
     profile = build_profile(cfg)
     result = bubbles.horizon_sequence(profile, _number(cfg, "r0", 2.0), _epsilons(cfg))
-    out = _out_dir(cfg)
-    write_json(out / "horizon.json", {"command": "horizon", "config": cfg, "result": result.to_dict()})
-    records = [s.to_dict() for s in result.steps]
-    write_csv(out / "horizon.csv", _STEP_COLS, [[r.get(c) for c in _STEP_COLS] for r in records])
+    record = result.to_dict()
+    _report(cfg, {"result": record}, _STEP_COLS, _columns(_STEP_COLS, record["steps"]))
     bounds = result.mass_lower_bounds
     final = f"{bounds[-1]:.9g}" if bounds else "n/a"
     print(f"horizon: {len(result.steps)} steps, final mass lower bound = {final}")
@@ -333,24 +339,12 @@ def cmd_horizon(cfg: dict) -> int:
         if s.error:
             print(f"  eps = {s.epsilon:g}: {s.error}")
     # a curvature too large for the anchor is refused, not failed; far out, the default schedule starts so
-    refused = f"{EpsilonTooLargeError.__name__}:"
-    failed = any(s.error and not s.error.startswith(refused) for s in result.steps)
+    failed = any(s.error and not issubclass(s.error_type, EpsilonTooLargeError) for s in result.steps)
     return EXIT_DEGENERATE if failed or not bounds else EXIT_OK
 
 
 _RIGIDITY_COLS = [
-    "k",
-    "epsilon",
-    "beta",
-    "rho_star",
-    "area",
-    "mean_curvature",
-    "el_residual",
-    "area_bound",
-    "area_bound_ok",
-    "annulus_volume",
-    "annulus_bound",
-    "annulus_bound_ok",
+    "k", *_BUBBLE_COLS, "area_bound", "area_bound_ok", "annulus_volume", "annulus_bound", "annulus_bound_ok"
 ]
 
 
@@ -359,10 +353,8 @@ def cmd_rigidity(cfg: dict) -> int:
     trace = bubbles.rigidity_iteration(
         profile, _number(cfg, "r0", 2.0), _number(cfg, "epsilon", 0.1), _number(cfg, "gamma", 1.5)
     )
-    out = _out_dir(cfg)
-    write_json(out / "rigidity.json", {"command": "rigidity", "config": cfg, "trace": trace.to_dict()})
-    records = [s.to_dict() for s in trace.steps]
-    write_csv(out / "rigidity.csv", _RIGIDITY_COLS, [[r.get(c) for c in _RIGIDITY_COLS] for r in records])
+    record = trace.to_dict()
+    _report(cfg, {"trace": record}, _RIGIDITY_COLS, _columns(_RIGIDITY_COLS, record["steps"]))
     print(
         f"rigidity: {len(trace.steps)} steps, final rho_star = {trace.steps[-1].solution.rho_star:.9g}, "
         f"cumulative volume {trace.cumulative_volume:.6g} <= {trace.cumulative_bound:.6g}: "
@@ -379,14 +371,8 @@ def cmd_trumpet(cfg: dict) -> int:
     profile = build_profile({**cfg, "profile": {**spec, "kind": "trumpet", "alpha": alpha}})
     grid = build_grid(cfg, profile)
     verification = trumpet_mod.verify_trumpet(profile, grid)
-    out = _out_dir(cfg)
-    trumpet_mod.export_trumpet(profile, out / "trumpet_profile.dat")
-    payload = {
-        "command": "trumpet",
-        "config": cfg,
-        "params": profile.describe(),
-        "verification": verification.to_dict(),
-    }
+    trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
+    payload = {"params": profile.describe(), "verification": verification.to_dict()}
     if profile.n == 3:
         report = penrose_check(profile, grid)
         payload["penrose"] = report.to_dict()
@@ -394,7 +380,7 @@ def cmd_trumpet(cfg: dict) -> int:
             f"trumpet: mass = {report.adm_mass:.9g}, area_infimum = {report.area_infimum:.9g}, "
             f"verdict = {report.verdict}"
         )
-    write_json(out / "trumpet.json", payload)
+    _report(cfg, payload)
     if not verification.ok:
         print(f"trumpet: verification FAILED: {', '.join(verification.failing())}")
         return EXIT_TRUMPET
@@ -406,7 +392,7 @@ def cmd_batch(cfg: dict) -> int:
     scenarios = cfg.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         raise ConfigError("batch config needs a non-empty 'scenarios' list")
-    out_root = Path(cfg.get("out_dir", "out")) / "batch"
+    out_root = _out_dir(cfg)
     results = []
     worst = EXIT_OK
     for idx, scenario in enumerate(scenarios):
@@ -423,7 +409,7 @@ def cmd_batch(cfg: dict) -> int:
         results.append({"index": idx, "command": sub["command"], "exit_code": code, "error": error})
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
-    write_json(out_root / "batch.json", {"command": "batch", "config": cfg, "scenarios": results})
+    _report(cfg, {"scenarios": results})
     print(f"batch: {len(results)} scenarios, exit = {worst}")
     return worst
 
@@ -443,7 +429,6 @@ def run_command(cfg: dict) -> int:
     command = cfg.get("command")
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
-    # out_dir is created per command under out_dir/<command>
     started = time.perf_counter()
     try:
         code = _HANDLERS[command](cfg)
@@ -464,27 +449,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mass inequalities and curvature bubbles on radial conformally flat metrics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON scenario file")
-        p.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-        p.add_argument("--profile", type=str, default=None, help="profile kind")
-        p.add_argument("--mass", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--path", type=str, default=None, help="tabulated profile file")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--r0", type=float, default=None, help="anchor sphere radius")
-        p.add_argument("--r0-glue", dest="r0_glue", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--epsilons", type=str, default=None, help="comma-separated schedule")
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--lip-factor", dest="lip_factor", type=float, default=None)
-        p.add_argument("--grid-lo", dest="grid_lo", type=float, default=None)
-        p.add_argument("--grid-hi", dest="grid_hi", type=float, default=None)
-        p.add_argument("--grid-count", dest="grid_count", type=int, default=None)
+        for flag, kind, _, help_text in _FLAGS:
+            p.add_argument(flag, type=kind, default=None, help=help_text)
     return parser
 
 
@@ -493,7 +462,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return run_command(cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: the reports cannot be written under out_dir
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PenroseLabError as exc:

@@ -126,7 +126,7 @@ class EuclideanProfile(RadialProfile):
 
 
 class SchwarzschildLikeProfile(RadialProfile):
-    """u = a + b r^{2-n} with a > 0, b >= 0.
+    """u = a + b r^{2-n} with finite a > 0, b >= 0.
 
     The conformal factor is harmonic, so the scalar curvature vanishes and
     the total mass (in the normalization of :func:`penroselab.masses.adm_mass_from_tail`)
@@ -141,6 +141,8 @@ class SchwarzschildLikeProfile(RadialProfile):
             raise ValueError(f"leading coefficient must be positive, got {a}")
         if b < 0:
             raise ValueError(f"tail coefficient must be nonnegative, got {b}")
+        if not (math.isfinite(a) and math.isfinite(b)):  # inf passes both sign checks, NaN the one on b
+            raise ValueError(f"coefficients must be finite, got a = {a}, b = {b}")
         self.a = float(a)
         self.b = float(b)
         self.inner_exponent = float(self.n - 2) if b > 0 else 0.0

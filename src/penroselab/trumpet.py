@@ -129,8 +129,12 @@ class TrumpetProfile(RadialProfile):
     def __init__(self, n: int = 3, r0: float | None = None, alpha: float | None = None):
         super().__init__(n)
         self.r0 = float(r0) if r0 is not None else find_r0(n)
+        if not 0 < self.r0 < math.inf:
+            raise ValueError(f"gluing radius must be positive and finite, got {self.r0}")
         amin = min_alpha(n, self.r0)
         self.alpha = float(alpha) if alpha is not None else amin
+        if not math.isfinite(self.alpha):  # NaN would pass the alpha < amin check unwarned
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < amin:
             warnings.warn(
                 f"alpha = {self.alpha:.6g} below the certified bound {amin:.6g}; "

@@ -499,9 +499,11 @@ class TestSchedules:
 
     def test_horizon_sequence_records_step_errors(self, schw):
         result = horizon_sequence(schw, 2.0, [0.2, 10.0, 0.0])
-        assert result.steps[0].error is None
+        assert result.steps[0].error is None and result.steps[0].error_type is None
         for step in result.steps[1:]:
             assert "EpsilonTooLarge" in step.error
+            # the class is kept for callers that branch on it, and stays out of the report
+            assert step.error_type is EpsilonTooLargeError and "error_type" not in step.to_dict()
 
     def test_horizon_sequence_far_anchor_refuses_then_converges(self):
         # H(S_5) < 0.2, so the first default step is refused and the rest run

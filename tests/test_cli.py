@@ -169,12 +169,27 @@ def test_trumpet_dimension_four(tmp_path):
     assert "penrose" not in payload
 
 
-def test_config_error_exit_2(tmp_path):
+def test_config_error_exit_2(tmp_path, capsys):
     assert main(["penrose", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["penrose", "--config", str(bad)]) == 2
     assert run(tmp_path, "penrose", "--profile", "nonesuch") == 2
+    capsys.readouterr()
+    # unreadable config files and an out_dir that is a file: one line naming the path, no traceback
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"profile": "\xe9"}')
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x")
+    for argv, named in [
+        (["penrose", "--config", str(tmp_path)], tmp_path),
+        (["penrose", "--config", str(not_utf8)], not_utf8),
+        (["penrose", "--profile", "euclidean", "--out-dir", str(a_file)], a_file),
+        (["trumpet", "--out-dir", str(a_file)], a_file),
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and str(named) in err[0]
 
 
 @pytest.mark.parametrize(
@@ -188,11 +203,21 @@ def test_config_error_exit_2(tmp_path):
         ["rigidity", "--profile", "schwarzschild", "--gamma", "3"],
         ["rigidity", "--profile", "schwarzschild", "--epsilon", "1e-9"],  # below epsilon_floor
         ["horizon", "--profile", "schwarzschild", "--epsilons", "0.1,a"],
+        ["analyze", "--profile", "tabulated", "--path", "."],  # a directory, not a table
+        # non-finite parameters: not a verdict on a NaN mass, nor a weak-alpha failure
+        ["penrose", "--profile", "schwarzschild", "--mass", "nan"],
+        ["penrose", "--profile", "schwarzschild", "--mass", "inf"],
+        ["penrose", "--profile", "schwarzschild-like", "--a", "inf", "--b", "1"],
+        ["penrose", "--profile", "schwarzschild-like", "--a", "1", "--b", "nan"],
+        ["penrose", "--profile", "trumpet", "--r0-glue", "nan"],
+        ["trumpet", "--r0-glue", "0"],
+        ["trumpet", "--alpha", "nan"],
     ],
 )
 def test_bad_profile_or_grid_exit_2(tmp_path, capsys, flags):
     assert run(tmp_path, *flags) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / flags[0]).exists()  # no report written
 
 
 @pytest.mark.parametrize(
@@ -253,6 +278,33 @@ def test_config_file_with_flag_override(tmp_path):
     assert rep_b["report"]["adm_mass"] == pytest.approx(2.0, abs=1e-8)
 
 
+def test_every_flag_lands_at_its_config_path(tmp_path):
+    argv = [
+        "mu-bubble", "--out-dir", str(tmp_path), "--profile", "schwarzschild", "--mass", "1.5",
+        "--a", "1", "--b", "0.5", "--path", "p.dat", "--n", "3", "--r0", "3", "--r0-glue", "0.7",
+        "--alpha", "2", "--epsilon", "0.1", "--epsilons", "0.2,0.1", "--gamma", "1.5", "--beta", "0.75",
+        "--lip-factor", "0.5", "--grid-lo", "1e-3", "--grid-hi", "1e3", "--grid-count", "1024",
+    ]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "mu-bubble" / "mu_bubble.json").read_text())["config"]
+    assert config == {
+        "command": "mu-bubble",
+        "out_dir": str(tmp_path),
+        "profile": {
+            "kind": "schwarzschild", "mass": 1.5, "a": 1.0, "b": 0.5, "path": "p.dat", "r0_glue": 0.7, "alpha": 2.0,
+        },
+        "n": 3,
+        "r0": 3.0,
+        "epsilon": 0.1,
+        "epsilons": [0.2, 0.1],
+        "gamma": 1.5,
+        "beta": 0.75,
+        "lip_factor": 0.5,
+        "grid": {"r_lo": 1e-3, "r_hi": 1e3, "count": 1024},
+    }
+    assert type(config["n"]) is int and type(config["grid"]["count"]) is int
+
+
 def test_batch_runs_scenarios(tmp_path):
     cfg = tmp_path / "batch.json"
     cfg.write_text(json.dumps({
@@ -278,13 +330,15 @@ def test_batch_records_config_errors(tmp_path):
             {"command": "trumpet", "n": "x"},
             {"command": "analyze", "profile": {"kind": "euclidean"}, "grid": "x"},
             {"command": "penrose", "profile": {"kind": "euclidean"}, "tolerances": [1]},
+            {"command": "penrose", "profile": {"kind": "tabulated", "path": str(tmp_path)}},  # a directory
             {"command": "penrose", "profile": {"kind": "schwarzschild", "mass": 1.0}},
         ],
     }))
     assert main(["batch", "--config", str(cfg)]) == 2
     summary = json.loads((tmp_path / "batch" / "batch.json").read_text())
-    assert [s["exit_code"] for s in summary["scenarios"]] == [2, 2, 2, 0]
-    assert all("ConfigError" in s["error"] for s in summary["scenarios"][:3])
+    assert [s["exit_code"] for s in summary["scenarios"]] == [2, 2, 2, 2, 0]
+    assert all("ConfigError" in s["error"] for s in summary["scenarios"][:4])
+    assert str(tmp_path) in summary["scenarios"][3]["error"]
 
 
 def test_batch_records_refused_hypothesis(tmp_path):

@@ -38,6 +38,13 @@ def test_dimension_validation():
         SchwarzschildLikeProfile(a=1.0, b=-0.5)
 
 
+@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (math.nan, 1.0)])
+def test_schwarzschild_like_needs_finite_coefficients(a, b):
+    # inf passes both sign checks and NaN the one on b; either would read as a violated inequality downstream
+    with pytest.raises(ValueError):
+        SchwarzschildLikeProfile(a, b)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_closed_form_derivatives_match_symbolic(n):
     r = sp.symbols("r", positive=True)

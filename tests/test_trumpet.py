@@ -133,6 +133,14 @@ class TestVerification:
         detail = next(c.detail for c in report.checks if c.name == "mean_convexity")
         assert detail["alpha_certificate"] is False
 
+    @pytest.mark.parametrize(
+        "params", [{"r0": math.nan}, {"r0": math.inf}, {"r0": 0.0}, {"r0": -1.0}, {"alpha": math.nan}, {"alpha": math.inf}]
+    )
+    def test_non_finite_parameters_refused(self, params):
+        # a NaN alpha would pass the alpha < amin check with no WeakAlphaWarning; r0 = 0 divided by zero
+        with pytest.raises(ValueError, match="finite"):
+            build_trumpet(**params)
+
     def test_dimension_four(self):
         t4 = build_trumpet(n=4)
         report = verify_trumpet(t4)
