@@ -27,13 +27,17 @@ evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
 length to the anchor at every node and every panel edge, and the volume
 weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` reuses it for every
 curvature; ``rigidity_iteration`` cuts it at each re-anchored step's anchor,
-evaluating u on one partial panel.  One object per curvature: a
+evaluating u on one partial panel.  Between the edges, rho comes from the
+same node values (a :class:`~penroselab.quadrature.NodeTable`: the edge
+value plus the exact integral of the interpolant of u^2 on the panel's 8
+nodes), so no query of rho evaluates u.  One object per curvature: a
 ``MuBubbleProblem`` does all its work when it is made, on the table it is
 given or on a fresh one.  Its barrier radius comes from inverting the table:
 ``searchsorted`` on the edge values of rho finds its panel, and Brent's
-method finds it inside that panel.  The bulk term reuses the table's panels
-from 1.02 times the barrier radius up; below, where h blows up, fresh
-8-point panels halve in width toward it.
+method finds it inside that panel, handed those edge values as the ends of
+its bracket.  The bulk term reuses the table's panels from 1.02 times the
+barrier radius up; below, where h blows up, fresh 8-point panels halve in
+width toward it.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -65,7 +69,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .geometry import (
-    _arc_weight,
     geodesic_distance,
     intrinsic_diameter,
     sphere_area,
@@ -74,7 +77,7 @@ from .geometry import (
 )
 from .masses import _hawking_value, _root, area_infimum_radial, penrose_check, EQUALITY_TOL
 from .profiles import RadialProfile
-from .quadrature import PanelTable, edge_suffix, gauss_nodes, node_suffix
+from .quadrature import NodeTable, PanelTable, edge_suffix, gauss_nodes, node_suffix
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
 _PANELS = 4096
@@ -125,18 +128,6 @@ class PrescribedMeanCurvature:
         out = self.epsilon * _coth(self._arg(t))
         return float(out) if isinstance(t, float) or np.ndim(t) == 0 else out
 
-    def slope(self, t):
-        """h'(t) = -(3 eps^2/4)(coth^2 - 1), from the chain rule."""
-        c = _coth(self._arg(t))
-        out = -0.75 * self.epsilon**2 * (c * c - 1.0)
-        return float(out) if np.ndim(t) == 0 else out
-
-    def ode_residual(self, t):
-        """2h' + (3/2)h^2 - (3/2)eps^2, identically zero in exact arithmetic."""
-        h = self.__call__(t)
-        out = 2.0 * self.slope(t) + 1.5 * np.asarray(h) ** 2 - 1.5 * self.epsilon**2
-        return float(out) if np.ndim(t) == 0 else out
-
 
 def _volume_weight(r, w):
     """dV/dr = 4 pi u^6 r^2 at radius r, from the arc weight w = u(r)^2; n = 3."""
@@ -149,19 +140,21 @@ class _AnchorTable:
     The panels are geomspace(floor, r0, 4097), the floor being the inner edge
     of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  One evaluation
     of u at their 4096 x 8 Gauss nodes gives the arc length to the anchor at
-    every edge (``arc``, the panel table behind rho) and at every node (the
-    quadrature tail matrix inside the node's panel), and the volume weight
-    4 pi u^6 r^2 at every node.  A schedule builds one table for all its
-    steps, ``cut`` at the anchor of each step it re-anchors inside it.
+    every edge and anywhere between (``arc``, the node table behind rho), at
+    every node (the quadrature tail matrix inside the node's panel), and the
+    volume weight 4 pi u^6 r^2 at every node.  A schedule builds one table
+    for all its steps, ``cut`` at the anchor of each step it re-anchors
+    inside it.
     """
 
     def __init__(self, profile: RadialProfile, anchor_radius: float):
         dom = profile.domain
         floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
+        self.profile = profile
         self.edges = np.geomspace(floor, anchor_radius, _PANELS + 1)
         nodes, self.half = gauss_nodes(self.edges[:-1], self.edges[1:])
         arc_weight = profile.u(nodes) ** 2  # u^{2/(n-2)}, n = 3
-        self.arc = PanelTable.from_nodes(_arc_weight(profile), self.edges, arc_weight, self.half)
+        self.arc = NodeTable(self.edges, arc_weight, self.half)
         self.arc_nodes = node_suffix(arc_weight, self.half)
         self.volume_weight = _volume_weight(nodes, arc_weight)
 
@@ -170,7 +163,8 @@ class _AnchorTable:
 
         Only the partial panel evaluates u.  The edge arc lengths are re-summed
         from the per-panel ones, so ``arc`` at an edge returns its stored value
-        bit for bit; the node arc lengths, which only weight the bulk, are shifted.
+        bit for bit; below the partial panel ``arc`` shares this table's
+        interpolants.  The node arc lengths, which only weight the bulk, are shifted.
         """
         floor, top = self.edges[[0, -1]]
         if anchor == top:
@@ -179,11 +173,12 @@ class _AnchorTable:
             raise OutOfCollectionError(f"anchor {anchor} lies outside the table's ({floor:.6g}, {top:.6g}]")
         m = int(np.searchsorted(self.edges, anchor)) - 1  # edges[m] < anchor <= edges[m + 1]
         cut = object.__new__(_AnchorTable)
+        cut.profile = self.profile
         cut.edges = np.append(self.edges[: m + 1], anchor)
         nodes, half = gauss_nodes(cut.edges[m:-1], cut.edges[m + 1 :])
-        weight = self.arc.f(nodes)
+        weight = self.profile.u(nodes) ** 2
         cut.half = np.append(self.half[:m], half)
-        cut.arc = PanelTable.from_nodes(self.arc.f, cut.edges, weight, half, head=self.arc.panels[:m])
+        cut.arc = NodeTable(cut.edges, weight, half, head=self.arc)
         shift = self.arc.suffix[m] - cut.arc.panels[m]  # arc length from the anchor to the old top edge
         cut.arc_nodes = np.concatenate([self.arc_nodes[:m] - shift, node_suffix(weight, half)])
         cut.volume_weight = np.concatenate([self.volume_weight[:m], _volume_weight(nodes, weight)])
@@ -216,15 +211,18 @@ class MuBubbleProblem:
     by 1e-6 in rho.  rho rises monotonically to 0 at the anchor, so when the
     table's floor edge already lies above the barrier there is none and
     everything starts at the floor.  Otherwise ``searchsorted`` on the edge
-    values of rho finds its panel, and :func:`masses._root` runs inside it.
+    values of rho finds its panel, and :func:`masses._root` runs inside it,
+    given rho at the panel's edges as the values at its ends.  ``dist``
+    answers from the table's node weights and evaluates no u.
 
     ``g`` is H - h(rho) at ``edges``, the lowest radius and the anchor edges
-    above it, from one vector call of H: rho at an anchor edge is its stored
-    value, which ``dist`` returns there, so these brackets are the ones
-    Brent's method sees.  The bulk table weights the anchor panels from the
-    first edge at or above 1.02 r_b with the stored node data, evaluating no
-    u.  Below it, where h blows up, fresh panels halve in width toward r_b.
-    A query adds one 8-point panel of the weight up to the edge above it.
+    above it, from one vector call of H.  ``minimize`` hands Brent's method
+    these values at the ends of each bracket, so it refines exactly the sign
+    changes found here, even where a scalar H at an edge would round
+    differently.  The bulk table weights the anchor panels from the first
+    edge at or above 1.02 r_b with the stored node data, evaluating no u.
+    Below it, where h blows up, fresh panels halve in width toward r_b.  A
+    query adds one fresh 8-point panel of the weight up to the edge above it.
 
     ``dist``, ``first_variation`` and the bulk density are closures over the
     profile, h and the arc table, never bound methods, and none of them
@@ -268,7 +266,9 @@ class MuBubbleProblem:
         if edge_rho[0] <= h.barrier:
             target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
             k = int(np.searchsorted(edge_rho, target, side="right"))
-            r_b = self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
+            r_b = self.barrier_radius = _root(
+                lambda r: dist(r) - target, edges[k - 1], edges[k], edge_rho[k - 1] - target, edge_rho[k] - target
+            )
             j = min(int(np.searchsorted(edges, _GRADED_FROM * r_b)), len(edges) - 1)
         self.edges, rho = edges[k:], edge_rho[k:]
 
@@ -351,10 +351,11 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     """Minimizer of the bubble functional from the first-variation identity.
 
     Every interior minimizer is a - to + sign change of g = H - h o rho.
-    Each one between consecutive ``edges`` is refined by Brent's
-    method; the functional is evaluated once, as a vector over the roots, the
-    anchor and the lowest edge, and the root with the lowest value is kept.
-    Its bracket signs are the second-order certificate.
+    Each one between consecutive ``edges`` is refined by Brent's method,
+    which starts from the problem's g at the two edges instead of
+    re-evaluating them.  The functional is evaluated once, as a vector over
+    the roots, the anchor and the lowest edge, and the root with the lowest
+    value is kept.  Its bracket signs are the second-order certificate.
 
     Raises :class:`DegenerateMinimizerError` when g has no such sign change,
     when the best root is not below the anchor value (beta too small), or,
@@ -365,7 +366,7 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     brackets = np.nonzero((g[:-1] < 0) & (g[1:] >= 0))[0]
     if not len(brackets):
         raise DegenerateMinimizerError("H - h(rho) never changes sign from - to +; no interior bubble")
-    roots = [_root(problem.first_variation, x[i], x[i + 1]) for i in brackets]
+    roots = [_root(problem.first_variation, x[i], x[i + 1], g[i], g[i + 1]) for i in brackets]
     values = problem.functional(np.array([*roots, problem.anchor_radius, x[0]]))
     best = int(np.argmin(values[:-2]))
     rho, fval = roots[best], float(values[best])
@@ -525,9 +526,15 @@ def horizon_sequence(
     Each step emits the mass lower bound sqrt(A/16pi)(1 - A H^2/16pi) of its
     bubble sphere.  A step that raises :class:`PenroseLabError` is recorded
     on the step and the schedule continues; any other exception propagates.
+    An anchor outside the profile's domain raises :class:`DomainError`, and
+    a non-finite epsilon :class:`ParameterError`, before any step.
     """
     if epsilons is None:
         epsilons = halving_schedule()
+    profile.require_radius(anchor_radius)
+    for eps in epsilons:
+        if not math.isfinite(eps):
+            raise ParameterError(f"every epsilon must be finite, got {eps}")
     a_inf = area_infimum_radial(profile).value
     steps: list[HorizonStep] = []
     table = None  # the anchor's table, built once select_beta has accepted the anchor, then shared

@@ -163,12 +163,18 @@ def hawking_mass(profile: RadialProfile, r: float) -> float:
     return float(_hawking_value(sphere_area(profile, r), sphere_mean_curvature(profile, r)))
 
 
-def _root(f, a: float, b: float) -> float:
+def _root(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
     """A root of f in [a, b], where f changes sign, to a few ulps.
 
     Every root in the package goes through here: Brent's method with no
-    absolute floor and the least relative tolerance brentq accepts.
+    absolute floor and the least relative tolerance brentq accepts.  A
+    caller that already holds fa = f(a) and fb = f(b) passes them, and
+    brentq reads them instead of calling f at the ends, so it runs on the
+    bracket exactly as the caller found it.
     """
+    if fa is not None:
+        g = f
+        f = lambda x: fa if x == a else fb if x == b else g(x)
     return float(brentq(f, a, b, xtol=1e-300, rtol=_ROOT_RTOL))
 
 

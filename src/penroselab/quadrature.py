@@ -9,9 +9,8 @@ need the same integral at many points at once:
 - ``PanelAntiderivative``: a fixed piecewise Gauss-Legendre antiderivative
   F(x) = integral from x to the right edge, cheap to evaluate anywhere and
   smooth enough for root finding.  ``PanelTable`` is the same object with
-  its edge sums supplied by the caller; ``PanelTable.from_nodes`` sums them
-  from the integrand's values at the nodes, exactly as
-  ``PanelAntiderivative`` would.
+  its edge sums supplied by the caller.  Both evaluate f on one fresh
+  panel per query.
 - ``edge_suffix`` / ``node_suffix``: that antiderivative at the panel edges
   and at the Gauss nodes themselves, from the integrand's values at the
   nodes alone.  Inside a panel the node values come from the tail matrix
@@ -19,6 +18,13 @@ need the same integral at many points at once:
   right end of the k-th Lagrange basis polynomial on the 8 nodes, so it is
   exact for the degree-7 interpolant.  One evaluation of f at the nodes
   thus gives both a panel table and f's antiderivative at every node.
+- ``NodeTable``: the same antiderivative anywhere, still from the node
+  values alone.  The integral from a point t of the panel coordinate to the
+  panel's right end of the k-th basis polynomial is a degree-8 polynomial
+  in t that vanishes at 1; divided by 1 - t it is the basis polynomial's
+  mean over [t, 1], of degree 7, column k of ``_GL_MEAN``.  ``_GL_TAIL`` is
+  the integral at the nodes, and both come from one extended-precision
+  construction.  So a query evaluates one polynomial and calls f not at all.
 """
 
 from __future__ import annotations
@@ -28,19 +34,25 @@ import numpy as np
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _tail_matrix():
-    """T[j, k] = integral from node j to 1 of the k-th Lagrange basis polynomial."""
+def _tail_polynomials():
+    """M[m, k] = coefficient of t^m in the mean over [t, 1] of the k-th Lagrange basis polynomial.
+
+    That mean is the integral from t to 1, a degree-8 polynomial vanishing at
+    1, divided by 1 - t.  Also returns T[j, k], the integral from node j.
+    """
     poly = np.polynomial.polynomial
-    x = _GL_NODES.astype(np.longdouble)  # extended precision keeps T correctly rounded
-    tail = np.empty((8, 8))
+    x = _GL_NODES.astype(np.longdouble)  # extended precision keeps M and T correctly rounded
+    tail, mean = np.empty((9, 8), dtype=np.longdouble), np.empty((8, 8), dtype=np.longdouble)
     for k in range(8):
         others = np.delete(x, k)
         anti = poly.polyint(poly.polyfromroots(others) / np.prod(x[k] - others))
-        tail[:, k] = poly.polyval(1, anti) - poly.polyval(x, anti)
-    return tail
+        tail[:, k] = -anti
+        tail[0, k] += poly.polyval(1, anti)
+        mean[:, k] = poly.polydiv(tail[:, k], [1, -1])[0]
+    return mean.astype(float), poly.polyval(x, tail).T.astype(float)
 
 
-_GL_TAIL = _tail_matrix()
+_GL_MEAN, _GL_TAIL = _tail_polynomials()
 
 
 def gauss_nodes(a, b):
@@ -99,23 +111,10 @@ class PanelTable:
     same result as the array path.
     """
 
-    def __init__(self, f, edges, suffix, panels=None):
+    def __init__(self, f, edges, suffix):
         self.f = f
         self.edges = np.asarray(edges, dtype=float)
         self.suffix = suffix
-        self.panels = panels
-
-    @classmethod
-    def from_nodes(cls, f, edges, vals, half, head=()):
-        """The table ``PanelAntiderivative(f, edges)`` builds, from f at ``gauss_nodes(edges)``.
-
-        The panels are summed as ``gauss_panel`` sums them, so for an
-        elementwise f the table at an edge returns its stored edge value bit
-        for bit (``edge_suffix`` agrees only up to rounding).  It keeps the
-        panel sums as ``panels``; ``head`` gives the first ones, ``vals`` the rest.
-        """
-        panels = np.append(head, _panel_sums(vals, half))
-        return cls(f, edges, _suffix(panels), panels)
 
     def __call__(self, x):
         if isinstance(x, float):  # one searchsorted and one panel, no array wrappers; same result
@@ -123,6 +122,59 @@ class PanelTable:
             return float(gauss_panel(self.f, x, self.edges[top]) + self.suffix[top])
         idx = np.searchsorted(self.edges[1:-1], x, side="right")  # panel of x, end panels extended
         return gauss_panel(self.f, x, self.edges[idx + 1]) + self.suffix[idx + 1]
+
+
+class NodeTable:
+    """Right-anchored antiderivative F(x) = integral_x^{x_P} f from f at the panels' Gauss nodes alone.
+
+    ``vals`` holds f at ``gauss_nodes`` of the panels of ``edges``; a cut
+    table takes all but its last panel from ``head``, and ``vals`` is that
+    last panel alone.  The panels are summed as ``gauss_panel`` sums them
+    into the edge values ``suffix``.  Inside a panel [a, b], F(x) = F(b) +
+    (b - x) S, with S the mean over [x, b] of the degree-7 interpolant of the
+    node values: a polynomial in the panel coordinate whose coefficients, one
+    row per panel in ``coef`` (highest first), are the node values times
+    ``_GL_MEAN``.  So F keeps its relative accuracy up to b and never calls
+    f.  Float and array queries run the same IEEE operations on the same
+    rows and agree bit for bit; an edge query returns its stored value, so 0
+    at the last edge.  A cut shares ``head``'s rows and keeps its own last
+    row as ``top``, copying no per-node data.
+    """
+
+    def __init__(self, edges, vals, half, head: NodeTable | None = None):
+        self.edges = np.asarray(edges, dtype=float)
+        self.last = len(self.edges) - 2  # index of the last panel
+        panels = _panel_sums(vals, half)
+        coef = vals @ _GL_MEAN[::-1].T
+        self.panels = panels if head is None else np.append(head.panels[: self.last], panels)
+        self.suffix = _suffix(self.panels)
+        self.coef = coef if head is None else head.coef
+        self.top = coef[-1]
+
+    def __call__(self, x):
+        edges, last = self.edges, self.last
+        if isinstance(x, float):  # the array path's operations in Python floats; same result
+            j = min(int(edges.searchsorted(x)), last + 1)  # first edge at or above x, at most the last
+            if edges[j] == x:
+                return float(self.suffix[j])
+            i = max(j, 1) - 1
+            a, b = edges[i : i + 2].tolist()
+            t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
+            mean = 0.0
+            for c in (self.top if i == last else self.coef[i]).tolist():
+                mean = mean * t + c
+            return float(self.suffix[i + 1]) + (b - x) * mean
+        x = np.asarray(x, dtype=float)
+        j = np.minimum(edges.searchsorted(x), last + 1)
+        i = np.maximum(j, 1) - 1
+        a, b = edges[i], edges[i + 1]
+        t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
+        rows = self.coef[i]
+        rows[i == last] = self.top
+        mean = np.zeros_like(t)
+        for c in np.moveaxis(rows, -1, 0):
+            mean = mean * t + c
+        return np.where(edges[j] == x, self.suffix[j], self.suffix[i + 1] + (b - x) * mean)
 
 
 class PanelAntiderivative(PanelTable):

@@ -61,6 +61,17 @@ class CountingProfile(ScaledProfile):
         return super()._u(r)
 
 
+def h_slope(h, t):
+    """h'(t) = -(3 eps^2/4)(coth^2 - 1) for the prescribed curvature h, from the chain rule."""
+    c = 1.0 / np.tanh(0.75 * h.epsilon * t + h.beta)
+    return -0.75 * h.epsilon**2 * (c * c - 1.0)
+
+
+def ode_residual(h, t):
+    """2h' + (3/2)h^2 - (3/2)eps^2: the paper's identity for h, zero in exact arithmetic."""
+    return 2.0 * h_slope(h, t) + 1.5 * h(t) ** 2 - 1.5 * h.epsilon**2
+
+
 @pytest.fixture
 def counting():
     """``counting(profile)`` wraps a profile in a :class:`CountingProfile`."""

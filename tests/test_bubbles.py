@@ -12,6 +12,7 @@ from penroselab import (
     BarrierError,
     SchwarzschildLikeProfile,
     DegenerateMinimizerError,
+    DomainError,
     EpsilonTooLargeError,
     OutOfCollectionError,
     ParameterError,
@@ -21,6 +22,7 @@ from penroselab import (
     diameter_report,
     dist_to_anchor,
     functional_eval,
+    geodesic_distance,
     halving_schedule,
     horizon_sequence,
     minimize,
@@ -32,6 +34,8 @@ from penroselab import (
 from penroselab.bubbles import MuBubbleProblem, _AnchorTable, _arccoth
 from penroselab.masses import _root, penrose_check
 from penroselab.profiles import RadialProfile
+
+from conftest import ode_residual
 
 
 def coth(x):
@@ -136,7 +140,7 @@ class TestPrescribedFamily:
     @pytest.mark.parametrize("eps,beta,t", [(0.1, 2.0, 0.0), (1.0, 1.0, 1.0), (0.5, 3.0, -1.0)])
     def test_ode_residual_examples(self, eps, beta, t):
         h = PrescribedMeanCurvature(eps, beta)
-        assert abs(h.ode_residual(t)) <= 1e-12 * (1 + h(t) ** 2)
+        assert abs(ode_residual(h, t)) <= 1e-12 * (1 + h(t) ** 2)
 
     @given(
         eps=st.floats(min_value=1e-3, max_value=1.0),
@@ -147,7 +151,7 @@ class TestPrescribedFamily:
     def test_ode_residual_property(self, eps, beta, frac):
         h = PrescribedMeanCurvature(eps, beta)
         t = -frac * h.barrier if frac < 0 else frac
-        residual = h.ode_residual(t)
+        residual = ode_residual(h, t)
         assert abs(residual) <= 1e-12 * (1 + h(t) ** 2)
 
 
@@ -354,8 +358,9 @@ class TestMinimize:
          ("trumpet", 4.4, 1e-3)],
     )
     def test_bracket_signs_match_scalar_first_variation(self, schw, trumpet, case):
-        # g at the problem's edges comes from one vector call; Brent's method
-        # sees the scalar g at a bracket's ends, which must have the same signs
+        # g at the problem's edges comes from one vector call, and Brent's
+        # method is handed those values at a bracket's ends; the scalar g it
+        # evaluates inside agrees in sign at the ends on these cases
         kind, r0, eps = case
         prob = build_problem(schw if kind == "schw" else trumpet, r0, eps)
         brackets = np.nonzero((prob.g[:-1] < 0) & (prob.g[1:] >= 0))[0]
@@ -412,13 +417,23 @@ class TestMinimize:
     def test_schedule_work_bounds(self, schw, counting):
         # each schedule builds one anchor table (4096 x 8 points): the horizon
         # schedule shares it across its 9 steps, and each re-anchored rigidity
-        # step cuts it, evaluating u at the 8 nodes of one partial panel
+        # step cuts it, evaluating u at the 8 nodes of one partial panel.  rho
+        # comes from the table's node weights, so Brent's iterates on the
+        # barrier evaluate no u, and those on g only H's
         profile = counting(schw)
         horizon_sequence(profile, 2.0)
-        assert profile.points <= 60_000
+        assert profile.points <= 60_000 and profile.calls <= 150
         profile = counting(schw)
         rigidity_iteration(profile, 2.0, 0.1, 1.5)
-        assert profile.points <= 60_000
+        assert profile.points <= 60_000 and profile.calls <= 200
+
+    def test_dist_evaluates_no_u(self, schw, counting):
+        profile = counting(schw)
+        prob = build_problem(profile, 2.0, 0.05)
+        calls = profile.calls
+        prob.dist(1.3)
+        prob.dist(np.geomspace(0.6, 2.0, 50))
+        assert profile.calls == calls
 
     def test_workspace_freed_without_cyclic_gc(self, schw):
         gc.disable()
@@ -504,6 +519,13 @@ class TestSchedules:
             assert "EpsilonTooLarge" in step.error
             # the class is kept for callers that branch on it, and stays out of the report
             assert step.error_type is EpsilonTooLargeError and "error_type" not in step.to_dict()
+
+    @pytest.mark.parametrize("r0, epsilons", [(math.nan, None), (math.inf, None), (-1.0, None), (2.0, [0.1, math.nan])])
+    def test_horizon_sequence_refuses_bad_input_before_any_step(self, schw, counting, r0, epsilons):
+        profile = counting(schw)
+        with pytest.raises(ParameterError if epsilons else DomainError):
+            horizon_sequence(profile, r0, epsilons)
+        assert profile.calls == 0
 
     def test_horizon_sequence_far_anchor_refuses_then_converges(self):
         # H(S_5) < 0.2, so the first default step is refused and the rest run
@@ -646,6 +668,37 @@ class TestAnchorTableCut:
         assert np.array_equal([table.arc(float(x)) for x in xs], values)
         assert np.array_equal([table.arc(np.float64(x)) for x in xs], values)
         assert type(table.arc(float(xs[0]))) is float
+
+    @pytest.mark.parametrize("mass, r0", [(1.0, 2.0), (1.7, 5.0), (1.0, 1.2)])
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_dist_against_closed_form(self, mass, r0, cut):
+        # rho from the node weights alone, in 10^4 log-uniform radii in [1e-3 anchor, anchor);
+        # the closed form as a sum of positive terms, so it keeps its own relative accuracy
+        c = 0.5 * mass
+        profile = SchwarzschildLikeProfile.from_mass(mass)
+        table = _AnchorTable(profile, r0)
+        anchor = 0.7 * r0 if cut else r0
+        table = table.cut(anchor)
+        prob = build_problem(profile, anchor, 0.3 * float(sphere_mean_curvature(profile, anchor)), table=table)
+        radii = np.exp(np.random.default_rng(11).uniform(math.log(1e-3 * anchor), math.log(anchor), 10_000))
+        d = anchor - radii
+        exact = -prob.lip_factor * (d + 2 * c * np.log1p(d / radii) + c * c * d / (radii * anchor))
+        values = prob.dist(radii)
+        assert np.max(np.abs(values - exact) / np.abs(exact)) <= 1e-14
+        assert [prob.dist(float(r)) for r in radii] == values.tolist()
+        # at every edge the stored value, bit for bit, and 0 at the anchor
+        stored = -prob.lip_factor * table.arc.suffix
+        assert np.array_equal(prob.dist(table.edges), stored)
+        assert [prob.dist(float(r)) for r in table.edges] == stored.tolist()
+        assert prob.dist(anchor) == 0.0
+
+    @pytest.mark.parametrize("r0", [3.0, 4.4])
+    def test_trumpet_dist_against_geodesic_distance(self, trumpet, r0):
+        # across the blend at [2, 4] and eight decades down the cylindrical end
+        prob = build_problem(trumpet, r0, 1e-3)
+        for r in np.geomspace(1e-7, 0.999 * r0, 15):
+            ref = -prob.lip_factor * geodesic_distance(trumpet, float(r), r0)
+            assert prob.dist(float(r)) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_anchor_outside_the_table_refused(self, schw):
         table = _AnchorTable(schw, 2.0)

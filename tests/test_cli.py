@@ -221,6 +221,23 @@ def test_bad_profile_or_grid_exit_2(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--r0", "nan"], "DomainError"),
+        (["--r0", "inf"], "DomainError"),
+        (["--r0", "-1"], "DomainError"),
+        (["--epsilons", "nan"], "config error"),
+        (["--epsilons", "0.1,inf"], "config error"),
+    ],
+)
+def test_horizon_bad_anchor_or_epsilon_exit_2(tmp_path, capsys, flags, named):
+    # refused before any step: not a schedule of failed steps (exit 4) with a report
+    assert run(tmp_path, "horizon", "--profile", "schwarzschild", "--mass", "1", *flags) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "horizon").exists()
+
+
+@pytest.mark.parametrize(
     "command,fields",
     [
         ("horizon", {"epsilons": 0.1}),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from penroselab import (
     CylinderProfile,
@@ -26,7 +27,7 @@ from penroselab import (
     sphere_area,
     sphere_mean_curvature,
 )
-from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT
+from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT, _root
 
 
 def test_adm_mass_examples(euclid, schw, schw_ab):
@@ -261,3 +262,42 @@ def test_adm_hawking_check(schw, trumpet):
 def test_adm_hawking_refuses_inside_horizon(schw):
     with pytest.raises(NotOuterMinimizingError):
         adm_hawking_check(schw, 0.3)
+
+
+def _counted(f, log):
+    def g(x):
+        log.append(x)
+        return f(x)
+
+    return g
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**3 - 2.0, 1.0, 2.0),
+        (lambda x: math.log(x) + 3.0, 1e-3, 1.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0),
+    ],
+)
+def test_root_with_held_ends_is_brentq(f, a, b):
+    # the held values stand in for f(a) and f(b): same iterates, same root, and f is never called at the ends
+    ref = brentq(f, a, b, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    calls = []
+    assert _root(_counted(f, calls), a, b, f(a), f(b)) == ref
+    assert calls and a not in calls and b not in calls
+    calls.clear()
+    assert _root(_counted(f, calls), a, b) == ref
+    assert calls[:2] == [a, b]  # without held values brentq evaluates the ends first
+
+
+def test_root_runs_on_the_bracket_as_found():
+    # a caller's f(b) > 0 from a vector evaluation, where the scalar f re-evaluated at b
+    # reads < 0 (rounding): brentq on f alone refuses the bracket, the held ends keep it
+    def f(x):
+        return -1e-300 if x == 1.0 else x - 2.0
+
+    with pytest.raises(ValueError):
+        brentq(f, 0.0, 1.0)
+    assert 0.0 <= _root(f, 0.0, 1.0, f(0.0), 1e-300) <= 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from scipy.integrate import quad
+from scipy.special import sici
 
 from penroselab import (
     QuadratureError,
@@ -14,10 +15,11 @@ from penroselab import (
 )
 from penroselab.profiles import RadialProfile
 from penroselab.quadrature import (
+    _GL_MEAN,
     _GL_NODES,
     _GL_TAIL,
+    NodeTable,
     PanelAntiderivative,
-    PanelTable,
     edge_suffix,
     gauss_nodes,
     node_suffix,
@@ -119,6 +121,24 @@ def test_tail_matrix_exact_for_degree_seven(m):
     assert np.abs(_GL_TAIL @ x**m - exact).max() <= 1e-15
 
 
+@pytest.mark.parametrize("m", range(8))
+def test_mean_matrix_exact_for_degree_seven(m):
+    # the mean of t^m over [t, 1] is (1 + t + ... + t^m) / (m + 1)
+    exact = np.where(np.arange(8) <= m, 1.0 / (m + 1), 0.0)
+    assert np.abs(_GL_MEAN @ _GL_NODES**m - exact).max() <= 1e-14
+
+
+def test_node_table_matches_quad():
+    f = lambda x: np.sin(x) / x
+    edges = np.geomspace(0.1, 20.0, 257)
+    nodes, half = gauss_nodes(edges[:-1], edges[1:])
+    table = NodeTable(edges, f(nodes), half)
+    xs = np.array([0.1, 0.1 * (1 + 1e-9), 0.37, 5.0, 19.99, 20.0 * (1 - 1e-12), 20.0])
+    ref = sici(20.0)[0] - sici(xs)[0]  # the sine integral: absolute accuracy about 1e-16 near x = 20
+    for x, value, exact in zip(xs, table(xs), ref):
+        assert value == table(float(x)) == pytest.approx(exact, rel=1e-13, abs=1e-15)
+
+
 def test_tail_matrix_rows_sum_to_remaining_length():
     assert np.abs(_GL_TAIL.sum(axis=1) - (1 - _GL_NODES)).max() <= 1e-15
 
@@ -137,11 +157,12 @@ def test_node_and_edge_suffix_match_quad():
         assert at_nodes[i, j] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
-def test_panel_table_from_nodes_is_the_antiderivative():
+def test_node_table_is_the_antiderivative():
     # same edge sums as PanelAntiderivative, and each edge query returns its own sum
     f = lambda x: np.sin(x) / x
     edges = np.geomspace(0.1, 20.0, 257)
     nodes, half = gauss_nodes(edges[:-1], edges[1:])
-    table = PanelTable.from_nodes(f, edges, f(nodes), half)
+    table = NodeTable(edges, f(nodes), half)
     assert np.array_equal(table.suffix, PanelAntiderivative(f, edges).suffix)
     assert np.array_equal(table(edges), table.suffix)
+    assert [table(float(x)) for x in edges] == table.suffix.tolist()
