@@ -34,10 +34,10 @@ nodes), so no query of rho evaluates u.  One object per curvature: a
 ``MuBubbleProblem`` does all its work when it is made, on the table it is
 given or on a fresh one.  Its barrier radius comes from inverting the table:
 ``searchsorted`` on the edge values of rho finds its panel, and Brent's
-method finds it inside that panel, handed those edge values as the ends of
-its bracket.  The bulk term reuses the table's panels from 1.02 times the
-barrier radius up; below, where h blows up, fresh 8-point panels halve in
-width toward it.
+method finds it inside that panel, where rho at the edges is the stored
+edge value bit for bit.  The bulk term reuses the table's panels from 1.02
+times the barrier radius up; below, where h blows up, fresh 8-point panels
+halve in width toward it.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -163,7 +163,7 @@ class _AnchorTable:
 
         Only the partial panel evaluates u.  The edge arc lengths are re-summed
         from the per-panel ones, so ``arc`` at an edge returns its stored value
-        bit for bit; below the partial panel ``arc`` shares this table's
+        bit for bit; below the partial panel ``arc`` copies this table's
         interpolants.  The node arc lengths, which only weight the bulk, are shifted.
         """
         floor, top = self.edges[[0, -1]]
@@ -211,9 +211,9 @@ class MuBubbleProblem:
     by 1e-6 in rho.  rho rises monotonically to 0 at the anchor, so when the
     table's floor edge already lies above the barrier there is none and
     everything starts at the floor.  Otherwise ``searchsorted`` on the edge
-    values of rho finds its panel, and :func:`masses._root` runs inside it,
-    given rho at the panel's edges as the values at its ends.  ``dist``
-    answers from the table's node weights and evaluates no u.
+    values of rho finds its panel, and :func:`masses._root` runs inside it.
+    ``dist`` answers from the table's node weights and evaluates no u, and
+    returns the stored edge values at the panel's ends.
 
     ``g`` is H - h(rho) at ``edges``, the lowest radius and the anchor edges
     above it, from one vector call of H.  ``minimize`` hands Brent's method
@@ -266,9 +266,7 @@ class MuBubbleProblem:
         if edge_rho[0] <= h.barrier:
             target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
             k = int(np.searchsorted(edge_rho, target, side="right"))
-            r_b = self.barrier_radius = _root(
-                lambda r: dist(r) - target, edges[k - 1], edges[k], edge_rho[k - 1] - target, edge_rho[k] - target
-            )
+            r_b = self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
             j = min(int(np.searchsorted(edges, _GRADED_FROM * r_b)), len(edges) - 1)
         self.edges, rho = edges[k:], edge_rho[k:]
 

@@ -170,7 +170,9 @@ def _root(f, a: float, b: float, fa: float | None = None, fb: float | None = Non
     absolute floor and the least relative tolerance brentq accepts.  A
     caller that already holds fa = f(a) and fb = f(b) passes them, and
     brentq reads them instead of calling f at the ends, so it runs on the
-    bracket exactly as the caller found it.
+    bracket exactly as the caller found it.  That matters only where f at an
+    end can differ from the caller's value, as a scalar H can from a vector
+    one by an ulp.
     """
     if fa is not None:
         g = f

@@ -137,8 +137,7 @@ class NodeTable:
     ``_GL_MEAN``.  So F keeps its relative accuracy up to b and never calls
     f.  Float and array queries run the same IEEE operations on the same
     rows and agree bit for bit; an edge query returns its stored value, so 0
-    at the last edge.  A cut shares ``head``'s rows and keeps its own last
-    row as ``top``, copying no per-node data.
+    at the last edge.
     """
 
     def __init__(self, edges, vals, half, head: NodeTable | None = None):
@@ -147,9 +146,8 @@ class NodeTable:
         panels = _panel_sums(vals, half)
         coef = vals @ _GL_MEAN[::-1].T
         self.panels = panels if head is None else np.append(head.panels[: self.last], panels)
+        self.coef = coef if head is None else np.concatenate([head.coef[: self.last], coef])
         self.suffix = _suffix(self.panels)
-        self.coef = coef if head is None else head.coef
-        self.top = coef[-1]
 
     def __call__(self, x):
         edges, last = self.edges, self.last
@@ -161,7 +159,7 @@ class NodeTable:
             a, b = edges[i : i + 2].tolist()
             t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
             mean = 0.0
-            for c in (self.top if i == last else self.coef[i]).tolist():
+            for c in self.coef[i].tolist():
                 mean = mean * t + c
             return float(self.suffix[i + 1]) + (b - x) * mean
         x = np.asarray(x, dtype=float)
@@ -169,10 +167,8 @@ class NodeTable:
         i = np.maximum(j, 1) - 1
         a, b = edges[i], edges[i + 1]
         t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
-        rows = self.coef[i]
-        rows[i == last] = self.top
         mean = np.zeros_like(t)
-        for c in np.moveaxis(rows, -1, 0):
+        for c in np.moveaxis(self.coef[i], -1, 0):
             mean = mean * t + c
         return np.where(edges[j] == x, self.suffix[j], self.suffix[i + 1] + (b - x) * mean)
 

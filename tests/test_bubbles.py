@@ -669,6 +669,18 @@ class TestAnchorTableCut:
         assert np.array_equal([table.arc(np.float64(x)) for x in xs], values)
         assert type(table.arc(float(xs[0]))) is float
 
+    def test_queries_leave_the_parent_table_unchanged(self, schw):
+        # a 0-d query (an int, a numpy scalar, a 0-d array) inside a cut's partial
+        # panel reads the rows; it must not write the cut's row into the parent's
+        table = _AnchorTable(schw, 2.0)
+        m = int(np.searchsorted(table.edges, 1.0, side="right"))  # edges[m - 1] <= 1 < edges[m]
+        cut = table.cut(0.5 * (1.0 + float(table.edges[m])))
+        coef, before = table.arc.coef.copy(), table.arc(1.0)
+        for x in (1, np.float32(1.0), np.float64(1.0), np.array(1.0), np.array([1.0])):
+            assert cut.arc(x) == cut.arc(1.0)
+        assert np.array_equal(table.arc.coef, coef)
+        assert table.arc(1.0) == table.arc(np.array(1.0)) == before
+
     @pytest.mark.parametrize("mass, r0", [(1.0, 2.0), (1.7, 5.0), (1.0, 1.2)])
     @pytest.mark.parametrize("cut", [False, True])
     def test_dist_against_closed_form(self, mass, r0, cut):
