@@ -24,6 +24,8 @@ def show(trace, label):
             f"area={s.solution.area:12.8f} H={s.solution.mean_curvature:10.4g}"
             f"{area_flag}{ann}"
         )
+    if trace.error:
+        print(f"  stopped: {trace.error}")
     print(
         f"  cumulative volume {trace.cumulative_volume:.4f} <= {trace.cumulative_bound:.4f}: "
         f"{trace.cumulative_bound_ok}"

@@ -27,17 +27,17 @@ evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
 length to the anchor at every node and every panel edge, and the volume
 weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` reuses it for every
 curvature; ``rigidity_iteration`` cuts it at each re-anchored step's anchor,
-evaluating u on one partial panel.  Between the edges, rho comes from the
-same node values (a :class:`~penroselab.quadrature.NodeTable`: the edge
-value plus the exact integral of the interpolant of u^2 on the panel's 8
-nodes), so no query of rho evaluates u.  One object per curvature: a
-``MuBubbleProblem`` does all its work when it is made, on the table it is
-given or on a fresh one.  Its barrier radius comes from inverting the table:
+evaluating u on one partial panel and copying nothing.  Between the edges,
+rho comes from the same node values (a :class:`~penroselab.quadrature.NodeTable`:
+the edge value plus the exact integral of the interpolant of u^2 on the
+panel's 8 nodes), so no query of rho evaluates u.  One object per
+curvature: a ``MuBubbleProblem`` inverts the table for its barrier radius:
 ``searchsorted`` on the edge values of rho finds its panel, and Brent's
 method finds it inside that panel, where rho at the edges is the stored
-edge value bit for bit.  The bulk term reuses the table's panels from 1.02
-times the barrier radius up; below, where h blows up, fresh 8-point panels
-halve in width toward it.
+edge value bit for bit.  The bulk term is weighted at the same nodes, only
+from the lowest radius the functional is read at up to r0; below 1.02
+times the barrier radius, where h blows up, the first query there builds
+fresh 8-point panels halving in width toward it.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -142,9 +142,9 @@ class _AnchorTable:
     of u at their 4096 x 8 Gauss nodes gives the arc length to the anchor at
     every edge and anywhere between (``arc``, the node table behind rho), at
     every node (the quadrature tail matrix inside the node's panel), and the
-    volume weight 4 pi u^6 r^2 at every node.  A schedule builds one table
-    for all its steps, ``cut`` at the anchor of each step it re-anchors
-    inside it.
+    volume weight 4 pi u^6 r^2 at every node; ``nodes`` reads the last two
+    over a range of panels.  A schedule builds one table for all its steps,
+    ``cut`` at the anchor of each step it re-anchors inside it.
     """
 
     def __init__(self, profile: RadialProfile, anchor_radius: float):
@@ -157,31 +157,39 @@ class _AnchorTable:
         self.arc = NodeTable(self.edges, arc_weight, self.half)
         self.arc_nodes = node_suffix(arc_weight, self.half)
         self.volume_weight = _volume_weight(nodes, arc_weight)
+        self.root, self.m, self.shift = None, _PANELS, 0.0  # a cut's full table, partial panel and shift
+        self.partial = (self.half[:0], self.arc_nodes[:0], self.volume_weight[:0])  # a cut's partial panel
+
+    def nodes(self, p: int):
+        """Half-widths, node arc lengths to the anchor and node volume weights of panels p and up."""
+        root, m = self.root or self, self.m
+        head = (root.half[p:m], root.arc_nodes[p:m] - self.shift, root.volume_weight[p:m])
+        return tuple(np.concatenate([x, y[max(p - m, 0) :]]) for x, y in zip(head, self.partial))
 
     def cut(self, anchor: float) -> _AnchorTable:
         """The table of an anchor inside this one: the edges below it, one partial panel up to it.
 
         Only the partial panel evaluates u.  The edge arc lengths are re-summed
         from the per-panel ones, so ``arc`` at an edge returns its stored value
-        bit for bit; below the partial panel ``arc`` copies this table's
-        interpolants.  The node arc lengths, which only weight the bulk, are shifted.
+        bit for bit; ``arc`` shares the full table's interpolant rows and
+        ``nodes`` its node data, shifting the arc lengths to the new anchor.
+        A cut of a cut is the full table's cut.
         """
         floor, top = self.edges[[0, -1]]
         if anchor == top:
             return self
         if not floor < anchor < top:
             raise OutOfCollectionError(f"anchor {anchor} lies outside the table's ({floor:.6g}, {top:.6g}]")
-        m = int(np.searchsorted(self.edges, anchor)) - 1  # edges[m] < anchor <= edges[m + 1]
+        root = self.root or self
+        m = int(np.searchsorted(root.edges, anchor)) - 1  # edges[m] < anchor <= edges[m + 1]
         cut = object.__new__(_AnchorTable)
-        cut.profile = self.profile
-        cut.edges = np.append(self.edges[: m + 1], anchor)
+        cut.profile, cut.root, cut.m = self.profile, root, m
+        cut.edges = np.append(root.edges[: m + 1], anchor)
         nodes, half = gauss_nodes(cut.edges[m:-1], cut.edges[m + 1 :])
         weight = self.profile.u(nodes) ** 2
-        cut.half = np.append(self.half[:m], half)
-        cut.arc = NodeTable(cut.edges, weight, half, head=self.arc)
-        shift = self.arc.suffix[m] - cut.arc.panels[m]  # arc length from the anchor to the old top edge
-        cut.arc_nodes = np.concatenate([self.arc_nodes[:m] - shift, node_suffix(weight, half)])
-        cut.volume_weight = np.concatenate([self.volume_weight[:m], _volume_weight(nodes, weight)])
+        cut.arc = NodeTable(cut.edges, weight, half, head=root.arc)
+        cut.shift = root.arc.suffix[m] - cut.arc.panels[m]  # arc length from the anchor to the old top edge
+        cut.partial = (half, node_suffix(weight, half), _volume_weight(nodes, weight))
         return cut
 
 
@@ -204,8 +212,8 @@ class MuBubbleProblem:
     """Anchor sphere, prescribed curvature, and Lipschitz-shrunk distance, on an anchor table.
 
     Made in one step: the anchor is checked, then the barrier radius, g at
-    the edges, ``dist``, ``first_variation`` and the bulk table are built on
-    ``table``, or on a fresh :class:`_AnchorTable` when it is None.
+    the edges, ``dist`` and ``first_variation`` are built on ``table``, or
+    on a fresh :class:`_AnchorTable` when it is None.
 
     The barrier radius r_b is where rho reaches the barrier of h, backed off
     by 1e-6 in rho.  rho rises monotonically to 0 at the anchor, so when the
@@ -219,10 +227,13 @@ class MuBubbleProblem:
     above it, from one vector call of H.  ``minimize`` hands Brent's method
     these values at the ends of each bracket, so it refines exactly the sign
     changes found here, even where a scalar H at an edge would round
-    differently.  The bulk table weights the anchor panels from the first
-    edge at or above 1.02 r_b with the stored node data, evaluating no u.
-    Below it, where h blows up, fresh panels halve in width toward r_b.  A
-    query adds one fresh 8-point panel of the weight up to the edge above it.
+    differently.  The bulk term waits for ``functional``: ``bulk`` is a
+    :class:`~penroselab.quadrature.NodeTable` of h(rho) dV/dr at the table's
+    nodes, from the panel of the lowest radius read so far (never below the
+    first edge at or above 1.02 r_b) up to r0.  Its sums accumulate from r0
+    down, so extending it moves no value.  Below 1.02 r_b, where h blows up
+    faster than a node interpolant follows, ``graded`` holds fresh panels
+    halving in width toward r_b; a query there adds one fresh 8-point panel.
 
     ``dist``, ``first_variation`` and the bulk density are closures over the
     profile, h and the arc table, never bound methods, and none of them
@@ -262,33 +273,44 @@ class MuBubbleProblem:
         edges = table.edges
         edge_rho = -lip * table.arc.suffix  # rho at each edge, exactly as dist returns it
         self.barrier_radius = r_b = None
-        k = j = 0  # first anchor edge above the barrier radius; first anchor edge of the bulk table
+        k = j = 0  # first anchor edge above the barrier radius; the graded band's top edge
         if edge_rho[0] <= h.barrier:
             target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
             k = int(np.searchsorted(edge_rho, target, side="right"))
             r_b = self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
             j = min(int(np.searchsorted(edges, _GRADED_FROM * r_b)), len(edges) - 1)
         self.edges, rho = edges[k:], edge_rho[k:]
-
-        bulk_edges = edges[j:]
-        half = table.half[j:]
-        weight = h(-lip * table.arc_nodes[j:]) * table.volume_weight[j:]
         if r_b is not None:
             self.edges = np.concatenate([[r_b], self.edges])
             rho = np.concatenate([[dist(r_b)], rho])
-            graded = r_b + (edges[j] - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1)
-            fresh = np.concatenate([[r_b], graded, edges[j : j + 1]])
-            nodes, fresh_half = gauss_nodes(fresh[:-1], fresh[1:])
-            fresh_weight = profile.u(nodes) ** 2
-            fresh_rho = -lip * (node_suffix(fresh_weight, fresh_half) + table.arc.suffix[j])
-            bulk_edges = np.concatenate([fresh[:-1], bulk_edges])
-            half = np.concatenate([fresh_half, half])
-            weight = np.concatenate([h(fresh_rho) * _volume_weight(nodes, fresh_weight), weight])
         self.g = sphere_mean_curvature(profile, self.edges) - h(rho)
-        self.bulk = PanelTable(_bulk_density(profile, h, dist), bulk_edges, edge_suffix(weight, half))
+        self._table, self._graded_from = table, j
+        self.bulk = self.graded = None
 
     def functional(self, rho):
-        return np.asarray(sphere_area(self.profile, rho)) + self.bulk(rho)
+        """A(rho) = area(S_rho) + integral_rho^{r0} h(rho) dV, for rho from ``edges[0]`` to r0."""
+        return np.asarray(sphere_area(self.profile, rho)) + self._bulk_term(rho)
+
+    def _bulk_term(self, x):
+        """integral_x^{r0} h(rho) dV, the bulk and graded tables first extended down to the lowest x."""
+        table, j, lip, h = self._table, self._graded_from, self.lip_factor, self.h
+        edges, lo = table.edges, float(np.min(x) if np.ndim(x) else x)
+        p = min(max(int(edges.searchsorted(lo, side="right")) - 1, j), len(edges) - 2)  # lowest panel read
+        if self.bulk is None or edges[p] < self.bulk.edges[0]:
+            half, arc, vol = table.nodes(p)
+            self.bulk = NodeTable(edges[p:], h(-lip * arc) * vol, half)
+        if lo >= edges[j]:
+            return self.bulk(x)
+        top = float(edges[j])
+        if self.graded is None:  # fresh panels halving in width toward r_b, where h blows up
+            r_b = self.barrier_radius
+            fresh = np.concatenate([[r_b], r_b + (top - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1), [top]])
+            nodes, half = gauss_nodes(fresh[:-1], fresh[1:])
+            weight = self.profile.u(nodes) ** 2
+            rho = -lip * (node_suffix(weight, half) + table.arc.suffix[j])
+            suffix = edge_suffix(h(rho) * _volume_weight(nodes, weight), half) + self.bulk(top)
+            self.graded = PanelTable(_bulk_density(self.profile, h, self.dist), fresh, suffix)
+        return np.where(np.asarray(x) < top, self.graded(np.minimum(x, top)), self.bulk(np.maximum(x, top)))
 
 
 def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:
@@ -319,8 +341,8 @@ def functional_eval(problem: MuBubbleProblem, rho: float) -> float:
         raise OutOfCollectionError(
             f"rho = {rho} lies outside [{problem.floor:.6g}, r0 = {problem.anchor_radius}]"
         )
-    if rho < problem.bulk.edges[0]:
-        raise BarrierError(f"rho = {rho} lies below the barrier radius {problem.bulk.edges[0]:.6g}")
+    if rho < problem.edges[0]:
+        raise BarrierError(f"rho = {rho} lies below the barrier radius {problem.edges[0]:.6g}")
     return float(problem.functional(rho))
 
 
@@ -351,9 +373,10 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     Every interior minimizer is a - to + sign change of g = H - h o rho.
     Each one between consecutive ``edges`` is refined by Brent's method,
     which starts from the problem's g at the two edges instead of
-    re-evaluating them.  The functional is evaluated once, as a vector over
-    the roots, the anchor and the lowest edge, and the root with the lowest
-    value is kept.  Its bracket signs are the second-order certificate.
+    re-evaluating them.  The functional is read at each root, at the anchor
+    and, only when there is no barrier radius, at the floor, so the bulk
+    term is integrated from the lowest root up.  The root with the lowest
+    value is kept; its bracket signs are the second-order certificate.
 
     Raises :class:`DegenerateMinimizerError` when g has no such sign change,
     when the best root is not below the anchor value (beta too small), or,
@@ -365,12 +388,12 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     if not len(brackets):
         raise DegenerateMinimizerError("H - h(rho) never changes sign from - to +; no interior bubble")
     roots = [_root(problem.first_variation, x[i], x[i + 1], g[i], g[i + 1]) for i in brackets]
-    values = problem.functional(np.array([*roots, problem.anchor_radius, x[0]]))
-    best = int(np.argmin(values[:-2]))
-    rho, fval = roots[best], float(values[best])
-    if not fval < values[-2]:
+    values = [float(problem.functional(r)) for r in roots]
+    best = int(np.argmin(values))
+    rho, fval = roots[best], values[best]
+    if not fval < problem.functional(problem.anchor_radius):
         raise DegenerateMinimizerError("functional minimized at the anchor sphere; beta too small")
-    if problem.barrier_radius is None and not fval < values[-1]:
+    if problem.barrier_radius is None and not fval < problem.functional(x[0]):
         raise DegenerateMinimizerError("functional minimized at the inner edge; no interior bubble")
 
     profile = problem.profile
@@ -587,6 +610,7 @@ class RigidityTrace:
     cumulative_volume: float
     cumulative_bound: float
     cumulative_bound_ok: bool
+    error: str | None = None  # the refusal that stopped the schedule; serialised only when set
 
     def to_dict(self) -> dict:
         return {
@@ -598,6 +622,7 @@ class RigidityTrace:
             "cumulative_volume": self.cumulative_volume,
             "cumulative_bound": self.cumulative_bound,
             "cumulative_bound_ok": self.cumulative_bound_ok,
+            **({} if self.error is None else {"error": self.error}),
             "steps": [s.to_dict() for s in self.steps],
         }
 
@@ -625,7 +650,9 @@ def rigidity_iteration(
     with eps_0 = sqrt(8 pi / area(S_{r0})) the admissible-curvature threshold
     and Lambda_0 = A_inf area(S_{r0}) / (2 pi).  The schedule stops before
     the first eps_k below ``epsilon_floor``; an epsilon below it, which would
-    leave no step, raises :class:`ParameterError`.
+    leave no step, raises :class:`ParameterError`.  A step refused as too
+    large for its anchor (:class:`EpsilonTooLargeError`) ends the schedule
+    and is recorded as ``error``; the bounds cover the steps before it.
     """
     if profile.n != 3:
         raise UnsupportedDimensionError("rigidity_iteration is defined only for n = 3")
@@ -645,11 +672,16 @@ def rigidity_iteration(
     solutions: list[MuBubbleSolution] = []
     anchor = float(anchor_radius)
     table = _AnchorTable(profile, anchor)
+    refusal = None
     for k in range(max_steps + 1):
         eps_k = epsilon ** (gamma**k)
         if eps_k < epsilon_floor:
             break
-        problem = build_problem(profile, anchor, eps_k, area_infimum=a_inf, table=table.cut(anchor))
+        try:
+            problem = build_problem(profile, anchor, eps_k, area_infimum=a_inf, table=table.cut(anchor))
+        except EpsilonTooLargeError as exc:
+            refusal = f"{type(exc).__name__}: {exc}"
+            break
         solutions.append(minimize(problem))
         anchor = solutions[-1].rho_star
 
@@ -692,4 +724,5 @@ def rigidity_iteration(
         cumulative_volume=cumulative,
         cumulative_bound=cum_bound,
         cumulative_bound_ok=cumulative <= cum_bound,
+        error=refusal,
     )

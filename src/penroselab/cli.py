@@ -6,8 +6,9 @@ sets its config field.  Every command writes its report through ``_report``.
 Exit codes: 0 ok, 2 config error (also an unreadable config or profile file,
 an unwritable ``out_dir`` or a non-finite profile parameter), 3 inequality
 violated, 4 degenerate minimizer (for ``horizon``, curvatures refused as too
-large do not count), 5 trumpet verification failure, 6 hypothesis refused
-(the profile is not asymptotically flat).
+large do not count; for ``rigidity``, such a refusal ends the schedule and
+counts only at step 0), 5 trumpet verification failure, 6 hypothesis
+refused (the profile is not asymptotically flat).
 """
 
 from __future__ import annotations
@@ -355,12 +356,15 @@ def cmd_rigidity(cfg: dict) -> int:
     )
     record = trace.to_dict()
     _report(cfg, {"trace": record}, _RIGIDITY_COLS, _columns(_RIGIDITY_COLS, record["steps"]))
+    final = f"{trace.steps[-1].solution.rho_star:.9g}" if trace.steps else "n/a"
     print(
-        f"rigidity: {len(trace.steps)} steps, final rho_star = {trace.steps[-1].solution.rho_star:.9g}, "
+        f"rigidity: {len(trace.steps)} steps, final rho_star = {final}, "
         f"cumulative volume {trace.cumulative_volume:.6g} <= {trace.cumulative_bound:.6g}: "
         f"{trace.cumulative_bound_ok}"
     )
-    return EXIT_OK
+    if trace.error:  # a step refused as too large for its anchor; the steps before it stand
+        print(f"  stopped: {trace.error}")
+    return EXIT_OK if trace.steps else EXIT_DEGENERATE
 
 
 def cmd_trumpet(cfg: dict) -> int:

@@ -132,12 +132,13 @@ class NodeTable:
     last panel alone.  The panels are summed as ``gauss_panel`` sums them
     into the edge values ``suffix``.  Inside a panel [a, b], F(x) = F(b) +
     (b - x) S, with S the mean over [x, b] of the degree-7 interpolant of the
-    node values: a polynomial in the panel coordinate whose coefficients, one
-    row per panel in ``coef`` (highest first), are the node values times
-    ``_GL_MEAN``.  So F keeps its relative accuracy up to b and never calls
-    f.  Float and array queries run the same IEEE operations on the same
-    rows and agree bit for bit; an edge query returns its stored value, so 0
-    at the last edge.
+    node values: a polynomial in the panel coordinate whose coefficients
+    (highest first) are the node values times ``_GL_MEAN``, one 2-D matmul
+    row per panel: the last panel's is ``top``, those below are ``coef``,
+    shared with ``head`` and never written.  So F keeps its relative
+    accuracy up to b and never calls f.  Float and array queries run the
+    same IEEE operations on the same rows and agree bit for bit; an edge
+    query returns its stored value, so 0 at the last edge.
     """
 
     def __init__(self, edges, vals, half, head: NodeTable | None = None):
@@ -145,8 +146,9 @@ class NodeTable:
         self.last = len(self.edges) - 2  # index of the last panel
         panels = _panel_sums(vals, half)
         coef = vals @ _GL_MEAN[::-1].T
+        self.top = coef[-1]
         self.panels = panels if head is None else np.append(head.panels[: self.last], panels)
-        self.coef = coef if head is None else np.concatenate([head.coef[: self.last], coef])
+        self.coef = coef if head is None else head.coef
         self.suffix = _suffix(self.panels)
 
     def __call__(self, x):
@@ -159,7 +161,7 @@ class NodeTable:
             a, b = edges[i : i + 2].tolist()
             t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
             mean = 0.0
-            for c in self.coef[i].tolist():
+            for c in (self.top if i == last else self.coef[i]).tolist():
                 mean = mean * t + c
             return float(self.suffix[i + 1]) + (b - x) * mean
         x = np.asarray(x, dtype=float)
@@ -168,7 +170,8 @@ class NodeTable:
         a, b = edges[i], edges[i + 1]
         t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
         mean = np.zeros_like(t)
-        for c in np.moveaxis(self.coef[i], -1, 0):
+        rows = np.where((i == last)[..., None], self.top, self.coef[i])  # a new array: no row is written
+        for c in np.moveaxis(rows, -1, 0):
             mean = mean * t + c
         return np.where(edges[j] == x, self.suffix[j], self.suffix[i + 1] + (b - x) * mean)
 

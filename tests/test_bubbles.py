@@ -254,6 +254,16 @@ class TestProblemSetup:
         area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
         assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-10, abs=0)
 
+    def test_bulk_extends_down_without_moving_values(self, schw):
+        # queries from the anchor down extend the bulk table panel by panel; each
+        # value is the one a problem first read at that radius gives, bit for bit
+        table = _AnchorTable(schw, 2.0)
+        prob, fresh = (build_problem(schw, 2.0, 0.05, table=table) for _ in range(2))
+        radii = np.geomspace(2.0, 1.05 * prob.barrier_radius, 12)
+        before = [functional_eval(prob, float(r)) for r in radii]
+        assert prob.bulk.edges[0] <= radii[-1] < prob.bulk.edges[1] and prob.graded is None
+        assert before == [functional_eval(fresh, float(r)) for r in radii[::-1]][::-1]
+
     def test_barrier_radius_within_two_percent_of_the_anchor(self):
         # u = r^30: H(S_1) = 122 and rho falls steeply inside r0 = 1, so a small
         # beta puts the barrier radius above r0 / 1.02 and the graded panels
@@ -278,7 +288,12 @@ class TestProblemSetup:
 
         bulk, _ = quad(integrand, rho, 1.0, epsabs=0, epsrel=1e-13)
         assert functional_eval(prob, rho) == pytest.approx(4 * math.pi * rho**122 + bulk, rel=1e-10, abs=0)
-        assert minimize(prob).second_order_ok
+        sol = minimize(prob)
+        assert sol.second_order_ok
+        # every root lies in the graded band, so minimize reads the functional there
+        bulk, _ = quad(integrand, sol.rho_star, 1.0, epsabs=0, epsrel=1e-13)
+        exact = 4 * math.pi * sol.rho_star**122 + bulk
+        assert sol.functional_value == pytest.approx(exact, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01, 0.001])
     def test_barrier_radius_against_closed_form(self, schw, eps):
@@ -315,11 +330,12 @@ class TestProblemSetup:
         # moderate beta keeps the barrier inside the domain
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
         assert prob.barrier_radius is not None
-        # the table's own bulk term at the barrier radius (its fresh first panel)
-        # is what a query there integrates afresh
+        # the graded band's stored bulk term at the barrier radius (its fresh
+        # first panel) is what a query there integrates afresh
         r_b = prob.barrier_radius
+        assert prob.graded is None  # built by the first query below 1.02 r_b
         at_barrier = functional_eval(prob, r_b)
-        assert at_barrier == pytest.approx(sphere_area(schw, r_b) + prob.bulk.suffix[0], rel=1e-12)
+        assert at_barrier == pytest.approx(sphere_area(schw, r_b) + prob.graded.suffix[0], rel=1e-12)
         rhos = r_b * (1 + 10.0 ** -np.arange(1, 6))
         vals = [functional_eval(prob, r) for r in rhos]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -414,18 +430,36 @@ class TestMinimize:
         minimize(build_problem(profile, 2.0, 0.05))
         assert profile.points <= 100_000
 
-    def test_schedule_work_bounds(self, schw, counting):
+    def test_schedule_work_bounds(self, schw, counting, monkeypatch):
         # each schedule builds one anchor table (4096 x 8 points): the horizon
         # schedule shares it across its 9 steps, and each re-anchored rigidity
         # step cuts it, evaluating u at the 8 nodes of one partial panel.  rho
         # comes from the table's node weights, so Brent's iterates on the
-        # barrier evaluate no u, and those on g only H's
+        # barrier evaluate no u, and those on g only H's.  The bulk term
+        # weights h only on the anchor panels from the lowest root up
+        h_points = []
+        call = PrescribedMeanCurvature.__call__
+        monkeypatch.setattr(PrescribedMeanCurvature, "__call__", lambda h, t: h_points.append(np.size(t)) or call(h, t))
         profile = counting(schw)
         horizon_sequence(profile, 2.0)
         assert profile.points <= 60_000 and profile.calls <= 150
+        assert sum(h_points) <= 25_000
+        h_points.clear()
         profile = counting(schw)
         rigidity_iteration(profile, 2.0, 0.1, 1.5)
         assert profile.points <= 60_000 and profile.calls <= 200
+        assert sum(h_points) <= 10_000
+
+    def test_minimize_integrates_no_fresh_bulk_panel(self, schw, counting):
+        # past the table's one 4096 x 8 call, every u call minimize makes is H or
+        # the area at one radius: the bulk term comes from the table's node weights
+        profile = counting(schw)
+        prob = build_problem(profile, 2.0, 0.05)
+        calls, points = profile.calls, profile.points
+        minimize(prob)
+        assert profile.calls > calls
+        assert profile.points - points == profile.calls - calls
+        assert prob.graded is None
 
     def test_dist_evaluates_no_u(self, schw, counting):
         profile = counting(schw)
@@ -603,8 +637,8 @@ class TestRigidity:
         # step k + 1 anchors at step k's sphere: its g takes the arc length to that anchor
         profile = SchwarzschildLikeProfile.from_mass(mass)
         if not eps < 0.9 * schwarzschild_mean_curvature(mass, r0):
-            with pytest.raises(EpsilonTooLargeError):
-                rigidity_iteration(profile, r0, eps, gamma)
+            trace = rigidity_iteration(profile, r0, eps, gamma)  # step 0 refused: nothing solved
+            assert not trace.steps and trace.error.startswith("EpsilonTooLargeError: ")
             return
         steps = rigidity_iteration(profile, r0, eps, gamma).steps
         assert len(steps) >= 3
@@ -618,10 +652,24 @@ class TestRigidity:
         # gamma near 1: step 1's epsilon leaves no margin below 0.9 H at step 0's sphere, not at r0
         a_inf = penrose_check(schw).area_infimum
         rho0 = minimize(build_problem(schw, 2.0, 0.3, area_infimum=a_inf)).rho_star
-        with pytest.raises(EpsilonTooLargeError, match="no margin below 0.9 H") as refused:
-            rigidity_iteration(schw, 2.0, 0.3, 1.05)
-        assert f"at the anchor r = {rho0:.6g}" in str(refused.value)
-        assert "S_r0" not in str(refused.value)
+        refused = rigidity_iteration(schw, 2.0, 0.3, 1.05).error
+        assert refused.startswith("EpsilonTooLargeError: ") and "no margin below 0.9 H" in refused
+        assert f"at the anchor r = {rho0:.6g}" in refused
+        assert "S_r0" not in refused
+
+    def test_refused_step_keeps_the_steps_before_it(self, schw):
+        # the schedule stops at step 1 and keeps step 0, which is the horizon
+        # schedule's bubble at the same anchor and curvature, bit for bit
+        trace = rigidity_iteration(schw, 2.0, 0.3, 1.05)
+        assert len(trace.steps) == 1 and trace.to_dict()["error"] == trace.error
+        step = trace.steps[0]
+        assert step.annulus_volume is None and trace.cumulative_volume == 0.0 and trace.cumulative_bound_ok
+        assert step.solution.to_dict() == horizon_sequence(schw, 2.0, [0.3]).steps[0].solution.to_dict()
+        # a schedule that ran to its floor serialises no error
+        assert "error" not in rigidity_iteration(schw, 2.0, 0.1, 1.5).to_dict()
+        # step 0 refused: nothing solved
+        trace = rigidity_iteration(schw, 2.0, 0.4, 1.5)
+        assert not trace.steps and trace.error.startswith("EpsilonTooLargeError: ")
 
     def test_trumpet_skips_equality_only_bound(self, trumpet):
         trace = rigidity_iteration(trumpet, 4.0, 0.02, 1.5, max_steps=3, epsilon_floor=1e-4)
@@ -680,6 +728,18 @@ class TestAnchorTableCut:
             assert cut.arc(x) == cut.arc(1.0)
         assert np.array_equal(table.arc.coef, coef)
         assert table.arc(1.0) == table.arc(np.array(1.0)) == before
+        # the cut shares the parent's rows, and its node data are the parent's,
+        # bit for bit as a copy would hold them: the arc lengths less the shift
+        assert np.shares_memory(cut.arc.coef, table.arc.coef)
+        c = len(cut.edges) - 2  # the cut's partial panel
+        shift = table.arc.suffix[c] - cut.arc.panels[c]
+        half, arc, vol = cut.nodes(0)
+        assert [len(x) for x in (half, arc, vol)] == [c + 1] * 3
+        assert np.array_equal(arc[:c], table.arc_nodes[:c] - shift)
+        assert np.array_equal(vol[:c], table.volume_weight[:c]) and np.array_equal(half[:c], table.half[:c])
+        for p in (1, c - 3, c):
+            assert all(np.array_equal(x, y[p:]) for x, y in zip(cut.nodes(p), (half, arc, vol)))
+        assert [len(x) for x in cut.nodes(c + 1)] == [0, 0, 0]  # from the anchor edge up: no panel
 
     @pytest.mark.parametrize("mass, r0", [(1.0, 2.0), (1.7, 5.0), (1.0, 1.2)])
     @pytest.mark.parametrize("cut", [False, True])

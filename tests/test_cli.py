@@ -149,6 +149,20 @@ def test_rigidity_command(tmp_path):
     assert code == 0
     trace = json.loads((tmp_path / "rigidity" / "rigidity.json").read_text())["trace"]
     assert trace["cumulative_bound_ok"] is True
+    assert "error" not in trace
+
+
+@pytest.mark.parametrize("epsilon, gamma, code, solved", [("0.3", "1.05", 0, 1), ("0.4", "1.5", 4, 0)])
+def test_rigidity_refused_step_keeps_the_report(tmp_path, epsilon, gamma, code, solved):
+    # a step refused as too large for its anchor ends the schedule, and the
+    # steps solved before it are reported; with none solved the exit is 4
+    flags = ["--profile", "schwarzschild", "--mass", "1", "--r0", "2", "--epsilon", epsilon, "--gamma", gamma]
+    assert run(tmp_path, "rigidity", *flags) == code
+    trace = json.loads((tmp_path / "rigidity" / "rigidity.json").read_text())["trace"]
+    assert len(trace["steps"]) == solved
+    assert trace["error"].startswith("EpsilonTooLargeError: ")
+    _, rows = read_csv(tmp_path / "rigidity" / "rigidity.csv")
+    assert len(rows) == solved
 
 
 def test_trumpet_command_pass_and_fail(tmp_path):
