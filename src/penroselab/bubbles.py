@@ -36,8 +36,8 @@ curvature: a ``MuBubbleProblem`` inverts the table for its barrier radius:
 method finds it inside that panel, where rho at the edges is the stored
 edge value bit for bit.  The bulk term is weighted at the same nodes, only
 from the lowest radius the functional is read at up to r0; below 1.02
-times the barrier radius, where h blows up, the first query there builds
-fresh 8-point panels halving in width toward it.
+times the barrier radius, where h blows up, the first query builds fresh
+panels halving toward it, taking rho from the same node table.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -77,7 +77,7 @@ from .geometry import (
 )
 from .masses import _hawking_value, _root, area_infimum_radial, penrose_check, EQUALITY_TOL
 from .profiles import RadialProfile
-from .quadrature import NodeTable, PanelTable, edge_suffix, gauss_nodes, node_suffix
+from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_suffix
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
 _PANELS = 4096
@@ -232,8 +232,9 @@ class MuBubbleProblem:
     nodes, from the panel of the lowest radius read so far (never below the
     first edge at or above 1.02 r_b) up to r0.  Its sums accumulate from r0
     down, so extending it moves no value.  Below 1.02 r_b, where h blows up
-    faster than a node interpolant follows, ``graded`` holds fresh panels
-    halving in width toward r_b; a query there adds one fresh 8-point panel.
+    faster than a node interpolant follows, ``graded`` integrates the weight
+    on fresh panels halving toward r_b up to that first edge, and a query there
+    adds ``bulk`` at that edge; its sums and queries take rho from ``dist``.
 
     ``dist``, ``first_variation`` and the bulk density are closures over the
     profile, h and the arc table, never bound methods, and none of them
@@ -305,12 +306,9 @@ class MuBubbleProblem:
         if self.graded is None:  # fresh panels halving in width toward r_b, where h blows up
             r_b = self.barrier_radius
             fresh = np.concatenate([[r_b], r_b + (top - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1), [top]])
-            nodes, half = gauss_nodes(fresh[:-1], fresh[1:])
-            weight = self.profile.u(nodes) ** 2
-            rho = -lip * (node_suffix(weight, half) + table.arc.suffix[j])
-            suffix = edge_suffix(h(rho) * _volume_weight(nodes, weight), half) + self.bulk(top)
-            self.graded = PanelTable(_bulk_density(self.profile, h, self.dist), fresh, suffix)
-        return np.where(np.asarray(x) < top, self.graded(np.minimum(x, top)), self.bulk(np.maximum(x, top)))
+            self.graded = PanelAntiderivative(_bulk_density(self.profile, h, self.dist), fresh)
+        below = self.graded(np.minimum(x, top)) + self.bulk(top)
+        return np.where(np.asarray(x) < top, below, self.bulk(np.maximum(x, top)))
 
 
 def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:

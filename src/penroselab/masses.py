@@ -203,9 +203,11 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
     When H goes from - to + across [r_{i-1}, r_{i+1}], the minimal sphere is
     the root of H there; otherwise (H = 0 up to rounding, as on the cylinder)
     the sampled minimum stands.  An infimum attained only at the inner edge of
-    the sampling range is extrapolated toward the domain's inner endpoint
-    (Richardson in sqrt(r - r_min)) and flagged as a throat limit with no
-    argmin, unless that edge is the domain's closed inner end itself.
+    the sampling range is, unless that edge is the domain's closed inner end
+    itself, the root of H at its first change from + to - inward over r_1, r_0
+    and five geometric nodes toward the domain's inner endpoint; with none it
+    is extrapolated over those nodes (Richardson in sqrt(r - r_min)) and
+    flagged as a throat limit with no argmin.
     """
     grid = grid or default_grid(profile)
     radii = grid.radii()
@@ -217,6 +219,13 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
             return AreaInfimum(value=float(areas[0]), argmin_radius=float(lo), throat_limit=False)
         # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
         nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
+        inward = np.concatenate([radii[1::-1], nodes[1:]])  # d area/dr has the sign of H
+        h = _mean_curvature_or_zero(profile, inward)
+        turn = np.nonzero((h[:-1] > 0) & (h[1:] < 0))[0]  # + to - inward: a minimal sphere
+        if len(turn):
+            k = int(turn[0])
+            r = _root(partial(sphere_mean_curvature, profile), inward[k + 1], inward[k])
+            return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
         vals = np.asarray(sphere_area(profile, nodes))
         limit = _neville_to_zero(np.sqrt(nodes - lo), vals)
         return AreaInfimum(value=float(limit), argmin_radius=None, throat_limit=True)

@@ -256,27 +256,27 @@ def write_tabulated(path, radii, values, header: str = "") -> None:
     _atomic_write(path, "".join(lines))
 
 
+DEFAULT_GRID_LO = 1e-4
+DEFAULT_GRID_HI = 1e4
+DEFAULT_GRID_COUNT = 4096
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Logarithmic sampling grid used by scans and verification reports."""
 
     r_lo: float
     r_hi: float
-    count: int = 4096
+    count: int = DEFAULT_GRID_COUNT
 
     def __post_init__(self):
-        if not (0 < self.r_lo < self.r_hi):
-            raise ValueError(f"need 0 < r_lo < r_hi, got ({self.r_lo}, {self.r_hi})")
+        if not (0 < self.r_lo < self.r_hi < math.inf):
+            raise ValueError(f"need finite 0 < r_lo < r_hi, got ({self.r_lo}, {self.r_hi})")
         if self.count < 2:
             raise ValueError("grid needs at least 2 samples")
 
     def radii(self) -> np.ndarray:
         return np.geomspace(self.r_lo, self.r_hi, self.count)
-
-
-DEFAULT_GRID_LO = 1e-4
-DEFAULT_GRID_HI = 1e4
-DEFAULT_GRID_COUNT = 4096
 
 
 def default_grid(

@@ -8,9 +8,8 @@ need the same integral at many points at once:
   arrays of intervals; ``gauss_nodes`` gives its nodes.
 - ``PanelAntiderivative``: a fixed piecewise Gauss-Legendre antiderivative
   F(x) = integral from x to the right edge, cheap to evaluate anywhere and
-  smooth enough for root finding.  ``PanelTable`` is the same object with
-  its edge sums supplied by the caller.  Both evaluate f on one fresh
-  panel per query.
+  smooth enough for root finding.  It evaluates f on one fresh panel per
+  query, so it follows integrands no node interpolant can.
 - ``edge_suffix`` / ``node_suffix``: that antiderivative at the panel edges
   and at the Gauss nodes themselves, from the integrand's values at the
   nodes alone.  Inside a panel the node values come from the tail matrix
@@ -102,28 +101,6 @@ def node_suffix(vals, half):
     return (vals @ _GL_TAIL.T) * half[:, None] + edge_suffix(vals, half)[1:, None]
 
 
-class PanelTable:
-    """Right-anchored antiderivative from its values at fixed panel edges.
-
-    F(x) = integral_x^{x_P} f is ``suffix`` at the edge above x plus one
-    8-point panel of f from x to that edge.  A float x takes a scalar path
-    (one ``searchsorted`` on the edges, clamped to the end panels) with the
-    same result as the array path.
-    """
-
-    def __init__(self, f, edges, suffix):
-        self.f = f
-        self.edges = np.asarray(edges, dtype=float)
-        self.suffix = suffix
-
-    def __call__(self, x):
-        if isinstance(x, float):  # one searchsorted and one panel, no array wrappers; same result
-            top = min(max(int(self.edges.searchsorted(x, side="right")), 1), len(self.edges) - 1)
-            return float(gauss_panel(self.f, x, self.edges[top]) + self.suffix[top])
-        idx = np.searchsorted(self.edges[1:-1], x, side="right")  # panel of x, end panels extended
-        return gauss_panel(self.f, x, self.edges[idx + 1]) + self.suffix[idx + 1]
-
-
 class NodeTable:
     """Right-anchored antiderivative F(x) = integral_x^{x_P} f from f at the panels' Gauss nodes alone.
 
@@ -136,9 +113,10 @@ class NodeTable:
     (highest first) are the node values times ``_GL_MEAN``, one 2-D matmul
     row per panel: the last panel's is ``top``, those below are ``coef``,
     shared with ``head`` and never written.  So F keeps its relative
-    accuracy up to b and never calls f.  Float and array queries run the
-    same IEEE operations on the same rows and agree bit for bit; an edge
-    query returns its stored value, so 0 at the last edge.
+    accuracy up to b and never calls f.  A float is the one computing path;
+    anything else is answered element by element through it, so float and
+    array queries agree by construction.  An edge query returns its stored
+    value, so 0 at the last edge.
     """
 
     def __init__(self, edges, vals, half, head: NodeTable | None = None):
@@ -152,38 +130,37 @@ class NodeTable:
         self.suffix = _suffix(self.panels)
 
     def __call__(self, x):
+        if not isinstance(x, float):  # anything else element by element through the float path
+            x = np.asarray(x, dtype=float)
+            return np.array([self(v) for v in x.ravel().tolist()]).reshape(x.shape)
         edges, last = self.edges, self.last
-        if isinstance(x, float):  # the array path's operations in Python floats; same result
-            j = min(int(edges.searchsorted(x)), last + 1)  # first edge at or above x, at most the last
-            if edges[j] == x:
-                return float(self.suffix[j])
-            i = max(j, 1) - 1
-            a, b = edges[i : i + 2].tolist()
-            t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
-            mean = 0.0
-            for c in (self.top if i == last else self.coef[i]).tolist():
-                mean = mean * t + c
-            return float(self.suffix[i + 1]) + (b - x) * mean
-        x = np.asarray(x, dtype=float)
-        j = np.minimum(edges.searchsorted(x), last + 1)
-        i = np.maximum(j, 1) - 1
-        a, b = edges[i], edges[i + 1]
+        j = min(int(edges.searchsorted(x)), last + 1)  # first edge at or above x, at most the last
+        if edges[j] == x:
+            return float(self.suffix[j])
+        i = max(j, 1) - 1
+        a, b = edges[i : i + 2].tolist()
         t = (x - 0.5 * (a + b)) / (0.5 * (b - a))
-        mean = np.zeros_like(t)
-        rows = np.where((i == last)[..., None], self.top, self.coef[i])  # a new array: no row is written
-        for c in np.moveaxis(rows, -1, 0):
+        mean = 0.0
+        for c in (self.top if i == last else self.coef[i]).tolist():
             mean = mean * t + c
-        return np.where(edges[j] == x, self.suffix[j], self.suffix[i + 1] + (b - x) * mean)
+        return float(self.suffix[i + 1]) + (b - x) * mean
 
 
-class PanelAntiderivative(PanelTable):
+class PanelAntiderivative:
     """Right-anchored antiderivative on a fixed panel subdivision.
 
-    Given edges x_0 < ... < x_P and an integrand f, precomputes per-panel
-    Gauss-Legendre integrals so that F(x) = integral_x^{x_P} f can be
-    evaluated anywhere in [x_0, x_P] with one extra 8-point panel.
+    Given edges x_0 < ... < x_P and an integrand f, ``suffix`` holds the
+    Gauss-Legendre integral from each edge to x_P, so that F(x) =
+    integral_x^{x_P} f is the suffix at the edge above x plus one fresh
+    8-point panel of f from x to that edge (the end panels extended).  A
+    float and an array take the same path.
     """
 
     def __init__(self, f, edges):
-        edges = np.asarray(edges, dtype=float)
-        super().__init__(f, edges, _suffix(gauss_panel(f, edges[:-1], edges[1:])))
+        self.f = f
+        self.edges = np.asarray(edges, dtype=float)
+        self.suffix = _suffix(gauss_panel(f, self.edges[:-1], self.edges[1:]))
+
+    def __call__(self, x):
+        idx = np.searchsorted(self.edges[1:-1], x, side="right")  # panel of x, end panels extended
+        return gauss_panel(self.f, x, self.edges[idx + 1]) + self.suffix[idx + 1]

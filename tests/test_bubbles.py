@@ -254,6 +254,17 @@ class TestProblemSetup:
         area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
         assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("kind, r0, eps", [("schw", 2.0, 0.1), ("schw", 2.0, 0.05), ("trumpet", 3.0, 0.02), ("trumpet", 5.0, 0.02)])
+    def test_graded_band_edges_return_their_sums(self, request, kind, r0, eps):
+        # the band's sums and its queries take rho from the same dist, so a
+        # query at each of its fresh edges is the stored sum bit for bit
+        profile = request.getfixturevalue(kind)
+        prob = build_problem(profile, r0, eps, beta=choose_beta(profile, r0, eps))
+        functional_eval(prob, prob.barrier_radius)
+        band = prob.graded
+        assert [band(x) for x in band.edges.tolist()] == band.suffix.tolist()
+        assert np.array_equal(band(band.edges), band.suffix)
+
     def test_bulk_extends_down_without_moving_values(self, schw):
         # queries from the anchor down extend the bulk table panel by panel; each
         # value is the one a problem first read at that radius gives, bit for bit
@@ -330,12 +341,14 @@ class TestProblemSetup:
         # moderate beta keeps the barrier inside the domain
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
         assert prob.barrier_radius is not None
-        # the graded band's stored bulk term at the barrier radius (its fresh
-        # first panel) is what a query there integrates afresh
+        # the graded band's stored sum at the barrier radius (its fresh first
+        # panel and up) plus the bulk above the band is what a query there
+        # integrates afresh
         r_b = prob.barrier_radius
         assert prob.graded is None  # built by the first query below 1.02 r_b
         at_barrier = functional_eval(prob, r_b)
-        assert at_barrier == pytest.approx(sphere_area(schw, r_b) + prob.graded.suffix[0], rel=1e-12)
+        stored = prob.graded.suffix[0] + prob.bulk(prob.graded.edges[-1])
+        assert at_barrier == pytest.approx(sphere_area(schw, r_b) + stored, rel=1e-12)
         rhos = r_b * (1 + 10.0 ** -np.arange(1, 6))
         vals = [functional_eval(prob, r) for r in rhos]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -716,6 +729,24 @@ class TestAnchorTableCut:
         assert np.array_equal([table.arc(float(x)) for x in xs], values)
         assert np.array_equal([table.arc(np.float64(x)) for x in xs], values)
         assert type(table.arc(float(xs[0]))) is float
+
+    def test_arc_0d_and_2d_queries_are_elementwise_floats(self, schw):
+        # an array of any shape is answered element by element through the float
+        # path: below the floor, at and between edges, in the partial panel, above
+        table = _AnchorTable(schw, 2.0)
+        cut = table.cut(0.5 * float(table.edges[3000] + table.edges[3001]))
+        e = cut.edges
+        xs = np.array([
+            [0.5 * e[0], e[0], 0.5 * (e[0] + e[1]), e[1]],
+            [e[-3], 0.5 * (e[-3] + e[-2]), e[-2], 0.5 * (e[-2] + e[-1])],
+            [e[-1] * (1 - 1e-12), e[-1], e[-1] * (1 + 1e-12), 2.0 * e[-1]],
+        ])
+        values = cut.arc(xs)
+        assert values.shape == xs.shape
+        assert values.tolist() == [[cut.arc(x) for x in row] for row in xs.tolist()]
+        for x in xs.ravel().tolist():
+            zero_d = cut.arc(np.array(x))
+            assert zero_d.shape == () and zero_d == cut.arc(x)
 
     def test_queries_leave_the_parent_table_unchanged(self, schw):
         # a 0-d query (an int, a numpy scalar, a 0-d array) inside a cut's partial

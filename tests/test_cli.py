@@ -3,6 +3,7 @@ import json
 import math
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,15 @@ def test_penrose_violated_exits_3(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "penrose" / "penrose.json").read_text())
     assert report["report"]["verdict"] == "violated"
+
+
+@pytest.mark.parametrize("grid", [["--grid-lo", "1"], ["--grid-lo", "0.7"], ["--grid-count", "2"]])
+def test_penrose_grid_starting_outside_the_horizon(tmp_path, grid):
+    # the horizon lies below the grid: still the equality case, not a throat extrapolation
+    assert run(tmp_path, "penrose", "--profile", "schwarzschild", "--mass", "1", *grid) == 0
+    report = json.loads((tmp_path / "penrose" / "penrose.json").read_text())["report"]
+    assert report["area_infimum"] == pytest.approx(16 * math.pi, rel=1e-12)
+    assert report["verdict"] == "equality-within-tol"
 
 
 def test_penrose_table_with_least_area_at_its_inner_edge(tmp_path, capsys):
@@ -226,6 +236,7 @@ def test_config_error_exit_2(tmp_path, capsys):
         ["penrose", "--profile", "trumpet", "--r0-glue", "nan"],
         ["trumpet", "--r0-glue", "0"],
         ["trumpet", "--alpha", "nan"],
+        ["penrose", "--profile", "schwarzschild", "--grid-hi", "inf"],  # a grid bound, not a NaN array
     ],
 )
 def test_bad_profile_or_grid_exit_2(tmp_path, capsys, flags):
@@ -388,6 +399,36 @@ def test_batch_records_refused_hypothesis(tmp_path):
     assert [s["exit_code"] for s in summary["scenarios"]] == [0, 0, 6]
 
 
+def test_batch_exit_codes_are_the_commands_own(tmp_path):
+    # each scenario's recorded exit code is what main returns for it run alone
+    radii = np.geomspace(1e-4, 1e4, 8192)
+    deficient = tmp_path / "deficient.dat"
+    write_tabulated(deficient, radii, 1 + 0.4 / radii + 0.8 * np.exp(-(((radii - 0.6) / 0.15) ** 2)))
+    scenarios = [
+        {"command": "penrose", "profile": {"kind": "schwarzschild", "mass": 1.0}},
+        {"command": "penrose", "profile": {"kind": "schwarzschild", "mass": "nan"}},  # ConfigError
+        {"command": "rigidity", "profile": {"kind": "schwarzschild", "mass": 1.0}, "r0": 2.0, "epsilon": 0.95},
+        {"command": "penrose", "profile": {"kind": "tabulated", "path": str(deficient)}},
+        {"command": "mu-bubble", "profile": {"kind": "euclidean"}, "r0": 1.0, "epsilon": 0.1, "beta": 2.0},
+        {"command": "trumpet", "alpha": 0.9},
+        {"command": "penrose", "profile": {"kind": "cylinder"}},
+    ]
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"command": "batch", "out_dir": str(tmp_path / "batch"), "scenarios": scenarios}))
+    with pytest.warns(UserWarning):  # the weak trumpet alpha
+        assert main(["batch", "--config", str(cfg)]) == 2
+    summary = json.loads((tmp_path / "batch" / "batch" / "batch.json").read_text())
+    alone = []
+    for idx, scenario in enumerate(scenarios):
+        path = tmp_path / f"scenario_{idx}.json"
+        path.write_text(json.dumps({**scenario, "out_dir": str(tmp_path / f"alone_{idx}")}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            alone.append(main([scenario["command"], "--config", str(path)]))
+    assert alone == [0, 2, 2, 3, 4, 5, 6]
+    assert [s["exit_code"] for s in summary["scenarios"]] == alone
+
+
 def test_reports_are_bit_identical(tmp_path):
     assert run(tmp_path, "penrose", "--profile", "schwarzschild", "--mass", "1") == 0
     a = (tmp_path / "penrose" / "penrose.json").read_bytes()
@@ -446,3 +487,22 @@ def test_rigidity_demo_script(monkeypatch, capsys):
     out = capsys.readouterr().out
     cumulative = [line for line in out.splitlines() if line.strip().startswith("cumulative volume")]
     assert len(cumulative) == 2 and all(line.endswith(": True") for line in cumulative)
+
+
+def test_replay_script_finds_a_changed_byte(tmp_path, monkeypatch, capsys):
+    # two records of the same tree agree op for op; one changed output digest is named
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and benchmarks/
+    digests = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in digests:
+        args = ["record", "--out", str(out), "--work", str(tmp_path / "work"), "--workloads", "verdicts"]
+        assert run_script(monkeypatch, "replay.py", *args, "--seeds", "1", "--rounds", "1") == 0
+    assert run_script(monkeypatch, "replay.py", "diff", *map(str, digests)) == 0
+    assert "0 of 11 ops differ" in capsys.readouterr().out
+    record = json.loads(digests[1].read_text())
+    key = sorted(record["ops"])[0]
+    assert record["ops"][key]["exit"] == 0 and "penrose.json" in record["ops"][key]["files"]
+    record["ops"][key]["files"]["penrose.json"] = "0" * 64
+    digests[1].write_text(json.dumps(record))
+    assert run_script(monkeypatch, "replay.py", "diff", *map(str, digests)) == 1
+    out = capsys.readouterr().out
+    assert f"{key}: penrose.json differs" in out and "1 of 11 ops differ" in out

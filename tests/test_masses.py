@@ -10,6 +10,7 @@ from penroselab import (
     CylinderProfile,
     NotAsymptoticallyFlatError,
     NotOuterMinimizingError,
+    RadialGrid,
     SchwarzschildLikeProfile,
     TabulatedProfile,
     UnsupportedDimensionError,
@@ -157,6 +158,16 @@ def test_minimal_sphere_is_the_root_of_h(a, b):
     assert abs(res.argmin_radius - b / a) <= 4 * math.ulp(b / a)
     assert abs(find_horizon(profile) - b / a) <= 4 * math.ulp(b / a)
     assert res.value == pytest.approx(16 * math.pi * (2 * a * b) ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("r_lo, count", [(1.0, 4096), (0.7, 4096), (1e-4, 2)])
+def test_area_infimum_below_a_grid_starting_outside_the_horizon(schw, r_lo, count):
+    # the least sampled area is the grid's inner edge, but H changes sign from
+    # + to - below it: the minimal sphere r = 1/2 is found there, not a throat
+    res = area_infimum_radial(schw, RadialGrid(r_lo, 1e4, count))
+    assert not res.throat_limit
+    assert abs(res.argmin_radius - 0.5) <= 4 * math.ulp(0.5)
+    assert res.value == pytest.approx(16 * math.pi, rel=1e-12)
 
 
 def test_area_infimum_cylinder_work_bound(cylinder, counting):

@@ -113,6 +113,15 @@ def test_panel_antiderivative_matches_quad():
     assert out.shape == xs.shape
 
 
+def test_panel_antiderivative_float_is_the_array_query():
+    # one query path: a float and a one-element array give the same bits
+    f = lambda x: np.sin(x) / x
+    edges = np.geomspace(0.1, 20.0, 257)
+    anti = PanelAntiderivative(f, edges)
+    for x in (0.05, 0.1, 0.37, float(edges[100]), 5.0, 19.99, 20.0, 25.0):
+        assert anti(x) == anti(np.array([x]))[0]
+
+
 @pytest.mark.parametrize("m", range(8))
 def test_tail_matrix_exact_for_degree_seven(m):
     # row j integrates from node j to 1: exact for every polynomial of degree <= 7
