@@ -3,15 +3,19 @@
 
 ``record`` draws the CLI ops of four seeded workloads from
 ``benchmarks/workloads.py`` (verdicts, bubble-schedules, bubble-trumpet and
-trumpet-roundtrip; by default seeds 1-3, rounds 0-1: 171 ops), runs each
-through ``penroselab.cli.run_command`` of the package under ``--src``, and
-writes one digest per op: its exit code and the SHA-256 of every file it
-wrote.  A tabulated profile from an earlier ``trumpet`` op is resolved as
-``benchmarks/run.py`` resolves it.  The output directory is fixed
-(``--work``), because the reports echo ``out_dir``: two trees compared
-must be recorded with the same one.
+trumpet-roundtrip; by default seeds 1-3, rounds 0-1: 171 ops) and the fixed
+``commands`` list below (18 ops over all seven commands, including the exit
+codes and the refusals the workloads never reach), runs each through
+``penroselab.cli.run_command`` of the package under ``--src``, and writes
+one digest per op: its exit code, the SHA-256 of every file it wrote and
+the contents of every JSON report.  A tabulated profile from an earlier
+``trumpet`` op is resolved as ``benchmarks/run.py`` resolves it.  The output
+directory is fixed (``--work``), because the reports echo ``out_dir``: two
+trees compared must be recorded with the same one.
 
-``diff`` compares two digest files op by op and exits 1 if any differ.
+``diff`` compares two digest files op by op and exits 1 if any differ.  For
+a JSON report that differs it prints the path of each differing leaf, with
+the relative change of a number, and the largest relative change per file.
 
     python scripts/replay.py record --src src --out out/new.json
     python scripts/replay.py record --src ../parent/src --out out/old.json
@@ -26,6 +30,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -33,11 +38,41 @@ import warnings
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-WORKLOADS = ("verdicts", "bubble-schedules", "bubble-trumpet", "trumpet-roundtrip")
+WORKLOADS = ("verdicts", "bubble-schedules", "bubble-trumpet", "trumpet-roundtrip", "commands")
+
+SCHW, TRUMPET = {"kind": "schwarzschild", "mass": 1.0}, {"kind": "trumpet"}
+# (label, config): every command, with the exits 4, 5 and 6, the refusals and a raised config error
+COMMANDS = (
+    ("mu-bubble default", {"command": "mu-bubble", "profile": SCHW}),
+    ("mu-bubble beta 3", {"command": "mu-bubble", "profile": SCHW, "beta": 3.0}),
+    ("mu-bubble trumpet r0 4", {"command": "mu-bubble", "profile": TRUMPET, "r0": 4.0, "epsilon": 0.02}),
+    ("mu-bubble euclidean", {"command": "mu-bubble", "profile": {"kind": "euclidean"}}),
+    ("mu-bubble beta -1", {"command": "mu-bubble", "profile": SCHW, "beta": -1.0}),
+    ("horizon schwarzschild r0 2", {"command": "horizon", "profile": SCHW, "r0": 2.0}),
+    ("horizon schwarzschild r0 10", {"command": "horizon", "profile": SCHW, "r0": 10.0}),
+    ("horizon trumpet r0 3", {"command": "horizon", "profile": TRUMPET, "r0": 3.0}),
+    ("rigidity refused", {"command": "rigidity", "profile": SCHW, "r0": 2.0, "epsilon": 0.3, "gamma": 1.05}),
+    ("rigidity trumpet", {"command": "rigidity", "profile": TRUMPET, "r0": 4.0, "epsilon": 0.02, "gamma": 1.5}),
+    ("analyze euclidean", {"command": "analyze", "profile": {"kind": "euclidean"}}),
+    ("analyze schwarzschild", {"command": "analyze", "profile": SCHW}),
+    ("analyze cylinder", {"command": "analyze", "profile": {"kind": "cylinder"}}),
+    ("analyze trumpet n 4", {"command": "analyze", "profile": TRUMPET, "n": 4}),
+    ("penrose cylinder", {"command": "penrose", "profile": {"kind": "cylinder"}}),
+    ("penrose grid-lo 1", {"command": "penrose", "profile": SCHW, "grid": {"r_lo": 1.0}}),
+    ("trumpet alpha 0.9", {"command": "trumpet", "alpha": 0.9}),
+    ("batch", {"command": "batch", "scenarios": [
+        {"command": "penrose", "profile": SCHW},
+        {"command": "mu-bubble", "profile": SCHW, "epsilon": 0.05},
+        {"command": "penrose", "profile": {"kind": "cylinder"}},
+    ]}),
+)
 
 
 def draw_ops(workloads, names, seeds, rounds):
     for name in names:
+        if name == "commands":
+            yield from ((f"commands:{i} {label}", {"label": label, "cli": cfg}) for i, (label, cfg) in enumerate(COMMANDS))
+            continue
         for seed in seeds:
             for k in range(rounds):
                 for i, op in enumerate(workloads.WORKLOADS[name].round(seed, k)):
@@ -57,7 +92,7 @@ def prepare(op: dict, work: Path) -> dict:
 
 
 def run_op(cli, cfg: dict) -> dict:
-    """Exit code (or the escaping exception's type) and the SHA-256 of each file written."""
+    """Exit code (or the escaping exception's type), the SHA-256 of each file written, each JSON report."""
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")
         try:
@@ -66,7 +101,12 @@ def run_op(cli, cfg: dict) -> dict:
             code = f"exception {type(exc).__name__}"
     out = Path(cfg["out_dir"]) / cfg["command"]
     files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
-    return {"exit": code, "files": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+    names = {p: str(p.relative_to(out)) for p in files}
+    return {
+        "exit": code,
+        "files": {names[p]: hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
+        "reports": {names[p]: json.loads(p.read_text()) for p in files if p.suffix == ".json"},
+    }
 
 
 def record(args) -> int:
@@ -83,6 +123,35 @@ def record(args) -> int:
     return 0
 
 
+def leaves(obj, path=""):
+    """(path, value) of every leaf of a JSON value, paths like ``report.steps[2].area``."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def report_diff(prefix: str, old, new) -> None:
+    """Print each differing leaf of two JSON reports, the relative change of numbers, and the largest."""
+    a, b = dict(leaves(old)), dict(leaves(new))
+    worst = 0.0
+    for path in sorted(a.keys() | b.keys()):
+        x, y = a.get(path), b.get(path)
+        if x == y and type(x) is type(y):
+            continue
+        line = f"{prefix}: {path}: {x!r} -> {y!r}"
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            rel = abs(y - x) / abs(x) if x else math.inf
+            worst = max(worst, rel)
+            line += f" (relative change {rel:.3g})"
+        print(line)
+    print(f"{prefix}: largest relative change {worst:.3g}")
+
+
 def diff(args) -> int:
     old, new = (json.loads(Path(p).read_text())["ops"] for p in (args.old, args.new))
     differ = 0
@@ -97,8 +166,11 @@ def diff(args) -> int:
         if a["exit"] != b["exit"]:
             print(f"{key}: exit {a['exit']} -> {b['exit']}")
         for name in sorted(a["files"].keys() | b["files"].keys()):
-            if a["files"].get(name) != b["files"].get(name):
+            old_report, new_report = (op.get("reports", {}).get(name) for op in (a, b))
+            if a["files"].get(name) != b["files"].get(name) or old_report != new_report:
                 print(f"{key}: {name} differs")
+                if old_report is not None and new_report is not None:
+                    report_diff(f"{key}: {name}", old_report, new_report)
     print(f"{differ} of {len(old.keys() | new.keys())} ops differ")
     return 1 if differ else 0
 

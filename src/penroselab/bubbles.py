@@ -27,7 +27,7 @@ evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
 length to the anchor at every node and every panel edge, and the volume
 weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` reuses it for every
 curvature; ``rigidity_iteration`` cuts it at each re-anchored step's anchor,
-evaluating u on one partial panel and copying nothing.  Between the edges,
+evaluating u on one partial panel and sharing the rest.  Between the edges,
 rho comes from the same node values (a :class:`~penroselab.quadrature.NodeTable`:
 the edge value plus the exact integral of the interpolant of u^2 on the
 panel's 8 nodes), so no query of rho evaluates u.  One object per
@@ -77,7 +77,7 @@ from .geometry import (
 )
 from .masses import _hawking_value, _root, area_infimum_radial, penrose_check, EQUALITY_TOL
 from .profiles import RadialProfile
-from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_suffix
+from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
 _PANELS = 4096
@@ -137,60 +137,54 @@ def _volume_weight(r, w):
 class _AnchorTable:
     """What a bubble problem needs of its profile and anchor alone.
 
-    The panels are geomspace(floor, r0, 4097), the floor being the inner edge
-    of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  One evaluation
-    of u at their 4096 x 8 Gauss nodes gives the arc length to the anchor at
-    every edge and anywhere between (``arc``, the node table behind rho), at
-    every node (the quadrature tail matrix inside the node's panel), and the
-    volume weight 4 pi u^6 r^2 at every node; ``nodes`` reads the last two
-    over a range of panels.  A schedule builds one table for all its steps,
-    ``cut`` at the anchor of each step it re-anchors inside it.
+    A full table's panels are geomspace(floor, r0, 4097), the floor being the
+    inner edge of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  One
+    evaluation of u at their 4096 x 8 Gauss nodes gives the arc length to the
+    anchor at every edge and anywhere between (``arc``, the node table behind
+    rho), and ``rows`` per node: the half-width, the tail (the arc length to
+    the panel's right edge, by the quadrature tail matrix) and the volume
+    weight 4 pi u^6 r^2.  ``nodes`` adds to each tail ``arc`` at that edge,
+    so nodes and edges take their arc lengths from the same sums.  Tails are
+    stored, not derived per read: a one-row matmul rounds differently from
+    the same row in a larger one, and ``nodes(p)`` is ``nodes(0)[p:]``.
+
+    Given ``full``, the table is full's cut at the anchor: full's edges below
+    the anchor's panel m and one partial panel up to the anchor, the only one
+    where u is evaluated.  Tails do not depend on the anchor, so the cut
+    shares full's rows below m, and ``arc`` shares its interpolant rows.
     """
 
-    def __init__(self, profile: RadialProfile, anchor_radius: float):
-        dom = profile.domain
-        floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
-        self.profile = profile
-        self.edges = np.geomspace(floor, anchor_radius, _PANELS + 1)
-        nodes, self.half = gauss_nodes(self.edges[:-1], self.edges[1:])
-        arc_weight = profile.u(nodes) ** 2  # u^{2/(n-2)}, n = 3
-        self.arc = NodeTable(self.edges, arc_weight, self.half)
-        self.arc_nodes = node_suffix(arc_weight, self.half)
-        self.volume_weight = _volume_weight(nodes, arc_weight)
-        self.root, self.m, self.shift = None, _PANELS, 0.0  # a cut's full table, partial panel and shift
-        self.partial = (self.half[:0], self.arc_nodes[:0], self.volume_weight[:0])  # a cut's partial panel
+    def __init__(self, profile: RadialProfile, anchor_radius: float, full: _AnchorTable | None = None):
+        if full is None:
+            dom = profile.domain
+            floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
+            m, edges = 0, np.geomspace(floor, anchor_radius, _PANELS + 1)
+        else:
+            m = int(np.searchsorted(full.edges, anchor_radius)) - 1  # edges[m] < anchor <= edges[m + 1]
+            edges = np.append(full.edges[: m + 1], anchor_radius)
+        self.profile, self.full, self.m, self.edges = profile, full, m, edges  # m: the first panel evaluated here
+        nodes, half = gauss_nodes(edges[m:-1], edges[m + 1 :])
+        weight = profile.u(nodes) ** 2  # u^{2/(n-2)}, n = 3
+        self.arc = NodeTable(edges, weight, half, None if full is None else full.arc)
+        self.rows = (half, node_tails(weight, half), _volume_weight(nodes, weight))
 
     def nodes(self, p: int):
         """Half-widths, node arc lengths to the anchor and node volume weights of panels p and up."""
-        root, m = self.root or self, self.m
-        head = (root.half[p:m], root.arc_nodes[p:m] - self.shift, root.volume_weight[p:m])
-        return tuple(np.concatenate([x, y[max(p - m, 0) :]]) for x, y in zip(head, self.partial))
+        m, head = self.m, (self.full or self).rows
+        half, tail, vol = (np.concatenate([x[p:m], y[max(p - m, 0) :]]) for x, y in zip(head, self.rows))
+        return half, tail + self.arc.suffix[p + 1 :, None], vol
 
     def cut(self, anchor: float) -> _AnchorTable:
-        """The table of an anchor inside this one: the edges below it, one partial panel up to it.
+        """The table of an anchor inside this one: the constructor given the full table.
 
-        Only the partial panel evaluates u.  The edge arc lengths are re-summed
-        from the per-panel ones, so ``arc`` at an edge returns its stored value
-        bit for bit; ``arc`` shares the full table's interpolant rows and
-        ``nodes`` its node data, shifting the arc lengths to the new anchor.
-        A cut of a cut is the full table's cut.
+        A cut of a cut is the full table's cut; a cut at the top edge is this table.
         """
         floor, top = self.edges[[0, -1]]
         if anchor == top:
             return self
         if not floor < anchor < top:
             raise OutOfCollectionError(f"anchor {anchor} lies outside the table's ({floor:.6g}, {top:.6g}]")
-        root = self.root or self
-        m = int(np.searchsorted(root.edges, anchor)) - 1  # edges[m] < anchor <= edges[m + 1]
-        cut = object.__new__(_AnchorTable)
-        cut.profile, cut.root, cut.m = self.profile, root, m
-        cut.edges = np.append(root.edges[: m + 1], anchor)
-        nodes, half = gauss_nodes(cut.edges[m:-1], cut.edges[m + 1 :])
-        weight = self.profile.u(nodes) ** 2
-        cut.arc = NodeTable(cut.edges, weight, half, head=root.arc)
-        cut.shift = root.arc.suffix[m] - cut.arc.panels[m]  # arc length from the anchor to the old top edge
-        cut.partial = (half, node_suffix(weight, half), _volume_weight(nodes, weight))
-        return cut
+        return _AnchorTable(self.profile, anchor, self.full or self)
 
 
 def _shrunk(arc, lip):

@@ -10,13 +10,13 @@ need the same integral at many points at once:
   F(x) = integral from x to the right edge, cheap to evaluate anywhere and
   smooth enough for root finding.  It evaluates f on one fresh panel per
   query, so it follows integrands no node interpolant can.
-- ``edge_suffix`` / ``node_suffix``: that antiderivative at the panel edges
-  and at the Gauss nodes themselves, from the integrand's values at the
-  nodes alone.  Inside a panel the node values come from the tail matrix
-  ``_GL_TAIL``: entry [j, k] is the integral from node j to the panel's
-  right end of the k-th Lagrange basis polynomial on the 8 nodes, so it is
-  exact for the degree-7 interpolant.  One evaluation of f at the nodes
-  thus gives both a panel table and f's antiderivative at every node.
+- ``node_tails``: the integral from each Gauss node to its panel's right
+  edge, from the integrand's values at the nodes alone, through the tail
+  matrix ``_GL_TAIL``: entry [j, k] is the integral from node j to the
+  panel's right end of the k-th Lagrange basis polynomial on the 8 nodes, so
+  it is exact for the degree-7 interpolant.  Added to a ``NodeTable``'s edge
+  sums, one evaluation of f at the nodes thus gives f's antiderivative at
+  every edge and every node.
 - ``NodeTable``: the same antiderivative anywhere, still from the node
   values alone.  The integral from a point t of the panel coordinate to the
   panel's right end of the k-th basis polynomial is a degree-8 polynomial
@@ -82,23 +82,13 @@ def _suffix(panels):
     return out
 
 
-def edge_suffix(vals, half):
-    """Integral from each edge to the last, from f at the nodes of ``gauss_nodes(edges)``.
+def node_tails(vals, half):
+    """Integral from each Gauss node to its panel's right edge, shaped like ``vals``.
 
-    ``vals`` has shape (P, 8) for P panels and ``half`` shape (P,); the
-    result has one entry per edge, the last one 0.  The panel sums are a
-    matmul: equal to ``gauss_panel``'s up to rounding, and much faster on
-    thousands of panels.
+    ``vals`` holds f at ``gauss_nodes`` of P panels, shape (P, 8), and
+    ``half`` their half-widths, shape (P,).
     """
-    return _suffix((vals @ _GL_WEIGHTS) * half)
-
-
-def node_suffix(vals, half):
-    """Integral from each Gauss node to the last edge, shaped like ``vals``.
-
-    The tail matrix covers the node's own panel, the edge suffix the rest.
-    """
-    return (vals @ _GL_TAIL.T) * half[:, None] + edge_suffix(vals, half)[1:, None]
+    return (vals @ _GL_TAIL.T) * half[:, None]
 
 
 class NodeTable:

@@ -34,6 +34,7 @@ from penroselab import (
 from penroselab.bubbles import MuBubbleProblem, _AnchorTable, _arccoth
 from penroselab.masses import _root, penrose_check
 from penroselab.profiles import RadialProfile
+from penroselab.quadrature import gauss_nodes
 
 from conftest import ode_residual
 
@@ -760,14 +761,14 @@ class TestAnchorTableCut:
         assert np.array_equal(table.arc.coef, coef)
         assert table.arc(1.0) == table.arc(np.array(1.0)) == before
         # the cut shares the parent's rows, and its node data are the parent's,
-        # bit for bit as a copy would hold them: the arc lengths less the shift
+        # bit for bit: the parent's tails plus the cut's own edge sums
         assert np.shares_memory(cut.arc.coef, table.arc.coef)
         c = len(cut.edges) - 2  # the cut's partial panel
-        shift = table.arc.suffix[c] - cut.arc.panels[c]
+        full_half, full_tail, full_vol = table.rows
         half, arc, vol = cut.nodes(0)
         assert [len(x) for x in (half, arc, vol)] == [c + 1] * 3
-        assert np.array_equal(arc[:c], table.arc_nodes[:c] - shift)
-        assert np.array_equal(vol[:c], table.volume_weight[:c]) and np.array_equal(half[:c], table.half[:c])
+        assert np.array_equal(arc[:c], full_tail[:c] + cut.arc.suffix[1 : c + 1, None])
+        assert np.array_equal(vol[:c], full_vol[:c]) and np.array_equal(half[:c], full_half[:c])
         for p in (1, c - 3, c):
             assert all(np.array_equal(x, y[p:]) for x, y in zip(cut.nodes(p), (half, arc, vol)))
         assert [len(x) for x in cut.nodes(c + 1)] == [0, 0, 0]  # from the anchor edge up: no panel
@@ -794,6 +795,26 @@ class TestAnchorTableCut:
         assert np.array_equal(prob.dist(table.edges), stored)
         assert [prob.dist(float(r)) for r in table.edges] == stored.tolist()
         assert prob.dist(anchor) == 0.0
+
+    @pytest.mark.parametrize("mass, r0, anchor", [(1.0, 2.0, 2.0), (1.0, 2.0, 1.4), (1.7, 5.0, 2.25), (0.5, 3.0, 0.9)])
+    def test_node_data_against_closed_forms(self, mass, r0, anchor):
+        # the node arc lengths and volume weights the bulk term is weighted with,
+        # from the panel at 1e-3 anchor up; a full table (anchor = r0) and cuts
+        c = 0.5 * mass
+        profile = SchwarzschildLikeProfile.from_mass(mass)
+        table = _AnchorTable(profile, r0).cut(anchor)
+        e = table.edges
+        p = int(np.searchsorted(e, 1e-3 * anchor, side="right")) - 1
+        r, _ = gauss_nodes(e[p:-1], e[p + 1 :])
+        half, arc, vol = table.nodes(p)
+        assert np.array_equal(half, 0.5 * (e[p + 1 :] - e[p:-1]))
+        d = anchor - r
+        exact = d + 2 * c * np.log1p(d / r) + c * c * d / (r * anchor)
+        # the table integrates from the exact node, r from its float rounding: ds/dr = u^2
+        slack = 4 * np.finfo(float).eps * r * (1 + c / r) ** 2
+        assert np.all(np.abs(arc - exact) <= 1e-14 * np.abs(exact) + slack)
+        exact_vol = 4 * math.pi * (r + c) ** 6 / r**4
+        assert np.max(np.abs(vol - exact_vol) / exact_vol) <= 4e-15
 
     @pytest.mark.parametrize("r0", [3.0, 4.4])
     def test_trumpet_dist_against_geodesic_distance(self, trumpet, r0):

@@ -506,3 +506,37 @@ def test_replay_script_finds_a_changed_byte(tmp_path, monkeypatch, capsys):
     assert run_script(monkeypatch, "replay.py", "diff", *map(str, digests)) == 1
     out = capsys.readouterr().out
     assert f"{key}: penrose.json differs" in out and "1 of 11 ops differ" in out
+
+
+def test_replay_commands_cover_every_command(tmp_path, monkeypatch):
+    # the fixed list runs all seven commands, with their refusal exits and a raised config error
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "commands.json"
+    args = ["record", "--out", str(out), "--work", str(tmp_path / "work"), "--workloads", "commands"]
+    assert run_script(monkeypatch, "replay.py", *args) == 0
+    ops = json.loads(out.read_text())["ops"]
+    commands = {key.split()[1] for key in ops}
+    assert commands == {"analyze", "penrose", "mu-bubble", "horizon", "rigidity", "trumpet", "batch"}
+    exits = [op["exit"] for op in ops.values()]
+    assert {0, 4, 5, 6} <= set(exits) and exits.count("exception ParameterError") == 1
+    assert all(isinstance(code, int) for code in exits if code != "exception ParameterError")
+
+
+def test_replay_diff_names_the_number_that_moved(tmp_path, monkeypatch, capsys):
+    # one float perturbed in a stored report: diff names its path and its relative change
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    old, new = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["record", "--out", str(old), "--work", str(tmp_path / "work"), "--workloads", "verdicts"]
+    assert run_script(monkeypatch, "replay.py", *args, "--seeds", "1", "--rounds", "1") == 0
+    record = json.loads(old.read_text())
+    key = sorted(record["ops"])[0]
+    report = record["ops"][key]["reports"]["penrose.json"]["report"]
+    report["adm_mass"] *= 1 + 1e-9
+    new.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run_script(monkeypatch, "replay.py", "diff", str(old), str(new)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    moved = [line for line in lines if line.startswith(f"{key}: penrose.json: report.adm_mass: ")]
+    assert len(moved) == 1 and moved[0].endswith("(relative change 1e-09)")
+    assert f"{key}: penrose.json: largest relative change 1e-09" in lines
+    assert "1 of 11 ops differ" in lines
