@@ -8,14 +8,18 @@ trumpet-roundtrip; by default seeds 1-3, rounds 0-1: 171 ops) and the fixed
 codes and the refusals the workloads never reach), runs each through
 ``penroselab.cli.run_command`` of the package under ``--src``, and writes
 one digest per op: its exit code, the SHA-256 of every file it wrote and
-the contents of every JSON report.  A tabulated profile from an earlier
+the contents of every JSON report.  An op that carries ``hawking_radius``
+also records the four fields of ``adm_hawking_check`` at that radius under
+``hawking``, as ``benchmarks/run.py`` times it.  A tabulated profile from an earlier
 ``trumpet`` op is resolved as ``benchmarks/run.py`` resolves it.  The output
 directory is fixed (``--work``), because the reports echo ``out_dir``: two
 trees compared must be recorded with the same one.
 
 ``diff`` compares two digest files op by op and exits 1 if any differ.  For
-a JSON report that differs it prints the path of each differing leaf, with
-the relative change of a number, and the largest relative change per file.
+a JSON report or ``hawking`` record that differs it prints the path of each
+differing leaf, with the relative change of a number, and the largest
+relative change per file.  Records made before ``hawking`` was added lack
+it, so re-record both trees with the same script.
 
     python scripts/replay.py record --src src --out out/new.json
     python scripts/replay.py record --src ../parent/src --out out/old.json
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -91,14 +96,25 @@ def prepare(op: dict, work: Path) -> dict:
     return cfg
 
 
-def run_op(cli, cfg: dict) -> dict:
-    """Exit code (or the escaping exception's type), the SHA-256 of each file written, each JSON report."""
+def run_op(cli, cfg: dict, hawking_radius: float | None = None) -> dict:
+    """Exit code (or the escaping exception's type), the SHA-256 of each file written, each JSON report.
+
+    Given ``hawking_radius``, also the fields of ``adm_hawking_check`` there (or the exception's type).
+    """
+    extra = {}
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")
         try:
             code = cli.run_command(cfg)
         except Exception as exc:  # a raising op is recorded, not fatal
             code = f"exception {type(exc).__name__}"
+        if hawking_radius is not None:
+            from penroselab.masses import adm_hawking_check  # from the package under --src, as cli is
+
+            try:
+                extra["hawking"] = dataclasses.asdict(adm_hawking_check(cli.build_profile(cfg), hawking_radius))
+            except Exception as exc:
+                extra["hawking"] = f"exception {type(exc).__name__}"
     out = Path(cfg["out_dir"]) / cfg["command"]
     files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
     names = {p: str(p.relative_to(out)) for p in files}
@@ -106,6 +122,7 @@ def run_op(cli, cfg: dict) -> dict:
         "exit": code,
         "files": {names[p]: hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
         "reports": {names[p]: json.loads(p.read_text()) for p in files if p.suffix == ".json"},
+        **extra,
     }
 
 
@@ -116,7 +133,8 @@ def record(args) -> int:
     import penroselab.cli as cli
 
     work = Path(args.work)
-    digests = {key: run_op(cli, prepare(op, work)) for key, op in draw_ops(workloads, args.workloads, args.seeds, args.rounds)}
+    ops = draw_ops(workloads, args.workloads, args.seeds, args.rounds)
+    digests = {key: run_op(cli, prepare(op, work), op.get("hawking_radius")) for key, op in ops}
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(json.dumps({"src": str(Path(cli.__file__).parent), "ops": digests}, indent=1) + "\n")
     print(f"{len(digests)} ops from {Path(cli.__file__).parent} -> {args.out}")
@@ -171,6 +189,9 @@ def diff(args) -> int:
                 print(f"{key}: {name} differs")
                 if old_report is not None and new_report is not None:
                     report_diff(f"{key}: {name}", old_report, new_report)
+        if a.get("hawking") != b.get("hawking"):
+            print(f"{key}: hawking differs")
+            report_diff(f"{key}: hawking", a.get("hawking"), b.get("hawking"))
     print(f"{differ} of {len(old.keys() | new.keys())} ops differ")
     return 1 if differ else 0
 

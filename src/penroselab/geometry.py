@@ -49,22 +49,24 @@ def scalar_curvature(profile: RadialProfile, r):
 def sphere_area(profile: RadialProfile, r):
     """Area of the coordinate sphere S_r; vectorized over r."""
     profile.require_radius(r)
-    n = profile.n
-    return unit_sphere_area(n) * profile.u(r) ** (2.0 * (n - 1) / (n - 2)) * r ** (n - 1)
+    return _area(profile.n, r, profile.u(r))
+
+
+def _area(n: int, r, u):
+    """|S_r| from u = u(r), for floats and arrays."""
+    return unit_sphere_area(n) * u ** (2.0 * (n - 1) / (n - 2)) * r ** (n - 1)
 
 
 def sphere_mean_curvature(profile: RadialProfile, r):
     """Mean curvature of S_r with respect to the outward normal; vectorized."""
-    scale, inv_r, log_slope = _mean_curvature_terms(profile, r)
+    profile.require_radius(r)
+    scale, inv_r, log_slope = _mean_curvature_terms(profile.n, r, profile.u(r), profile.du(r))
     return scale * (inv_r + log_slope)
 
 
-def _mean_curvature_terms(profile: RadialProfile, r):
-    """(n-1) u^{-2/(n-2)}, 1/r and (2/(n-2)) u'/u: H(S_r) is the first times the sum of the others."""
-    profile.require_radius(r)
-    n = profile.n
-    u = profile.u(r)
-    return (n - 1) * u ** (-2.0 / (n - 2)), 1.0 / r, (2.0 / (n - 2)) * profile.du(r) / u
+def _mean_curvature_terms(n: int, r, u, du):
+    """(n-1) u^{-2/(n-2)}, 1/r and (2/(n-2)) u'/u at u = u(r), du = u'(r): H(S_r) = first * (sum of others)."""
+    return (n - 1) * u ** (-2.0 / (n - 2)), 1.0 / r, (2.0 / (n - 2)) * du / u
 
 
 def intrinsic_diameter(profile: RadialProfile, r):

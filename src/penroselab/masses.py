@@ -29,7 +29,7 @@ from .errors import (
     NotOuterMinimizingError,
     UnsupportedDimensionError,
 )
-from .geometry import _mean_curvature_terms, sphere_area, sphere_mean_curvature
+from .geometry import _area, _mean_curvature_terms, sphere_area, sphere_mean_curvature
 from .profiles import RadialGrid, RadialProfile, default_grid
 
 TAIL_RESIDUAL_REL = 1e-6
@@ -94,13 +94,13 @@ def adm_mass_from_tail(
 ) -> tuple[float, AsymptoticTail]:
     """Fit u = a + b r^{2-n} on [r_hi/10, r_hi] and return (2ab, tail).
 
-    Raises :class:`NotAsymptoticallyFlatError` when the max fit deviation
-    exceeds ``TAIL_RESIDUAL_REL * a`` or the fitted leading coefficient is not
-    positive.
+    The window is the 128-point ``RadialGrid`` on that decade.  Raises
+    :class:`NotAsymptoticallyFlatError` when the max fit deviation exceeds
+    ``TAIL_RESIDUAL_REL * a`` or the fitted leading coefficient is not positive.
     """
     grid = grid or default_grid(profile)
     n = profile.n
-    radii = np.geomspace(grid.r_hi / 10.0, grid.r_hi, 128)
+    radii = RadialGrid(grid.r_hi / 10.0, grid.r_hi, 128).radii()
     profile.require_radius(radii)
     u = profile.u(radii)
     # scale the decaying basis column to keep the normal equations tame
@@ -180,9 +180,12 @@ def _root(f, a: float, b: float, fa: float | None = None, fb: float | None = Non
     return float(brentq(f, a, b, xtol=1e-300, rtol=_ROOT_RTOL))
 
 
-def _mean_curvature_or_zero(profile: RadialProfile, r):
+def _mean_curvature_or_zero(profile: RadialProfile, r, u=None):  # u: u(r) at checked radii, when held
     """H(S_r), or 0 within rounding: |H| <= 4 eps (n-1) u^{-2/(n-2)} (1/r + |2u'/((n-2)u)|)."""
-    scale, inv_r, log_slope = _mean_curvature_terms(profile, r)
+    if u is None:
+        profile.require_radius(r)
+        u = profile.u(r)
+    scale, inv_r, log_slope = _mean_curvature_terms(profile.n, r, u, profile.du(r))
     h = scale * (inv_r + log_slope)
     return np.where(np.abs(h) <= _H_NOISE * scale * (inv_r + np.abs(log_slope)), 0.0, h)
 
@@ -209,9 +212,12 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
     is extrapolated over those nodes (Richardson in sqrt(r - r_min)) and
     flagged as a throat limit with no argmin.
     """
-    grid = grid or default_grid(profile)
-    radii = grid.radii()
-    areas = np.asarray(sphere_area(profile, radii))
+    radii = (grid or default_grid(profile)).radii()
+    return _area_infimum(profile, radii, np.asarray(sphere_area(profile, radii)))
+
+
+def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
+    """:func:`area_infimum_radial` from the grid's areas, and from its H-or-zero ``h`` when held."""
     i = int(np.argmin(areas))
     if i == 0:
         lo = profile.domain.lo
@@ -220,8 +226,8 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
         # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
         nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
         inward = np.concatenate([radii[1::-1], nodes[1:]])  # d area/dr has the sign of H
-        h = _mean_curvature_or_zero(profile, inward)
-        turn = np.nonzero((h[:-1] > 0) & (h[1:] < 0))[0]  # + to - inward: a minimal sphere
+        h_in = _mean_curvature_or_zero(profile, inward)
+        turn = np.nonzero((h_in[:-1] > 0) & (h_in[1:] < 0))[0]  # + to - inward: a minimal sphere
         if len(turn):
             k = int(turn[0])
             r = _root(partial(sphere_mean_curvature, profile), inward[k + 1], inward[k])
@@ -230,7 +236,8 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
         limit = _neville_to_zero(np.sqrt(nodes - lo), vals)
         return AreaInfimum(value=float(limit), argmin_radius=None, throat_limit=True)
     if i < len(radii) - 1:
-        h_lo, h_hi = _mean_curvature_or_zero(profile, radii[[i - 1, i + 1]])
+        pair = [i - 1, i + 1]
+        h_lo, h_hi = h[pair] if h is not None else _mean_curvature_or_zero(profile, radii[pair])
         if h_lo < 0 < h_hi:
             r = _root(partial(sphere_mean_curvature, profile), radii[i - 1], radii[i + 1])
             return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
@@ -239,9 +246,12 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
 
 def find_horizon(profile: RadialProfile, grid: RadialGrid | None = None) -> float | None:
     """Outermost radius with H = 0 to rounding (r_hi on the cylinder), or None when all are mean-convex."""
-    grid = grid or default_grid(profile)
-    radii = grid.radii()
-    h = _mean_curvature_or_zero(profile, radii)
+    radii = (grid or default_grid(profile)).radii()
+    return _horizon(profile, radii, _mean_curvature_or_zero(profile, radii))
+
+
+def _horizon(profile: RadialProfile, radii, h) -> float | None:
+    """:func:`find_horizon` from H-or-zero ``h`` on the grid's radii."""
     sign_change = np.nonzero(h[:-1] * h[1:] < 0)[0]
     if len(sign_change) == 0:
         zero = np.nonzero(h == 0)[0]
@@ -257,6 +267,8 @@ def penrose_check(
 ) -> PenroseReport:
     """Assemble the mass-vs-area verdict m >= sqrt(A/16pi) for n = 3.
 
+    The area infimum and horizon of :func:`area_infimum_radial` and
+    :func:`find_horizon` come from one evaluation of u and u' on the grid.
     The degenerate flat case (mass and infimum both at numerical zero) is
     reported as equality with ratio 1.
     """
@@ -264,7 +276,11 @@ def penrose_check(
         raise UnsupportedDimensionError("penrose_check is defined only for n = 3")
     grid = grid or default_grid(profile)
     m, _tail = adm_mass_from_tail(profile, grid)
-    inf_res = area_infimum_radial(profile, grid)
+    radii = grid.radii()
+    profile.require_radius(radii)
+    u = profile.u(radii)
+    h = _mean_curvature_or_zero(profile, radii, u)
+    inf_res = _area_infimum(profile, radii, _area(profile.n, radii, u), h)
     a_g = max(inf_res.value, 0.0)
     bound = math.sqrt(a_g / (16 * math.pi))
     if bound <= _DEGENERATE_BOUND:
@@ -283,7 +299,7 @@ def penrose_check(
         bound=float(bound),
         ratio=float(ratio),
         verdict=verdict,
-        horizon_radius=find_horizon(profile, grid),
+        horizon_radius=_horizon(profile, radii, h),
     )
 
 
@@ -311,7 +327,7 @@ def adm_hawking_check(
         raise NotOuterMinimizingError(
             f"sphere_area dips below area(S_{r}) at larger radii; hypothesis refused"
         )
-    mh = hawking_mass(profile, r)
+    mh = float(_hawking_value(area_r, sphere_mean_curvature(profile, r)))  # hawking_mass, its area read once
     m, _ = adm_mass_from_tail(profile, grid)
     return AdmHawkingResult(
         radius=float(r), adm_mass=float(m), hawking_mass=float(mh), passed=m >= mh - ADM_HAWKING_SLACK

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -263,7 +264,12 @@ DEFAULT_GRID_COUNT = 4096
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Logarithmic sampling grid used by scans and verification reports."""
+    """Logarithmic sampling grid used by scans, tail fits, exports and verification reports.
+
+    Each distinct grid is sampled once per process; equal grids share one
+    read-only array.  The bubble anchor table's edges, new on every schedule,
+    are sampled apart, as they would only push reused grids out of the cache.
+    """
 
     r_lo: float
     r_hi: float
@@ -275,8 +281,12 @@ class RadialGrid:
         if self.count < 2:
             raise ValueError("grid needs at least 2 samples")
 
+    @lru_cache(maxsize=16)  # keyed by the grid's fields: equal grids share the array
     def radii(self) -> np.ndarray:
-        return np.geomspace(self.r_lo, self.r_hi, self.count)
+        """np.geomspace(r_lo, r_hi, count), read-only."""
+        radii = np.geomspace(self.r_lo, self.r_hi, self.count)
+        radii.flags.writeable = False
+        return radii
 
 
 def default_grid(

@@ -341,7 +341,8 @@ EXPORT_COUNT = 32768
 def export_trumpet(profile: TrumpetProfile, dat_path) -> None:
     """Write the profile as a two-column (r, u) table readable by ``read_tabulated``.
 
-    The radii are EXPORT_COUNT geometric points from EXPORT_R_LO to EXPORT_R_HI.
+    The radii are the ``RadialGrid`` of EXPORT_COUNT geometric points from
+    EXPORT_R_LO to EXPORT_R_HI, sampled once per process.
     """
-    radii = np.geomspace(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT)
+    radii = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT).radii()
     write_tabulated(dat_path, radii, profile.u(radii), header="trumpet conformal factor")

@@ -48,16 +48,18 @@ def scaled(profile: RadialProfile, lam: float) -> ScaledProfile:
 
 
 class CountingProfile(ScaledProfile):
-    """The base profile unchanged (scale 1), counting u evaluations: ``calls`` and ``points`` (radii)."""
+    """The base profile unchanged (scale 1), counting u evaluations: ``calls``, ``points`` (radii) and ``sizes`` (per call)."""
 
     def __init__(self, base):
         super().__init__(base, 1.0)
         self.calls = 0
         self.points = 0
+        self.sizes = []
 
     def _u(self, r):
         self.calls += 1
         self.points += np.size(r)
+        self.sizes.append(np.size(r))
         return super()._u(r)
 
 

@@ -540,3 +540,23 @@ def test_replay_diff_names_the_number_that_moved(tmp_path, monkeypatch, capsys):
     assert len(moved) == 1 and moved[0].endswith("(relative change 1e-09)")
     assert f"{key}: penrose.json: largest relative change 1e-09" in lines
     assert "1 of 11 ops differ" in lines
+
+
+def test_replay_diff_names_a_moved_hawking_field(tmp_path, monkeypatch, capsys):
+    # a verdict op with a hawking radius records adm_hawking_check's fields; one perturbed is named
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    old, new = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["record", "--out", str(old), "--work", str(tmp_path / "work"), "--workloads", "verdicts"]
+    assert run_script(monkeypatch, "replay.py", *args, "--seeds", "1", "--rounds", "1") == 0
+    record = json.loads(old.read_text())
+    key = next(key for key in sorted(record["ops"]) if "hawking" in record["ops"][key])
+    hawking = record["ops"][key]["hawking"]
+    assert set(hawking) == {"radius", "adm_mass", "hawking_mass", "passed"} and hawking["passed"] is True
+    hawking["hawking_mass"] *= 1 + 1e-9
+    new.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run_script(monkeypatch, "replay.py", "diff", str(old), str(new)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    moved = [line for line in lines if line.startswith(f"{key}: hawking: hawking_mass: ")]
+    assert len(moved) == 1 and moved[0].endswith("(relative change 1e-09)")
+    assert f"{key}: hawking differs" in lines and "1 of 11 ops differ" in lines

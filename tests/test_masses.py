@@ -258,6 +258,38 @@ def test_penrose_dimension_guard():
         penrose_check(SchwarzschildLikeProfile.from_mass(1.0, n=4))
 
 
+def test_penrose_check_evaluates_u_on_its_grid_once(schw, counting):
+    # the area infimum and the horizon scan read one evaluation of u on the grid,
+    # and area_infimum_radial alone evaluates u there once as well
+    count = default_grid(schw).count
+    profile = counting(schw)
+    assert penrose_check(profile) == penrose_check(schw)
+    assert profile.sizes.count(count) == 1
+    alone = counting(schw)
+    assert area_infimum_radial(alone) == area_infimum_radial(schw)
+    assert alone.sizes.count(count) == 1
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [
+        ("schw", None),
+        ("schw", RadialGrid(1.0, 1e4)),  # least area at the inner edge, minimal sphere below it
+        ("schw", RadialGrid(1e-4, 1e4, 2)),  # no interior sample
+        ("schw_ab", None),
+        ("trumpet", None),
+        ("trumpet", RadialGrid(10.0, 1e4)),  # throat limit
+        ("euclid", None),
+    ],
+)
+def test_penrose_check_reads_the_standalone_infimum_and_horizon(request, name, grid):
+    # the shared scan gives the bits area_infimum_radial and find_horizon give alone
+    profile = request.getfixturevalue(name)
+    report = penrose_check(profile, grid)
+    assert report.area_infimum == max(area_infimum_radial(profile, grid).value, 0.0)
+    assert report.horizon_radius == find_horizon(profile, grid)
+
+
 def test_adm_hawking_check(schw, trumpet):
     at_horizon = adm_hawking_check(schw, 0.5)
     assert at_horizon.passed
@@ -268,6 +300,16 @@ def test_adm_hawking_check(schw, trumpet):
     strict = adm_hawking_check(trumpet, 3.0)
     assert strict.passed
     assert strict.adm_mass > strict.hawking_mass
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (2.0, 1.0), (0.7, 3.0)])
+def test_adm_hawking_check_reads_hawking_mass(a, b):
+    # the check reads area(S_r) once; its Hawking mass keeps hawking_mass's bits
+    # at every radius outside the horizon r = b/a of u = a + b/r
+    profile = SchwarzschildLikeProfile(a, b)
+    for r in np.geomspace(1.001 * b / a, 1e3, 40):
+        assert adm_hawking_check(profile, r).hawking_mass == hawking_mass(profile, r)
+        assert adm_hawking_check(profile, float(r)).hawking_mass == hawking_mass(profile, float(r))
 
 
 def test_adm_hawking_refuses_inside_horizon(schw):

@@ -20,6 +20,8 @@ from penroselab import (
     write_tabulated,
 )
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
+from penroselab.profiles import DEFAULT_GRID_HI
+from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO
 
 from conftest import scaled
 
@@ -220,6 +222,28 @@ def test_grid_validation():
         RadialGrid(1.0, 0.5)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 2.0, count=1)
+
+
+_SHARED_GRIDS = {
+    "default": lambda: default_grid(SchwarzschildLikeProfile.from_mass(1.0)),
+    "tail-window": lambda: RadialGrid(DEFAULT_GRID_HI / 10.0, DEFAULT_GRID_HI, 128),
+    "export": lambda: RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT),
+}
+
+
+@pytest.mark.parametrize("make", _SHARED_GRIDS.values(), ids=_SHARED_GRIDS.keys())
+def test_grid_radii_are_geomspace_shared_and_read_only(make):
+    # sampled once per distinct grid: geomspace's bits, one array per grid, and no caller can write it
+    grid = make()
+    radii = grid.radii()
+    assert radii.tobytes() == np.geomspace(grid.r_lo, grid.r_hi, grid.count).tobytes()
+    assert make().radii() is radii
+    with pytest.raises(ValueError):
+        radii[0] = 1.0
+    with pytest.raises(ValueError):
+        radii *= 2.0
+    other = RadialGrid(grid.r_lo, grid.r_hi, grid.count + 1).radii()
+    assert other is not radii and not np.shares_memory(other, radii)
 
 
 def test_default_grid_respects_domain(tmp_path, schw):
