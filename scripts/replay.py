@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
@@ -110,9 +109,10 @@ def run_op(cli, cfg: dict, hawking_radius: float | None = None) -> dict:
             code = f"exception {type(exc).__name__}"
         if hawking_radius is not None:
             from penroselab.masses import adm_hawking_check  # from the package under --src, as cli is
+            from penroselab.reports import jsonable
 
             try:
-                extra["hawking"] = dataclasses.asdict(adm_hawking_check(cli.build_profile(cfg), hawking_radius))
+                extra["hawking"] = jsonable(adm_hawking_check(cli.build_profile(cfg), hawking_radius))
             except Exception as exc:
                 extra["hawking"] = f"exception {type(exc).__name__}"
     out = Path(cfg["out_dir"]) / cfg["command"]

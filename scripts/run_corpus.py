@@ -15,7 +15,7 @@ from penroselab import (
     build_trumpet,
     penrose_check,
 )
-from penroselab.reports import write_csv, write_json
+from penroselab.reports import jsonable, write_csv, write_json
 
 
 def corpus():
@@ -36,8 +36,8 @@ def main():
     reports = {}
     for name, profile in corpus():
         report = penrose_check(profile)
-        reports[name] = report.to_dict()
-        rows.append([name] + [report.to_dict()[c] for c in columns[1:]])
+        reports[name] = record = jsonable(report)
+        rows.append([name] + [record[c] for c in columns[1:]])
         hr = "none" if report.horizon_radius is None else f"{report.horizon_radius:.6g}"
         print(
             f"{name:22s} m={report.adm_mass:12.6g} bound={report.bound:12.6g} "

@@ -34,10 +34,10 @@ panel's 8 nodes), so no query of rho evaluates u.  One object per
 curvature: a ``MuBubbleProblem`` inverts the table for its barrier radius:
 ``searchsorted`` on the edge values of rho finds its panel, and Brent's
 method finds it inside that panel, where rho at the edges is the stored
-edge value bit for bit.  The bulk term is weighted at the same nodes, only
-from the lowest radius the functional is read at up to r0; below 1.02
-times the barrier radius, where h blows up, the first query builds fresh
-panels halving toward it, taking rho from the same node table.
+edge value bit for bit.  The bulk term is weighted at the same nodes, on a
+table each read of the functional builds from its lowest radius up to r0;
+below 1.02 times the barrier radius, where h blows up, such a read also
+integrates on fresh panels halving toward it.  A problem keeps no state.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -221,14 +221,15 @@ class MuBubbleProblem:
     above it, from one vector call of H.  ``minimize`` hands Brent's method
     these values at the ends of each bracket, so it refines exactly the sign
     changes found here, even where a scalar H at an edge would round
-    differently.  The bulk term waits for ``functional``: ``bulk`` is a
-    :class:`~penroselab.quadrature.NodeTable` of h(rho) dV/dr at the table's
-    nodes, from the panel of the lowest radius read so far (never below the
-    first edge at or above 1.02 r_b) up to r0.  Its sums accumulate from r0
-    down, so extending it moves no value.  Below 1.02 r_b, where h blows up
-    faster than a node interpolant follows, ``graded`` integrates the weight
-    on fresh panels halving toward r_b up to that first edge, and a query there
-    adds ``bulk`` at that edge; its sums and queries take rho from ``dist``.
+    differently.  Each read of ``functional`` builds its bulk tables
+    (``_bulk_tables``): a :class:`~penroselab.quadrature.NodeTable` of
+    h(rho) dV/dr at the table's nodes, from the panel of the lowest radius
+    read (never below the first edge at or above 1.02 r_b) up to r0.  Its
+    sums accumulate from r0 down, so a table from a lower panel gives the
+    same values.  Below 1.02 r_b, where h blows up faster than a node
+    interpolant follows, a graded band integrates the weight on fresh panels
+    halving toward r_b up to that first edge, and a query there adds the bulk
+    table at that edge; its sums and queries take rho from ``dist``.
 
     ``dist``, ``first_variation`` and the bulk density are closures over the
     profile, h and the arc table, never bound methods, and none of them
@@ -280,29 +281,31 @@ class MuBubbleProblem:
             rho = np.concatenate([[dist(r_b)], rho])
         self.g = sphere_mean_curvature(profile, self.edges) - h(rho)
         self._table, self._graded_from = table, j
-        self.bulk = self.graded = None
 
     def functional(self, rho):
         """A(rho) = area(S_rho) + integral_rho^{r0} h(rho) dV, for rho from ``edges[0]`` to r0."""
         return np.asarray(sphere_area(self.profile, rho)) + self._bulk_term(rho)
 
-    def _bulk_term(self, x):
-        """integral_x^{r0} h(rho) dV, the bulk and graded tables first extended down to the lowest x."""
-        table, j, lip, h = self._table, self._graded_from, self.lip_factor, self.h
-        edges, lo = table.edges, float(np.min(x) if np.ndim(x) else x)
+    def _bulk_tables(self, lo: float):
+        """(bulk, graded): the bulk table from the panel of ``lo`` up to r0; the band below it, else None."""
+        edges, j, h = self._table.edges, self._graded_from, self.h
         p = min(max(int(edges.searchsorted(lo, side="right")) - 1, j), len(edges) - 2)  # lowest panel read
-        if self.bulk is None or edges[p] < self.bulk.edges[0]:
-            half, arc, vol = table.nodes(p)
-            self.bulk = NodeTable(edges[p:], h(-lip * arc) * vol, half)
+        half, arc, vol = self._table.nodes(p)
+        bulk = NodeTable(edges[p:], h(-self.lip_factor * arc) * vol, half)
         if lo >= edges[j]:
-            return self.bulk(x)
-        top = float(edges[j])
-        if self.graded is None:  # fresh panels halving in width toward r_b, where h blows up
-            r_b = self.barrier_radius
-            fresh = np.concatenate([[r_b], r_b + (top - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1), [top]])
-            self.graded = PanelAntiderivative(_bulk_density(self.profile, h, self.dist), fresh)
-        below = self.graded(np.minimum(x, top)) + self.bulk(top)
-        return np.where(np.asarray(x) < top, below, self.bulk(np.maximum(x, top)))
+            return bulk, None
+        r_b, top = self.barrier_radius, float(edges[j])  # fresh panels halving in width toward r_b
+        fresh = np.concatenate([[r_b], r_b + (top - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1), [top]])
+        return bulk, PanelAntiderivative(_bulk_density(self.profile, h, self.dist), fresh)
+
+    def _bulk_term(self, x):
+        """integral_x^{r0} h(rho) dV, from bulk tables built down to the lowest x."""
+        bulk, graded = self._bulk_tables(float(np.min(x) if np.ndim(x) else x))
+        if graded is None:
+            return bulk(x)
+        top = float(graded.edges[-1])
+        below = graded(np.minimum(x, top)) + bulk(top)
+        return np.where(np.asarray(x) < top, below, bulk(np.maximum(x, top)))
 
 
 def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:
@@ -348,16 +351,6 @@ class MuBubbleSolution:
     second_order_ok: bool
     problem: MuBubbleProblem = field(repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "rho_star": self.rho_star,
-            "area": self.area,
-            "functional_value": self.functional_value,
-            "mean_curvature": self.mean_curvature,
-            "el_residual": self.el_residual,
-            "second_order_ok": self.second_order_ok,
-        }
-
 
 def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     """Minimizer of the bubble functional from the first-variation identity.
@@ -365,17 +358,17 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     Every interior minimizer is a - to + sign change of g = H - h o rho.
     Each one between consecutive ``edges`` is refined by Brent's method,
     which starts from the problem's g at the two edges instead of
-    re-evaluating them.  The functional is read at each root, at the anchor
-    and, only when there is no barrier radius, at the floor, so the bulk
-    term is integrated from the lowest root up.  The root with the lowest
-    value is kept; its bracket signs are the second-order certificate.
+    re-evaluating them.  The functional is read at each root and, only when
+    there is no barrier radius, at the floor.  At the anchor it is the
+    anchor sphere's area, as its bulk integral is empty.  The root with the
+    lowest value is kept; its bracket signs are the second-order certificate.
 
     Raises :class:`DegenerateMinimizerError` when g has no such sign change,
     when the best root is not below the anchor value (beta too small), or,
     with no barrier radius, not below the value at the floor (no interior
     bubble).
     """
-    x, g = problem.edges, problem.g
+    profile, x, g = problem.profile, problem.edges, problem.g
     brackets = np.nonzero((g[:-1] < 0) & (g[1:] >= 0))[0]
     if not len(brackets):
         raise DegenerateMinimizerError("H - h(rho) never changes sign from - to +; no interior bubble")
@@ -383,12 +376,11 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     values = [float(problem.functional(r)) for r in roots]
     best = int(np.argmin(values))
     rho, fval = roots[best], values[best]
-    if not fval < problem.functional(problem.anchor_radius):
+    if not fval < sphere_area(profile, problem.anchor_radius):
         raise DegenerateMinimizerError("functional minimized at the anchor sphere; beta too small")
     if problem.barrier_radius is None and not fval < problem.functional(x[0]):
         raise DegenerateMinimizerError("functional minimized at the inner edge; no interior bubble")
 
-    profile = problem.profile
     mean_curv = float(sphere_mean_curvature(profile, rho))
     return MuBubbleSolution(
         rho_star=rho,
@@ -497,18 +489,8 @@ class HorizonStep:
     solution: MuBubbleSolution | None
     error: str | None
     mass_lower_bound: float | None
-    error_type: type[PenroseLabError] | None = None  # the class behind ``error``; not serialised
-
-    def to_dict(self) -> dict:
-        row = {
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "error": self.error,
-            "mass_lower_bound": self.mass_lower_bound,
-        }
-        if self.solution is not None:
-            row.update(self.solution.to_dict())
-        return row
+    # the class behind ``error``, for callers that branch on it; repr=False keeps it out of reports
+    error_type: type[PenroseLabError] | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -520,13 +502,6 @@ class HorizonSequenceResult:
     @property
     def mass_lower_bounds(self) -> list[float]:
         return [s.mass_lower_bound for s in self.steps if s.mass_lower_bound is not None]
-
-    def to_dict(self) -> dict:
-        return {
-            "anchor_radius": self.anchor_radius,
-            "area_infimum": self.area_infimum,
-            "steps": [s.to_dict() for s in self.steps],
-        }
 
 
 def horizon_sequence(
@@ -577,19 +552,6 @@ class RigidityStep:
     annulus_bound: float | None
     annulus_bound_ok: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            **self.solution.to_dict(),
-            "area_bound": self.area_bound,
-            "area_bound_ok": self.area_bound_ok,
-            "annulus_volume": self.annulus_volume,
-            "annulus_bound": self.annulus_bound,
-            "annulus_bound_ok": self.annulus_bound_ok,
-        }
-
 
 @dataclass(frozen=True)
 class RigidityTrace:
@@ -602,21 +564,7 @@ class RigidityTrace:
     cumulative_volume: float
     cumulative_bound: float
     cumulative_bound_ok: bool
-    error: str | None = None  # the refusal that stopped the schedule; serialised only when set
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "epsilon0": self.epsilon0,
-            "lambda0": self.lambda0,
-            "area_infimum": self.area_infimum,
-            "equality_case": self.equality_case,
-            "cumulative_volume": self.cumulative_volume,
-            "cumulative_bound": self.cumulative_bound,
-            "cumulative_bound_ok": self.cumulative_bound_ok,
-            **({} if self.error is None else {"error": self.error}),
-            "steps": [s.to_dict() for s in self.steps],
-        }
+    error: str | None = None  # the refusal that stopped the schedule
 
 
 def rigidity_iteration(

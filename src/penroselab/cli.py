@@ -55,7 +55,7 @@ from .profiles import (
     read_tabulated,
 )
 from .quadrature import gauss_panel
-from .reports import write_csv, write_json
+from .reports import jsonable, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,12 +128,15 @@ def _build_profile(spec: dict, cfg: dict):
 
 def build_grid(cfg: dict, profile) -> RadialGrid:
     g = _object(cfg, "grid")
+    count = _float("grid.count", g.get("count", DEFAULT_GRID_COUNT))
+    if not count.is_integer():
+        raise ConfigError(f"config field 'grid.count' must be an integer, got {g['count']!r}")
     try:
         return default_grid(
             profile,
             r_lo=float(g.get("r_lo", DEFAULT_GRID_LO)),
             r_hi=float(g.get("r_hi", DEFAULT_GRID_HI)),
-            count=int(g.get("count", DEFAULT_GRID_COUNT)),
+            count=int(count),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -222,7 +225,7 @@ def cmd_analyze(cfg: dict) -> int:
     try:
         m, tail = adm_mass_from_tail(profile, grid)
         summary["adm_mass"] = m
-        summary["tail"] = {"a": tail.a, "b": tail.b, "fit_residual": tail.fit_residual}
+        summary["tail"] = tail
     except PenroseLabError as exc:
         summary["adm_mass"] = None
         summary["tail_error"] = str(exc)
@@ -243,9 +246,8 @@ def cmd_penrose(cfg: dict) -> int:
     profile = build_profile(cfg)
     grid = build_grid(cfg, profile)
     report = penrose_check(profile, grid, equality_tol=tolerances(cfg)["equality"])
-    record = report.to_dict()
     cols = ["adm_mass", "area_infimum", "bound", "ratio", "verdict", "horizon_radius"]
-    _report(cfg, {"report": record}, cols, _columns(cols, [record]))
+    _report(cfg, {"report": report}, cols, _columns(cols, [jsonable(report)]))
     print(
         f"penrose: mass = {report.adm_mass:.9g}, bound = {report.bound:.9g}, "
         f"ratio = {report.ratio:.9g}, verdict = {report.verdict}"
@@ -312,7 +314,7 @@ def cmd_mu_bubble(cfg: dict) -> int:
     payload = {
         "epsilon": epsilon,
         "beta": problem.h.beta,
-        "solution": sol.to_dict(),
+        "solution": sol,
         "el_within_tol": sol.el_residual <= tolerances(cfg)["el_residual"],
         "diameter": bubbles.diameter_report(sol),
     }
@@ -328,11 +330,18 @@ def cmd_mu_bubble(cfg: dict) -> int:
 _STEP_COLS = [*_BUBBLE_COLS, "mass_lower_bound", "error"]
 
 
+def _flat(step) -> dict:
+    """A schedule step's report row: its own fields, then its solution's inline."""
+    row = jsonable(step)
+    row.update(row.pop("solution") or {})
+    return row
+
+
 def cmd_horizon(cfg: dict) -> int:
     profile = build_profile(cfg)
     result = bubbles.horizon_sequence(profile, _number(cfg, "r0", 2.0), _epsilons(cfg))
-    record = result.to_dict()
-    _report(cfg, {"result": record}, _STEP_COLS, _columns(_STEP_COLS, record["steps"]))
+    steps = [_flat(s) for s in result.steps]
+    _report(cfg, {"result": {**jsonable(result), "steps": steps}}, _STEP_COLS, _columns(_STEP_COLS, steps))
     bounds = result.mass_lower_bounds
     final = f"{bounds[-1]:.9g}" if bounds else "n/a"
     print(f"horizon: {len(result.steps)} steps, final mass lower bound = {final}")
@@ -354,7 +363,9 @@ def cmd_rigidity(cfg: dict) -> int:
     trace = bubbles.rigidity_iteration(
         profile, _number(cfg, "r0", 2.0), _number(cfg, "epsilon", 0.1), _number(cfg, "gamma", 1.5)
     )
-    record = trace.to_dict()
+    record = {**jsonable(trace), "steps": [_flat(s) for s in trace.steps]}
+    if record["error"] is None:  # a schedule that ran to its floor names no refusal
+        del record["error"]
     _report(cfg, {"trace": record}, _RIGIDITY_COLS, _columns(_RIGIDITY_COLS, record["steps"]))
     final = f"{trace.steps[-1].solution.rho_star:.9g}" if trace.steps else "n/a"
     print(
@@ -376,10 +387,10 @@ def cmd_trumpet(cfg: dict) -> int:
     grid = build_grid(cfg, profile)
     verification = trumpet_mod.verify_trumpet(profile, grid)
     trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
-    payload = {"params": profile.describe(), "verification": verification.to_dict()}
+    payload = {"params": profile.describe(), "verification": verification}
     if profile.n == 3:
         report = penrose_check(profile, grid)
-        payload["penrose"] = report.to_dict()
+        payload["penrose"] = report
         print(
             f"trumpet: mass = {report.adm_mass:.9g}, area_infimum = {report.area_infimum:.9g}, "
             f"verdict = {report.verdict}"

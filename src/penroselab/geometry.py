@@ -53,8 +53,11 @@ def sphere_area(profile: RadialProfile, r):
 
 
 def _area(n: int, r, u):
-    """|S_r| from u = u(r), for floats and arrays."""
-    return unit_sphere_area(n) * u ** (2.0 * (n - 1) / (n - 2)) * r ** (n - 1)
+    """|S_r| from u = u(r), for floats and arrays; inf where a float power overflows, as an array's does."""
+    try:
+        return unit_sphere_area(n) * u ** (2.0 * (n - 1) / (n - 2)) * r ** (n - 1)
+    except OverflowError:
+        return math.inf
 
 
 def sphere_mean_curvature(profile: RadialProfile, r):

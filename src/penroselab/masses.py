@@ -69,16 +69,6 @@ class PenroseReport:
     verdict: str
     horizon_radius: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "adm_mass": self.adm_mass,
-            "area_infimum": self.area_infimum,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "verdict": self.verdict,
-            "horizon_radius": self.horizon_radius,
-        }
-
 
 @dataclass(frozen=True)
 class AdmHawkingResult:

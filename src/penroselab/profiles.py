@@ -260,6 +260,7 @@ def write_tabulated(path, radii, values, header: str = "") -> None:
 DEFAULT_GRID_LO = 1e-4
 DEFAULT_GRID_HI = 1e4
 DEFAULT_GRID_COUNT = 4096
+MAX_GRID_COUNT = 2**20  # refused above this, before any array is made
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,8 @@ class RadialGrid:
             raise ValueError(f"need finite 0 < r_lo < r_hi, got ({self.r_lo}, {self.r_hi})")
         if self.count < 2:
             raise ValueError("grid needs at least 2 samples")
+        if self.count > MAX_GRID_COUNT:
+            raise ValueError(f"grid count {self.count} exceeds {MAX_GRID_COUNT}")
 
     @lru_cache(maxsize=16)  # keyed by the grid's fields: equal grids share the array
     def radii(self) -> np.ndarray:

@@ -12,13 +12,16 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 
 
 def jsonable(obj):
-    """Recursively convert dataclasses, numpy scalars and containers."""
+    """Recursively convert dataclasses, numpy scalars and containers.
+
+    A dataclass becomes the fields its repr shows: a ``repr=False`` field stays out of reports.
+    """
     if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         try:
             obj = obj.item()

@@ -209,9 +209,6 @@ class CheckResult:
     passed: bool
     detail: dict
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class TrumpetVerification:
@@ -222,14 +219,6 @@ class TrumpetVerification:
 
     def failing(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "mass": self.mass,
-            "throat_area": self.throat_area,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 LAPLACIAN_TERM_TOL = 1e-12

@@ -35,6 +35,7 @@ from penroselab.bubbles import MuBubbleProblem, _AnchorTable, _arccoth
 from penroselab.masses import _root, penrose_check
 from penroselab.profiles import RadialProfile
 from penroselab.quadrature import gauss_nodes
+from penroselab.reports import jsonable
 
 from conftest import ode_residual
 
@@ -261,19 +262,19 @@ class TestProblemSetup:
         # query at each of its fresh edges is the stored sum bit for bit
         profile = request.getfixturevalue(kind)
         prob = build_problem(profile, r0, eps, beta=choose_beta(profile, r0, eps))
-        functional_eval(prob, prob.barrier_radius)
-        band = prob.graded
+        _, band = prob._bulk_tables(prob.barrier_radius)
         assert [band(x) for x in band.edges.tolist()] == band.suffix.tolist()
         assert np.array_equal(band(band.edges), band.suffix)
 
     def test_bulk_extends_down_without_moving_values(self, schw):
-        # queries from the anchor down extend the bulk table panel by panel; each
+        # queries from the anchor down read bulk tables from ever lower panels; each
         # value is the one a problem first read at that radius gives, bit for bit
         table = _AnchorTable(schw, 2.0)
         prob, fresh = (build_problem(schw, 2.0, 0.05, table=table) for _ in range(2))
         radii = np.geomspace(2.0, 1.05 * prob.barrier_radius, 12)
         before = [functional_eval(prob, float(r)) for r in radii]
-        assert prob.bulk.edges[0] <= radii[-1] < prob.bulk.edges[1] and prob.graded is None
+        bulk, graded = prob._bulk_tables(float(radii[-1]))
+        assert bulk.edges[0] <= radii[-1] < bulk.edges[1] and graded is None
         assert before == [functional_eval(fresh, float(r)) for r in radii[::-1]][::-1]
 
     def test_barrier_radius_within_two_percent_of_the_anchor(self):
@@ -346,9 +347,10 @@ class TestProblemSetup:
         # panel and up) plus the bulk above the band is what a query there
         # integrates afresh
         r_b = prob.barrier_radius
-        assert prob.graded is None  # built by the first query below 1.02 r_b
         at_barrier = functional_eval(prob, r_b)
-        stored = prob.graded.suffix[0] + prob.bulk(prob.graded.edges[-1])
+        bulk, graded = prob._bulk_tables(r_b)
+        assert prob._bulk_tables(graded.edges[-1])[1] is None  # the band is read only below its top
+        stored = graded.suffix[0] + bulk(graded.edges[-1])
         assert at_barrier == pytest.approx(sphere_area(schw, r_b) + stored, rel=1e-12)
         rhos = r_b * (1 + 10.0 ** -np.arange(1, 6))
         vals = [functional_eval(prob, r) for r in rhos]
@@ -473,7 +475,6 @@ class TestMinimize:
         minimize(prob)
         assert profile.calls > calls
         assert profile.points - points == profile.calls - calls
-        assert prob.graded is None
 
     def test_dist_evaluates_no_u(self, schw, counting):
         profile = counting(schw)
@@ -482,6 +483,26 @@ class TestMinimize:
         prob.dist(1.3)
         prob.dist(np.geomspace(0.6, 2.0, 50))
         assert profile.calls == calls
+
+    def test_problem_is_a_plain_value(self, schw):
+        # every read builds its bulk tables afresh and keeps none: no attribute changes
+        prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
+        before = dict(vars(prob))
+        minimize(prob)
+        functional_eval(prob, prob.barrier_radius)  # reads the graded band too
+        assert vars(prob).keys() == before.keys()
+        assert all(vars(prob)[key] is value for key, value in before.items())
+
+    def test_functional_at_the_anchor_is_its_area(self, schw, trumpet):
+        # the bulk integral over [r0, r0] is empty, so minimize compares its roots with the area itself
+        for profile, r0 in ((schw, 2.0), (trumpet, 3.0)):
+            assert functional_eval(build_problem(profile, r0, 0.02), r0) == sphere_area(profile, r0)
+
+    def test_solution_report_leaves_out_its_problem(self, schw):
+        sol = minimize(build_problem(schw, 2.0, 0.05))
+        record = jsonable(sol)
+        assert "problem" not in record
+        assert record == {k: getattr(sol, k) for k in vars(sol) if k != "problem"}
 
     def test_workspace_freed_without_cyclic_gc(self, schw):
         gc.disable()
@@ -558,7 +579,7 @@ class TestSchedules:
         profile, r0, eps = (schw, 2.0, None) if case == "schwarzschild" else (trumpet, 3.0, [0.05, 0.01])
         for step in horizon_sequence(profile, r0, eps).steps:
             alone = minimize(build_problem(profile, r0, step.epsilon, beta=step.beta))
-            assert alone.to_dict() == step.solution.to_dict()
+            assert jsonable(alone) == jsonable(step.solution)
 
     def test_horizon_sequence_records_step_errors(self, schw):
         result = horizon_sequence(schw, 2.0, [0.2, 10.0, 0.0])
@@ -566,7 +587,7 @@ class TestSchedules:
         for step in result.steps[1:]:
             assert "EpsilonTooLarge" in step.error
             # the class is kept for callers that branch on it, and stays out of the report
-            assert step.error_type is EpsilonTooLargeError and "error_type" not in step.to_dict()
+            assert step.error_type is EpsilonTooLargeError and "error_type" not in jsonable(step)
 
     @pytest.mark.parametrize("r0, epsilons", [(math.nan, None), (math.inf, None), (-1.0, None), (2.0, [0.1, math.nan])])
     def test_horizon_sequence_refuses_bad_input_before_any_step(self, schw, counting, r0, epsilons):
@@ -675,12 +696,10 @@ class TestRigidity:
         # the schedule stops at step 1 and keeps step 0, which is the horizon
         # schedule's bubble at the same anchor and curvature, bit for bit
         trace = rigidity_iteration(schw, 2.0, 0.3, 1.05)
-        assert len(trace.steps) == 1 and trace.to_dict()["error"] == trace.error
+        assert len(trace.steps) == 1 and jsonable(trace)["error"] == trace.error
         step = trace.steps[0]
         assert step.annulus_volume is None and trace.cumulative_volume == 0.0 and trace.cumulative_bound_ok
-        assert step.solution.to_dict() == horizon_sequence(schw, 2.0, [0.3]).steps[0].solution.to_dict()
-        # a schedule that ran to its floor serialises no error
-        assert "error" not in rigidity_iteration(schw, 2.0, 0.1, 1.5).to_dict()
+        assert jsonable(step.solution) == jsonable(horizon_sequence(schw, 2.0, [0.3]).steps[0].solution)
         # step 0 refused: nothing solved
         trace = rigidity_iteration(schw, 2.0, 0.4, 1.5)
         assert not trace.steps and trace.error.startswith("EpsilonTooLargeError: ")

@@ -237,9 +237,15 @@ def test_config_error_exit_2(tmp_path, capsys):
         ["trumpet", "--r0-glue", "0"],
         ["trumpet", "--alpha", "nan"],
         ["penrose", "--profile", "schwarzschild", "--grid-hi", "inf"],  # a grid bound, not a NaN array
+        ["penrose", "--profile", "schwarzschild", "--grid-count", "1000000000000"],  # refused before sampling
+        ["penrose", {"profile": {"kind": "schwarzschild"}, "grid": {"count": 2.9}}],  # not truncated to 2
     ],
 )
 def test_bad_profile_or_grid_exit_2(tmp_path, capsys, flags):
+    if isinstance(flags[-1], dict):  # a config file's content
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags[-1]))
+        flags = [*flags[:-1], "--config", str(cfg)]
     assert run(tmp_path, *flags) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / flags[0]).exists()  # no report written
@@ -260,6 +266,15 @@ def test_horizon_bad_anchor_or_epsilon_exit_2(tmp_path, capsys, flags, named):
     assert run(tmp_path, "horizon", "--profile", "schwarzschild", "--mass", "1", *flags) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "horizon").exists()
+
+
+@pytest.mark.parametrize("kind, r0", [("schwarzschild", "1e-80"), ("schwarzschild", "1e-300"), ("cylinder", "1e-300")])
+def test_rigidity_tiny_anchor_exit_2(tmp_path, capsys, kind, r0):
+    # area(S_r0) overflows to inf, so eps_0 = sqrt(8 pi / area) is 0 and every epsilon is refused
+    assert run(tmp_path, "rigidity", "--profile", kind, "--r0", r0) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: EpsilonTooLargeError: need 0 < epsilon < 0,") and "Traceback" not in err
+    assert not (tmp_path / "rigidity").exists()
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,14 @@ def test_schwarzschild_scalar_flatness_on_grid(schw):
     assert np.max(np.abs(scalar_curvature(schw, radii))) < 1e-10
 
 
+def test_sphere_area_overflows_to_inf_on_both_paths(schw):
+    # u^4 = (1 + 1/(2r))^4 exceeds the float range at r = 1e-80: a float's power
+    # raises where an array's gives inf, and the float path reads inf too
+    with np.errstate(over="ignore"):
+        assert sphere_area(schw, 1e-80) == math.inf
+        assert sphere_area(schw, np.array([1e-80])).tolist() == [math.inf]
+
+
 def test_sphere_area_examples(euclid, schw, cylinder):
     assert sphere_area(euclid, 1.0) == pytest.approx(4 * math.pi, rel=1e-15)
     assert sphere_area(schw, 0.5) == pytest.approx(16 * math.pi, rel=1e-14)

@@ -20,7 +20,7 @@ from penroselab import (
     write_tabulated,
 )
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
-from penroselab.profiles import DEFAULT_GRID_HI
+from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
 from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO
 
 from conftest import scaled
@@ -222,6 +222,10 @@ def test_grid_validation():
         RadialGrid(1.0, 0.5)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 2.0, count=1)
+    # the count's bound is checked at construction, before any array of that size is made
+    assert RadialGrid(1.0, 2.0, count=MAX_GRID_COUNT).count == 2**20
+    with pytest.raises(ValueError, match="exceeds 1048576"):
+        RadialGrid(1.0, 2.0, count=MAX_GRID_COUNT + 1)
 
 
 _SHARED_GRIDS = {
