@@ -18,8 +18,12 @@ trees compared must be recorded with the same one.
 ``diff`` compares two digest files op by op and exits 1 if any differ.  For
 a JSON report or ``hawking`` record that differs it prints the path of each
 differing leaf, with the relative change of a number, and the largest
-relative change per file.  Records made before ``hawking`` was added lack
-it, so re-record both trees with the same script.
+relative change per file.  It ends with one line per field name (the last
+key of a leaf path): the ops it moved in, its largest relative change off a
+nonzero value and its largest absolute change, each with the op holding it,
+so a field moving off 0.0 (relative change inf) still reads as a size.
+Records made before ``hawking`` was added lack it, so re-record both trees
+with the same script.
 
     python scripts/replay.py record --src src --out out/new.json
     python scripts/replay.py record --src ../parent/src --out out/old.json
@@ -153,26 +157,61 @@ def leaves(obj, path=""):
         yield path, obj
 
 
-def report_diff(prefix: str, old, new) -> None:
-    """Print each differing leaf of two JSON reports, the relative change of numbers, and the largest."""
+def _field(path: str) -> str:
+    """The field name of a leaf path: its last key, list indices dropped (``steps[2].area`` -> ``area``)."""
+    return path.rsplit(".", 1)[-1].split("[", 1)[0]
+
+
+def _relative(x, y) -> float | None:
+    """|y - x| / |x| for two numbers (inf when only x is 0), else None."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+        return None
+    return abs(y - x) / abs(x) if x else math.inf
+
+
+def report_diff(prefix: str, old, new, moves: dict) -> None:
+    """Print each differing leaf of two JSON reports, the relative change of numbers, and the largest.
+
+    Each move is also added to ``moves[field]`` as (op prefix, old value, new value).
+    """
     a, b = dict(leaves(old)), dict(leaves(new))
     worst = 0.0
     for path in sorted(a.keys() | b.keys()):
         x, y = a.get(path), b.get(path)
         if x == y and type(x) is type(y):
             continue
+        moves.setdefault(_field(path), []).append((prefix, x, y))
         line = f"{prefix}: {path}: {x!r} -> {y!r}"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
-            rel = abs(y - x) / abs(x) if x else math.inf
+        rel = _relative(x, y)
+        if rel is not None:
             worst = max(worst, rel)
             line += f" (relative change {rel:.3g})"
         print(line)
     print(f"{prefix}: largest relative change {worst:.3g}")
 
 
+def field_summary(moves: dict) -> None:
+    """One line per field: the ops it moved in, its largest relative change off a nonzero value, and
+    its largest absolute change, each with the op that holds it; non-numeric changes are counted."""
+    for name in sorted(moves):
+        items = moves[name]
+        ops = len({prefix.split(": ", 1)[0] for prefix, _, _ in items})
+        numeric = [(prefix, x, y) for prefix, x, y in items if _relative(x, y) is not None]
+        line = f"field {name}: moved in {ops} ops"
+        rel = [(_relative(x, y), prefix) for prefix, x, y in numeric if x]
+        if rel:
+            line += "; largest relative change {:.3g} at {}".format(*max(rel))
+        if numeric:
+            line += "; largest absolute change {:.3g} at {}".format(*max((abs(y - x), p) for p, x, y in numeric))
+        if len(numeric) < len(items):
+            line += f"; {len(items) - len(numeric)} non-numeric changes"
+        print(line)
+
+
 def diff(args) -> int:
     old, new = (json.loads(Path(p).read_text())["ops"] for p in (args.old, args.new))
     differ = 0
+    moves: dict = {}
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
         if a == b:
@@ -188,10 +227,11 @@ def diff(args) -> int:
             if a["files"].get(name) != b["files"].get(name) or old_report != new_report:
                 print(f"{key}: {name} differs")
                 if old_report is not None and new_report is not None:
-                    report_diff(f"{key}: {name}", old_report, new_report)
+                    report_diff(f"{key}: {name}", old_report, new_report, moves)
         if a.get("hawking") != b.get("hawking"):
             print(f"{key}: hawking differs")
-            report_diff(f"{key}: hawking", a.get("hawking"), b.get("hawking"))
+            report_diff(f"{key}: hawking", a.get("hawking"), b.get("hawking"), moves)
+    field_summary(moves)
     print(f"{differ} of {len(old.keys() | new.keys())} ops differ")
     return 1 if differ else 0
 

@@ -69,6 +69,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .geometry import (
+    _Sphere,
     geodesic_distance,
     intrinsic_diameter,
     sphere_area,
@@ -129,11 +130,6 @@ class PrescribedMeanCurvature:
         return float(out) if isinstance(t, float) or np.ndim(t) == 0 else out
 
 
-def _volume_weight(r, w):
-    """dV/dr = 4 pi u^6 r^2 at radius r, from the arc weight w = u(r)^2; n = 3."""
-    return w * w * w * r * r * (4.0 * math.pi)  # one product chain: numpy reuses its temporaries
-
-
 class _AnchorTable:
     """What a bubble problem needs of its profile and anchor alone.
 
@@ -164,9 +160,9 @@ class _AnchorTable:
             edges = np.append(full.edges[: m + 1], anchor_radius)
         self.profile, self.full, self.m, self.edges = profile, full, m, edges  # m: the first panel evaluated here
         nodes, half = gauss_nodes(edges[m:-1], edges[m + 1 :])
-        weight = profile.u(nodes) ** 2  # u^{2/(n-2)}, n = 3
-        self.arc = NodeTable(edges, weight, half, None if full is None else full.arc)
-        self.rows = (half, node_tails(weight, half), _volume_weight(nodes, weight))
+        sphere = _Sphere(profile.n, nodes, profile.u(nodes))
+        self.arc = NodeTable(edges, sphere.ds, half, None if full is None else full.arc)
+        self.rows = (half, node_tails(sphere.ds, half), sphere.dvol)
 
     def nodes(self, p: int):
         """Half-widths, node arc lengths to the anchor and node volume weights of panels p and up."""
@@ -194,7 +190,7 @@ def _shrunk(arc, lip):
 
 def _bulk_density(profile, h, dist):
     """The bulk weight h(rho) dV/dr as a function of r."""
-    return lambda r: h(dist(r)) * _volume_weight(r, profile.u(r) ** 2)
+    return lambda r: h(dist(r)) * _Sphere(profile.n, r, profile.u(r)).dvol
 
 
 def _first_variation(profile, h, dist):
@@ -219,9 +215,8 @@ class MuBubbleProblem:
 
     ``g`` is H - h(rho) at ``edges``, the lowest radius and the anchor edges
     above it, from one vector call of H.  ``minimize`` hands Brent's method
-    these values at the ends of each bracket, so it refines exactly the sign
-    changes found here, even where a scalar H at an edge would round
-    differently.  Each read of ``functional`` builds its bulk tables
+    these values at the ends of each bracket, which saves it two evaluations:
+    a scalar H at an edge is the vector one bit for bit (n = 3).  Each read of ``functional`` builds its bulk tables
     (``_bulk_tables``): a :class:`~penroselab.quadrature.NodeTable` of
     h(rho) dV/dr at the table's nodes, from the panel of the lowest radius
     read (never below the first edge at or above 1.02 r_b) up to r0.  Its
@@ -514,9 +509,12 @@ def horizon_sequence(
     Each step emits the mass lower bound sqrt(A/16pi)(1 - A H^2/16pi) of its
     bubble sphere.  A step that raises :class:`PenroseLabError` is recorded
     on the step and the schedule continues; any other exception propagates.
-    An anchor outside the profile's domain raises :class:`DomainError`, and
-    a non-finite epsilon :class:`ParameterError`, before any step.
+    A dimension other than three raises :class:`UnsupportedDimensionError`,
+    an anchor outside the profile's domain :class:`DomainError`, and a
+    non-finite epsilon :class:`ParameterError`, all before any step.
     """
+    if profile.n != 3:
+        raise UnsupportedDimensionError("horizon_sequence is defined only for n = 3")
     if epsilons is None:
         epsilons = halving_schedule()
     profile.require_radius(anchor_radius)

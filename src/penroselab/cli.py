@@ -29,12 +29,7 @@ from .errors import (
     NotAsymptoticallyFlatError,
     PenroseLabError,
 )
-from .geometry import (
-    _arc_weight,
-    scalar_curvature,
-    sphere_area,
-    sphere_mean_curvature,
-)
+from .geometry import _at, _Sphere, scalar_curvature
 from .masses import (
     EQUALITY_TOL,
     VERDICT_VIOLATED,
@@ -208,13 +203,11 @@ def cmd_analyze(cfg: dict) -> int:
     profile = build_profile(cfg)
     grid = build_grid(cfg, profile)
     radii = grid.radii()
-    u = profile.u(radii)
-    du = profile.du(radii)
+    sphere = _at(profile, radii, du=True)
+    u, du, h, area = sphere.u, sphere.du, sphere.mean_curvature, sphere.area
     r_curv = scalar_curvature(profile, radii)
-    h = sphere_mean_curvature(profile, radii)
-    area = sphere_area(profile, radii)
     # arc length measured from the inner grid edge, accumulated per interval
-    seg = gauss_panel(_arc_weight(profile), radii[:-1], radii[1:])
+    seg = gauss_panel(lambda s: _Sphere(profile.n, s, profile.u(s)).ds, radii[:-1], radii[1:])
     s = np.concatenate([[0.0], np.cumsum(seg)])
     if profile.n == 3:
         mh = _hawking_value(area, h)

@@ -1,19 +1,22 @@
 """Pointwise and integral geometry of radial conformal factors.
 
 For g = u^{4/(n-2)} (dr^2 + r^2 g_{S^{n-1}}) every coordinate sphere S_r is a
-round sphere of intrinsic radius u^{2/(n-2)} r, and the conformal
-transformation rules reduce everything to one-dimensional expressions:
+round sphere, and the conformal transformation rules reduce everything to
+one-dimensional expressions in its intrinsic radius R and the mean-convexity
+numerator w = u + (2/(n-2)) r u':
 
-    lap u  = u'' + (n-1) u'/r                          flat radial Laplacian
+    ds/dr  = u^{2/(n-2)}          radial arc length
+    R      = (ds/dr) r            intrinsic radius; diameter pi R
+    |S_r|  = omega_{n-1} R^{n-1}
+    dV/dr  = |S_r| ds/dr
+    H(S_r) = (n-1) w / (R u)      outward normal
+    dR/dr  = (ds/dr) w / u
+    lap u  = u'' + (n-1) u'/r     flat radial Laplacian
     R(g)   = -(4(n-1)/(n-2)) u^{-(n+2)/(n-2)} lap u
-    |S_r|  = omega_{n-1} u^{2(n-1)/(n-2)} r^{n-1}
-    H(S_r) = (n-1) u^{-2/(n-2)} (1/r + (2/(n-2)) u'/u)  outward normal
-    ds     = u^{2/(n-2)} dr                             radial arc length
-    dV     = omega_{n-1} u^{2n/(n-2)} r^{n-1} dr
 
-H > 0 means mean-convex toward the asymptotically flat end; its sign equals
-the sign of d/dr [u^{2/(n-2)} r].  All functions are pure and accept scalar
-or array radii where noted.
+H > 0 means mean-convex toward the asymptotically flat end; H, w and dR/dr
+have one sign.  Every sphere quantity comes from one kernel, ``_Sphere``.
+All functions are pure and accept scalar or array radii where noted.
 
 Arc length and volume are QUADPACK integrals (``scipy.integrate.quad``) in
 log r to 1e-10 relative, split at the profile's ``breakpoints``; a QUADPACK
@@ -46,48 +49,66 @@ def scalar_curvature(profile: RadialProfile, r):
     return -4.0 * (n - 1) / (n - 2) * profile.u(r) ** (-(n + 2) / (n - 2)) * lap
 
 
+class _Sphere:
+    """The table above for S_r, from u = u(r) and, where w is read, du = u'(r).
+
+    ds/dr and R are formed on construction, the rest where read.  A float
+    and an array round alike: for n = 3 the only powers are x ** 1.0 and
+    x ** 0.0, which Python and numpy return exactly, and |S_r| is a product
+    chain in R, which overflows to inf on both and forms no power of u.
+    """
+
+    __slots__ = ("n", "r", "u", "du", "ds", "radius")
+
+    def __init__(self, n: int, r, u, du=None):
+        self.n, self.r, self.u, self.du = n, r, u, du
+        self.ds = u * u ** ((4.0 - n) / (n - 2))
+        self.radius = self.ds * r
+
+    @property
+    def area(self):
+        area = self.radius * self.radius  # R^{n-1}, then omega_{n-1}, in place on the fresh product
+        for _ in range(self.n - 3):
+            area *= self.radius
+        area *= unit_sphere_area(self.n)
+        return area
+
+    @property
+    def dvol(self):
+        return self.area * self.ds
+
+    @property
+    def w(self):
+        return self.u + 2.0 / (self.n - 2) * self.r * self.du
+
+    @property
+    def mean_curvature(self):
+        return (self.n - 1) * self.w / (self.radius * self.u)
+
+    @property
+    def radius_slope(self):
+        return self.ds / self.u * self.w
+
+
+def _at(profile: RadialProfile, r, du: bool = False) -> _Sphere:
+    """The :class:`_Sphere` of S_r on the profile, u (and u') evaluated at checked radii."""
+    profile.require_radius(r)
+    return _Sphere(profile.n, r, profile.u(r), profile.du(r) if du else None)
+
+
 def sphere_area(profile: RadialProfile, r):
     """Area of the coordinate sphere S_r; vectorized over r."""
-    profile.require_radius(r)
-    return _area(profile.n, r, profile.u(r))
-
-
-def _area(n: int, r, u):
-    """|S_r| from u = u(r), for floats and arrays; inf where a float power overflows, as an array's does."""
-    try:
-        return unit_sphere_area(n) * u ** (2.0 * (n - 1) / (n - 2)) * r ** (n - 1)
-    except OverflowError:
-        return math.inf
+    return _at(profile, r).area
 
 
 def sphere_mean_curvature(profile: RadialProfile, r):
     """Mean curvature of S_r with respect to the outward normal; vectorized."""
-    profile.require_radius(r)
-    scale, inv_r, log_slope = _mean_curvature_terms(profile.n, r, profile.u(r), profile.du(r))
-    return scale * (inv_r + log_slope)
-
-
-def _mean_curvature_terms(n: int, r, u, du):
-    """(n-1) u^{-2/(n-2)}, 1/r and (2/(n-2)) u'/u at u = u(r), du = u'(r): H(S_r) = first * (sum of others)."""
-    return (n - 1) * u ** (-2.0 / (n - 2)), 1.0 / r, (2.0 / (n - 2)) * du / u
+    return _at(profile, r, du=True).mean_curvature
 
 
 def intrinsic_diameter(profile: RadialProfile, r):
-    """Diameter of S_r in its induced round metric: pi u^{2/(n-2)} r."""
-    profile.require_radius(r)
-    return math.pi * profile.u(r) ** (2.0 / (profile.n - 2)) * r
-
-
-def _arc_weight(profile):
-    p = 2.0 / (profile.n - 2)
-    return lambda s: profile.u(s) ** p
-
-
-def _volume_density(profile):
-    n = profile.n
-    w = unit_sphere_area(n)
-    p = 2.0 * n / (n - 2)
-    return lambda s: w * profile.u(s) ** p * s ** (n - 1)
+    """Diameter of S_r in its induced round metric, pi R; vectorized."""
+    return math.pi * _at(profile, r).radius
 
 
 def _quad(f, a, b, breaks):
@@ -130,7 +151,8 @@ def geodesic_distance(profile: RadialProfile, r_a: float, r_b: float) -> float:
     improper limit; a divergent limit (complete inner end) returns inf.
     """
     n = profile.n
-    return _radial_integral(profile, _arc_weight(profile), lambda q: 2.0 * q / (n - 2), r_a, r_b)
+    ds = lambda s: _Sphere(n, s, profile.u(s)).ds
+    return _radial_integral(profile, ds, lambda q: 2.0 * q / (n - 2), r_a, r_b)
 
 
 def volume_between(profile: RadialProfile, r_a: float, r_b: float) -> float:
@@ -140,6 +162,5 @@ def volume_between(profile: RadialProfile, r_a: float, r_b: float) -> float:
     improper limit, with inf returned on divergence.
     """
     n = profile.n
-    return _radial_integral(
-        profile, _volume_density(profile), lambda q: 2.0 * n * q / (n - 2) - (n - 1), r_a, r_b
-    )
+    dvol = lambda s: _Sphere(n, s, profile.u(s)).dvol
+    return _radial_integral(profile, dvol, lambda q: 2.0 * n * q / (n - 2) - (n - 1), r_a, r_b)

@@ -29,7 +29,7 @@ from .errors import (
     NotOuterMinimizingError,
     UnsupportedDimensionError,
 )
-from .geometry import _area, _mean_curvature_terms, sphere_area, sphere_mean_curvature
+from .geometry import _at, _Sphere, sphere_area, sphere_mean_curvature
 from .profiles import RadialGrid, RadialProfile, default_grid
 
 TAIL_RESIDUAL_REL = 1e-6
@@ -160,9 +160,8 @@ def _root(f, a: float, b: float, fa: float | None = None, fb: float | None = Non
     absolute floor and the least relative tolerance brentq accepts.  A
     caller that already holds fa = f(a) and fb = f(b) passes them, and
     brentq reads them instead of calling f at the ends, so it runs on the
-    bracket exactly as the caller found it.  That matters only where f at an
-    end can differ from the caller's value, as a scalar H can from a vector
-    one by an ulp.
+    bracket exactly as the caller found it.  For H this only saves two
+    evaluations: a float and an array give the same H bit for bit for n = 3.
     """
     if fa is not None:
         g = f
@@ -170,14 +169,10 @@ def _root(f, a: float, b: float, fa: float | None = None, fb: float | None = Non
     return float(brentq(f, a, b, xtol=1e-300, rtol=_ROOT_RTOL))
 
 
-def _mean_curvature_or_zero(profile: RadialProfile, r, u=None):  # u: u(r) at checked radii, when held
-    """H(S_r), or 0 within rounding: |H| <= 4 eps (n-1) u^{-2/(n-2)} (1/r + |2u'/((n-2)u)|)."""
-    if u is None:
-        profile.require_radius(r)
-        u = profile.u(r)
-    scale, inv_r, log_slope = _mean_curvature_terms(profile.n, r, u, profile.du(r))
-    h = scale * (inv_r + log_slope)
-    return np.where(np.abs(h) <= _H_NOISE * scale * (inv_r + np.abs(log_slope)), 0.0, h)
+def _mean_curvature_or_zero(sphere: _Sphere):
+    """H of a sphere given u', or 0 when its numerator w is rounding: |w| <= 4 eps (u + |w - u|)."""
+    w, u = sphere.w, sphere.u
+    return np.where(np.abs(w) <= _H_NOISE * (u + np.abs(w - u)), 0.0, sphere.mean_curvature)
 
 
 def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
@@ -216,7 +211,7 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
         # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
         nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
         inward = np.concatenate([radii[1::-1], nodes[1:]])  # d area/dr has the sign of H
-        h_in = _mean_curvature_or_zero(profile, inward)
+        h_in = _mean_curvature_or_zero(_at(profile, inward, du=True))
         turn = np.nonzero((h_in[:-1] > 0) & (h_in[1:] < 0))[0]  # + to - inward: a minimal sphere
         if len(turn):
             k = int(turn[0])
@@ -227,7 +222,7 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
         return AreaInfimum(value=float(limit), argmin_radius=None, throat_limit=True)
     if i < len(radii) - 1:
         pair = [i - 1, i + 1]
-        h_lo, h_hi = h[pair] if h is not None else _mean_curvature_or_zero(profile, radii[pair])
+        h_lo, h_hi = h[pair] if h is not None else _mean_curvature_or_zero(_at(profile, radii[pair], du=True))
         if h_lo < 0 < h_hi:
             r = _root(partial(sphere_mean_curvature, profile), radii[i - 1], radii[i + 1])
             return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
@@ -237,7 +232,7 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
 def find_horizon(profile: RadialProfile, grid: RadialGrid | None = None) -> float | None:
     """Outermost radius with H = 0 to rounding (r_hi on the cylinder), or None when all are mean-convex."""
     radii = (grid or default_grid(profile)).radii()
-    return _horizon(profile, radii, _mean_curvature_or_zero(profile, radii))
+    return _horizon(profile, radii, _mean_curvature_or_zero(_at(profile, radii, du=True)))
 
 
 def _horizon(profile: RadialProfile, radii, h) -> float | None:
@@ -267,10 +262,9 @@ def penrose_check(
     grid = grid or default_grid(profile)
     m, _tail = adm_mass_from_tail(profile, grid)
     radii = grid.radii()
-    profile.require_radius(radii)
-    u = profile.u(radii)
-    h = _mean_curvature_or_zero(profile, radii, u)
-    inf_res = _area_infimum(profile, radii, _area(profile.n, radii, u), h)
+    sphere = _at(profile, radii, du=True)
+    h = _mean_curvature_or_zero(sphere)
+    inf_res = _area_infimum(profile, radii, sphere.area, h)
     a_g = max(inf_res.value, 0.0)
     bound = math.sqrt(a_g / (16 * math.pi))
     if bound <= _DEGENERATE_BOUND:

@@ -30,6 +30,7 @@ from .errors import DomainError
 from .reports import _atomic_write
 
 
+@lru_cache(maxsize=None)  # one value per dimension, read by every sphere area
 def unit_sphere_area(n: int) -> float:
     """Area of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)

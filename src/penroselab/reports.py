@@ -8,6 +8,7 @@ strings in JSON.  Files are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -19,7 +20,10 @@ def jsonable(obj):
     """Recursively convert dataclasses, numpy scalars and containers.
 
     A dataclass becomes the fields its repr shows: a ``repr=False`` field stays out of reports.
+    A float (numpy's float64 is one) is checked first: report tables are mostly floats.
     """
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
@@ -54,24 +58,10 @@ def write_json(path, payload) -> None:
     _atomic_write(path, json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        return _cell(value.item())
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow(["" if v is None else str(jsonable(v)) for v in row])
     _atomic_write(path, buf.getvalue())

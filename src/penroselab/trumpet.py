@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PenroseLabError, WeakAlphaWarning
-from .geometry import geodesic_distance, scalar_curvature
+from .geometry import _at, geodesic_distance, scalar_curvature
 from .masses import adm_mass_from_tail, area_infimum_radial
 from .profiles import (
     CylinderProfile,
@@ -273,8 +273,7 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     )
 
     # (c) mean convexity: sampled positivity plus the alpha certificate
-    u = profile.u(radii)
-    deriv = u ** ((4.0 - n) / (n - 2)) * (u + 2.0 / (n - 2) * radii * profile.du(radii))
+    deriv = _at(profile, radii, du=True).radius_slope
     grid_ok = bool(np.all(deriv > 0))
     alpha_req = required_alpha(n, profile.r0)
     cert_ok = profile.alpha >= alpha_req * (1 - 1e-12)

@@ -860,3 +860,5 @@ def test_dimension_guard():
     p4 = SchwarzschildLikeProfile.from_mass(1.0, n=4)
     with pytest.raises(UnsupportedDimensionError):
         build_problem(p4, 2.0, 0.1, beta=1.0)
+    with pytest.raises(UnsupportedDimensionError):
+        horizon_sequence(p4, 2.0)  # before any step, as rigidity_iteration

@@ -268,13 +268,45 @@ def test_horizon_bad_anchor_or_epsilon_exit_2(tmp_path, capsys, flags, named):
     assert not (tmp_path / "horizon").exists()
 
 
-@pytest.mark.parametrize("kind, r0", [("schwarzschild", "1e-80"), ("schwarzschild", "1e-300"), ("cylinder", "1e-300")])
-def test_rigidity_tiny_anchor_exit_2(tmp_path, capsys, kind, r0):
-    # area(S_r0) overflows to inf, so eps_0 = sqrt(8 pi / area) is 0 and every epsilon is refused
+@pytest.mark.parametrize(
+    "kind, r0, bound",
+    [
+        # area(S_r0) is finite but tiny, so eps_0 = sqrt(8 pi / area) is below the default epsilon
+        pytest.param("schwarzschild", "1e-80", "5.65685e-80", id="schwarzschild-1e-80"),
+        # u^2 overflows, so area(S_r0) is inf, eps_0 is 0 and every epsilon is refused
+        pytest.param("schwarzschild", "1e-300", "0", id="schwarzschild-1e-300"),
+    ],
+)
+def test_rigidity_tiny_anchor_exit_2(tmp_path, capsys, kind, r0, bound):
     assert run(tmp_path, "rigidity", "--profile", kind, "--r0", r0) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: EpsilonTooLargeError: need 0 < epsilon < 0,") and "Traceback" not in err
+    assert err.startswith(f"error: EpsilonTooLargeError: need 0 < epsilon < {bound},") and "Traceback" not in err
     assert not (tmp_path / "rigidity").exists()
+
+
+def test_rigidity_tiny_cylinder_anchor_exit_6(tmp_path, capsys):
+    # area(S_r0) = 4 pi is admitted; refused, as at r0 = 1, because the cylinder is not asymptotically flat
+    assert run(tmp_path, "rigidity", "--profile", "cylinder", "--r0", "1e-300") == 6
+    err = capsys.readouterr().err
+    assert err.startswith("rigidity: hypothesis refused:") and "Traceback" not in err
+    assert not (tmp_path / "rigidity").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # u' = -1/(2 r^2) itself overflows below r = 1e-154
+@pytest.mark.parametrize("kind, verdict", [("schwarzschild", "equality-within-tol"), ("trumpet", "strict")])
+def test_penrose_grid_from_1e_300(tmp_path, kind, verdict):
+    # sphere areas are formed from R = u^2 r, so no inf * 0 = nan reaches the area infimum
+    assert run(tmp_path, "penrose", "--profile", kind, "--grid-lo", "1e-300") == 0
+    report = json.loads((tmp_path / "penrose" / "penrose.json").read_text())["report"]
+    assert report["verdict"] == verdict
+
+
+@pytest.mark.parametrize("command", ["mu-bubble", "horizon", "rigidity", "penrose"])
+def test_bubble_and_penrose_commands_refuse_n_4_exit_2(tmp_path, capsys, command):
+    # refused before any work: not a horizon schedule of failed steps (exit 4) with a report
+    assert run(tmp_path, command, "--profile", "schwarzschild", "--n", "4") == 2
+    assert "UnsupportedDimensionError" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
 
 
 @pytest.mark.parametrize(

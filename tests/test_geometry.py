@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -10,6 +11,7 @@ from penroselab import (
     CylinderProfile,
     EuclideanProfile,
     SchwarzschildLikeProfile,
+    TabulatedProfile,
     build_trumpet,
     default_grid,
     geodesic_distance,
@@ -51,12 +53,67 @@ def test_schwarzschild_scalar_flatness_on_grid(schw):
     assert np.max(np.abs(scalar_curvature(schw, radii))) < 1e-10
 
 
-def test_sphere_area_overflows_to_inf_on_both_paths(schw):
-    # u^4 = (1 + 1/(2r))^4 exceeds the float range at r = 1e-80: a float's power
-    # raises where an array's gives inf, and the float path reads inf too
-    with np.errstate(over="ignore"):
-        assert sphere_area(schw, 1e-80) == math.inf
-        assert sphere_area(schw, np.array([1e-80])).tolist() == [math.inf]
+def test_sphere_area_at_extreme_radii(schw, cylinder):
+    # R = u^2 r is formed before any power of it: u^4 = (1 + 1/(2r))^4 alone exceeds the
+    # float range at r = 1e-80, and on the cylinder u^4 r^2 would read inf * 0 at r = 1e-300
+    u = schw.u(1e-80)
+    area = sphere_area(schw, 1e-80)
+    assert math.isfinite(area) and area == pytest.approx(4 * math.pi * (u * u * 1e-80) ** 2, rel=1e-15)
+    assert sphere_area(schw, np.array([1e-80])).tolist() == [area]
+    assert sphere_area(cylinder, 1e-300) == pytest.approx(4 * math.pi, rel=1e-15)
+    assert sphere_area(cylinder, np.array([1e-300])).tolist() == [sphere_area(cylinder, 1e-300)]
+
+
+_TABLE_RADII = np.geomspace(1.0, 20.0, 64)
+_SPHERE_PROFILES = {  # profile and the radius range sampled
+    "schwarzschild": (lambda: SchwarzschildLikeProfile.from_mass(1.0), 0.3, 10.0),
+    "schwarzschild-like": (lambda: SchwarzschildLikeProfile(1.3, 0.7), 0.1, 10.0),
+    "trumpet": (build_trumpet, 1e-12, 10.0),
+    "cylinder": (CylinderProfile, 1e-6, 1e6),
+    "euclidean": (EuclideanProfile, 1e-3, 1e3),
+    "tabulated": (lambda: TabulatedProfile(_TABLE_RADII, 1.0 + 0.5 / _TABLE_RADII), 1.0, 20.0),
+}
+
+
+@pytest.mark.parametrize("kind", _SPHERE_PROFILES)
+def test_sphere_float_equals_one_element_array(kind):
+    # one arithmetic path: a float radius gives the array path's H and area bit for bit
+    make, lo, hi = _SPHERE_PROFILES[kind]
+    profile = make()
+    radii = np.exp(np.random.default_rng(7).uniform(math.log(lo), math.log(hi), 2000))
+    for f in (sphere_mean_curvature, sphere_area):
+        scalar = [f(profile, float(r)) for r in radii]
+        vector = [f(profile, np.array([r]))[0] for r in radii]
+        assert scalar == vector, f.__name__
+
+
+def _mp_mean_curvature(u, du, r):
+    """H = 2/u^2 (1/r + 2u'/u) in 50-digit arithmetic, n = 3, from callables of an mpf radius."""
+    with mp.workdps(50):
+        r = mp.mpf(r)
+        return 2 / u(r) ** 2 * (1 / r + 2 * du(r) / u(r))
+
+
+def _h_errors(profile, u, du, radii):
+    h = sphere_mean_curvature(profile, radii)
+    exact = [_mp_mean_curvature(u, du, r) for r in radii]
+    errs = np.array([float(abs((mp.mpf(x) - e) / e)) for x, e in zip(h, exact)])
+    return float(np.median(errs)), float(errs.max())
+
+
+def test_mean_curvature_against_an_mpmath_oracle(schw):
+    # H = 2 w / (R u) cancels only in w; bounds sit just above this code's errors,
+    # below the (1/r + 2u'/u) form's (median 3.0e-10, 3.1e-14 and 2.6e-12 on these radii)
+    half = mp.mpf(1) / 2
+    u, du = (lambda r: 1 + half / r), (lambda r: -half / r**2)
+    near = _h_errors(schw, u, du, 0.5 * (1 + np.geomspace(1e-7, 1e-6, 200)))
+    assert near[0] <= 2.5e-10 and near[1] <= 2.5e-9
+    off = _h_errors(schw, u, du, 0.5 * (1 + np.geomspace(1e-3, 1e-2, 200)))
+    assert off[0] <= 2.7e-14 and off[1] <= 2e-13
+    trumpet = build_trumpet()
+    c1 = mp.mpf(trumpet.c1)  # below its gluing radius the trumpet is r^{-1/2} + c1 exactly
+    throat = _h_errors(trumpet, lambda r: r**-half + c1, lambda r: -half * r ** (-3 * half), np.geomspace(5e-11, 2e-10, 200))
+    assert throat[0] <= 1e-12 and throat[1] <= 1.4e-11
 
 
 def test_sphere_area_examples(euclid, schw, cylinder):
