@@ -229,8 +229,7 @@ class MuBubbleProblem:
     ``dist``, ``first_variation`` and the bulk density are closures over the
     profile, h and the arc table, never bound methods, and none of them
     points back at the problem.  So a finished problem is freed by reference
-    counting alone, even though ``brentq`` keeps each function it is given
-    in a reference cycle of its own until the cyclic collector runs.
+    counting alone.
     """
 
     def __init__(

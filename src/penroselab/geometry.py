@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .errors import DomainError, QuadratureError
 from .profiles import RadialProfile, unit_sphere_area
 
@@ -112,7 +110,12 @@ def intrinsic_diameter(profile: RadialProfile, r):
 
 
 def _quad(f, a, b, breaks):
-    """QUADPACK to 1e-10 relative; any message it returns is raised, never a number."""
+    """QUADPACK to 1e-10 relative; any message it returns is raised, never a number.
+
+    scipy is imported here, on the first integral, so a run that integrates nothing never loads it.
+    """
+    from scipy.integrate import quad
+
     points = [x for x in breaks if a < x < b] or None
     value, _err, _info, *message = quad(
         f, a, b, epsabs=0.0, epsrel=1e-10, points=points, full_output=1

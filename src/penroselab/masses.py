@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     NotAsymptoticallyFlatError,
@@ -36,7 +35,9 @@ TAIL_RESIDUAL_REL = 1e-6
 EQUALITY_TOL = 1e-6
 ADM_HAWKING_SLACK = 1e-8
 _DEGENERATE_BOUND = 1e-9
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_XTOL = 1e-300
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # a Python float, as every value in _root's loop is
+_ROOT_MAXITER = 100
 _H_NOISE = 4.0 * np.finfo(float).eps
 
 VERDICT_STRICT = "strict"
@@ -156,17 +157,68 @@ def hawking_mass(profile: RadialProfile, r: float) -> float:
 def _root(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
     """A root of f in [a, b], where f changes sign, to a few ulps.
 
-    Every root in the package goes through here: Brent's method with no
-    absolute floor and the least relative tolerance brentq accepts.  A
-    caller that already holds fa = f(a) and fb = f(b) passes them, and
-    brentq reads them instead of calling f at the ends, so it runs on the
-    bracket exactly as the caller found it.  For H this only saves two
+    Every root in the package goes through here: scipy's ``brentq``
+    (``Zeros/brentq.c``) statement for statement, with no absolute floor,
+    the least relative tolerance brentq accepts and 100 iterations.  It
+    evaluates f at brentq's points, returns its root and raises its
+    exceptions: ``ValueError`` for a NaN value or ends of one sign,
+    ``RuntimeError`` after 100 iterations.  A caller that holds fa = f(a)
+    and fb = f(b) passes them and f is not called at the ends, so the root
+    runs on the bracket as the caller found it.  For H this only saves two
     evaluations: a float and an array give the same H bit for bit for n = 3.
     """
-    if fa is not None:
-        g = f
-        f = lambda x: fa if x == a else fb if x == b else g(x)
-    return float(brentq(f, a, b, xtol=1e-300, rtol=_ROOT_RTOL))
+    xpre, xcur = float(a), float(b)  # Python floats: numpy scalars make each step slower
+    if fa is None:
+        fpre, fcur = _value(f(xpre), xpre), _value(f(xcur), xcur)
+    else:
+        fpre, fcur = _value(fa, xpre), _value(fb, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or nan, which fails the test below
+                stry = math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(f(xcur), xcur)
+    raise RuntimeError(f"Failed to converge after {_ROOT_MAXITER} iterations.")
+
+
+def _value(fx, x: float) -> float:
+    """f(x) as a Python float; NaN raises ``ValueError``, as in brentq."""
+    fx = float(fx)
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
 
 
 def _mean_curvature_or_zero(sphere: _Sphere):

@@ -13,8 +13,8 @@ check compares it directly and the evaluator sees it as a 1-element array,
 with results identical to the general path's.
 
 Closed-form kinds carry analytic derivatives.  Tabulated profiles interpolate
-with a cubic spline in log r and take u' and u'' from the spline's own
-derivatives.
+with a cubic spline in log r (scipy's ``CubicSpline``, imported by the first
+table) and take u' and u'' from the spline's own derivatives.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .reports import _atomic_write
@@ -216,6 +215,8 @@ class TabulatedProfile(RadialProfile):
         self.radii = radii
         self.values = values
         self.source = source
+        from scipy.interpolate import CubicSpline  # on first use: closed-form profiles never load scipy
+
         self._spline = CubicSpline(np.log(radii), values, extrapolate=True)
         self._spline_t = self._spline.derivative(1)
         self._spline_tt = self._spline.derivative(2)

@@ -41,12 +41,20 @@ def jsonable(obj):
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    The temp file gets the mode a plain ``open`` would give, 0o666 less the
+    umask, instead of mkstemp's 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import penroselab
 from penroselab import build_trumpet, export_trumpet, write_tabulated
 from penroselab.cli import main
 
@@ -607,3 +610,39 @@ def test_replay_diff_names_a_moved_hawking_field(tmp_path, monkeypatch, capsys):
     moved = [line for line in lines if line.startswith(f"{key}: hawking: hawking_mass: ")]
     assert len(moved) == 1 and moved[0].endswith("(relative change 1e-09)")
     assert f"{key}: hawking differs" in lines and "1 of 11 ops differ" in lines
+
+
+_SCIPY_PROBE = """
+import sys
+from penroselab.cli import main
+
+def scipy_loaded():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+out = sys.argv[1]
+print("probe", scipy_loaded())
+for args in (
+    ["penrose", "--profile", "schwarzschild"],
+    ["penrose", "--profile", "trumpet"],
+    ["horizon", "--profile", "schwarzschild"],
+    ["mu-bubble", "--profile", "schwarzschild"],
+    ["analyze", "--profile", "schwarzschild"],
+    ["trumpet"],
+):
+    print("probe", main([*args, "--out-dir", out]), scipy_loaded())
+table = out + "/trumpet/trumpet_profile.dat"
+for args in (["rigidity", "--profile", "schwarzschild"], ["analyze", "--profile", "tabulated", "--path", table]):
+    print("probe", main([*args, "--out-dir", out + "/scipy"]))
+"""
+
+
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    # in a fresh interpreter: pytest's own filterwarnings setting imports scipy.integrate into this one
+    src = str(Path(penroselab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    probes = [line for line in proc.stdout.splitlines() if line.startswith("probe ")]
+    assert probes == ["probe []"] + ["probe 0 []"] * 6 + ["probe 0"] * 2  # rigidity and a table still run

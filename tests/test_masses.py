@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -354,3 +355,83 @@ def test_root_runs_on_the_bracket_as_found():
     with pytest.raises(ValueError):
         brentq(f, 0.0, 1.0)
     assert 0.0 <= _root(f, 0.0, 1.0, f(0.0), 1e-300) <= 1.0
+
+
+def _brentq(f, a, b):
+    return brentq(f, a, b, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
+def _shifted_h(profile, r_star):
+    """H(S_r) - H(S_{r*}): a root at r*, for profiles whose H has none of its own."""
+    c = sphere_mean_curvature(profile, r_star)
+    return lambda r: sphere_mean_curvature(profile, r) - c
+
+
+def test_root_is_brentq_bit_for_bit():
+    # a seeded battery on the four functions above and on Schwarzschild and trumpet H: the port
+    # returns brentq's root after evaluating f at brentq's points, with and without held ends
+    rng = np.random.default_rng(20261019)
+    schw, trumpet = SchwarzschildLikeProfile.from_mass(1.0), build_trumpet(3)
+    cases = [  # f, its root, a range to draw each bracket end from (log-uniform when positive)
+        (lambda x: math.cos(x) - x, 0.7390851332151607, -3.0, 3.0),
+        (lambda x: x**3 - 2.0, 2.0 ** (1 / 3), -3.0, 5.0),
+        (lambda x: math.log(x) + 3.0, math.exp(-3.0), 1e-6, 10.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.3, -5.0, 5.0),
+        (partial(sphere_mean_curvature, schw), 0.5, 1e-2, 50.0),
+    ]
+    for profile in (schw, trumpet):
+        for r_star in np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 4)):
+            cases.append((_shifted_h(profile, float(r_star)), float(r_star), 1e-3 * r_star, 1e3 * r_star))
+    draw = lambda x, y: float(math.exp(rng.uniform(math.log(x), math.log(y))) if x > 0 else rng.uniform(x, y))
+    brackets = 0
+    for f, root, lo, hi in cases:
+        for _ in range(160):
+            a, b = draw(lo, root), draw(root, hi)
+            while (f(a) < 0) == (f(b) < 0):  # a shifted H also has the root on the far side of its peak
+                a, b = draw(lo, root), draw(root, hi)
+            if rng.random() < 0.5:
+                a, b = b, a
+            ref_calls, calls, held_calls = [], [], []
+            ref = _brentq(_counted(f, ref_calls), a, b)
+            root = _root(_counted(f, calls), a, b)
+            assert root == ref and type(root) is float
+            assert calls == ref_calls
+            assert _root(_counted(f, held_calls), a, b, f(a), f(b)) == ref
+            assert held_calls == ref_calls[2:]
+            brackets += 1
+    assert brackets >= 2000
+
+
+def _raises_as_brentq(f, a, b):
+    """The exception type brentq raises on (f, a, b); the port's evaluations match it up to the raise."""
+    ref_calls, calls = [], []
+    with pytest.raises((ValueError, RuntimeError)) as ref:
+        _brentq(_counted(f, ref_calls), a, b)
+    with pytest.raises(ref.type):
+        _root(_counted(f, calls), a, b)
+    assert calls == ref_calls
+    return ref.type
+
+
+def test_root_raises_as_brentq():
+    nan_at = lambda bad: lambda x: math.nan if x == bad else x - 0.3
+    assert _raises_as_brentq(nan_at(0.0), 0.0, 1.0) is ValueError  # NaN at an end
+    assert _raises_as_brentq(lambda x: math.nan if 0.2 < x < 0.9 else x - 0.3, 0.0, 1.0) is ValueError
+    with pytest.raises(ValueError):
+        _root(nan_at(0.0), 0.0, 1.0, math.nan, 0.7)  # a held NaN is refused as an evaluated one
+    assert _raises_as_brentq(lambda x: x * x + 1.0, -1.0, 1.0) is ValueError  # one sign
+    assert _raises_as_brentq(lambda x: 1e-200, 0.0, 1.0) is ValueError  # f(a) f(b) underflows to 0: still one sign
+    with pytest.raises(ValueError):
+        _root(lambda x: x, 0.0, 1.0, 1e-200, 1e-200)
+    # a step with |f(a)| = |f(b)| only ever bisects: 100 iterations cannot reach 1e-200 from 1e300
+    assert _raises_as_brentq(lambda x: -1.0 if x < 1e-200 else 1.0, -1e300, 1e300) is RuntimeError
+
+
+def test_root_bisects_where_a_difference_quotient_underflows():
+    # subnormal values: a difference quotient of the extrapolation step underflows to 0, where C divides
+    # into inf or nan and bisects; the port bisects there too and keeps brentq's points and root
+    w = 27508.188936516624
+    f = lambda x: 2.97294e-318 * ((x / w) ** 3 - 0.08845845059190371)
+    ref_calls, calls = [], []
+    assert _root(_counted(f, calls), -2 * w, 2 * w) == _brentq(_counted(f, ref_calls), -2 * w, 2 * w)
+    assert calls == ref_calls

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from penroselab import (
 )
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
 from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
+from penroselab.reports import write_csv, write_json
 from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO
 
 from conftest import scaled
@@ -179,6 +182,22 @@ def test_failed_table_write_keeps_previous_file(tmp_path, schw, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["profile.dat"]  # no temporary file left
     assert len(read_tabulated(path).radii) == 64
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_reports_and_tables_get_the_umask_mode(tmp_path, schw, umask):
+    # every written file reads as a plain open() would leave it, not mkstemp's 0o600
+    radii = np.geomspace(1e-2, 1e2, 8)
+    old = os.umask(umask)
+    try:
+        (tmp_path / "plain.txt").write_text("x")
+        write_json(tmp_path / "report.json", {"a": 1.0})
+        write_csv(tmp_path / "report.csv", ["a"], [[1.0]])
+        write_tabulated(tmp_path / "profile.dat", radii, schw.u(radii))
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["plain.txt", "report.json", "report.csv", "profile.dat"], 0o666 & ~umask)
 
 
 _TABLE_RADII = np.geomspace(1e-3, 1e3, 4097)

@@ -24,7 +24,9 @@ from penroselab.quadrature import (
     node_tails,
 )
 
-# 12 Gauss-Kronrod panels of 21 points; QUADPACK's own cap is 2079 points
+# 12 Gauss-Kronrod panels of 21 points: a budget, not QUADPACK's cap (its limit of 50
+# subintervals allows 2079 points).  QUADPACK's count swings with last-bit changes to the
+# integrand: 357 and 399 evaluations have been seen on single PowerProfile integrals.
 MAX_U_EVALS = 252
 
 
