@@ -4,11 +4,13 @@
 ``record`` draws the CLI ops of four seeded workloads from
 ``benchmarks/workloads.py`` (verdicts, bubble-schedules, bubble-trumpet and
 trumpet-roundtrip; by default seeds 1-3, rounds 0-1: 171 ops) and the fixed
-``commands`` list below (18 ops over all seven commands, including the exit
+``commands`` lists below (22 ops over all seven commands, including the exit
 codes and the refusals the workloads never reach), runs each through
-``penroselab.cli.run_command`` of the package under ``--src``, and writes
-one digest per op: its exit code, the SHA-256 of every file it wrote and
-the contents of every JSON report.  An op that carries ``hawking_radius``
+``penroselab.cli.run_command`` of the package under ``--src`` (the
+``MAIN_ARGV`` ops through ``penroselab.cli.main``, so the argument parser
+and the flag overrides are replayed too), and writes one digest per op: its
+exit code, the SHA-256 of every file it wrote and the contents of every
+JSON report.  An op that carries ``hawking_radius``
 also records the four fields of ``adm_hawking_check`` at that radius under
 ``hawking``, as ``benchmarks/run.py`` times it.  A tabulated profile from an earlier
 ``trumpet`` op is resolved as ``benchmarks/run.py`` resolves it.  The output
@@ -73,13 +75,28 @@ COMMANDS = (
         {"command": "mu-bubble", "profile": SCHW, "epsilon": 0.05},
         {"command": "penrose", "profile": {"kind": "cylinder"}},
     ]}),
+    ("batch config error", {"command": "batch", "scenarios": [
+        {"command": "penrose", "profile": {"kind": "schwarzschild", "mass": "nan"}},
+        {"command": "mu-bubble", "profile": SCHW, "epsilon": 0.05},
+    ]}),
+)
+# (label, argv, config file content or None): run as ``cli.main(argv)`` with ``--out-dir`` added, and
+# ``--config`` naming a file of that content; an argparse refusal is recorded as its exit code
+MAIN_ARGV = (
+    ("penrose flags", ["penrose", "--profile", "schwarzschild", "--mass", "2", "--grid-lo", "0.01", "--grid-count", "1024"],
+     None),
+    ("mu-bubble config and flags", ["mu-bubble", "--epsilon", "0.05", "--mass", "2"],
+     {"profile": SCHW, "epsilon": 0.1, "beta": 3.0}),
+    ("horizon unknown flag", ["horizon", "--profile", "schwarzschild", "--bogus", "1"], None),
 )
 
 
 def draw_ops(workloads, names, seeds, rounds):
     for name in names:
         if name == "commands":
-            yield from ((f"commands:{i} {label}", {"label": label, "cli": cfg}) for i, (label, cfg) in enumerate(COMMANDS))
+            fixed = [{"label": label, "cli": cfg} for label, cfg in COMMANDS]
+            fixed += [{"label": label, "argv": argv, "config": content} for label, argv, content in MAIN_ARGV]
+            yield from ((f"commands:{i} {op['label']}", op) for i, op in enumerate(fixed))
             continue
         for seed in seeds:
             for k in range(rounds):
@@ -87,28 +104,43 @@ def draw_ops(workloads, names, seeds, rounds):
                     yield f"{name}:{seed}:{k}:{i} {op['label']}", op
 
 
-def prepare(op: dict, work: Path) -> dict:
-    """The op's config with a fixed out_dir, its earlier output removed; as ``run.py``'s ``_prepare``."""
-    cfg = copy.deepcopy(op["cli"])
+def prepare(op: dict, work: Path) -> tuple[dict, list | None]:
+    """The op's config with a fixed out_dir, its earlier output removed; as ``run.py``'s ``_prepare``.
+
+    A ``MAIN_ARGV`` op also gets its argv, with ``--out-dir`` and any ``--config`` file added; its config
+    then names only the command and the out_dir.
+    """
+    cfg = {"command": op["argv"][0]} if "argv" in op else copy.deepcopy(op["cli"])
     out = work / (f"slot{op['slot']}" if "slot" in op else "op")
     cfg["out_dir"] = str(out)
     profile = cfg.get("profile", {})
     if "trumpet_slot" in profile:
         profile["path"] = str(work / f"slot{profile.pop('trumpet_slot')}" / "trumpet" / "trumpet_profile.dat")
     shutil.rmtree(out / cfg["command"], ignore_errors=True)
-    return cfg
+    if "argv" not in op:
+        return cfg, None
+    argv = [*op["argv"], "--out-dir", str(out)]
+    if op["config"] is not None:
+        work.mkdir(parents=True, exist_ok=True)
+        path = work / "op.json"
+        path.write_text(json.dumps(op["config"]))
+        argv += ["--config", str(path)]
+    return cfg, argv
 
 
-def run_op(cli, cfg: dict, hawking_radius: float | None = None) -> dict:
+def run_op(cli, cfg: dict, argv: list | None = None, hawking_radius: float | None = None) -> dict:
     """Exit code (or the escaping exception's type), the SHA-256 of each file written, each JSON report.
 
-    Given ``hawking_radius``, also the fields of ``adm_hawking_check`` there (or the exception's type).
+    Given ``argv``, the op runs as ``cli.main(argv)``, else as ``cli.run_command(cfg)``.  Given
+    ``hawking_radius``, also the fields of ``adm_hawking_check`` there (or the exception's type).
     """
     extra = {}
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")
         try:
-            code = cli.run_command(cfg)
+            code = cli.run_command(cfg) if argv is None else cli.main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
         except Exception as exc:  # a raising op is recorded, not fatal
             code = f"exception {type(exc).__name__}"
         if hawking_radius is not None:
@@ -138,7 +170,7 @@ def record(args) -> int:
 
     work = Path(args.work)
     ops = draw_ops(workloads, args.workloads, args.seeds, args.rounds)
-    digests = {key: run_op(cli, prepare(op, work), op.get("hawking_radius")) for key, op in ops}
+    digests = {key: run_op(cli, *prepare(op, work), op.get("hawking_radius")) for key, op in ops}
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(json.dumps({"src": str(Path(cli.__file__).parent), "ops": digests}, indent=1) + "\n")
     print(f"{len(digests)} ops from {Path(cli.__file__).parent} -> {args.out}")

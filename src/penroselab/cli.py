@@ -39,9 +39,6 @@ from .masses import (
     penrose_check,
 )
 from .profiles import (
-    DEFAULT_GRID_COUNT,
-    DEFAULT_GRID_HI,
-    DEFAULT_GRID_LO,
     CylinderProfile,
     EuclideanProfile,
     RadialGrid,
@@ -87,52 +84,43 @@ def build_profile(cfg: dict):
     spec = cfg.get("profile")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("config needs a 'profile' object with a 'kind' field")
-    try:
-        return _build_profile(spec, cfg)
-    except KeyError as exc:
-        raise ConfigError(f"profile {spec['kind']!r} needs the field {exc.args[0]!r}") from exc
-    except (OSError, TypeError, ValueError) as exc:
-        raise ConfigError(f"profile {spec['kind']!r}: {exc}") from exc
-
-
-def _build_profile(spec: dict, cfg: dict):
     kind = spec["kind"]
-    n = _dimension(cfg)
-    if kind == "euclidean":
-        return EuclideanProfile(n=n)
-    if kind == "schwarzschild":
-        mass = float(spec.get("mass", 1.0))
-        return SchwarzschildLikeProfile.from_mass(mass, n=n)
-    if kind == "schwarzschild-like":
-        return SchwarzschildLikeProfile(float(spec["a"]), float(spec["b"]), n=n)
-    if kind == "cylinder":
-        return CylinderProfile(n=n)
-    if kind == "trumpet":
-        return trumpet_mod.build_trumpet(
-            n=n,
-            r0=spec.get("r0_glue"),
-            alpha=spec.get("alpha"),
-        )
-    if kind == "tabulated":
-        path = spec.get("path")
-        if not path or not Path(path).exists():
-            raise ConfigError(f"tabulated profile file not found: {path!r}")
-        return read_tabulated(path, n=n)
-    raise ConfigError(f"unknown profile kind {kind!r}")
+    try:
+        n = _dimension(cfg)
+        if kind == "euclidean":
+            return EuclideanProfile(n=n)
+        if kind == "schwarzschild":
+            return SchwarzschildLikeProfile.from_mass(float(spec.get("mass", 1.0)), n=n)
+        if kind == "schwarzschild-like":
+            return SchwarzschildLikeProfile(float(spec["a"]), float(spec["b"]), n=n)
+        if kind == "cylinder":
+            return CylinderProfile(n=n)
+        if kind == "trumpet":
+            return trumpet_mod.build_trumpet(n=n, r0=spec.get("r0_glue"), alpha=spec.get("alpha"))
+        if kind == "tabulated":
+            path = spec.get("path")
+            if not path or not Path(path).exists():
+                raise ConfigError(f"tabulated profile file not found: {path!r}")
+            return read_tabulated(path, n=n)
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    except KeyError as exc:
+        raise ConfigError(f"profile {kind!r} needs the field {exc.args[0]!r}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"profile {kind!r}: {exc}") from exc
 
 
 def build_grid(cfg: dict, profile) -> RadialGrid:
+    """``profiles.default_grid`` with the fields the config's ``grid`` object sets."""
     g = _object(cfg, "grid")
-    count = _float("grid.count", g.get("count", DEFAULT_GRID_COUNT))
-    if not count.is_integer():
-        raise ConfigError(f"config field 'grid.count' must be an integer, got {g['count']!r}")
+    fields = {}
+    if "count" in g:
+        count = _float("grid.count", g["count"])
+        if not count.is_integer():
+            raise ConfigError(f"config field 'grid.count' must be an integer, got {g['count']!r}")
+        fields["count"] = int(count)
     try:
-        return default_grid(
-            profile,
-            r_lo=float(g.get("r_lo", DEFAULT_GRID_LO)),
-            r_hi=float(g.get("r_hi", DEFAULT_GRID_HI)),
-            count=int(count),
-        )
+        fields.update((key, float(g[key])) for key in ("r_lo", "r_hi") if key in g)
+        return default_grid(profile, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -334,7 +322,7 @@ def cmd_horizon(cfg: dict) -> int:
     profile = build_profile(cfg)
     result = bubbles.horizon_sequence(profile, _number(cfg, "r0", 2.0), _epsilons(cfg))
     steps = [_flat(s) for s in result.steps]
-    _report(cfg, {"result": {**jsonable(result), "steps": steps}}, _STEP_COLS, _columns(_STEP_COLS, steps))
+    _report(cfg, {"result": {**vars(result), "steps": steps}}, _STEP_COLS, _columns(_STEP_COLS, steps))
     bounds = result.mass_lower_bounds
     final = f"{bounds[-1]:.9g}" if bounds else "n/a"
     print(f"horizon: {len(result.steps)} steps, final mass lower bound = {final}")
@@ -356,7 +344,7 @@ def cmd_rigidity(cfg: dict) -> int:
     trace = bubbles.rigidity_iteration(
         profile, _number(cfg, "r0", 2.0), _number(cfg, "epsilon", 0.1), _number(cfg, "gamma", 1.5)
     )
-    record = {**jsonable(trace), "steps": [_flat(s) for s in trace.steps]}
+    record = {**vars(trace), "steps": [_flat(s) for s in trace.steps]}
     if record["error"] is None:  # a schedule that ran to its floor names no refusal
         del record["error"]
     _report(cfg, {"trace": record}, _RIGIDITY_COLS, _columns(_RIGIDITY_COLS, record["steps"]))
@@ -411,7 +399,7 @@ def cmd_batch(cfg: dict) -> int:
         try:
             code = run_command(sub)
             error = None
-        except PenroseLabError as exc:
+        except (PenroseLabError, OSError) as exc:  # the refusals main maps to exit 2
             code = EXIT_CONFIG
             error = f"{type(exc).__name__}: {exc}"
         results.append({"index": idx, "command": sub["command"], "exit_code": code, "error": error})
@@ -456,20 +444,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="penroselab",
         description="Mass inequalities and curvature bubbles on radial conformally flat metrics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON scenario file")
-        for flag, kind, _, help_text in _FLAGS:
-            p.add_argument(flag, type=kind, default=None, help=help_text)
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--config", help="JSON scenario file")
+    for flag, kind, _, help_text in _FLAGS:
+        parser.add_argument(flag, type=kind, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return run_command(cfg)
+        return run_command(_load_config(args))
     except (ConfigError, OSError) as exc:  # OSError: the reports cannot be written under out_dir
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

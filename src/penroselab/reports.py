@@ -7,12 +7,12 @@ strings in JSON.  Files are written atomically (temp file, then rename).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import fields, is_dataclass
 
 
@@ -41,23 +41,21 @@ def jsonable(obj):
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+    """Write ``text`` to a new temp file beside ``path``, then rename it over ``path``.
 
-    The temp file gets the mode a plain ``open`` would give, 0o666 less the
-    umask, instead of mkstemp's 0o600.
+    The temp file is created with mode 0o666, so the kernel applies the umask
+    as for a plain ``open``; O_EXCL keeps it a file this call made.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from penroselab import (
     BarrierError,
     SchwarzschildLikeProfile,
+    TabulatedProfile,
     DegenerateMinimizerError,
     DomainError,
     EpsilonTooLargeError,
@@ -121,6 +122,11 @@ class TestPrescribedFamily:
             for arg in (float(t), np.float64(t), np.array([t])):
                 with pytest.raises(BarrierError):
                     h(arg)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+    def test_nonpositive_epsilon_refused(self, eps):
+        with pytest.raises(ParameterError, match="epsilon must be positive"):
+            PrescribedMeanCurvature(eps, 2.0)
 
     @pytest.mark.parametrize("eps, beta", [(0.1, 2.0), (0.05, 0.3), (1e-3, 7.5), (0.7, 0.02)])
     def test_float_argument_equals_array_evaluation(self, eps, beta):
@@ -525,6 +531,24 @@ class TestMinimize:
     def test_euclid_degenerate(self, euclid):
         prob = build_problem(euclid, 1.0, 0.1, beta=2.0)
         with pytest.raises(DegenerateMinimizerError):
+            minimize(prob)
+
+    def test_root_within_rounding_of_the_anchor_is_not_below_it(self, schw):
+        # h(0) one part in 1e15 below H(S_1): H - h changes sign a rounding step inside the anchor,
+        # where the functional cannot read below the anchor's area
+        h0 = float(sphere_mean_curvature(schw, 1.0))
+        prob = build_problem(schw, 1.0, 0.01, beta=_arccoth(h0 * (1 - 1e-15) / 0.01))
+        with pytest.raises(DegenerateMinimizerError, match="minimized at the anchor sphere; beta too small"):
+            minimize(prob)
+
+    def test_bulb_behind_a_neck_is_no_interior_bubble(self):
+        # u = 1 + exp(-((r - 1)/0.1)^2) has a neck outside a bulb around a flat core: H - h goes
+        # from - to + at the neck, but with no barrier radius the functional reads lower at the inner edge
+        radii = np.geomspace(1e-4, 1e2, 8192)
+        bulb = TabulatedProfile(radii, 1 + np.exp(-(((radii - 1.0) / 0.1) ** 2)))
+        prob = build_problem(bulb, 3.0, 0.01, beta=0.5)
+        assert prob.barrier_radius is None and np.any((prob.g[:-1] < 0) & (prob.g[1:] >= 0))
+        with pytest.raises(DegenerateMinimizerError, match="minimized at the inner edge; no interior bubble"):
             minimize(prob)
 
     def test_nesting_in_epsilon(self, schw):

@@ -13,7 +13,8 @@ import pytest
 
 import penroselab
 from penroselab import build_trumpet, export_trumpet, write_tabulated
-from penroselab.cli import main
+from penroselab.cli import main, run_command
+from penroselab.errors import ConfigError
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -342,6 +343,37 @@ def test_bad_schedule_config_exit_2(tmp_path, capsys, command, fields):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("penrose", {"profile": {"mass": 1.0}}, "config needs a 'profile' object with a 'kind' field"),
+        ("penrose", {}, "config needs a 'profile' object with a 'kind' field"),
+        ("penrose", {"profile": {"kind": "tabulated", "path": "no/such/table.dat"}}, "tabulated profile file not found"),
+        ("penrose", {"profile": {"kind": "tabulated"}}, "tabulated profile file not found: None"),
+        ("penrose", [{"profile": {"kind": "euclidean"}}], "top-level config must be a JSON object"),
+        ("trumpet", {"profile": {"kind": "cylinder"}}, "the trumpet command builds its own profile"),
+        ("batch", {}, "batch config needs a non-empty 'scenarios' list"),
+        ("batch", {"scenarios": []}, "batch config needs a non-empty 'scenarios' list"),
+        ("batch", {"scenarios": {"command": "penrose"}}, "batch config needs a non-empty 'scenarios' list"),
+        ("batch", {"scenarios": ["penrose"]}, "scenario 0 must be an object with a 'command' field"),
+        ("batch", {"scenarios": [{"profile": {"kind": "euclidean"}}]}, "scenario 0 must be an object"),
+    ],
+)
+def test_front_door_refusals_exit_2(tmp_path, capsys, command, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    assert run(tmp_path, command, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("cfg", [{"command": "nonesuch"}, {}])
+def test_run_command_refuses_an_unknown_command(cfg):
+    with pytest.raises(ConfigError, match=f"unknown command {cfg.get('command')!r}"):
+        run_command(cfg)
+
+
 def test_bad_tolerances_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     # "quadrature" is unknown too: the radial integrals have a fixed tolerance
@@ -479,6 +511,29 @@ def test_batch_exit_codes_are_the_commands_own(tmp_path):
     assert [s["exit_code"] for s in summary["scenarios"]] == alone
 
 
+def test_batch_records_an_unwritable_scenario_and_goes_on(tmp_path):
+    # scenario 0's out_dir is a plain file: exit 2 with the OSError's text, as main gives it alone
+    (tmp_path / "batch").mkdir()
+    blocked = tmp_path / "batch" / "scenario_000"
+    blocked.write_text("x")
+    scenarios = [
+        {"command": "penrose", "profile": {"kind": "schwarzschild", "mass": 1.0}},
+        {"command": "penrose", "profile": {"kind": "cylinder"}},
+    ]
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"command": "batch", "out_dir": str(tmp_path), "scenarios": scenarios}))
+    assert main(["batch", "--config", str(cfg)]) == 2
+    summary = json.loads((tmp_path / "batch" / "batch.json").read_text())["scenarios"]
+    assert [s["exit_code"] for s in summary] == [2, 6]
+    assert summary[0]["error"].startswith("NotADirectoryError: ") and str(blocked) in summary[0]["error"]
+    assert summary[1]["error"] is None
+    alone = []
+    for scenario, out_dir in zip(scenarios, [blocked, tmp_path / "alone"]):
+        cfg.write_text(json.dumps({**scenario, "out_dir": str(out_dir)}))
+        alone.append(main([scenario["command"], "--config", str(cfg)]))
+    assert alone == [2, 6]
+
+
 def test_reports_are_bit_identical(tmp_path):
     assert run(tmp_path, "penrose", "--profile", "schwarzschild", "--mass", "1") == 0
     a = (tmp_path / "penrose" / "penrose.json").read_bytes()
@@ -570,6 +625,14 @@ def test_replay_commands_cover_every_command(tmp_path, monkeypatch):
     exits = [op["exit"] for op in ops.values()]
     assert {0, 4, 5, 6} <= set(exits) and exits.count("exception ParameterError") == 1
     assert all(isinstance(code, int) for code in exits if code != "exception ParameterError")
+    # the ops run through main: flags alone, a config file under flags, and a flag argparse refuses
+    main_ops = {key.split(maxsplit=1)[1]: op for key, op in ops.items() if key.endswith(("flags", "unknown flag"))}
+    assert {label: op["exit"] for label, op in main_ops.items()} == {
+        "penrose flags": 0, "mu-bubble config and flags": 0, "horizon unknown flag": 2,
+    }
+    config = main_ops["mu-bubble config and flags"]["reports"]["mu_bubble.json"]["config"]
+    assert config["profile"] == {"kind": "schwarzschild", "mass": 2.0} and config["epsilon"] == 0.05
+    assert config["beta"] == 3.0 and not main_ops["horizon unknown flag"]["files"]
 
 
 def test_replay_diff_names_the_number_that_moved(tmp_path, monkeypatch, capsys):
@@ -614,7 +677,8 @@ def test_replay_diff_names_a_moved_hawking_field(tmp_path, monkeypatch, capsys):
 
 _SCIPY_PROBE = """
 import sys
-from penroselab.cli import main
+from penroselab.cli import main, run_command
+from penroselab.errors import ConfigError
 
 def scipy_loaded():
     return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from penroselab import (
     CylinderProfile,
+    DomainError,
     EuclideanProfile,
     SchwarzschildLikeProfile,
     TabulatedProfile,
@@ -145,12 +146,16 @@ def test_geodesic_distance_examples(euclid, cylinder, trumpet):
     # complete inner ends always report an infinite arc length
     assert math.isinf(geodesic_distance(cylinder, 0.0, 1.0))
     assert geodesic_distance(euclid, 0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(DomainError, match=r"need r_a <= r_b, got \(2.0, 1.0\)"):
+        geodesic_distance(euclid, 2.0, 1.0)
 
 
 def test_volume_examples(euclid, cylinder):
     assert volume_between(euclid, 0.0, 1.0) == pytest.approx(4 * math.pi / 3, abs=1e-9)
     assert volume_between(euclid, 0.7, 0.7) == 0.0
     assert volume_between(cylinder, math.exp(-1.0), 1.0) == pytest.approx(4 * math.pi, rel=1e-10)
+    with pytest.raises(DomainError, match=r"need r_a <= r_b, got \(2.0, 1.0\)"):
+        volume_between(euclid, 2.0, 1.0)
 
 
 def test_trumpet_throat_volume_diverges(trumpet):

@@ -54,6 +54,14 @@ def test_adm_flux_examples(euclid, schw, schw_ab):
     assert adm_flux(schw_ab, 1e4) == pytest.approx(4.0, abs=1e-2)
 
 
+def test_adm_flux_refuses_a_nonpositive_local_tail():
+    # on the steep outer side of a bump in u, u + r u' < 0: no chart normalisation, so no mass
+    radii = np.geomspace(1e-4, 1e2, 8192)
+    bump = TabulatedProfile(radii, 1 + np.exp(-(((radii - 1.0) / 0.1) ** 2)))
+    with pytest.raises(NotAsymptoticallyFlatError, match=r"u \+ r u'/\(n-2\) = -.* <= 0 at rho=1.07"):
+        adm_flux(bump, 1.07)
+
+
 def test_adm_flux_first_order_convergence(schw):
     m, _ = adm_mass_from_tail(schw)
     errs = [abs(adm_flux(schw, rho) - m) for rho in (1e2, 2e2, 4e2, 8e2)]
@@ -138,6 +146,8 @@ def test_hawking_mass_constant_along_schwarzschild():
 def test_hawking_mass_dimension_guard():
     with pytest.raises(UnsupportedDimensionError):
         hawking_mass(SchwarzschildLikeProfile.from_mass(1.0, n=4), 1.0)
+    with pytest.raises(UnsupportedDimensionError, match="adm_hawking_check is defined only for n = 3"):
+        adm_hawking_check(SchwarzschildLikeProfile.from_mass(1.0, n=4), 10.0)
 
 
 def test_area_infimum_schwarzschild(schw):
@@ -355,6 +365,14 @@ def test_root_runs_on_the_bracket_as_found():
     with pytest.raises(ValueError):
         brentq(f, 0.0, 1.0)
     assert 0.0 <= _root(f, 0.0, 1.0, f(0.0), 1e-300) <= 1.0
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.0, 1.0)])
+def test_root_at_a_zero_end_is_brentq(a, b):
+    # f(x) = x - 1 is exactly 0 at one end: that end is the root, evaluated or held
+    f = lambda x: x - 1.0
+    assert _root(f, a, b) == _root(f, a, b, f(a), f(b)) == _brentq(f, a, b) == 1.0
+    assert type(_root(f, a, b)) is float
 
 
 def _brentq(f, a, b):

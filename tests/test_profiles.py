@@ -23,7 +23,7 @@ from penroselab import (
 )
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
 from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
-from penroselab.reports import write_csv, write_json
+from penroselab.reports import jsonable, write_csv, write_json
 from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO
 
 from conftest import scaled
@@ -146,6 +146,10 @@ def test_tabulated_validation():
         TabulatedProfile(np.array([1.0, 2.0, 2.0, 4.0]), np.ones(4))
     with pytest.raises(ValueError):
         TabulatedProfile(np.array([-1.0, 2.0, 3.0, 4.0]), np.ones(4))
+    # three samples, one value short, 2-d arrays
+    for radii, values in [(r[:3], np.ones(3)), (r, np.ones(3)), (r.reshape(2, 2), np.ones((2, 2)))]:
+        with pytest.raises(ValueError, match="need matching 1-d arrays with at least 4 samples"):
+            TabulatedProfile(radii, values)
 
 
 def test_tabulated_roundtrip(tmp_path, schw):
@@ -198,6 +202,30 @@ def test_reports_and_tables_get_the_umask_mode(tmp_path, schw, umask):
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == dict.fromkeys(["plain.txt", "report.json", "report.csv", "profile.dat"], 0o666 & ~umask)
+
+
+def test_writers_never_flip_the_process_umask(tmp_path, schw, monkeypatch):
+    # the umask is process-wide: a file another thread creates while it is 0 would get mode 0o666
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    radii = np.geomspace(1e-2, 1e2, 8)
+    write_json(tmp_path / "report.json", {"a": 1.0})
+    write_csv(tmp_path / "report.csv", ["a"], [[1.0]])
+    write_tabulated(tmp_path / "profile.dat", radii, schw.u(radii))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.dat", "report.csv", "report.json"]
+
+
+def test_write_leaves_a_temp_name_it_did_not_create(tmp_path, monkeypatch):
+    # a temp name already taken is refused, and the file holding it is not removed
+    monkeypatch.setattr(os, "urandom", lambda k: bytes(k))
+    taken = tmp_path / f".report.json.{bytes(8).hex()}.tmp"
+    taken.write_text("someone else's")
+    with pytest.raises(FileExistsError):
+        write_json(tmp_path / "report.json", {"a": 1.0})
+    assert taken.read_text() == "someone else's"
+    assert [p.name for p in tmp_path.iterdir()] == [taken.name]
 
 
 _TABLE_RADII = np.geomspace(1e-3, 1e3, 4097)
@@ -278,6 +306,27 @@ def test_default_grid_respects_domain(tmp_path, schw):
     tab = read_tabulated(path)
     grid = default_grid(tab)
     assert grid.r_lo >= 1e-2 and grid.r_hi <= 1e2
+    for lo, hi in [(1e5, 1e6), (1e-8, 1e-6)]:  # tables wholly above or below [1e-4, 1e4]
+        radii = np.geomspace(lo, hi, 8)
+        with pytest.raises(DomainError, match="default grid does not intersect domain"):
+            default_grid(TabulatedProfile(radii, schw.u(radii)))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (np.bool_(True), True),
+        (np.int64(7), 7),
+        (np.float32(0.5), 0.5),
+        (np.float32(np.nan), "nan"),
+        (np.array(2.5), 2.5),
+        (np.array(-np.inf), "-inf"),
+        (np.array(3), 3),
+    ],
+)
+def test_jsonable_numpy_scalars_and_0d_arrays(value, expected):
+    out = jsonable({"v": [value]})["v"][0]
+    assert out == expected and type(out) is type(expected)
 
 
 _INNER_END_PROFILES = {

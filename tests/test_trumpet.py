@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penroselab import (
+    RadialGrid,
     SmoothCutoff,
     WeakAlphaWarning,
     build_trumpet,
@@ -27,6 +28,8 @@ def test_find_r0_closed_form():
     assert find_r0(3) == pytest.approx(2.0, rel=1e-14)
     assert find_r0(4) == pytest.approx(1.0, rel=1e-14)
     assert find_r0(6) == pytest.approx(0.5 * 2 ** 0.5, rel=1e-14)
+    with pytest.raises(ValueError, match="dimension must be at least 3"):
+        find_r0(2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -106,6 +109,12 @@ class TestVerification:
         assert report.ok and report.failing() == []
         assert report.mass == pytest.approx(2 * trumpet.alpha0, rel=1e-12)
         assert report.throat_area == pytest.approx(4 * math.pi, abs=1e-4)
+
+    def test_failed_tail_fit_is_a_failed_check(self, trumpet):
+        # a grid ending at r = 1 fits its tail inside the throat: check (a) fails and the others still run
+        report = verify_trumpet(trumpet, RadialGrid(1e-3, 1.0, 512))
+        assert report.failing() == ["asymptotically_flat"] and report.mass is None
+        assert report.checks[0].detail["error"].startswith("tail fit residual ")
 
     def test_laplacian_terms_nonpositive(self, trumpet):
         radii = default_grid(trumpet).radii()
