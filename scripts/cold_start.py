@@ -26,7 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
-# (label, argv): all seven commands, penrose on two profiles; of these only rigidity integrates with QUADPACK
+# (label, argv): all seven commands, penrose on two profiles; none of them loads scipy
 COMMANDS = (
     ("penrose schwarzschild", ["penrose", "--profile", "schwarzschild"]),
     ("penrose trumpet", ["penrose", "--profile", "trumpet"]),

@@ -255,16 +255,19 @@ def _object(cfg: dict, key: str) -> dict:
 
 def _dimension(cfg: dict) -> int:
     """Config field ``n``, an integer >= 3; 3 when it is absent or null."""
-    n = _number(cfg, "n", 3.0)
+    n = _number(cfg, "n")
     if not (n.is_integer() and n >= 3):
         raise ConfigError(f"config field 'n' must be an integer >= 3, got {cfg['n']!r}")
     return int(n)
 
 
-def _number(cfg: dict, key: str, default):
-    """Config field ``key`` as a float; ``default`` when it is absent or null."""
+_DEFAULTS = {"n": 3.0, "r0": 2.0, "epsilon": 0.1, "gamma": 1.5, "lip_factor": bubbles.LIP_FACTOR_DEFAULT}
+
+
+def _number(cfg: dict, key: str):
+    """Config field ``key`` as a float; its ``_DEFAULTS`` entry (``beta`` has none) when absent or null."""
     value = cfg.get(key)
-    return default if value is None else _float(key, value)
+    return _DEFAULTS.get(key) if value is None else _float(key, value)
 
 
 def _epsilons(cfg: dict):
@@ -282,14 +285,14 @@ _BUBBLE_COLS = ["epsilon", "beta", "rho_star", "area", "mean_curvature", "el_res
 
 def cmd_mu_bubble(cfg: dict) -> int:
     profile = build_profile(cfg)
-    r0 = _number(cfg, "r0", 2.0)
-    epsilon = _number(cfg, "epsilon", 0.1)
+    r0 = _number(cfg, "r0")
+    epsilon = _number(cfg, "epsilon")
     problem = bubbles.build_problem(
         profile,
         r0,
         epsilon,
-        beta=_number(cfg, "beta", None),
-        lip_factor=_number(cfg, "lip_factor", bubbles.LIP_FACTOR_DEFAULT),
+        beta=_number(cfg, "beta"),
+        lip_factor=_number(cfg, "lip_factor"),
     )
     sol = bubbles.minimize(problem)
     payload = {
@@ -320,7 +323,7 @@ def _flat(step) -> dict:
 
 def cmd_horizon(cfg: dict) -> int:
     profile = build_profile(cfg)
-    result = bubbles.horizon_sequence(profile, _number(cfg, "r0", 2.0), _epsilons(cfg))
+    result = bubbles.horizon_sequence(profile, _number(cfg, "r0"), _epsilons(cfg))
     steps = [_flat(s) for s in result.steps]
     _report(cfg, {"result": {**vars(result), "steps": steps}}, _STEP_COLS, _columns(_STEP_COLS, steps))
     bounds = result.mass_lower_bounds
@@ -341,9 +344,7 @@ _RIGIDITY_COLS = [
 
 def cmd_rigidity(cfg: dict) -> int:
     profile = build_profile(cfg)
-    trace = bubbles.rigidity_iteration(
-        profile, _number(cfg, "r0", 2.0), _number(cfg, "epsilon", 0.1), _number(cfg, "gamma", 1.5)
-    )
+    trace = bubbles.rigidity_iteration(profile, _number(cfg, "r0"), _number(cfg, "epsilon"), _number(cfg, "gamma"))
     record = {**vars(trace), "steps": [_flat(s) for s in trace.steps]}
     if record["error"] is None:  # a schedule that ran to its floor names no refusal
         del record["error"]

@@ -38,7 +38,7 @@ class EpsilonTooLargeError(PenroseLabError):
 
 
 class QuadratureError(PenroseLabError):
-    """QUADPACK did not reach its tolerance on a radial integral."""
+    """A radial integral's panel sums did not agree to their tolerance within the doubling cap."""
 
 
 class ConfigError(PenroseLabError):

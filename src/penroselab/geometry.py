@@ -18,9 +18,8 @@ H > 0 means mean-convex toward the asymptotically flat end; H, w and dR/dr
 have one sign.  Every sphere quantity comes from one kernel, ``_Sphere``.
 All functions are pure and accept scalar or array radii where noted.
 
-Arc length and volume are QUADPACK integrals (``scipy.integrate.quad``) in
-log r to 1e-10 relative, split at the profile's ``breakpoints``; a QUADPACK
-message raises :class:`QuadratureError`.  At an open inner end,
+Arc length and volume are integrals by the package's one rule,
+:func:`penroselab.quadrature.gauss_adaptive`.  At an open inner end,
 u ~ c r^{-q} (q is the profile's ``inner_exponent``) makes ds and dV go
 like r^{-p} with p = 2q/(n-2) and 2nq/(n-2) - (n-1): the integral is inf
 iff p >= 1.
@@ -30,8 +29,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, QuadratureError
+import numpy as np
+
+from .errors import DomainError
 from .profiles import RadialProfile, unit_sphere_area
+from .quadrature import gauss_adaptive
 
 
 def radial_laplacian(profile: RadialProfile, r):
@@ -109,42 +111,31 @@ def intrinsic_diameter(profile: RadialProfile, r):
     return math.pi * _at(profile, r).radius
 
 
-def _quad(f, a, b, breaks):
-    """QUADPACK to 1e-10 relative; any message it returns is raised, never a number.
-
-    scipy is imported here, on the first integral, so a run that integrates nothing never loads it.
-    """
-    from scipy.integrate import quad
-
-    points = [x for x in breaks if a < x < b] or None
-    value, _err, _info, *message = quad(
-        f, a, b, epsabs=0.0, epsrel=1e-10, points=points, full_output=1
-    )
-    if message:
-        raise QuadratureError(f"integral over [{a:.6g}, {b:.6g}]: {message[0]}")
-    return value
-
-
 def _radial_integral(profile: RadialProfile, density, tail_power, r_a: float, r_b: float) -> float:
-    """Integral of ``density`` over [r_a, r_b], split at the profile's breakpoints.
+    """Integral of ``density`` over [r_a, r_b] by :func:`gauss_adaptive`, cut at the profile's breakpoints.
 
-    From an open inner end the density goes like r^{-tail_power(q)}: inf if
-    that power is >= 1, else QUADPACK on the integrable singularity in r (in
-    log r it would underflow to 0 * inf).  A closed span is integrated in log r.
+    A closed span maps to t = log(r / r_a), formed as log1p((r - r_a) / r_a):
+    exact at r_a and accurate on thin annuli.  From an open inner end the
+    density goes like r^{-p}, p = tail_power(q): inf if p >= 1, else it maps
+    to s = (r / r_b)^{1-p} in (0, 1], in which r^{-p} dr is regular.
     """
     if r_b < r_a:
         raise DomainError(f"need r_a <= r_b, got ({r_a}, {r_b})")
     dom = profile.domain
     profile.require_radius(r_b)
+    radii = [r_a, *(x for x in profile.breakpoints if r_a < x < r_b), r_b]
     if r_a == dom.lo and not dom.lo_closed:
-        if tail_power(profile.inner_exponent) >= 1.0:
+        p = tail_power(profile.inner_exponent)
+        if p >= 1.0:
             return math.inf
-        return _quad(density, dom.lo, r_b, profile.breakpoints)
+        k = 1.0 / (1.0 - p)  # r = r_b s^k, dr = r_b k s^(k-1) ds
+        cuts = [(x / r_b) ** (1.0 - p) for x in radii]
+        return gauss_adaptive(lambda s: density(r_b * s**k) * r_b * k * s ** (k - 1), cuts)
     profile.require_radius(r_a)
     if r_a == r_b:
         return 0.0
-    breaks = [math.log(x) for x in profile.breakpoints]
-    return _quad(lambda t: density(math.exp(t)) * math.exp(t), math.log(r_a), math.log(r_b), breaks)
+    cuts = [math.log1p((x - r_a) / r_a) for x in radii]
+    return gauss_adaptive(lambda t: density(r_a * np.exp(t)) * r_a * np.exp(t), cuts)  # r = r_a e^t, dr = r dt
 
 
 def geodesic_distance(profile: RadialProfile, r_a: float, r_b: float) -> float:

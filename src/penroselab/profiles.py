@@ -153,10 +153,6 @@ class SchwarzschildLikeProfile(RadialProfile):
         """Unit-normalized profile 1 + (m/2) r^{2-n}."""
         return cls(1.0, 0.5 * mass, n)
 
-    @property
-    def mass(self) -> float:
-        return 2.0 * self.a * self.b
-
     def params(self):
         return {"a": self.a, "b": self.b}
 

@@ -1,34 +1,26 @@
-"""Fixed-panel Gauss-Legendre quadrature.
+"""8-point Gauss-Legendre panels: the package's one quadrature rule.
 
-Arc lengths and volumes between two radii go through QUADPACK in
-:mod:`penroselab.geometry`.  This module holds the vectorised pieces that
-need the same integral at many points at once:
-
-- ``gauss_panel``: one 8-point Gauss-Legendre panel per interval, for
-  arrays of intervals; ``gauss_nodes`` gives its nodes.
-- ``PanelAntiderivative``: a fixed piecewise Gauss-Legendre antiderivative
-  F(x) = integral from x to the right edge, cheap to evaluate anywhere and
-  smooth enough for root finding.  It evaluates f on one fresh panel per
-  query, so it follows integrands no node interpolant can.
-- ``node_tails``: the integral from each Gauss node to its panel's right
-  edge, from the integrand's values at the nodes alone, through the tail
-  matrix ``_GL_TAIL``: entry [j, k] is the integral from node j to the
-  panel's right end of the k-th Lagrange basis polynomial on the 8 nodes, so
-  it is exact for the degree-7 interpolant.  Added to a ``NodeTable``'s edge
-  sums, one evaluation of f at the nodes thus gives f's antiderivative at
-  every edge and every node.
-- ``NodeTable``: the same antiderivative anywhere, still from the node
-  values alone.  The integral from a point t of the panel coordinate to the
-  panel's right end of the k-th basis polynomial is a degree-8 polynomial
-  in t that vanishes at 1; divided by 1 - t it is the basis polynomial's
-  mean over [t, 1], of degree 7, column k of ``_GL_MEAN``.  ``_GL_TAIL`` is
-  the integral at the nodes, and both come from one extended-precision
-  construction.  So a query evaluates one polynomial and calls f not at all.
+- ``gauss_panel``: one panel per interval, for arrays of intervals;
+  ``gauss_nodes`` gives its nodes.
+- ``gauss_adaptive``: the integral over pieces between given cuts, on equal
+  panels per piece doubled until two sums agree to ``RTOL``, or
+  :class:`QuadratureError`; arc lengths and volumes between two radii in
+  :mod:`penroselab.geometry` go through it.
+- ``PanelAntiderivative``: F(x) = integral from x to the last of fixed
+  edges, from one fresh panel of f per query, smooth enough for root
+  finding and able to follow integrands no node interpolant can.
+- ``node_tails`` and ``NodeTable``: the same antiderivative at every Gauss
+  node and anywhere, from f at the nodes alone: the 8 Lagrange basis
+  polynomials, integrated (``_GL_TAIL``) and averaged (``_GL_MEAN``) from t
+  to the panel's right end, make both exact for the degree-7 interpolant,
+  so a query calls f not at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -70,6 +62,31 @@ def gauss_panel(f, a, b):
     """
     nodes, half = gauss_nodes(a, b)
     return _panel_sums(f(nodes.reshape(-1)).reshape(nodes.shape), half)
+
+
+RTOL = 1e-13  # two successive sums of a piece agree to this, relative
+MAX_DOUBLINGS = 12  # a piece not converged on 2^12 times its first panel count raises
+
+
+def gauss_adaptive(f, cuts) -> float:
+    """Integral of f from cuts[0] to cuts[-1], each piece between consecutive cuts to ``RTOL``.
+
+    A piece starts on one equal panel per unit of its length (at least one),
+    and the finer of the first two finite sums that agree is kept.
+    """
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        panels, old = max(1, int(np.ceil(b - a))), np.nan
+        for _ in range(MAX_DOUBLINGS + 1):
+            edges = np.linspace(a, b, panels + 1)
+            new = float(gauss_panel(f, edges[:-1], edges[1:]).sum())
+            if np.isfinite(new) and abs(new - old) <= RTOL * abs(new):  # an inf after a finite sum would pass
+                break
+            old, panels = new, 2 * panels
+        else:
+            raise QuadratureError(f"[{a:.6g}, {b:.6g}]: no two sums within {RTOL:g} in {MAX_DOUBLINGS} doublings")
+        total += new
+    return total
 
 
 def _panel_sums(vals, half):

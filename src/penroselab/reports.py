@@ -17,7 +17,7 @@ from dataclasses import fields, is_dataclass
 
 
 def jsonable(obj):
-    """Recursively convert dataclasses, numpy scalars and containers.
+    """Recursively convert dataclasses, numpy scalars and arrays, and containers.
 
     A dataclass becomes the fields its repr shows: a ``repr=False`` field stays out of reports.
     A float (numpy's float64 is one) is checked first: report tables are mostly floats.
@@ -26,13 +26,8 @@ def jsonable(obj):
         return float(obj) if math.isfinite(obj) else repr(float(obj))
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            obj = obj.item()
-        except (AttributeError, ValueError):
-            pass
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
+    if hasattr(obj, "tolist"):  # a numpy scalar becomes its Python value, an array a (nested) list
+        return jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

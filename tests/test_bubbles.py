@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -673,19 +674,17 @@ class TestRigidity:
         assert rhos[-1] == pytest.approx(0.5, abs=1e-3)
 
     def test_annulus_volumes_against_closed_form(self, schw):
-        # u = 1 + c/r: 4 pi u^6 r^2 expands in powers of r, so the volume has a closed form
-        c = 0.5
-
-        def volume(r):
-            powers = [math.log(r) if j == 3 else r ** (3 - j) / (3 - j) for j in range(7)]
-            return 4 * math.pi * math.fsum(math.comb(6, j) * c**j * p for j, p in enumerate(powers))
+        # u = 1 + 1/(2r): sympy integrates 4 pi u^6 r^2 and takes the difference at 30 digits
+        r = sp.Symbol("r", positive=True)
+        volume = sp.integrate(4 * sp.pi * (1 + 1 / (2 * r)) ** 6 * r**2, r)
 
         trace = rigidity_iteration(schw, 2.0, 0.1, 1.5)
         steps = trace.steps
         assert len(steps) >= 3 and steps[-1].annulus_volume is None
         for outer, inner in zip(steps, steps[1:]):
-            expected = volume(outer.solution.rho_star) - volume(inner.solution.rho_star)
-            assert outer.annulus_volume == pytest.approx(expected, rel=1e-9)
+            ends = [volume.subs(r, sp.Rational(s.solution.rho_star)) for s in (outer, inner)]
+            expected = float(sp.N(ends[0] - ends[1], 30))
+            assert outer.annulus_volume == pytest.approx(expected, rel=1e-14, abs=0)
             assert outer.annulus_bound == pytest.approx(trace.lambda0 * outer.epsilon**0.5, rel=1e-15)
         volumes = [s.annulus_volume for s in steps[:-1]]
         assert trace.cumulative_volume == pytest.approx(sum(volumes), rel=1e-15)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import stat
@@ -327,6 +328,11 @@ def test_default_grid_respects_domain(tmp_path, schw):
 def test_jsonable_numpy_scalars_and_0d_arrays(value, expected):
     out = jsonable({"v": [value]})["v"][0]
     assert out == expected and type(out) is type(expected)
+
+
+def test_write_json_numpy_array(tmp_path):
+    write_json(tmp_path / "report.json", {"a": np.arange(3), "b": np.array([[0.5, np.nan]])})
+    assert json.loads((tmp_path / "report.json").read_text()) == {"a": [0, 1, 2], "b": [[0.5, "nan"]]}
 
 
 _INNER_END_PROFILES = {

@@ -18,16 +18,16 @@ from penroselab.quadrature import (
     _GL_MEAN,
     _GL_NODES,
     _GL_TAIL,
+    MAX_DOUBLINGS,
     NodeTable,
     PanelAntiderivative,
     gauss_nodes,
     node_tails,
 )
 
-# 12 Gauss-Kronrod panels of 21 points: a budget, not QUADPACK's cap (its limit of 50
-# subintervals allows 2079 points).  QUADPACK's count swings with last-bit changes to the
-# integrand: 357 and 399 evaluations have been seen on single PowerProfile integrals.
-MAX_U_EVALS = 252
+# One vectorised u call per sum, at most MAX_DOUBLINGS + 1 sums per piece, and at most
+# three pieces (the trumpet's two breakpoints): the most any radial integral can take.
+MAX_U_EVALS = 3 * (MAX_DOUBLINGS + 1)
 
 
 class PowerProfile(RadialProfile):
@@ -76,8 +76,7 @@ def test_schwarzschild_volume_against_sympy(r_a, r_b, counting):
 @pytest.mark.parametrize("r_a,r_b", [(0.09349036408190234, 7.491869864420243), (0.0099, 886.0)])
 def test_trumpet_arc_across_the_blend(r_a, r_b, counting):
     # closed forms below r0 (u = r^{-1/2} + c1) and above 2 r0 (u = alpha0 + 1/r);
-    # the blend between them by a tight QUADPACK run of its own.  Unsplit at r0
-    # and 2 r0, QUADPACK reports success on the first span 1.5e-7 off.
+    # the blend between them by a tight scipy quad run of its own.
     trumpet = counting(build_trumpet(3, alpha=2.3836749032336413))
     base = trumpet.base
     r0, c1, a0 = base.r0, base.c1, base.alpha0
@@ -89,7 +88,7 @@ def test_trumpet_arc_across_the_blend(r_a, r_b, counting):
 
 
 class WigglyProfile(RadialProfile):
-    """u = 1.5 + sin(1e4 r): far more oscillations than QUADPACK's 50 subintervals resolve."""
+    """u = 1.5 + sin(1e4 r): about 14,000 oscillations, more than 2^12 times three panels resolve."""
 
     kind = "wiggly"
 
@@ -97,9 +96,30 @@ class WigglyProfile(RadialProfile):
         return 1.5 + np.sin(1e4 * r)
 
 
-def test_quadpack_message_raises():
-    with pytest.raises(QuadratureError, match="maximum number of subdivisions"):
-        geodesic_distance(WigglyProfile(), 1.0, 10.0)
+def test_doubling_cap_raises(counting):
+    # [1, 10] is 2.3 e-folds, so three first panels, doubled 12 times to 12288
+    profile = counting(WigglyProfile())
+    with pytest.raises(QuadratureError, match=r"^\[0, 2.30259\]: no two sums within 1e-13 in 12 doublings$"):
+        geodesic_distance(profile, 1.0, 10.0)
+    assert profile.calls == MAX_DOUBLINGS + 1
+
+
+def test_overflowing_sum_is_never_returned():
+    # u = r^{-0.495} + 1 from the puncture has a finite arc length, but on fine panels in
+    # s = (r / 2)^{0.01} the nodes' r = 2 s^100 underflows, u^2 overflows and a sum reads
+    # inf: the integral is refused, or else the closed form, never inf
+    class OffsetPower(PowerProfile):
+        def _u(self, r):
+            return r ** (-0.5 * self.p) + 1.0
+
+    q = 0.495
+    exact = sum(math.comb(2, j) * 2.0 ** (1 - j * q) / (1 - j * q) for j in range(3))
+    with np.errstate(all="ignore"):
+        try:
+            value = geodesic_distance(OffsetPower(2 * q), 0.0, 2.0)
+        except QuadratureError:
+            return
+    assert value == pytest.approx(exact, rel=1e-10, abs=0)
 
 
 def test_panel_antiderivative_matches_quad():
