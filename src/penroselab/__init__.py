@@ -23,7 +23,6 @@ from .bubbles import (
     choose_beta,
     diameter_report,
     dist_to_anchor,
-    functional_eval,
     halving_schedule,
     horizon_sequence,
     minimize,

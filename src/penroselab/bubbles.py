@@ -66,17 +66,9 @@ from .errors import (
     OutOfCollectionError,
     ParameterError,
     PenroseLabError,
-    UnsupportedDimensionError,
 )
-from .geometry import (
-    _Sphere,
-    geodesic_distance,
-    intrinsic_diameter,
-    sphere_area,
-    sphere_mean_curvature,
-    volume_between,
-)
-from .masses import _hawking_value, _root, area_infimum_radial, penrose_check, EQUALITY_TOL
+from .geometry import _Sphere, intrinsic_diameter, sphere_area, sphere_mean_curvature, volume_between
+from .masses import VERDICT_EQUALITY, _hawking_value, _root, area_infimum_radial, penrose_check
 from .profiles import RadialProfile
 from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
@@ -240,8 +232,7 @@ class MuBubbleProblem:
         lip_factor: float = LIP_FACTOR_DEFAULT,
         table: _AnchorTable | None = None,
     ):
-        if profile.n != 3:
-            raise UnsupportedDimensionError("bubble problems are defined only for n = 3")
+        profile.require_three("MuBubbleProblem")
         if not 0 < lip_factor < 1:
             raise ParameterError(f"lip_factor must lie in (0, 1), got {lip_factor}")
         profile.require_radius(anchor_radius)
@@ -276,9 +267,24 @@ class MuBubbleProblem:
         self.g = sphere_mean_curvature(profile, self.edges) - h(rho)
         self._table, self._graded_from = table, j
 
-    def functional(self, rho):
-        """A(rho) = area(S_rho) + integral_rho^{r0} h(rho) dV, for rho from ``edges[0]`` to r0."""
-        return np.asarray(sphere_area(self.profile, rho)) + self._bulk_term(rho)
+    def _require_collected(self, r: float, name: str) -> None:
+        """Refuse a radius outside the collection of balls, [table floor, r0]."""
+        self.profile.require_radius(r)
+        if not self.floor <= r <= self.anchor_radius:
+            raise OutOfCollectionError(f"{name} = {r} lies outside [{self.floor:.6g}, r0 = {self.anchor_radius}]")
+
+    def functional(self, rho: float) -> float:
+        """A(rho) = area(S_rho) + integral_rho^{r0} h(rho) dV.
+
+        Radii outside [table floor, r0] raise :class:`OutOfCollectionError`;
+        radii below the barrier radius raise :class:`BarrierError`.
+        """
+        self._require_collected(rho, "rho")
+        if rho < self.edges[0]:
+            raise BarrierError(f"rho = {rho} lies below the barrier radius {self.edges[0]:.6g}")
+        bulk, graded = self._bulk_tables(rho)
+        term = bulk(rho) if graded is None else float(graded(rho)) + bulk(graded.edges[-1])
+        return float(sphere_area(self.profile, rho)) + term
 
     def _bulk_tables(self, lo: float):
         """(bulk, graded): the bulk table from the panel of ``lo`` up to r0; the band below it, else None."""
@@ -292,47 +298,16 @@ class MuBubbleProblem:
         fresh = np.concatenate([[r_b], r_b + (top - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1), [top]])
         return bulk, PanelAntiderivative(_bulk_density(self.profile, h, self.dist), fresh)
 
-    def _bulk_term(self, x):
-        """integral_x^{r0} h(rho) dV, from bulk tables built down to the lowest x."""
-        bulk, graded = self._bulk_tables(float(np.min(x) if np.ndim(x) else x))
-        if graded is None:
-            return bulk(x)
-        top = float(graded.edges[-1])
-        below = graded(np.minimum(x, top)) + bulk(top)
-        return np.where(np.asarray(x) < top, below, bulk(np.maximum(x, top)))
-
 
 def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:
-    """Signed, Lipschitz-shrunk arc length from S_r to the anchor sphere.
+    """The checked ``problem.dist``: the signed, Lipschitz-shrunk arc length from S_r to the anchor.
 
-    Negative inside the anchor, zero at it, positive outside; the shrink
-    factor keeps the Lipschitz constant strictly below one.  Radii below the
-    anchor table's floor raise :class:`OutOfCollectionError`.
+    Negative inside the anchor and zero at it; the shrink factor keeps the
+    Lipschitz constant strictly below one.  Radii outside the collection
+    [table floor, r0] raise :class:`OutOfCollectionError`, as in ``functional``.
     """
-    profile = problem.profile
-    profile.require_radius(r)
-    r0 = problem.anchor_radius
-    if r >= r0:
-        return problem.lip_factor * geodesic_distance(profile, r0, r)
-    if r < problem.floor:
-        raise OutOfCollectionError(f"r = {r} lies below the anchor table's floor {problem.floor:.6g}")
+    problem._require_collected(r, "r")
     return float(problem.dist(r))
-
-
-def functional_eval(problem: MuBubbleProblem, rho: float) -> float:
-    """Area of S_rho plus the prescribed-curvature bulk term out to the anchor.
-
-    Radii outside [table floor, r0] raise :class:`OutOfCollectionError`;
-    radii below the barrier radius raise :class:`BarrierError`.
-    """
-    problem.profile.require_radius(rho)
-    if not problem.floor <= rho <= problem.anchor_radius:
-        raise OutOfCollectionError(
-            f"rho = {rho} lies outside [{problem.floor:.6g}, r0 = {problem.anchor_radius}]"
-        )
-    if rho < problem.edges[0]:
-        raise BarrierError(f"rho = {rho} lies below the barrier radius {problem.edges[0]:.6g}")
-    return float(problem.functional(rho))
 
 
 @dataclass(frozen=True)
@@ -367,7 +342,7 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     if not len(brackets):
         raise DegenerateMinimizerError("H - h(rho) never changes sign from - to +; no interior bubble")
     roots = [_root(problem.first_variation, x[i], x[i + 1], g[i], g[i + 1]) for i in brackets]
-    values = [float(problem.functional(r)) for r in roots]
+    values = [problem.functional(r) for r in roots]
     best = int(np.argmin(values))
     rho, fval = roots[best], values[best]
     if not fval < sphere_area(profile, problem.anchor_radius):
@@ -512,8 +487,7 @@ def horizon_sequence(
     an anchor outside the profile's domain :class:`DomainError`, and a
     non-finite epsilon :class:`ParameterError`, all before any step.
     """
-    if profile.n != 3:
-        raise UnsupportedDimensionError("horizon_sequence is defined only for n = 3")
+    profile.require_three("horizon_sequence")
     if epsilons is None:
         epsilons = halving_schedule()
     profile.require_radius(anchor_radius)
@@ -591,8 +565,7 @@ def rigidity_iteration(
     large for its anchor (:class:`EpsilonTooLargeError`) ends the schedule
     and is recorded as ``error``; the bounds cover the steps before it.
     """
-    if profile.n != 3:
-        raise UnsupportedDimensionError("rigidity_iteration is defined only for n = 3")
+    profile.require_three("rigidity_iteration")
     if not 1.0 < gamma < 2.0:
         raise ParameterError(f"gamma must lie in (1, 2), got {gamma}")
     a0 = float(sphere_area(profile, anchor_radius))
@@ -604,7 +577,7 @@ def rigidity_iteration(
     report = penrose_check(profile)
     a_inf = report.area_infimum
     lambda0 = a_inf * a0 / (2.0 * math.pi)
-    equality = abs(report.ratio - 1.0) <= EQUALITY_TOL
+    equality = report.verdict == VERDICT_EQUALITY
 
     solutions: list[MuBubbleSolution] = []
     anchor = float(anchor_radius)

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .profiles import RadialProfile, unit_sphere_area
 from .quadrature import gauss_adaptive
 
@@ -117,7 +117,8 @@ def _radial_integral(profile: RadialProfile, density, tail_power, r_a: float, r_
     A closed span maps to t = log(r / r_a), formed as log1p((r - r_a) / r_a):
     exact at r_a and accurate on thin annuli.  From an open inner end the
     density goes like r^{-p}, p = tail_power(q): inf if p >= 1, else it maps
-    to s = (r / r_b)^{1-p} in (0, 1], in which r^{-p} dr is regular.
+    to s = (r / r_b)^{1-p} in (0, 1], in which r^{-p} dr is regular.  A
+    :class:`QuadratureError` names [r_a, r_b] in r, not in the mapped variable.
     """
     if r_b < r_a:
         raise DomainError(f"need r_a <= r_b, got ({r_a}, {r_b})")
@@ -129,13 +130,18 @@ def _radial_integral(profile: RadialProfile, density, tail_power, r_a: float, r_
         if p >= 1.0:
             return math.inf
         k = 1.0 / (1.0 - p)  # r = r_b s^k, dr = r_b k s^(k-1) ds
+        f = lambda s: density(r_b * s**k) * r_b * k * s ** (k - 1)
         cuts = [(x / r_b) ** (1.0 - p) for x in radii]
-        return gauss_adaptive(lambda s: density(r_b * s**k) * r_b * k * s ** (k - 1), cuts)
-    profile.require_radius(r_a)
-    if r_a == r_b:
-        return 0.0
-    cuts = [math.log1p((x - r_a) / r_a) for x in radii]
-    return gauss_adaptive(lambda t: density(r_a * np.exp(t)) * r_a * np.exp(t), cuts)  # r = r_a e^t, dr = r dt
+    else:
+        profile.require_radius(r_a)
+        if r_a == r_b:
+            return 0.0
+        f = lambda t: density(r_a * np.exp(t)) * r_a * np.exp(t)  # r = r_a e^t, dr = r dt
+        cuts = [math.log1p((x - r_a) / r_a) for x in radii]
+    try:
+        return gauss_adaptive(f, cuts)
+    except QuadratureError as exc:
+        raise QuadratureError(f"r in [{r_a:.6g}, {r_b:.6g}]: {exc}") from None
 
 
 def geodesic_distance(profile: RadialProfile, r_a: float, r_b: float) -> float:

@@ -23,11 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (
-    NotAsymptoticallyFlatError,
-    NotOuterMinimizingError,
-    UnsupportedDimensionError,
-)
+from .errors import NotAsymptoticallyFlatError, NotOuterMinimizingError
 from .geometry import _at, _Sphere, sphere_area, sphere_mean_curvature
 from .profiles import RadialGrid, RadialProfile, default_grid
 
@@ -149,8 +145,7 @@ def hawking_mass(profile: RadialProfile, r: float) -> float:
     H is constant on a coordinate sphere, so the mean-curvature integral is
     area * H^2 and the value is sqrt(A/16pi) (1 - A H^2/16pi).
     """
-    if profile.n != 3:
-        raise UnsupportedDimensionError("hawking_mass is defined only for n = 3")
+    profile.require_three("hawking_mass")
     return float(_hawking_value(sphere_area(profile, r), sphere_mean_curvature(profile, r)))
 
 
@@ -309,8 +304,7 @@ def penrose_check(
     The degenerate flat case (mass and infimum both at numerical zero) is
     reported as equality with ratio 1.
     """
-    if profile.n != 3:
-        raise UnsupportedDimensionError("penrose_check is defined only for n = 3")
+    profile.require_three("penrose_check")
     grid = grid or default_grid(profile)
     m, _tail = adm_mass_from_tail(profile, grid)
     radii = grid.radii()
@@ -352,8 +346,7 @@ def adm_hawking_check(
     failed).  The grid comparison is deliberate: it decides a refusal and
     solves for nothing, so no root is refined.
     """
-    if profile.n != 3:
-        raise UnsupportedDimensionError("adm_hawking_check is defined only for n = 3")
+    profile.require_three("adm_hawking_check")
     grid = grid or default_grid(profile)
     profile.require_radius(r)
     area_r = float(sphere_area(profile, r))
@@ -363,8 +356,6 @@ def adm_hawking_check(
         raise NotOuterMinimizingError(
             f"sphere_area dips below area(S_{r}) at larger radii; hypothesis refused"
         )
-    mh = float(_hawking_value(area_r, sphere_mean_curvature(profile, r)))  # hawking_mass, its area read once
+    mh = hawking_mass(profile, r)
     m, _ = adm_mass_from_tail(profile, grid)
-    return AdmHawkingResult(
-        radius=float(r), adm_mass=float(m), hawking_mass=float(mh), passed=m >= mh - ADM_HAWKING_SLACK
-    )
+    return AdmHawkingResult(radius=float(r), adm_mass=float(m), hawking_mass=mh, passed=m >= mh - ADM_HAWKING_SLACK)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedDimensionError
 from .reports import _atomic_write
 
 
@@ -75,6 +75,11 @@ class RadialProfile:
     def require_radius(self, r) -> None:
         if not self.domain.contains(r):
             raise DomainError(f"radius {r!r} outside domain {self.domain} of {self.kind} profile")
+
+    def require_three(self, what: str) -> None:
+        """The one dimension rule: ``what``, a three-dimensional entry point, refuses n != 3."""
+        if self.n != 3:
+            raise UnsupportedDimensionError(f"{what} is defined only for n = 3")
 
     def params(self) -> dict:
         return {}

@@ -72,7 +72,8 @@ def gauss_adaptive(f, cuts) -> float:
     """Integral of f from cuts[0] to cuts[-1], each piece between consecutive cuts to ``RTOL``.
 
     A piece starts on one equal panel per unit of its length (at least one),
-    and the finer of the first two finite sums that agree is kept.
+    and the finer of the first two finite sums that agree is kept.  The
+    caller names the span of a refusal, as only it knows the variable.
     """
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -84,7 +85,7 @@ def gauss_adaptive(f, cuts) -> float:
                 break
             old, panels = new, 2 * panels
         else:
-            raise QuadratureError(f"[{a:.6g}, {b:.6g}]: no two sums within {RTOL:g} in {MAX_DOUBLINGS} doublings")
+            raise QuadratureError(f"no two sums within {RTOL:g} in {MAX_DOUBLINGS} doublings")
         total += new
     return total
 

@@ -14,6 +14,9 @@ from penroselab import (
     SchwarzschildLikeProfile,
     TabulatedProfile,
     DegenerateMinimizerError,
+    UnsupportedDimensionError,
+    adm_hawking_check,
+    hawking_mass,
     DomainError,
     EpsilonTooLargeError,
     OutOfCollectionError,
@@ -23,7 +26,6 @@ from penroselab import (
     choose_beta,
     diameter_report,
     dist_to_anchor,
-    functional_eval,
     geodesic_distance,
     halving_schedule,
     horizon_sequence,
@@ -208,7 +210,7 @@ class TestProblemSetup:
 
     def test_functional_at_anchor_is_area(self, schw):
         prob = build_problem(schw, 2.0, 0.1)
-        assert functional_eval(prob, 2.0) == pytest.approx(sphere_area(schw, 2.0), rel=1e-12)
+        assert prob.functional(2.0) == pytest.approx(sphere_area(schw, 2.0), rel=1e-12)
 
     def test_functional_euclid_against_quad_oracle(self, euclid):
         prob = build_problem(euclid, 1.0, 0.1, beta=2.0)
@@ -220,7 +222,7 @@ class TestProblemSetup:
 
         bulk, _ = quad(integrand, 0.9, 1.0, epsabs=1e-13)
         expected = 4 * math.pi * 0.81 + bulk
-        value = functional_eval(prob, 0.9)
+        value = prob.functional(0.9)
         assert value == pytest.approx(expected, rel=1e-9)
         assert value >= 4 * math.pi * 0.81
 
@@ -240,7 +242,7 @@ class TestProblemSetup:
 
         bulk, _ = quad(integrand, rho, r0, epsabs=0, epsrel=1e-13, limit=200)
         area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
-        assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-9, abs=0)
+        assert prob.functional(rho) == pytest.approx(area + bulk, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("eps", [0.05, 0.01])
     @pytest.mark.parametrize("ratio", [1.0005, 1.001, 1.002])
@@ -261,7 +263,7 @@ class TestProblemSetup:
             quad(integrand, a, b, epsabs=0, epsrel=1e-13, limit=200)[0] for a, b in zip(pieces[:-1], pieces[1:])
         )
         area = 4 * math.pi * (1 + 0.5 / rho) ** 4 * rho**2
-        assert functional_eval(prob, rho) == pytest.approx(area + bulk, rel=1e-10, abs=0)
+        assert prob.functional(rho) == pytest.approx(area + bulk, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("kind, r0, eps", [("schw", 2.0, 0.1), ("schw", 2.0, 0.05), ("trumpet", 3.0, 0.02), ("trumpet", 5.0, 0.02)])
     def test_graded_band_edges_return_their_sums(self, request, kind, r0, eps):
@@ -279,10 +281,10 @@ class TestProblemSetup:
         table = _AnchorTable(schw, 2.0)
         prob, fresh = (build_problem(schw, 2.0, 0.05, table=table) for _ in range(2))
         radii = np.geomspace(2.0, 1.05 * prob.barrier_radius, 12)
-        before = [functional_eval(prob, float(r)) for r in radii]
+        before = [prob.functional(float(r)) for r in radii]
         bulk, graded = prob._bulk_tables(float(radii[-1]))
         assert bulk.edges[0] <= radii[-1] < bulk.edges[1] and graded is None
-        assert before == [functional_eval(fresh, float(r)) for r in radii[::-1]][::-1]
+        assert before == [fresh.functional(float(r)) for r in radii[::-1]][::-1]
 
     def test_barrier_radius_within_two_percent_of_the_anchor(self):
         # u = r^30: H(S_1) = 122 and rho falls steeply inside r0 = 1, so a small
@@ -307,7 +309,7 @@ class TestProblemSetup:
             return h(-lip * (1 - r**61) / 61) * 4 * math.pi * r**182
 
         bulk, _ = quad(integrand, rho, 1.0, epsabs=0, epsrel=1e-13)
-        assert functional_eval(prob, rho) == pytest.approx(4 * math.pi * rho**122 + bulk, rel=1e-10, abs=0)
+        assert prob.functional(rho) == pytest.approx(4 * math.pi * rho**122 + bulk, rel=1e-10, abs=0)
         sol = minimize(prob)
         assert sol.second_order_ok
         # every root lies in the graded band, so minimize reads the functional there
@@ -328,15 +330,18 @@ class TestProblemSetup:
     def test_functional_dominates_area(self, schw):
         prob = build_problem(schw, 2.0, 0.1)
         for rho in (0.6, 1.0, 1.5, 2.0):
-            assert functional_eval(prob, rho) >= sphere_area(schw, rho) - 1e-12
+            assert prob.functional(rho) >= sphere_area(schw, rho) - 1e-12
 
     def test_functional_out_of_collection(self, schw):
         prob = build_problem(schw, 2.0, 0.1)
         with pytest.raises(OutOfCollectionError):
-            functional_eval(prob, 2.5)
+            prob.functional(2.5)
+        # outside the anchor: the balls of the collection end at r0
+        with pytest.raises(OutOfCollectionError, match=r"^r = 2.5 lies outside \[2e-15, r0 = 2.0\]$"):
+            dist_to_anchor(prob, 2.5)
         # below the anchor table's floor 1e-15 r0
         with pytest.raises(OutOfCollectionError):
-            functional_eval(prob, 1e-16)
+            prob.functional(1e-16)
         with pytest.raises(OutOfCollectionError):
             dist_to_anchor(prob, 1e-16)
 
@@ -344,7 +349,7 @@ class TestProblemSetup:
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
         r_b = prob.barrier_radius
         with pytest.raises(BarrierError):
-            functional_eval(prob, r_b * 0.5)
+            prob.functional(r_b * 0.5)
 
     def test_functional_blows_up_at_barrier(self, schw):
         # moderate beta keeps the barrier inside the domain
@@ -354,13 +359,13 @@ class TestProblemSetup:
         # panel and up) plus the bulk above the band is what a query there
         # integrates afresh
         r_b = prob.barrier_radius
-        at_barrier = functional_eval(prob, r_b)
+        at_barrier = prob.functional(r_b)
         bulk, graded = prob._bulk_tables(r_b)
         assert prob._bulk_tables(graded.edges[-1])[1] is None  # the band is read only below its top
         stored = graded.suffix[0] + bulk(graded.edges[-1])
         assert at_barrier == pytest.approx(sphere_area(schw, r_b) + stored, rel=1e-12)
         rhos = r_b * (1 + 10.0 ** -np.arange(1, 6))
-        vals = [functional_eval(prob, r) for r in rhos]
+        vals = [prob.functional(r) for r in rhos]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 10 * sphere_area(schw, 2.0)
 
@@ -411,13 +416,13 @@ class TestMinimize:
     @pytest.mark.parametrize("t1", [1.0, 1.5])
     def test_two_necks_keep_the_least_functional(self, t1):
         # g changes sign from - to + once past each neck; the inner root wins
-        # for t1 = 1.5, the outer one for t1 = 1.0.  Oracle: functional_eval
+        # for t1 = 1.5, the outer one for t1 = 1.0.  Oracle: the functional
         # on 400 radii across both
         prob = build_problem(TwoNecks(0.5, t1), 30.0, 0.01)
         assert np.count_nonzero((prob.g[:-1] < 0) & (prob.g[1:] >= 0)) == 2
         sol = minimize(prob)
         radii = np.geomspace(0.9, 20.0, 400)
-        values = [functional_eval(prob, r) for r in radii]
+        values = [prob.functional(r) for r in radii]
         i = int(np.argmin(values))
         assert sol.functional_value <= values[i] * (1 + 1e-14)
         assert radii[i - 1] <= sol.rho_star <= radii[i + 1]
@@ -496,14 +501,14 @@ class TestMinimize:
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))
         before = dict(vars(prob))
         minimize(prob)
-        functional_eval(prob, prob.barrier_radius)  # reads the graded band too
+        prob.functional(prob.barrier_radius)  # reads the graded band too
         assert vars(prob).keys() == before.keys()
         assert all(vars(prob)[key] is value for key, value in before.items())
 
     def test_functional_at_the_anchor_is_its_area(self, schw, trumpet):
         # the bulk integral over [r0, r0] is empty, so minimize compares its roots with the area itself
         for profile, r0 in ((schw, 2.0), (trumpet, 3.0)):
-            assert functional_eval(build_problem(profile, r0, 0.02), r0) == sphere_area(profile, r0)
+            assert build_problem(profile, r0, 0.02).functional(r0) == sphere_area(profile, r0)
 
     def test_solution_report_leaves_out_its_problem(self, schw):
         sol = minimize(build_problem(schw, 2.0, 0.05))
@@ -757,7 +762,7 @@ class TestAnchorTableCut:
         cut = build_problem(schw, anchor, eps, table=_AnchorTable(schw, 2.0).cut(anchor))
         fresh = build_problem(schw, anchor, eps, beta=cut.h.beta)
         for r in np.geomspace(1.05 * fresh.barrier_radius, anchor, 10):
-            assert functional_eval(cut, r) == pytest.approx(functional_eval(fresh, r), rel=1e-13, abs=0)
+            assert cut.functional(r) == pytest.approx(fresh.functional(r), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("kind, r0", [("schw", 2.0), ("trumpet", 4.0)])
     def test_arc_at_floats_equals_the_array_query(self, schw, trumpet, kind, r0):
@@ -878,10 +883,16 @@ class TestAnchorTableCut:
 
 
 def test_dimension_guard():
-    from penroselab import SchwarzschildLikeProfile, UnsupportedDimensionError
-
+    # each three-dimensional entry point refuses n = 4 in its own name, before any work
     p4 = SchwarzschildLikeProfile.from_mass(1.0, n=4)
-    with pytest.raises(UnsupportedDimensionError):
-        build_problem(p4, 2.0, 0.1, beta=1.0)
-    with pytest.raises(UnsupportedDimensionError):
-        horizon_sequence(p4, 2.0)  # before any step, as rigidity_iteration
+    calls = {
+        "hawking_mass": lambda: hawking_mass(p4, 1.0),
+        "penrose_check": lambda: penrose_check(p4),
+        "adm_hawking_check": lambda: adm_hawking_check(p4, 10.0),
+        "MuBubbleProblem": lambda: build_problem(p4, 2.0, 0.1, beta=1.0),
+        "horizon_sequence": lambda: horizon_sequence(p4, 2.0),  # not a schedule of refused steps
+        "rigidity_iteration": lambda: rigidity_iteration(p4, 2.0, 0.1, 1.5),
+    }
+    for name, call in calls.items():
+        with pytest.raises(UnsupportedDimensionError, match=rf"^{name} is defined only for n = 3$"):
+            call()

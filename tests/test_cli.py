@@ -594,6 +594,28 @@ def test_rigidity_demo_script(monkeypatch, capsys):
     assert len(cumulative) == 2 and all(line.endswith(": True") for line in cumulative)
 
 
+def test_line_trace_lists_the_statements_a_test_file_leaves_unrun(tmp_path):
+    # in a subprocess, as the script owns sys.settrace: test_quadrature.py runs the integrator's
+    # refusal (test_doubling_cap_raises) but minimises no bubble, and no test runs the abstract stubs
+    repo = SCRIPTS.parent
+    args = [str(repo / "tests" / "test_quadrature.py"), "-q", "-p", "no:cacheprovider"]
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_trace.py"), *args], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    listed = {line.split()[0] for line in proc.stdout.splitlines() if line.startswith("src/penroselab/")}
+
+    def at(module, text):
+        lines = (repo / "src" / "penroselab" / f"{module}.py").read_text().splitlines()
+        return {f"src/penroselab/{module}.py:{i}" for i, line in enumerate(lines, 1) if line.strip().startswith(text)}
+
+    stubs, scan = at("profiles", "raise NotImplementedError"), at("bubbles", "brackets = ")
+    refusal = at("quadrature", "raise QuadratureError")
+    assert (len(stubs), len(scan), len(refusal)) == (3, 1, 1)
+    assert stubs | scan <= listed
+    assert not refusal & listed and not at("quadrature", "def gauss_adaptive") & listed  # defs run on import
+
+
 def test_replay_script_finds_a_changed_byte(tmp_path, monkeypatch, capsys):
     # two records of the same tree agree op for op; one changed output digest is named
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and benchmarks/

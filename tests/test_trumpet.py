@@ -14,6 +14,7 @@ from penroselab import (
     find_r0,
     geodesic_distance,
     min_alpha,
+    radial_laplacian,
     read_tabulated,
     required_alpha,
     scalar_curvature,
@@ -121,6 +122,19 @@ class TestVerification:
         t1, t2, t3 = trumpet.laplacian_terms(radii)
         for term in (t1, t2, t3):
             assert float(np.max(term)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_laplacian_terms_from_exact_model_laplacians(self, n):
+        # 1 + r^{2-n} is harmonic, so the second term is 0 and no rounding sets the check's maximum;
+        # the three terms still add up to the flat Laplacian of u, to rounding of its own two terms
+        trumpet = build_trumpet(n)
+        radii = default_grid(trumpet).radii()
+        terms = trumpet.laplacian_terms(radii)
+        assert not np.any(terms[1])
+        scale = np.abs(trumpet.d2u(radii)) + (n - 1) * np.abs(trumpet.du(radii)) / radii
+        assert np.all(np.abs(sum(terms) - radial_laplacian(trumpet, radii)) <= 1e-13 * scale)
+        detail = verify_trumpet(trumpet).checks[1].detail
+        assert detail["max_laplacian_term"] <= 0
 
     def test_scalar_curvature_nonnegative_on_grid(self, trumpet):
         radii = default_grid(trumpet).radii()
