@@ -23,9 +23,10 @@ and keeps the root with the lowest functional value.  Every edge from the
 barrier radius up is a bracket end: g can change sign several times near it.
 
 The work splits by what it depends on.  A table per schedule holds, from one
-evaluation of u at 4096 x 8 Gauss nodes between the floor and r0, the arc
-length to the anchor at every node and every panel edge, and the volume
-weight 4 pi u^6 r^2 at every node.  ``horizon_sequence`` reuses it for every
+evaluation of u at 1024 x 8 Gauss nodes between the floor and r0 (up to
+4096 x 8 for a profile too steep for 1024 panels), the arc length to the
+anchor at every node and every panel edge, and the volume weight
+4 pi u^6 r^2 at every node.  ``horizon_sequence`` reuses it for every
 curvature; ``rigidity_iteration`` cuts it at each re-anchored step's anchor,
 evaluating u on one partial panel and sharing the rest.  Between the edges,
 rho comes from the same node values (a :class:`~penroselab.quadrature.NodeTable`:
@@ -36,8 +37,9 @@ curvature: a ``MuBubbleProblem`` inverts the table for its barrier radius:
 method finds it inside that panel, where rho at the edges is the stored
 edge value bit for bit.  The bulk term is weighted at the same nodes, on a
 table each read of the functional builds from its lowest radius up to r0;
-below 1.02 times the barrier radius, where h blows up, such a read also
-integrates on fresh panels halving toward it.  A problem keeps no state.
+in the three panels above the barrier radius's own, where h blows up, such
+a read integrates on fresh panels halving toward it instead.  A problem
+keeps no state.
 
 Beta selection has two layers.  ``choose_beta`` enforces only the anchor
 barrier h(0) <= 0.9 H(S_{r0}), at twice the least such beta,
@@ -73,8 +75,9 @@ from .profiles import RadialProfile
 from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
-_PANELS = 4096
-_GRADED_FROM = 1.02  # below this multiple of the barrier radius the bulk panels are graded
+_PANELS = (1024, 2048, 4096)  # a full anchor table's panel counts, tried in turn
+_STEEP = 1.5  # a count is too few while some panel's volume weight at its end nodes differs by more
+_BAND_PANELS = 3  # the graded band ends this many panels above the barrier radius's panel
 _HALVINGS = 30  # the graded panels halve in width this many times toward the barrier radius
 _BETA_MARGIN = 0.9
 _DEPTH_COTH = 1.8  # h is kept below this multiple of eps on the reachable region
@@ -125,9 +128,12 @@ class PrescribedMeanCurvature:
 class _AnchorTable:
     """What a bubble problem needs of its profile and anchor alone.
 
-    A full table's panels are geomspace(floor, r0, 4097), the floor being the
-    inner edge of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).  One
-    evaluation of u at their 4096 x 8 Gauss nodes gives the arc length to the
+    A full table's panels are geomspace(floor, r0, P + 1), the floor being
+    the inner edge of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).
+    P is 1024, doubled, at most to 4096, while the volume weight at some
+    panel's two end nodes differs by more than a factor of 1.5: each count
+    is one u call, and a steep profile such as u = r^30 takes all three.
+    One evaluation of u at the P x 8 Gauss nodes gives the arc length to the
     anchor at every edge and anywhere between (``arc``, the node table behind
     rho), and ``rows`` per node: the half-width, the tail (the arc length to
     the panel's right edge, by the quadrature tail matrix) and the volume
@@ -146,13 +152,20 @@ class _AnchorTable:
         if full is None:
             dom = profile.domain
             floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
-            m, edges = 0, np.geomspace(floor, anchor_radius, _PANELS + 1)
+            m = 0
+            for panels in _PANELS:
+                edges = np.geomspace(floor, anchor_radius, panels + 1)
+                nodes, half = gauss_nodes(edges[:-1], edges[1:])
+                sphere = _Sphere(profile.n, nodes, profile.u(nodes))
+                ends = sphere.dvol[:, [0, -1]]
+                if not np.any(ends.max(axis=1) > _STEEP * ends.min(axis=1)):
+                    break
         else:
             m = int(np.searchsorted(full.edges, anchor_radius)) - 1  # edges[m] < anchor <= edges[m + 1]
             edges = np.append(full.edges[: m + 1], anchor_radius)
+            nodes, half = gauss_nodes(edges[m:-1], edges[m + 1 :])
+            sphere = _Sphere(profile.n, nodes, profile.u(nodes))
         self.profile, self.full, self.m, self.edges = profile, full, m, edges  # m: the first panel evaluated here
-        nodes, half = gauss_nodes(edges[m:-1], edges[m + 1 :])
-        sphere = _Sphere(profile.n, nodes, profile.u(nodes))
         self.arc = NodeTable(edges, sphere.ds, half, None if full is None else full.arc)
         self.rows = (half, node_tails(sphere.ds, half), sphere.dvol)
 
@@ -211,12 +224,13 @@ class MuBubbleProblem:
     a scalar H at an edge is the vector one bit for bit (n = 3).  Each read of ``functional`` builds its bulk tables
     (``_bulk_tables``): a :class:`~penroselab.quadrature.NodeTable` of
     h(rho) dV/dr at the table's nodes, from the panel of the lowest radius
-    read (never below the first edge at or above 1.02 r_b) up to r0.  Its
-    sums accumulate from r0 down, so a table from a lower panel gives the
-    same values.  Below 1.02 r_b, where h blows up faster than a node
-    interpolant follows, a graded band integrates the weight on fresh panels
-    halving toward r_b up to that first edge, and a query there adds the bulk
-    table at that edge; its sums and queries take rho from ``dist``.
+    read (never below the band's top edge) up to r0.  Its sums accumulate
+    from r0 down, so a table from a lower panel gives the same values.  The
+    band spans r_b's panel and the three above it, where h blows up faster
+    than a node interpolant follows; a graded band integrates the weight on
+    fresh panels halving toward r_b up to its top edge, and a query there
+    adds the bulk table at that edge, or nothing when the band reaches r0;
+    its sums and queries take rho from ``dist``.
 
     ``dist``, ``first_variation`` and the bulk density are closures over the
     profile, h and the arc table, never bound methods, and none of them
@@ -259,7 +273,7 @@ class MuBubbleProblem:
             target = h.barrier * (1.0 - 1e-6)  # back off in rho, not in r
             k = int(np.searchsorted(edge_rho, target, side="right"))
             r_b = self.barrier_radius = _root(lambda r: dist(r) - target, edges[k - 1], edges[k])
-            j = min(int(np.searchsorted(edges, _GRADED_FROM * r_b)), len(edges) - 1)
+            j = min(k + _BAND_PANELS, len(edges) - 1)
         self.edges, rho = edges[k:], edge_rho[k:]
         if r_b is not None:
             self.edges = np.concatenate([[r_b], self.edges])
@@ -283,15 +297,22 @@ class MuBubbleProblem:
         if rho < self.edges[0]:
             raise BarrierError(f"rho = {rho} lies below the barrier radius {self.edges[0]:.6g}")
         bulk, graded = self._bulk_tables(rho)
-        term = bulk(rho) if graded is None else float(graded(rho)) + bulk(graded.edges[-1])
+        term = 0.0 if graded is None else float(graded(rho))
+        if bulk is not None:
+            term += bulk(rho if graded is None else graded.edges[-1])
         return float(sphere_area(self.profile, rho)) + term
 
     def _bulk_tables(self, lo: float):
-        """(bulk, graded): the bulk table from the panel of ``lo`` up to r0; the band below it, else None."""
+        """(bulk, graded): the bulk table from the panel of ``lo`` up to r0; the band below it, else None.
+
+        ``bulk`` is None when the band reaches r0, as the bulk term is 0 there.
+        """
         edges, j, h = self._table.edges, self._graded_from, self.h
-        p = min(max(int(edges.searchsorted(lo, side="right")) - 1, j), len(edges) - 2)  # lowest panel read
-        half, arc, vol = self._table.nodes(p)
-        bulk = NodeTable(edges[p:], h(-self.lip_factor * arc) * vol, half)
+        bulk = None
+        if j < len(edges) - 1:
+            p = min(max(int(edges.searchsorted(lo, side="right")) - 1, j), len(edges) - 2)  # lowest panel read
+            half, arc, vol = self._table.nodes(p)
+            bulk = NodeTable(edges[p:], h(-self.lip_factor * arc) * vol, half)
         if lo >= edges[j]:
             return bulk, None
         r_b, top = self.barrier_radius, float(edges[j])  # fresh panels halving in width toward r_b

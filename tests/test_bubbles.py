@@ -70,6 +70,19 @@ class TwoNecks(RadialProfile):
         return self._u(r) * log_slope / r
 
 
+class Power30(RadialProfile):
+    """u = r^30: H(S_1) = 122, and the volume weight 4 pi r^182 is too steep for 1024 panels."""
+
+    kind = "power"
+    inner_exponent = -30.0
+
+    def _u(self, r):
+        return r**30
+
+    def _du(self, r):
+        return 30 * r**29
+
+
 def schwarzschild_arc(mass, r0):
     """Arc length from S_r to S_{r0} for u = 1 + c/r, c = m/2: the integral of u^2 in closed form."""
     c = 0.5 * mass
@@ -245,15 +258,22 @@ class TestProblemSetup:
         assert prob.functional(rho) == pytest.approx(area + bulk, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("eps", [0.05, 0.01])
-    @pytest.mark.parametrize("ratio", [1.0005, 1.001, 1.002])
+    @pytest.mark.parametrize("ratio", [1.0005, 1.001, 1.002, "band-top-", "band-top+"])
     def test_functional_near_barrier_against_closed_forms(self, schw, eps, ratio):
         # within a few per mille of the barrier radius h(rho) varies by orders of
-        # magnitude; QUADPACK on 60 geometric pieces against the graded panels
+        # magnitude; QUADPACK on 60 geometric pieces against the graded panels.
+        # The last two radii lie just below and just above the band's top edge,
+        # the seam between the graded panels and the bulk table
         r0 = 2.0
         prob = build_problem(schw, r0, eps, beta=choose_beta(schw, r0, eps))
         lip, h = prob.lip_factor, prob.h
         arc = schwarzschild_arc(1.0, r0)
-        rho = ratio * prob.barrier_radius
+        top = float(prob._table.edges[prob._graded_from])
+        if isinstance(ratio, float):
+            rho = ratio * prob.barrier_radius
+        else:
+            rho = top * (1 + 1e-9 if ratio.endswith("+") else 1 - 1e-9)
+        assert (prob._bulk_tables(rho)[1] is None) == (ratio == "band-top+")
 
         def integrand(r):
             return h(-lip * arc(r)) * 4 * math.pi * (1 + 0.5 / r) ** 6 * r**2
@@ -280,7 +300,7 @@ class TestProblemSetup:
         # value is the one a problem first read at that radius gives, bit for bit
         table = _AnchorTable(schw, 2.0)
         prob, fresh = (build_problem(schw, 2.0, 0.05, table=table) for _ in range(2))
-        radii = np.geomspace(2.0, 1.05 * prob.barrier_radius, 12)
+        radii = np.geomspace(2.0, (1 + 1e-3) * prob._table.edges[prob._graded_from], 12)  # just above the band
         before = [prob.functional(float(r)) for r in radii]
         bulk, graded = prob._bulk_tables(float(radii[-1]))
         assert bulk.edges[0] <= radii[-1] < bulk.edges[1] and graded is None
@@ -288,22 +308,15 @@ class TestProblemSetup:
 
     def test_barrier_radius_within_two_percent_of_the_anchor(self):
         # u = r^30: H(S_1) = 122 and rho falls steeply inside r0 = 1, so a small
-        # beta puts the barrier radius above r0 / 1.02 and the graded panels
-        # end at the anchor itself.  Closed forms: arc (1 - r^61)/61, area 4 pi r^122
-        class Power30(RadialProfile):
-            kind = "power"
-            inner_exponent = -30.0
-
-            def _u(self, r):
-                return r**30
-
-            def _du(self, r):
-                return 30 * r**29
-
+        # beta puts the barrier radius within two percent of r0, less than three
+        # of the table's 4096 panels, and the graded panels end at the anchor
+        # itself, with no bulk table above them.  Closed forms: arc (1 - r^61)/61,
+        # area 4 pi r^122
         prob = MuBubbleProblem(Power30(), 1.0, PrescribedMeanCurvature(1.0, 0.0085))
         lip, h = prob.lip_factor, prob.h
         r_b = prob.barrier_radius
         assert 1 / 1.02 < r_b < 1.0
+        assert prob._bulk_tables(r_b)[0] is None
         rho = 1.0005 * r_b
         def integrand(r):
             return h(-lip * (1 - r**61) / 61) * 4 * math.pi * r**182
@@ -452,14 +465,14 @@ class TestMinimize:
         assert sol.second_order_ok
 
     def test_profile_work_bound(self, schw, counting):
-        # one anchor table, 4096 x 8 u points for both the arc length and the
+        # one anchor table, 1024 x 8 u points for both the arc length and the
         # bulk weights, then g at its edges, the graded panels and root finds
         profile = counting(schw)
         minimize(build_problem(profile, 2.0, 0.05))
-        assert profile.points <= 100_000
+        assert profile.points <= 20_000
 
     def test_schedule_work_bounds(self, schw, counting, monkeypatch):
-        # each schedule builds one anchor table (4096 x 8 points): the horizon
+        # each schedule builds one anchor table (1024 x 8 points): the horizon
         # schedule shares it across its 9 steps, and each re-anchored rigidity
         # step cuts it, evaluating u at the 8 nodes of one partial panel.  rho
         # comes from the table's node weights, so Brent's iterates on the
@@ -470,16 +483,16 @@ class TestMinimize:
         monkeypatch.setattr(PrescribedMeanCurvature, "__call__", lambda h, t: h_points.append(np.size(t)) or call(h, t))
         profile = counting(schw)
         horizon_sequence(profile, 2.0)
-        assert profile.points <= 60_000 and profile.calls <= 150
-        assert sum(h_points) <= 25_000
+        assert profile.points <= 20_000 and profile.calls <= 150
+        assert sum(h_points) <= 8_000
         h_points.clear()
         profile = counting(schw)
         rigidity_iteration(profile, 2.0, 0.1, 1.5)
-        assert profile.points <= 60_000 and profile.calls <= 200
-        assert sum(h_points) <= 10_000
+        assert profile.points <= 20_000 and profile.calls <= 200
+        assert sum(h_points) <= 3_000
 
     def test_minimize_integrates_no_fresh_bulk_panel(self, schw, counting):
-        # past the table's one 4096 x 8 call, every u call minimize makes is H or
+        # past the table's one 1024 x 8 call, every u call minimize makes is H or
         # the area at one radius: the bulk term comes from the table's node weights
         profile = counting(schw)
         prob = build_problem(profile, 2.0, 0.05)
@@ -782,7 +795,7 @@ class TestAnchorTableCut:
         # an array of any shape is answered element by element through the float
         # path: below the floor, at and between edges, in the partial panel, above
         table = _AnchorTable(schw, 2.0)
-        cut = table.cut(0.5 * float(table.edges[3000] + table.edges[3001]))
+        cut = table.cut(0.5 * float(table.edges[-97] + table.edges[-96]))
         e = cut.edges
         xs = np.array([
             [0.5 * e[0], e[0], 0.5 * (e[0] + e[1]), e[1]],
@@ -795,6 +808,21 @@ class TestAnchorTableCut:
         for x in xs.ravel().tolist():
             zero_d = cut.arc(np.array(x))
             assert zero_d.shape == () and zero_d == cut.arc(x)
+
+    @pytest.mark.parametrize("kind, panels", [("schw", 1024), ("power30", 4096)])
+    def test_arc_at_panel_midpoints_against_closed_forms(self, schw, kind, panels):
+        # a full table starts on 1024 panels and doubles them while the volume
+        # weight is too steep for them: u = r^30 takes all 4096.  Closed forms,
+        # written to keep their relative accuracy: Schwarzschild's arc length to
+        # r0 = 2 as a sum of positive terms, and (1 - r^61)/61 to r0 = 1 by expm1
+        profile, r0 = (schw, 2.0) if kind == "schw" else (Power30(), 1.0)
+        table = _AnchorTable(profile, r0)
+        e = table.edges
+        assert len(e) == panels + 1
+        r = 0.5 * (e[:-1] + e[1:])
+        d = r0 - r
+        exact = d + np.log1p(d / r) + 0.25 * d / (r * r0) if kind == "schw" else -np.expm1(61 * np.log(r)) / 61
+        assert np.max(np.abs(table.arc(r) - exact) / exact) <= 1e-13
 
     def test_queries_leave_the_parent_table_unchanged(self, schw):
         # a 0-d query (an int, a numpy scalar, a 0-d array) inside a cut's partial
