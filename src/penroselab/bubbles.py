@@ -75,8 +75,8 @@ from .profiles import RadialProfile
 from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
 LIP_FACTOR_DEFAULT = 1.0 - 1e-6
-_PANELS = (1024, 2048, 4096)  # a full anchor table's panel counts, tried in turn
-_STEEP = 1.5  # a count is too few while some panel's volume weight at its end nodes differs by more
+_PANELS = (1024, 4096)  # a full anchor table's panel count, and the count for a profile too steep for it
+_STEEP = 1.5  # too steep: some panel's volume weight at its two end nodes differs by more than this factor
 _BAND_PANELS = 3  # the graded band ends this many panels above the barrier radius's panel
 _HALVINGS = 30  # the graded panels halve in width this many times toward the barrier radius
 _BETA_MARGIN = 0.9
@@ -125,14 +125,20 @@ class PrescribedMeanCurvature:
         return float(out) if isinstance(t, float) or np.ndim(t) == 0 else out
 
 
+def _evaluate(profile, edges):
+    """Half-widths, and u's sphere quantities at the Gauss nodes, of the panels between ``edges``."""
+    nodes, half = gauss_nodes(edges[:-1], edges[1:])
+    return half, _Sphere(profile.n, nodes, profile.u(nodes))
+
+
 class _AnchorTable:
     """What a bubble problem needs of its profile and anchor alone.
 
     A full table's panels are geomspace(floor, r0, P + 1), the floor being
     the inner edge of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).
-    P is 1024, doubled, at most to 4096, while the volume weight at some
-    panel's two end nodes differs by more than a factor of 1.5: each count
-    is one u call, and a steep profile such as u = r^30 takes all three.
+    P is 1024, or 4096 when the volume weight at some panel's two end nodes
+    differs by more than a factor of 1.5 on 1024 panels: a steep profile such
+    as u = r^30 pays a second u call, which replaces the first.
     One evaluation of u at the P x 8 Gauss nodes gives the arc length to the
     anchor at every edge and anywhere between (``arc``, the node table behind
     rho), and ``rows`` per node: the half-width, the tail (the arc length to
@@ -152,19 +158,17 @@ class _AnchorTable:
         if full is None:
             dom = profile.domain
             floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
-            m = 0
-            for panels in _PANELS:
-                edges = np.geomspace(floor, anchor_radius, panels + 1)
-                nodes, half = gauss_nodes(edges[:-1], edges[1:])
-                sphere = _Sphere(profile.n, nodes, profile.u(nodes))
-                ends = sphere.dvol[:, [0, -1]]
-                if not np.any(ends.max(axis=1) > _STEEP * ends.min(axis=1)):
-                    break
+            coarse, fine = _PANELS
+            m, edges = 0, np.geomspace(floor, anchor_radius, coarse + 1)
+            half, sphere = _evaluate(profile, edges)
+            ends = sphere.dvol[:, [0, -1]]
+            if np.any(ends.max(axis=1) > _STEEP * ends.min(axis=1)):
+                edges = np.geomspace(floor, anchor_radius, fine + 1)
+                half, sphere = _evaluate(profile, edges)
         else:
             m = int(np.searchsorted(full.edges, anchor_radius)) - 1  # edges[m] < anchor <= edges[m + 1]
             edges = np.append(full.edges[: m + 1], anchor_radius)
-            nodes, half = gauss_nodes(edges[m:-1], edges[m + 1 :])
-            sphere = _Sphere(profile.n, nodes, profile.u(nodes))
+            half, sphere = _evaluate(profile, edges[m:])
         self.profile, self.full, self.m, self.edges = profile, full, m, edges  # m: the first panel evaluated here
         self.arc = NodeTable(edges, sphere.ds, half, None if full is None else full.arc)
         self.rows = (half, node_tails(sphere.ds, half), sphere.dvol)

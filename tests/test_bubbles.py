@@ -811,8 +811,8 @@ class TestAnchorTableCut:
 
     @pytest.mark.parametrize("kind, panels", [("schw", 1024), ("power30", 4096)])
     def test_arc_at_panel_midpoints_against_closed_forms(self, schw, kind, panels):
-        # a full table starts on 1024 panels and doubles them while the volume
-        # weight is too steep for them: u = r^30 takes all 4096.  Closed forms,
+        # a full table is built on 1024 panels, and on 4096 when the volume
+        # weight is too steep for 1024: u = r^30 takes 4096.  Closed forms,
         # written to keep their relative accuracy: Schwarzschild's arc length to
         # r0 = 2 as a sum of positive terms, and (1 - r^61)/61 to r0 = 1 by expm1
         profile, r0 = (schw, 2.0) if kind == "schw" else (Power30(), 1.0)
