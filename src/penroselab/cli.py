@@ -47,7 +47,7 @@ from .profiles import (
     read_tabulated,
 )
 from .quadrature import gauss_panel
-from .reports import jsonable, write_csv, write_json
+from .reports import jsonable, write_csv, write_json, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -214,8 +214,9 @@ def cmd_analyze(cfg: dict) -> int:
     summary["area_infimum"] = inf_res.value
     summary["area_infimum_argmin"] = inf_res.argmin_radius
     summary["area_infimum_throat_limit"] = inf_res.throat_limit
-    header = ["r", "u", "du", "scalar_curvature", "mean_curvature", "area", "geodesic_s", "hawking_mass"]
-    out = _report(cfg, summary, header, zip(radii, u, du, r_curv, h, area, s, mh))
+    out = _report(cfg, summary)
+    head = "r,u,du,scalar_curvature,mean_curvature,area,geodesic_s,hawking_mass\n"
+    write_table(out / "analyze.csv", head, [grid.radii_text(), u, du, r_curv, h, area, s, mh], ",")
     print(f"analyze: {len(radii)} rows -> {out}/analyze.csv")
     a_mass = summary["adm_mass"]
     mass_txt = f"{a_mass:.9g}" if a_mass is not None else "n/a"

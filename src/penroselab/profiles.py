@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
-from .reports import _atomic_write
+from .reports import write_table
 
 
 @lru_cache(maxsize=None)  # one value per dimension, read by every sphere area
@@ -207,6 +207,9 @@ class TabulatedProfile(RadialProfile):
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or len(radii) < 4:
             raise ValueError("need matching 1-d arrays with at least 4 samples")
+        for name, samples in (("radii", radii), ("values", values)):  # before scipy refuses them in its words
+            if not np.all(np.isfinite(samples)):
+                raise ValueError(f"tabulated {name} must be finite")
         if np.any(radii <= 0):
             raise ValueError("tabulated radii must be positive")
         if np.any(np.diff(radii) <= 0):
@@ -251,13 +254,12 @@ def read_tabulated(path, n: int = 3) -> TabulatedProfile:
 def write_tabulated(path, radii, values, header: str = "") -> None:
     """Write a two-column (r, u) text file readable by :func:`read_tabulated`.
 
-    The file is replaced atomically, so a failed write leaves any previous
-    table whole rather than a truncated one that would read as shorter.
+    ``radii`` may be a grid's ``radii_text()``.  ``write_table`` refuses columns
+    of unequal length, and a failed write leaves any previous table whole
+    rather than a truncated one that would read as shorter.
     """
-    lines = [f"# {line}\n" for line in header.splitlines()]
-    lines.append("# r u\n")
-    lines.extend(f"{float(r)!r} {float(u)!r}\n" for r, u in zip(radii, values))
-    _atomic_write(path, "".join(lines))
+    head = "".join(f"# {line}\n" for line in [*header.splitlines(), "r u"])
+    write_table(path, head, [radii, values], " ")
 
 
 DEFAULT_GRID_LO = 1e-4
@@ -293,6 +295,11 @@ class RadialGrid:
         radii = np.geomspace(self.r_lo, self.r_hi, self.count)
         radii.flags.writeable = False
         return radii
+
+    @lru_cache(maxsize=4)  # fewer than radii(): a grid's text takes about ten times its array's bytes
+    def radii_text(self) -> tuple[str, ...]:
+        """The repr of each of ``radii()``, made once per grid."""
+        return tuple(map(repr, self.radii().tolist()))
 
 
 def default_grid(

@@ -1,8 +1,11 @@
-"""Deterministic JSON and CSV emission for run reports.
+"""Deterministic JSON, CSV and numeric-table emission for run reports.
 
-Floats are written with repr (shortest round-trip form), so a numeric field
-survives CSV -> JSON -> CSV without loss; non-finite values are serialized as
-strings in JSON.  Files are written atomically (temp file, then rename).
+Three writers: ``write_json`` for reports, ``write_csv`` for record tables,
+whose string cells may need csv quoting, and ``write_table`` for numeric
+tables, turned to text one column at a time.  Floats are written with repr
+(shortest round-trip form), so a numeric field survives CSV -> JSON -> CSV
+without loss; non-finite values are serialized as strings in JSON.  Files are
+written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -66,3 +70,20 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         writer.writerow(["" if v is None else str(jsonable(v)) for v in row])
     _atomic_write(path, buf.getvalue())
+
+
+def _cells(column):
+    """A column as text: a tuple of strings (``RadialGrid.radii_text()``) as it is, else each value's float repr."""
+    if isinstance(column, tuple) and column and isinstance(column[0], str):
+        return column
+    return map(repr, map(float, column.tolist() if hasattr(column, "tolist") else column))
+
+
+def write_table(path, head: str, columns, sep: str) -> None:
+    """Write ``head``, then one line per row of ``columns``: each cell's float repr, joined by ``sep``.
+
+    A column of text passes as it is.  Columns of unequal length raise
+    ValueError before any file is touched.
+    """
+    rows = map(sep.join, zip(*map(_cells, columns), strict=True))
+    _atomic_write(path, head + "\n".join(itertools.chain(rows, [""])))  # the "" ends the last row

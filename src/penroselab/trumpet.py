@@ -329,7 +329,7 @@ def export_trumpet(profile: TrumpetProfile, dat_path) -> None:
     """Write the profile as a two-column (r, u) table readable by ``read_tabulated``.
 
     The radii are the ``RadialGrid`` of EXPORT_COUNT geometric points from
-    EXPORT_R_LO to EXPORT_R_HI, sampled once per process.
+    EXPORT_R_LO to EXPORT_R_HI, sampled and turned to text once per process.
     """
-    radii = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT).radii()
-    write_tabulated(dat_path, radii, profile.u(radii), header="trumpet conformal factor")
+    grid = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT)
+    write_tabulated(dat_path, grid.radii_text(), profile.u(grid.radii()), header="trumpet conformal factor")

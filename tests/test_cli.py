@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import penroselab
-from penroselab import build_trumpet, export_trumpet, write_tabulated
+from penroselab import RadialGrid, build_trumpet, export_trumpet, write_tabulated
 from penroselab.cli import main, run_command
 from penroselab.errors import ConfigError
 
@@ -368,6 +368,15 @@ def test_front_door_refusals_exit_2(tmp_path, capsys, command, content, message)
     assert not (tmp_path / command).exists()
 
 
+@pytest.mark.parametrize("row, message", [("2.0 nan", "values"), ("2.0 1e999", "values"), ("inf 1.0", "radii")])
+def test_non_finite_table_exit_2(tmp_path, capsys, row, message):
+    # read by np.loadtxt, refused by TabulatedProfile before the spline sees it
+    path = tmp_path / "table.dat"
+    path.write_text(f"# r u\n1.0 1.0\n{row}\n3.0 1.0\n4.0 1.0\n")
+    assert run(tmp_path, "analyze", "--profile", "tabulated", "--path", str(path)) == 2
+    assert f"tabulated {message} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg", [{"command": "nonesuch"}, {}])
 def test_run_command_refuses_an_unknown_command(cfg):
     with pytest.raises(ConfigError, match=f"unknown command {cfg.get('command')!r}"):
@@ -541,6 +550,16 @@ def test_reports_are_bit_identical(tmp_path):
     assert run(tmp_path, "penrose", "--profile", "schwarzschild", "--mass", "1") == 0
     assert (tmp_path / "penrose" / "penrose.json").read_bytes() == a
     assert (tmp_path / "penrose" / "penrose.csv").read_bytes() == a_csv
+
+    # the trumpet round trip, first with no grid's radii text made yet, then again from the cache
+    RadialGrid.radii_text.cache_clear()
+    tables = []
+    for _ in range(2):
+        assert run(tmp_path, "trumpet") == 0
+        dat = tmp_path / "trumpet" / "trumpet_profile.dat"
+        assert run(tmp_path, "analyze", "--profile", "tabulated", "--path", str(dat)) == 0
+        tables.append((dat.read_bytes(), (tmp_path / "analyze" / "analyze.csv").read_bytes()))
+    assert tables[1] == tables[0]
 
 
 def test_csv_json_numeric_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -24,7 +26,7 @@ from penroselab import (
 )
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
 from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
-from penroselab.reports import jsonable, write_csv, write_json
+from penroselab.reports import jsonable, write_csv, write_json, write_table
 from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO
 
 from conftest import scaled
@@ -147,6 +149,15 @@ def test_tabulated_validation():
         TabulatedProfile(np.array([1.0, 2.0, 2.0, 4.0]), np.ones(4))
     with pytest.raises(ValueError):
         TabulatedProfile(np.array([-1.0, 2.0, 3.0, 4.0]), np.ones(4))
+    # non-finite samples are refused in penroselab's words, before scipy sees them
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tabulated radii must be finite"):
+            TabulatedProfile(np.array([1.0, 2.0, 3.0, bad]), np.ones(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tabulated values must be finite"):
+            TabulatedProfile(r, np.array([1.0, bad, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="tabulated radii must be finite"):
+        TabulatedProfile(np.array([np.nan, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 1.0, np.nan]))
     # three samples, one value short, 2-d arrays
     for radii, values in [(r[:3], np.ones(3)), (r, np.ones(3)), (r.reshape(2, 2), np.ones((2, 2)))]:
         with pytest.raises(ValueError, match="need matching 1-d arrays with at least 4 samples"):
@@ -177,6 +188,15 @@ def test_failed_table_write_keeps_previous_file(tmp_path, schw, monkeypatch):
     with pytest.raises(RuntimeError):
         write_tabulated(path, radii, values())
     assert path.read_bytes() == before
+
+    # zip would stop at the shorter column and write a shorter table
+    for short in (np.ones(5), schw.u(radii)[:-1]):
+        with pytest.raises(ValueError):
+            write_tabulated(path, radii, short)
+        with pytest.raises(ValueError):
+            write_tabulated(path, short, schw.u(radii))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["profile.dat"]
 
     def no_replace(src, dst):
         raise OSError("disk full")
@@ -216,6 +236,38 @@ def test_writers_never_flip_the_process_umask(tmp_path, schw, monkeypatch):
     write_csv(tmp_path / "report.csv", ["a"], [[1.0]])
     write_tabulated(tmp_path / "profile.dat", radii, schw.u(radii))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.dat", "report.csv", "report.json"]
+
+
+_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1, 1.0, -2.5e-7, 123456.789]
+
+
+@pytest.mark.parametrize("rows", [0, 1, len(_CELLS), 1000])
+@pytest.mark.parametrize("kind", ["float64-array", "float64-list", "float-list"])
+def test_write_table_bytes_match_the_row_writers(tmp_path, rows, kind):
+    # write_table against csv.writer with the per-cell str(jsonable(v)), and against the f-string row
+    rng = np.random.default_rng(rows)
+    base = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    base[: len(_CELLS)] = _CELLS[:rows]
+    columns = [base, base[::-1].copy(), np.sqrt(np.abs(base)) + 0.1]
+    if kind != "float64-array":
+        columns = [list(c) if kind == "float64-list" else c.tolist() for c in columns]
+    text_r = tuple(map(repr, np.asarray(columns[0], dtype=float).tolist()))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["a", "b", "c"])
+    writer.writerows([str(jsonable(v)) for v in row] for row in zip(*columns))
+    for first in (columns[0], text_r):
+        write_table(tmp_path / "t.csv", "a,b,c\n", [first, *columns[1:]], ",")
+        assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode()
+
+    head = "# x\n# r u\n"
+    rows_text = head + "".join(f"{float(r)!r} {float(u)!r}\n" for r, u in zip(columns[0], columns[1]))
+    for first in (columns[0], text_r):
+        write_table(tmp_path / "t.dat", head, [first, columns[1]], " ")
+        assert (tmp_path / "t.dat").read_bytes() == rows_text.encode()
+        write_tabulated(tmp_path / "p.dat", first, columns[1], header="x")
+        assert (tmp_path / "p.dat").read_bytes() == rows_text.encode()
 
 
 def test_write_leaves_a_temp_name_it_did_not_create(tmp_path, monkeypatch):
@@ -296,6 +348,11 @@ def test_grid_radii_are_geomspace_shared_and_read_only(make):
         radii *= 2.0
     other = RadialGrid(grid.r_lo, grid.r_hi, grid.count + 1).radii()
     assert other is not radii and not np.shares_memory(other, radii)
+    # the r column of the tables written on this grid: the repr of each radius, one tuple per grid
+    text = grid.radii_text()
+    assert isinstance(text, tuple) and make().radii_text() is text
+    assert text == tuple(repr(float(r)) for r in radii)
+    assert np.array([float(t) for t in text]).tobytes() == radii.tobytes()
 
 
 def test_default_grid_respects_domain(tmp_path, schw):
