@@ -8,7 +8,9 @@ strictly decreasing, blowing up at the left end of its domain, tending to eps
 as beta grows, and satisfying 2h' + (3/2) h^2 = (3/2) eps^2 identically.
 
 A bubble problem fixes an anchor sphere S_{r0}, a Lipschitz-shrunk signed
-arc-length coordinate rho(r) <= 0 inside the anchor, and the weighted
+arc-length coordinate rho(r) <= 0 inside the anchor (the arc length times
+``LIP_FACTOR`` = 1 - 1e-6: the proof needs only a Lipschitz constant below
+one, so one factor serves every problem), and the weighted
 functional over radial balls {r < x}:
 
     A(x) = area(S_x) + integral_x^{r0} h(rho(r)) dV/dr dr.
@@ -74,7 +76,8 @@ from .masses import VERDICT_EQUALITY, _hawking_value, _root, area_infimum_radial
 from .profiles import RadialProfile
 from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
-LIP_FACTOR_DEFAULT = 1.0 - 1e-6
+LIP_FACTOR = 1.0 - 1e-6  # the smoothed distance's Lipschitz constant, below one
+EL_RESIDUAL_TOL = 1e-6  # a bubble whose |H - h(rho)| is at most this satisfies its first variation
 _PANELS = (1024, 4096)  # a full anchor table's panel count, and the count for a profile too steep for it
 _STEEP = 1.5  # too steep: some panel's volume weight at its two end nodes differs by more than this factor
 _BAND_PANELS = 3  # the graded band ends this many panels above the barrier radius's panel
@@ -135,7 +138,7 @@ class _AnchorTable:
     """What a bubble problem needs of its profile and anchor alone.
 
     A full table's panels are geomspace(floor, r0, P + 1), the floor being
-    the inner edge of a closed domain, else max(lo (1 + 1e-12), 1e-15 r0).
+    the inner edge of a closed domain, else 1e-15 r0 (an open end is at r = 0).
     P is 1024, or 4096 when the volume weight at some panel's two end nodes
     differs by more than a factor of 1.5 on 1024 panels: a steep profile such
     as u = r^30 pays a second u call, which replaces the first.
@@ -157,7 +160,7 @@ class _AnchorTable:
     def __init__(self, profile: RadialProfile, anchor_radius: float, full: _AnchorTable | None = None):
         if full is None:
             dom = profile.domain
-            floor = dom.lo if dom.lo_closed else max(dom.lo * (1 + 1e-12), 1e-15 * anchor_radius)
+            floor = dom.lo if dom.lo_closed else 1e-15 * anchor_radius
             coarse, fine = _PANELS
             m, edges = 0, np.geomspace(floor, anchor_radius, coarse + 1)
             half, sphere = _evaluate(profile, edges)
@@ -192,9 +195,9 @@ class _AnchorTable:
         return _AnchorTable(self.profile, anchor, self.full or self)
 
 
-def _shrunk(arc, lip):
-    """rho = -lip * arc: the Lipschitz-shrunk signed arc length to the anchor (<= 0 inside)."""
-    return lambda r: -lip * arc(r)
+def _shrunk(arc):
+    """rho = -LIP_FACTOR * arc: the Lipschitz-shrunk signed arc length to the anchor (<= 0 inside)."""
+    return lambda r: -LIP_FACTOR * arc(r)
 
 
 def _bulk_density(profile, h, dist):
@@ -247,12 +250,9 @@ class MuBubbleProblem:
         profile: RadialProfile,
         anchor_radius: float,
         h: PrescribedMeanCurvature,
-        lip_factor: float = LIP_FACTOR_DEFAULT,
         table: _AnchorTable | None = None,
     ):
         profile.require_three("MuBubbleProblem")
-        if not 0 < lip_factor < 1:
-            raise ParameterError(f"lip_factor must lie in (0, 1), got {lip_factor}")
         profile.require_radius(anchor_radius)
         h0 = float(sphere_mean_curvature(profile, anchor_radius))
         if not h0 > h(0.0):
@@ -263,14 +263,13 @@ class MuBubbleProblem:
         self.profile = profile
         self.anchor_radius = float(anchor_radius)
         self.h = h
-        self.lip_factor = lip = float(lip_factor)
         table = _AnchorTable(profile, self.anchor_radius) if table is None else table
         self.floor = table.edges[0]
-        self.dist = dist = _shrunk(table.arc, lip)
+        self.dist = dist = _shrunk(table.arc)
         self.first_variation = _first_variation(profile, h, dist)
 
         edges = table.edges
-        edge_rho = -lip * table.arc.suffix  # rho at each edge, exactly as dist returns it
+        edge_rho = -LIP_FACTOR * table.arc.suffix  # rho at each edge, exactly as dist returns it
         self.barrier_radius = r_b = None
         k = j = 0  # first anchor edge above the barrier radius; the graded band's top edge
         if edge_rho[0] <= h.barrier:
@@ -316,7 +315,7 @@ class MuBubbleProblem:
         if j < len(edges) - 1:
             p = min(max(int(edges.searchsorted(lo, side="right")) - 1, j), len(edges) - 2)  # lowest panel read
             half, arc, vol = self._table.nodes(p)
-            bulk = NodeTable(edges[p:], h(-self.lip_factor * arc) * vol, half)
+            bulk = NodeTable(edges[p:], h(-LIP_FACTOR * arc) * vol, half)
         if lo >= edges[j]:
             return bulk, None
         r_b, top = self.barrier_radius, float(edges[j])  # fresh panels halving in width toward r_b
@@ -442,15 +441,12 @@ def build_problem(
     epsilon: float,
     beta: float | None = None,
     area_infimum: float | None = None,
-    lip_factor: float = LIP_FACTOR_DEFAULT,
     table: _AnchorTable | None = None,
 ) -> MuBubbleProblem:
     """Assemble a bubble problem on ``table`` (fresh when None), selecting beta when not supplied."""
     if beta is None:
         beta = select_beta(profile, anchor_radius, epsilon, area_infimum)
-    return MuBubbleProblem(
-        profile, anchor_radius, PrescribedMeanCurvature(epsilon, beta), lip_factor, table
-    )
+    return MuBubbleProblem(profile, anchor_radius, PrescribedMeanCurvature(epsilon, beta), table)
 
 
 @dataclass(frozen=True)
@@ -509,16 +505,16 @@ def horizon_sequence(
     bubble sphere.  A step that raises :class:`PenroseLabError` is recorded
     on the step and the schedule continues; any other exception propagates.
     A dimension other than three raises :class:`UnsupportedDimensionError`,
-    an anchor outside the profile's domain :class:`DomainError`, and a
-    non-finite epsilon :class:`ParameterError`, all before any step.
+    an anchor outside the profile's domain :class:`DomainError`, and an
+    epsilon outside (0, inf) :class:`ParameterError`, all before any step.
     """
     profile.require_three("horizon_sequence")
     if epsilons is None:
         epsilons = halving_schedule()
     profile.require_radius(anchor_radius)
     for eps in epsilons:
-        if not math.isfinite(eps):
-            raise ParameterError(f"every epsilon must be finite, got {eps}")
+        if not 0 < eps < math.inf:
+            raise ParameterError(f"every epsilon must be positive and finite, got {eps}")
     a_inf = area_infimum_radial(profile).value
     steps: list[HorizonStep] = []
     table = None  # the anchor's table, built once select_beta has accepted the anchor, then shared

@@ -1,8 +1,9 @@
 """Batch front-end: scenario configs in, machine-readable reports out.
 
 Runs are config-first: a JSON file with a ``command`` field plus profile,
-grid, and command parameters; each override flag (one row of ``_FLAGS``)
-sets its config field.  Every command writes its report through ``_report``.
+grid, and command parameters (a field its command does not read is ignored);
+each override flag (one row of ``_FLAGS``) sets its config field.  Every
+command writes its report through ``_report``.
 Exit codes: 0 ok, 2 config error (also an unreadable config or profile file,
 an unwritable ``out_dir`` or a non-finite profile parameter), 3 inequality
 violated, 4 degenerate minimizer (for ``horizon``, curvatures refused as too
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .geometry import _at, _Sphere, scalar_curvature
 from .masses import (
-    EQUALITY_TOL,
     VERDICT_VIOLATED,
     _hawking_value,
     adm_mass_from_tail,
@@ -67,13 +67,11 @@ _FLAGS = (
     ("--path", str, "profile.path", "tabulated profile file"),
     ("--n", int, "n", None),
     ("--r0", float, "r0", "anchor sphere radius"),
-    ("--r0-glue", float, "profile.r0_glue", None),
     ("--alpha", float, "profile.alpha", None),
     ("--epsilon", float, "epsilon", None),
     ("--epsilons", str, "epsilons", "comma-separated schedule"),
     ("--gamma", float, "gamma", None),
     ("--beta", float, "beta", None),
-    ("--lip-factor", float, "lip_factor", None),
     ("--grid-lo", float, "grid.r_lo", None),
     ("--grid-hi", float, "grid.r_hi", None),
     ("--grid-count", int, "grid.count", None),
@@ -96,7 +94,7 @@ def build_profile(cfg: dict):
         if kind == "cylinder":
             return CylinderProfile(n=n)
         if kind == "trumpet":
-            return trumpet_mod.build_trumpet(n=n, r0=spec.get("r0_glue"), alpha=spec.get("alpha"))
+            return trumpet_mod.build_trumpet(n=n, alpha=spec.get("alpha"))
         if kind == "tabulated":
             path = spec.get("path")
             if not path or not Path(path).exists():
@@ -123,19 +121,6 @@ def build_grid(cfg: dict, profile) -> RadialGrid:
         return default_grid(profile, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
-
-
-_TOLERANCE_DEFAULTS = {"el_residual": 1e-6, "equality": EQUALITY_TOL}
-
-
-def tolerances(cfg: dict) -> dict:
-    tol = {**_TOLERANCE_DEFAULTS, **_object(cfg, "tolerances")}
-    for key, value in tol.items():
-        if key not in _TOLERANCE_DEFAULTS:
-            raise ConfigError(f"unknown tolerance {key!r}")
-        if not _float(f"tolerances.{key}", value) > 0:
-            raise ConfigError(f"tolerance {key!r} must be positive, got {value}")
-    return tol
 
 
 def _load_config(args) -> dict:
@@ -227,7 +212,7 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_penrose(cfg: dict) -> int:
     profile = build_profile(cfg)
     grid = build_grid(cfg, profile)
-    report = penrose_check(profile, grid, equality_tol=tolerances(cfg)["equality"])
+    report = penrose_check(profile, grid)
     cols = ["adm_mass", "area_infimum", "bound", "ratio", "verdict", "horizon_radius"]
     _report(cfg, {"report": report}, cols, _columns(cols, [jsonable(report)]))
     print(
@@ -262,7 +247,7 @@ def _dimension(cfg: dict) -> int:
     return int(n)
 
 
-_DEFAULTS = {"n": 3.0, "r0": 2.0, "epsilon": 0.1, "gamma": 1.5, "lip_factor": bubbles.LIP_FACTOR_DEFAULT}
+_DEFAULTS = {"n": 3.0, "r0": 2.0, "epsilon": 0.1, "gamma": 1.5}
 
 
 def _number(cfg: dict, key: str):
@@ -288,19 +273,13 @@ def cmd_mu_bubble(cfg: dict) -> int:
     profile = build_profile(cfg)
     r0 = _number(cfg, "r0")
     epsilon = _number(cfg, "epsilon")
-    problem = bubbles.build_problem(
-        profile,
-        r0,
-        epsilon,
-        beta=_number(cfg, "beta"),
-        lip_factor=_number(cfg, "lip_factor"),
-    )
+    problem = bubbles.build_problem(profile, r0, epsilon, beta=_number(cfg, "beta"))
     sol = bubbles.minimize(problem)
     payload = {
         "epsilon": epsilon,
         "beta": problem.h.beta,
         "solution": sol,
-        "el_within_tol": sol.el_residual <= tolerances(cfg)["el_residual"],
+        "el_within_tol": sol.el_residual <= bubbles.EL_RESIDUAL_TOL,
         "diameter": bubbles.diameter_report(sol),
     }
     row = [epsilon, problem.h.beta, sol.rho_star, sol.area, sol.mean_curvature, sol.el_residual]

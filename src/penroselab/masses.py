@@ -292,16 +292,13 @@ def _horizon(profile: RadialProfile, radii, h) -> float | None:
     return _root(partial(sphere_mean_curvature, profile), radii[j], radii[j + 1])
 
 
-def penrose_check(
-    profile: RadialProfile,
-    grid: RadialGrid | None = None,
-    equality_tol: float = EQUALITY_TOL,
-) -> PenroseReport:
+def penrose_check(profile: RadialProfile, grid: RadialGrid | None = None) -> PenroseReport:
     """Assemble the mass-vs-area verdict m >= sqrt(A/16pi) for n = 3.
 
     The area infimum and horizon of :func:`area_infimum_radial` and
     :func:`find_horizon` come from one evaluation of u and u' on the grid.
-    The degenerate flat case (mass and infimum both at numerical zero) is
+    A ratio within ``EQUALITY_TOL`` of 1 is reported as equality.  The
+    degenerate flat case (mass and infimum both at numerical zero) is
     reported as equality with ratio 1.
     """
     profile.require_three("penrose_check")
@@ -317,7 +314,7 @@ def penrose_check(
         ratio = 1.0 if abs(m) <= _DEGENERATE_BOUND else math.inf
     else:
         ratio = m / bound
-    if abs(ratio - 1.0) <= equality_tol:
+    if abs(ratio - 1.0) <= EQUALITY_TOL:
         verdict = VERDICT_EQUALITY
     elif ratio > 1.0:
         verdict = VERDICT_STRICT
@@ -333,21 +330,19 @@ def penrose_check(
     )
 
 
-def adm_hawking_check(
-    profile: RadialProfile,
-    r: float,
-    grid: RadialGrid | None = None,
-) -> AdmHawkingResult:
+def adm_hawking_check(profile: RadialProfile, r: float) -> AdmHawkingResult:
     """Check total mass >= Hawking mass of S_r, refusing at non-outer-minimizing r.
 
+    Both halves read the profile's :func:`~penroselab.profiles.default_grid`.
     The outer-minimizing hypothesis is tested in its coordinate-sphere form:
-    every sphere of larger radius on the grid must have at least the area of
-    S_r.  Failure raises :class:`NotOuterMinimizingError` (check refused, not
-    failed).  The grid comparison is deliberate: it decides a refusal and
-    solves for nothing, so no root is refined.
+    every sphere of larger radius on that grid must have at least the area of
+    S_r, and the total mass is the tail fit on it.  Failure raises
+    :class:`NotOuterMinimizingError` (check refused, not failed).  The grid
+    comparison is deliberate: it decides a refusal and solves for nothing,
+    so no root is refined.
     """
     profile.require_three("adm_hawking_check")
-    grid = grid or default_grid(profile)
+    grid = default_grid(profile)
     profile.require_radius(r)
     area_r = float(sphere_area(profile, r))
     radii = grid.radii()

@@ -56,9 +56,10 @@ class Domain:
 class RadialProfile:
     """Base class: dimension, domain, and the u / u' / u'' evaluators.
 
-    A profile whose domain has an open inner end also carries
-    ``inner_exponent``, the q with u ~ c r^{-q} as r -> 0, from which the
-    radial integrals decide whether that end is at finite distance.
+    An open inner end is always at r = 0: a domain with lo > 0 is closed
+    there (a tabulated profile's).  A profile with an open inner end also
+    carries ``inner_exponent``, the q with u ~ c r^{-q} as r -> 0, from
+    which the radial integrals decide whether that end is at finite distance.
     ``breakpoints`` lists the radii where u switches between closed forms;
     the radial integrals split there.
     """
@@ -310,7 +311,7 @@ def default_grid(
 ) -> RadialGrid:
     """Default grid intersected with the profile's domain."""
     dom = profile.domain
-    lo = max(r_lo, dom.lo if dom.lo_closed else dom.lo * (1 + 1e-12) if dom.lo > 0 else r_lo)
+    lo = max(r_lo, dom.lo)
     hi = min(r_hi, dom.hi)
     if not lo < hi:
         raise DomainError(f"default grid does not intersect domain {dom}")

@@ -103,35 +103,34 @@ def _models(n: int) -> tuple[CylinderProfile, SchwarzschildLikeProfile]:
     return CylinderProfile(n), SchwarzschildLikeProfile(1.0, 1.0, n)
 
 
-def required_alpha(n: int, r0: float) -> float:
+def required_alpha(n: int) -> float:
     """The certificate bound max((2 r0)^{2-n}, (2/(n-2)) sup |r u1'| + |r u2'| over [r0, 2 r0]).
 
-    |r u1'| = ((n-2)/2) r^{(2-n)/2} and |r u2'| = (n-2) r^{2-n} both decrease
-    in r, so the supremum sits at r0.
+    r0 is :func:`find_r0`.  |r u1'| = ((n-2)/2) r^{(2-n)/2} and
+    |r u2'| = (n-2) r^{2-n} both decrease in r, so the supremum sits at r0.
     """
+    r0 = find_r0(n)
     u1, u2 = _models(n)
     sup = abs(r0 * u1.du(r0)) + abs(r0 * u2.du(r0))
     return max((2.0 * r0) ** (2 - n), (2.0 / (n - 2)) * sup)
 
 
-def min_alpha(n: int, r0: float) -> float:
+def min_alpha(n: int) -> float:
     """Certified shift constant, 1.1 times the binding lower bound :func:`required_alpha`."""
-    return 1.1 * required_alpha(n, r0)
+    return 1.1 * required_alpha(n)
 
 
 class TrumpetProfile(RadialProfile):
-    """Blended conformal factor: cylindrical throat, Schwarzschild-type tail."""
+    """Blended conformal factor: cylindrical throat, Schwarzschild-type tail, glued at r0 = :func:`find_r0`."""
 
     kind = "trumpet"
 
     _BLEND_PANELS = 256
 
-    def __init__(self, n: int = 3, r0: float | None = None, alpha: float | None = None):
+    def __init__(self, n: int = 3, alpha: float | None = None):
         super().__init__(n)
-        self.r0 = float(r0) if r0 is not None else find_r0(n)
-        if not 0 < self.r0 < math.inf:
-            raise ValueError(f"gluing radius must be positive and finite, got {self.r0}")
-        amin = min_alpha(n, self.r0)
+        self.r0 = find_r0(n)
+        amin = min_alpha(n)
         self.alpha = float(alpha) if alpha is not None else amin
         if not math.isfinite(self.alpha):  # NaN would pass the alpha < amin check unwarned
             raise ValueError(f"alpha must be finite, got {self.alpha}")
@@ -197,9 +196,9 @@ class TrumpetProfile(RadialProfile):
         return zeta * lap1, np.zeros_like(r), dzeta * (self._u1._du(r) - self._u2._du(r))
 
 
-def build_trumpet(n: int = 3, r0: float | None = None, alpha: float | None = None) -> TrumpetProfile:
+def build_trumpet(n: int = 3, alpha: float | None = None) -> TrumpetProfile:
     """Construct the blended profile; alpha defaults to the certified bound."""
-    return TrumpetProfile(n=n, r0=r0, alpha=alpha)
+    return TrumpetProfile(n=n, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -274,7 +273,7 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     # (c) mean convexity: sampled positivity plus the alpha certificate
     deriv = _at(profile, radii, du=True).radius_slope
     grid_ok = bool(np.all(deriv > 0))
-    alpha_req = required_alpha(n, profile.r0)
+    alpha_req = required_alpha(n)
     cert_ok = profile.alpha >= alpha_req * (1 - 1e-12)
     checks.append(
         CheckResult(

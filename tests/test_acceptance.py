@@ -207,7 +207,7 @@ def test_criterion_8_flux_consistency():
 
 def test_criterion_9_negative_control(tmp_path):
     with _Timer(5.0) as t:
-        weak_alpha = required_alpha(3, 2.0) / 2
+        weak_alpha = required_alpha(3) / 2
         with pytest.warns(UserWarning):
             code = main(["trumpet", "--alpha", str(weak_alpha), "--out-dir", str(tmp_path)])
         import json

@@ -35,7 +35,7 @@ from penroselab import (
     sphere_area,
     sphere_mean_curvature,
 )
-from penroselab.bubbles import MuBubbleProblem, _AnchorTable, _arccoth
+from penroselab.bubbles import LIP_FACTOR, MuBubbleProblem, _AnchorTable, _arccoth
 from penroselab.masses import _root, penrose_check
 from penroselab.profiles import RadialProfile
 from penroselab.quadrature import gauss_nodes
@@ -104,7 +104,7 @@ def schwarzschild_root(mass, prob):
     arc = schwarzschild_arc(mass, r0)
 
     def g(r):
-        return schwarzschild_mean_curvature(mass, r) - prob.h(-prob.lip_factor * arc(r))
+        return schwarzschild_mean_curvature(mass, r) - prob.h(-LIP_FACTOR * arc(r))
 
     radii = np.geomspace(c * (1 + 1e-9), r0, 2001)
     signs = np.sign([g(r) for r in radii])
@@ -197,6 +197,8 @@ class TestBetaSelection:
             choose_beta(euclid, 2.0, 1.0)
         with pytest.raises(EpsilonTooLargeError):
             choose_beta(euclid, 2.0, 0.95)
+        with pytest.raises(EpsilonTooLargeError, match="must be positive"):
+            choose_beta(euclid, 2.0, 0.0)
 
     def test_select_beta_floors_at_depth_bound(self, schw):
         beta = select_beta(schw, 2.0, 0.01)
@@ -227,7 +229,7 @@ class TestProblemSetup:
 
     def test_functional_euclid_against_quad_oracle(self, euclid):
         prob = build_problem(euclid, 1.0, 0.1, beta=2.0)
-        lip = prob.lip_factor
+        lip = LIP_FACTOR
         h = prob.h
 
         def integrand(r):
@@ -244,7 +246,7 @@ class TestProblemSetup:
         # u = 1 + 1/(2r): closed-form area and arc length, the bulk term by QUADPACK
         r0 = 2.0
         prob = build_problem(schw, r0, 0.05)
-        lip, h = prob.lip_factor, prob.h
+        lip, h = LIP_FACTOR, prob.h
         r_b = prob.barrier_radius
         rho = r_b * (r0 / r_b) ** frac
 
@@ -266,7 +268,7 @@ class TestProblemSetup:
         # the seam between the graded panels and the bulk table
         r0 = 2.0
         prob = build_problem(schw, r0, eps, beta=choose_beta(schw, r0, eps))
-        lip, h = prob.lip_factor, prob.h
+        lip, h = LIP_FACTOR, prob.h
         arc = schwarzschild_arc(1.0, r0)
         top = float(prob._table.edges[prob._graded_from])
         if isinstance(ratio, float):
@@ -313,7 +315,7 @@ class TestProblemSetup:
         # itself, with no bulk table above them.  Closed forms: arc (1 - r^61)/61,
         # area 4 pi r^122
         prob = MuBubbleProblem(Power30(), 1.0, PrescribedMeanCurvature(1.0, 0.0085))
-        lip, h = prob.lip_factor, prob.h
+        lip, h = LIP_FACTOR, prob.h
         r_b = prob.barrier_radius
         assert 1 / 1.02 < r_b < 1.0
         assert prob._bulk_tables(r_b)[0] is None
@@ -338,7 +340,7 @@ class TestProblemSetup:
         r_b = prob.barrier_radius
         arc = schwarzschild_arc(1.0, r0)(r_b)
         target = prob.h.barrier * (1 - 1e-6)
-        assert -prob.lip_factor * arc == pytest.approx(target, rel=1e-13, abs=0)
+        assert -LIP_FACTOR * arc == pytest.approx(target, rel=1e-13, abs=0)
 
     def test_functional_dominates_area(self, schw):
         prob = build_problem(schw, 2.0, 0.1)
@@ -460,7 +462,7 @@ class TestMinimize:
         arc, _ = quad(
             integrand, math.log(sol.rho_star), math.log(r0), points=kinks, epsabs=0, epsrel=1e-13, limit=200
         )
-        h = prob.h(-prob.lip_factor * arc)
+        h = prob.h(-LIP_FACTOR * arc)
         assert sphere_mean_curvature(trumpet, sol.rho_star) == pytest.approx(h, rel=1e-9)
         assert sol.second_order_ok
 
@@ -625,14 +627,24 @@ class TestSchedules:
             assert jsonable(alone) == jsonable(step.solution)
 
     def test_horizon_sequence_records_step_errors(self, schw):
-        result = horizon_sequence(schw, 2.0, [0.2, 10.0, 0.0])
+        result = horizon_sequence(schw, 2.0, [0.2, 10.0, 0.5])  # H(S_2) = 0.384: both later steps too large
         assert result.steps[0].error is None and result.steps[0].error_type is None
         for step in result.steps[1:]:
             assert "EpsilonTooLarge" in step.error
             # the class is kept for callers that branch on it, and stays out of the report
             assert step.error_type is EpsilonTooLargeError and "error_type" not in jsonable(step)
 
-    @pytest.mark.parametrize("r0, epsilons", [(math.nan, None), (math.inf, None), (-1.0, None), (2.0, [0.1, math.nan])])
+    @pytest.mark.parametrize(
+        "r0, epsilons",
+        [
+            (math.nan, None),
+            (math.inf, None),
+            (-1.0, None),
+            (2.0, [0.1, math.nan]),
+            (2.0, [0.1, -1.0]),
+            (2.0, [0.1, 0.0]),
+        ],
+    )
     def test_horizon_sequence_refuses_bad_input_before_any_step(self, schw, counting, r0, epsilons):
         profile = counting(schw)
         with pytest.raises(ParameterError if epsilons else DomainError):
@@ -861,12 +873,12 @@ class TestAnchorTableCut:
         prob = build_problem(profile, anchor, 0.3 * float(sphere_mean_curvature(profile, anchor)), table=table)
         radii = np.exp(np.random.default_rng(11).uniform(math.log(1e-3 * anchor), math.log(anchor), 10_000))
         d = anchor - radii
-        exact = -prob.lip_factor * (d + 2 * c * np.log1p(d / radii) + c * c * d / (radii * anchor))
+        exact = -LIP_FACTOR * (d + 2 * c * np.log1p(d / radii) + c * c * d / (radii * anchor))
         values = prob.dist(radii)
         assert np.max(np.abs(values - exact) / np.abs(exact)) <= 1e-14
         assert [prob.dist(float(r)) for r in radii] == values.tolist()
         # at every edge the stored value, bit for bit, and 0 at the anchor
-        stored = -prob.lip_factor * table.arc.suffix
+        stored = -LIP_FACTOR * table.arc.suffix
         assert np.array_equal(prob.dist(table.edges), stored)
         assert [prob.dist(float(r)) for r in table.edges] == stored.tolist()
         assert prob.dist(anchor) == 0.0
@@ -896,7 +908,7 @@ class TestAnchorTableCut:
         # across the blend at [2, 4] and eight decades down the cylindrical end
         prob = build_problem(trumpet, r0, 1e-3)
         for r in np.geomspace(1e-7, 0.999 * r0, 15):
-            ref = -prob.lip_factor * geodesic_distance(trumpet, float(r), r0)
+            ref = -LIP_FACTOR * geodesic_distance(trumpet, float(r), r0)
             assert prob.dist(float(r)) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_anchor_outside_the_table_refused(self, schw):
