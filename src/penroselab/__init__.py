@@ -58,7 +58,6 @@ from .masses import (
     AreaInfimum,
     AsymptoticTail,
     PenroseReport,
-    adm_flux,
     adm_hawking_check,
     adm_mass_from_tail,
     area_infimum_radial,

@@ -86,6 +86,12 @@ _BETA_MARGIN = 0.9
 _DEPTH_COTH = 1.8  # h is kept below this multiple of eps on the reachable region
 
 
+def _require_epsilon(epsilon: float) -> None:
+    """The one refusal of a curvature epsilon outside (0, inf), NaN included, by every bubble entry point."""
+    if not 0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def _coth(x):
     return 1.0 / np.tanh(x)
 
@@ -106,8 +112,7 @@ class PrescribedMeanCurvature:
     beta: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        _require_epsilon(self.epsilon)
         if not self.beta > 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
 
@@ -390,11 +395,9 @@ def choose_beta(profile: RadialProfile, anchor_radius: float, epsilon: float) ->
     """Twice the smallest beta with h(0) = eps coth(beta) <= 0.9 H(S_{r0}), in closed form.
 
     The 0.9 margin makes the effective requirement epsilon < 0.9 H(S_{r0});
-    larger epsilon raises :class:`EpsilonTooLargeError`, and so does a
-    nonpositive one.
+    larger epsilon raises :class:`EpsilonTooLargeError`.
     """
-    if not epsilon > 0:
-        raise EpsilonTooLargeError(f"epsilon = {epsilon} must be positive")
+    _require_epsilon(epsilon)
     h0 = float(sphere_mean_curvature(profile, anchor_radius))
     at = f"at the anchor r = {anchor_radius:.6g}"
     if not epsilon < h0:
@@ -513,8 +516,7 @@ def horizon_sequence(
         epsilons = halving_schedule()
     profile.require_radius(anchor_radius)
     for eps in epsilons:
-        if not 0 < eps < math.inf:
-            raise ParameterError(f"every epsilon must be positive and finite, got {eps}")
+        _require_epsilon(eps)
     a_inf = area_infimum_radial(profile).value
     steps: list[HorizonStep] = []
     table = None  # the anchor's table, built once select_beta has accepted the anchor, then shared
@@ -582,16 +584,18 @@ def rigidity_iteration(
     with eps_0 = sqrt(8 pi / area(S_{r0})) the admissible-curvature threshold
     and Lambda_0 = A_inf area(S_{r0}) / (2 pi).  The schedule stops before
     the first eps_k below ``epsilon_floor``; an epsilon below it, which would
-    leave no step, raises :class:`ParameterError`.  A step refused as too
-    large for its anchor (:class:`EpsilonTooLargeError`) ends the schedule
-    and is recorded as ``error``; the bounds cover the steps before it.
+    leave no step, raises :class:`ParameterError`, as does one outside
+    (0, inf).  A step refused as too large for its anchor
+    (:class:`EpsilonTooLargeError`) ends the schedule and is recorded as
+    ``error``; the bounds cover the steps before it.
     """
     profile.require_three("rigidity_iteration")
     if not 1.0 < gamma < 2.0:
         raise ParameterError(f"gamma must lie in (1, 2), got {gamma}")
+    _require_epsilon(epsilon)
     a0 = float(sphere_area(profile, anchor_radius))
     eps0 = math.sqrt(8.0 * math.pi / a0)
-    if not 0 < epsilon < eps0:
+    if not epsilon < eps0:
         raise EpsilonTooLargeError(f"need 0 < epsilon < {eps0:.6g}, got {epsilon}")
     if epsilon < epsilon_floor:
         raise ParameterError(f"epsilon = {epsilon} lies below epsilon_floor = {epsilon_floor:g}")

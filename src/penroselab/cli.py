@@ -9,13 +9,16 @@ an unwritable ``out_dir`` or a non-finite profile parameter), 3 inequality
 violated, 4 degenerate minimizer (for ``horizon``, curvatures refused as too
 large do not count; for ``rigidity``, such a refusal ends the schedule and
 counts only at step 0), 5 trumpet verification failure, 6 hypothesis
-refused (the profile is not asymptotically flat).
+refused (the profile is not asymptotically flat).  A closed stdout changes
+no exit code: summary lines that cannot be printed are dropped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -123,6 +126,23 @@ def build_grid(cfg: dict, profile) -> RadialGrid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _os_errors_refused():
+    """An OSError writing a report (an unwritable ``out_dir``) is a config error, with the OSError's text."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _say(line: str) -> None:
+    """Print a summary line; once stdout's reader is gone, the rest goes to devnull and the exit code stands."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:  # the Python docs' recipe: no traceback now, and no failed flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config:
@@ -135,6 +155,8 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        except OSError as exc:  # a directory, say
+            raise ConfigError(str(exc)) from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: top-level config must be a JSON object")
     # flag overrides, config-first semantics
@@ -161,9 +183,10 @@ def _report(cfg: dict, payload: dict, header=None, rows=()) -> Path:
     """Write <out_dir>/<command>/<command>.json echoing the config, and the CSV when a header is given."""
     out = _out_dir(cfg)
     stem = cfg["command"].replace("-", "_")
-    write_json(out / f"{stem}.json", {"command": cfg["command"], "config": cfg, **payload})
-    if header is not None:
-        write_csv(out / f"{stem}.csv", header, rows)
+    with _os_errors_refused():
+        write_json(out / f"{stem}.json", {"command": cfg["command"], "config": cfg, **payload})
+        if header is not None:
+            write_csv(out / f"{stem}.csv", header, rows)
     return out
 
 
@@ -201,11 +224,12 @@ def cmd_analyze(cfg: dict) -> int:
     summary["area_infimum_throat_limit"] = inf_res.throat_limit
     out = _report(cfg, summary)
     head = "r,u,du,scalar_curvature,mean_curvature,area,geodesic_s,hawking_mass\n"
-    write_table(out / "analyze.csv", head, [grid.radii_text(), u, du, r_curv, h, area, s, mh], ",")
-    print(f"analyze: {len(radii)} rows -> {out}/analyze.csv")
+    with _os_errors_refused():
+        write_table(out / "analyze.csv", head, [grid.radii_text(), u, du, r_curv, h, area, s, mh], ",")
+    _say(f"analyze: {len(radii)} rows -> {out}/analyze.csv")
     a_mass = summary["adm_mass"]
     mass_txt = f"{a_mass:.9g}" if a_mass is not None else "n/a"
-    print(f"adm_mass = {mass_txt}  area_infimum = {inf_res.value:.9g}")
+    _say(f"adm_mass = {mass_txt}  area_infimum = {inf_res.value:.9g}")
     return EXIT_OK
 
 
@@ -215,7 +239,7 @@ def cmd_penrose(cfg: dict) -> int:
     report = penrose_check(profile, grid)
     cols = ["adm_mass", "area_infimum", "bound", "ratio", "verdict", "horizon_radius"]
     _report(cfg, {"report": report}, cols, _columns(cols, [jsonable(report)]))
-    print(
+    _say(
         f"penrose: mass = {report.adm_mass:.9g}, bound = {report.bound:.9g}, "
         f"ratio = {report.ratio:.9g}, verdict = {report.verdict}"
     )
@@ -284,7 +308,7 @@ def cmd_mu_bubble(cfg: dict) -> int:
     }
     row = [epsilon, problem.h.beta, sol.rho_star, sol.area, sol.mean_curvature, sol.el_residual]
     _report(cfg, payload, _BUBBLE_COLS, [row])
-    print(
+    _say(
         f"mu-bubble: rho_star = {sol.rho_star:.9g}, H = {sol.mean_curvature:.9g}, "
         f"el_residual = {sol.el_residual:.3g}"
     )
@@ -308,10 +332,10 @@ def cmd_horizon(cfg: dict) -> int:
     _report(cfg, {"result": {**vars(result), "steps": steps}}, _STEP_COLS, _columns(_STEP_COLS, steps))
     bounds = result.mass_lower_bounds
     final = f"{bounds[-1]:.9g}" if bounds else "n/a"
-    print(f"horizon: {len(result.steps)} steps, final mass lower bound = {final}")
+    _say(f"horizon: {len(result.steps)} steps, final mass lower bound = {final}")
     for s in result.steps:
         if s.error:
-            print(f"  eps = {s.epsilon:g}: {s.error}")
+            _say(f"  eps = {s.epsilon:g}: {s.error}")
     # a curvature too large for the anchor is refused, not failed; far out, the default schedule starts so
     failed = any(s.error and not issubclass(s.error_type, EpsilonTooLargeError) for s in result.steps)
     return EXIT_DEGENERATE if failed or not bounds else EXIT_OK
@@ -330,13 +354,13 @@ def cmd_rigidity(cfg: dict) -> int:
         del record["error"]
     _report(cfg, {"trace": record}, _RIGIDITY_COLS, _columns(_RIGIDITY_COLS, record["steps"]))
     final = f"{trace.steps[-1].solution.rho_star:.9g}" if trace.steps else "n/a"
-    print(
+    _say(
         f"rigidity: {len(trace.steps)} steps, final rho_star = {final}, "
         f"cumulative volume {trace.cumulative_volume:.6g} <= {trace.cumulative_bound:.6g}: "
         f"{trace.cumulative_bound_ok}"
     )
     if trace.error:  # a step refused as too large for its anchor; the steps before it stand
-        print(f"  stopped: {trace.error}")
+        _say(f"  stopped: {trace.error}")
     return EXIT_OK if trace.steps else EXIT_DEGENERATE
 
 
@@ -348,20 +372,21 @@ def cmd_trumpet(cfg: dict) -> int:
     profile = build_profile({**cfg, "profile": {**spec, "kind": "trumpet", "alpha": alpha}})
     grid = build_grid(cfg, profile)
     verification = trumpet_mod.verify_trumpet(profile, grid)
-    trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
+    with _os_errors_refused():
+        trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
     payload = {"params": profile.describe(), "verification": verification}
     if profile.n == 3:
         report = penrose_check(profile, grid)
         payload["penrose"] = report
-        print(
+        _say(
             f"trumpet: mass = {report.adm_mass:.9g}, area_infimum = {report.area_infimum:.9g}, "
             f"verdict = {report.verdict}"
         )
     _report(cfg, payload)
     if not verification.ok:
-        print(f"trumpet: verification FAILED: {', '.join(verification.failing())}")
+        _say(f"trumpet: verification FAILED: {', '.join(verification.failing())}")
         return EXIT_TRUMPET
-    print(f"trumpet: all {len(verification.checks)} checks passed")
+    _say(f"trumpet: all {len(verification.checks)} checks passed")
     return EXIT_OK
 
 
@@ -380,14 +405,14 @@ def cmd_batch(cfg: dict) -> int:
         try:
             code = run_command(sub)
             error = None
-        except (PenroseLabError, OSError) as exc:  # the refusals main maps to exit 2
+        except PenroseLabError as exc:  # the refusals main maps to exit 2
             code = EXIT_CONFIG
             error = f"{type(exc).__name__}: {exc}"
         results.append({"index": idx, "command": sub["command"], "exit_code": code, "error": error})
         if code != EXIT_OK and worst == EXIT_OK:
             worst = code
     _report(cfg, {"scenarios": results})
-    print(f"batch: {len(results)} scenarios, exit = {worst}")
+    _say(f"batch: {len(results)} scenarios, exit = {worst}")
     return worst
 
 
@@ -416,7 +441,7 @@ def run_command(cfg: dict) -> int:
         print(f"{command}: hypothesis refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     elapsed = time.perf_counter() - started
-    print(f"{command}: done in {elapsed:.3f}s")
+    _say(f"{command}: done in {elapsed:.3f}s")
     return code
 
 
@@ -436,7 +461,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return run_command(_load_config(args))
-    except (ConfigError, OSError) as exc:  # OSError: the reports cannot be written under out_dir
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PenroseLabError as exc:

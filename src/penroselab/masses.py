@@ -2,10 +2,7 @@
 
 The total mass of an asymptotically flat profile u -> a + b r^{2-n} is 2ab:
 rescaling coordinates by a^{2/(n-2)} normalizes the factor to 1 + ab r^{2-n},
-which is the standard mass-m/2 tail.  ``adm_flux`` evaluates the coordinate
-flux integral at a finite sphere instead; for a conformally flat radial
-metric it reduces to a closed expression in u(r) and u'(r), and its limit at
-infinity is the cross-check for the tail fit.
+which is the standard mass-m/2 tail.
 
 The area infimum is taken over coordinate spheres only, which is the natural
 computable restriction in the rotationally symmetric class.  There
@@ -103,35 +100,6 @@ def adm_mass_from_tail(
             f"tail fit residual {residual:.3e} vs threshold {TAIL_RESIDUAL_REL * abs(a):.3e} (a={a:.6g})"
         )
     return 2.0 * a * b, tail
-
-
-def adm_flux(profile: RadialProfile, rho: float) -> float:
-    """Coordinate flux mass integral evaluated at the sphere S_rho.
-
-    For g = u^{4/(n-2)} delta the flux integrand reduces to the radial
-    derivative of the conformal factor; normalizing the chart with the local
-    tail estimate a(rho) = u + rho u'/(n-2) gives
-
-        m(rho) = -(2/(n-2)) a(rho)^{(2n-8)/(n-2)} rho^{n-1} u^{(6-n)/(n-2)} u'.
-
-    The limit rho -> infinity agrees with :func:`adm_mass_from_tail`.
-    """
-    profile.require_radius(rho)
-    n = profile.n
-    u = profile.u(rho)
-    du = profile.du(rho)
-    a_loc = u + rho * du / (n - 2)
-    if a_loc <= 0:
-        raise NotAsymptoticallyFlatError(
-            f"local tail estimate u + r u'/(n-2) = {a_loc:.3e} <= 0 at rho={rho}"
-        )
-    return (
-        -(2.0 / (n - 2))
-        * a_loc ** ((2.0 * n - 8) / (n - 2))
-        * rho ** (n - 1)
-        * u ** ((6.0 - n) / (n - 2))
-        * du
-    )
 
 
 def _hawking_value(area, mean_curvature):

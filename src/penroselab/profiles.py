@@ -19,6 +19,8 @@ table) and take u' and u'' from the spline's own derivatives.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -244,23 +246,62 @@ class TabulatedProfile(RadialProfile):
         return (self._spline_tt(t) - self._spline_t(t)) / r**2
 
 
+_PARSED: dict[bytes, np.ndarray] = {}  # SHA-256 of a table's bytes -> its (N, k) columns, read-only
+_PARSED_KEPT = 4  # the last tables written or read, oldest first
+
+
+def _remember(digest: bytes, table: np.ndarray) -> None:
+    """Keep ``table``, read-only, as the newest of the last ``_PARSED_KEPT`` parsed tables."""
+    table.flags.writeable = False
+    _PARSED.pop(digest, None)
+    _PARSED[digest] = table
+    if len(_PARSED) > _PARSED_KEPT:
+        del _PARSED[next(iter(_PARSED))]
+
+
 def read_tabulated(path, n: int = 3) -> TabulatedProfile:
-    """Read a two-column (r, u) text file; '#' starts a comment line."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path}: expected two columns (r, u)")
-    return TabulatedProfile(data[:, 0], data[:, 1], n=n, source=str(path))
+    """Read a two-column (r, u) text file; '#' starts a comment line.
+
+    The file is parsed once per content: bytes this process wrote with
+    :func:`write_tabulated` or read before (among the last four tables) are
+    looked up by their SHA-256, and any other bytes are decoded as UTF-8 and
+    parsed.  Every check of :class:`TabulatedProfile` still runs.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    table = _PARSED.get(digest)
+    if table is None:
+        table = np.loadtxt(io.StringIO(data.decode("utf-8"), newline=None), comments="#", ndmin=2)
+        if table.shape[1] < 2:
+            raise ValueError(f"{path}: expected two columns (r, u)")
+    _remember(digest, table)
+    return TabulatedProfile(table[:, 0], table[:, 1], n=n, source=str(path))
 
 
 def write_tabulated(path, radii, values, header: str = "") -> None:
     """Write a two-column (r, u) text file readable by :func:`read_tabulated`.
 
-    ``radii`` may be a grid's ``radii_text()``.  ``write_table`` refuses columns
-    of unequal length, and a failed write leaves any previous table whole
-    rather than a truncated one that would read as shorter.
+    ``radii`` may be a :class:`RadialGrid`, whose cached ``radii_text()`` is
+    the r column.  ``write_table`` refuses columns of unequal length, and a
+    failed write leaves any previous table whole rather than a truncated one
+    that would read as shorter.  The columns written are kept as the parse of
+    the text (repr round-trips every float), so reading the file back parses
+    nothing; a table with a non-finite entry, which every read refuses, is not kept.
     """
+    grid = isinstance(radii, RadialGrid)
+    r = radii.radii() if grid else _floats(radii)
+    u = _floats(values)
     head = "".join(f"# {line}\n" for line in [*header.splitlines(), "r u"])
-    write_table(path, head, [radii, values], " ")
+    text = write_table(path, head, [radii.radii_text() if grid else r, u], " ")
+    table = np.column_stack((r, u))
+    if np.isfinite(table).all():
+        _remember(hashlib.sha256(text.encode()).digest(), table)
+
+
+def _floats(column) -> np.ndarray:
+    """A column as float64; an iterator without a length (a generator) is drawn once, here."""
+    return np.asarray(column, dtype=float) if hasattr(column, "__len__") else np.fromiter(column, float)
 
 
 DEFAULT_GRID_LO = 1e-4

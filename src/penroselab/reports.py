@@ -79,11 +79,13 @@ def _cells(column):
     return map(repr, map(float, column.tolist() if hasattr(column, "tolist") else column))
 
 
-def write_table(path, head: str, columns, sep: str) -> None:
+def write_table(path, head: str, columns, sep: str) -> str:
     """Write ``head``, then one line per row of ``columns``: each cell's float repr, joined by ``sep``.
 
     A column of text passes as it is.  Columns of unequal length raise
-    ValueError before any file is touched.
+    ValueError before any file is touched.  Returns the text written.
     """
     rows = map(sep.join, zip(*map(_cells, columns), strict=True))
-    _atomic_write(path, head + "\n".join(itertools.chain(rows, [""])))  # the "" ends the last row
+    text = head + "\n".join(itertools.chain(rows, [""]))  # the "" ends the last row
+    _atomic_write(path, text)
+    return text

@@ -329,6 +329,7 @@ def export_trumpet(profile: TrumpetProfile, dat_path) -> None:
 
     The radii are the ``RadialGrid`` of EXPORT_COUNT geometric points from
     EXPORT_R_LO to EXPORT_R_HI, sampled and turned to text once per process.
+    The table is kept as written, so reading it back in this process parses nothing.
     """
     grid = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT)
-    write_tabulated(dat_path, grid.radii_text(), profile.u(grid.radii()), header="trumpet conformal factor")
+    write_tabulated(dat_path, grid, profile.u(grid.radii()), header="trumpet conformal factor")

@@ -4,6 +4,7 @@ import pytest
 from penroselab import (
     CylinderProfile,
     EuclideanProfile,
+    NotAsymptoticallyFlatError,
     RadialProfile,
     SchwarzschildLikeProfile,
     build_trumpet,
@@ -61,6 +62,28 @@ class CountingProfile(ScaledProfile):
         self.points += np.size(r)
         self.sizes.append(np.size(r))
         return super()._u(r)
+
+
+def adm_flux(profile: RadialProfile, rho: float) -> float:
+    """Coordinate flux mass integral at the sphere S_rho: a first-order oracle for the tail mass.
+
+    For g = u^{4/(n-2)} delta the flux integrand reduces to the radial
+    derivative of the conformal factor; normalizing the chart with the local
+    tail estimate a(rho) = u + rho u'/(n-2) gives
+
+        m(rho) = -(2/(n-2)) a(rho)^{(2n-8)/(n-2)} rho^{n-1} u^{(6-n)/(n-2)} u'.
+
+    Its limit rho -> infinity is the mass :func:`penroselab.adm_mass_from_tail`
+    fits; the error falls like rho^{2-n}.
+    """
+    profile.require_radius(rho)
+    n = profile.n
+    u = profile.u(rho)
+    du = profile.du(rho)
+    a_loc = u + rho * du / (n - 2)
+    if a_loc <= 0:
+        raise NotAsymptoticallyFlatError(f"local tail estimate u + r u'/(n-2) = {a_loc:.3e} <= 0 at rho={rho}")
+    return -(2.0 / (n - 2)) * a_loc ** ((2.0 * n - 8) / (n - 2)) * rho ** (n - 1) * u ** ((6.0 - n) / (n - 2)) * du
 
 
 def h_slope(h, t):

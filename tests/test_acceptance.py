@@ -13,7 +13,6 @@ import pytest
 from penroselab import (
     PrescribedMeanCurvature,
     SchwarzschildLikeProfile,
-    adm_flux,
     adm_mass_from_tail,
     area_infimum_radial,
     build_problem,
@@ -32,7 +31,7 @@ from penroselab import (
 from penroselab.cli import main
 from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT
 
-from conftest import ode_residual
+from conftest import adm_flux, ode_residual
 
 
 class _Timer:

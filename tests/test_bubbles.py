@@ -197,8 +197,10 @@ class TestBetaSelection:
             choose_beta(euclid, 2.0, 1.0)
         with pytest.raises(EpsilonTooLargeError):
             choose_beta(euclid, 2.0, 0.95)
-        with pytest.raises(EpsilonTooLargeError, match="must be positive"):
-            choose_beta(euclid, 2.0, 0.0)
+        # a nonpositive, NaN or infinite epsilon is a bad parameter, refused as every bubble entry point refuses it
+        for eps in (0.0, -0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match=r"^epsilon must be positive and finite, got "):
+                choose_beta(euclid, 2.0, eps)
 
     def test_select_beta_floors_at_depth_bound(self, schw):
         beta = select_beta(schw, 2.0, 0.01)
@@ -678,6 +680,9 @@ class TestRigidity:
             rigidity_iteration(schw, 2.0, 0.1, 2.5)
         with pytest.raises(EpsilonTooLargeError):
             rigidity_iteration(schw, 2.0, 0.9, 1.5)
+        for eps in (0.0, -0.1, math.nan, math.inf):  # a bad parameter, not a curvature too large for the anchor
+            with pytest.raises(ParameterError, match=r"^epsilon must be positive and finite, got "):
+                rigidity_iteration(schw, 2.0, eps, 1.5)
 
     def test_epsilon_below_floor_refused(self, schw):
         # eps_0 = epsilon itself would already stop the schedule: no steps at all

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import penroselab
-from penroselab import RadialGrid, build_trumpet, export_trumpet, write_tabulated
+from penroselab import RadialGrid, build_trumpet, export_trumpet, profiles, write_tabulated
 from penroselab.cli import main, run_command
 from penroselab.errors import ConfigError
 
@@ -539,7 +539,7 @@ def test_batch_exit_codes_are_the_commands_own(tmp_path):
 
 
 def test_batch_records_an_unwritable_scenario_and_goes_on(tmp_path):
-    # scenario 0's out_dir is a plain file: exit 2 with the OSError's text, as main gives it alone
+    # scenario 0's out_dir is a plain file: exit 2, a config error with the OSError's text, as main gives it alone
     (tmp_path / "batch").mkdir()
     blocked = tmp_path / "batch" / "scenario_000"
     blocked.write_text("x")
@@ -552,7 +552,7 @@ def test_batch_records_an_unwritable_scenario_and_goes_on(tmp_path):
     assert main(["batch", "--config", str(cfg)]) == 2
     summary = json.loads((tmp_path / "batch" / "batch.json").read_text())["scenarios"]
     assert [s["exit_code"] for s in summary] == [2, 6]
-    assert summary[0]["error"].startswith("NotADirectoryError: ") and str(blocked) in summary[0]["error"]
+    assert summary[0]["error"].startswith("ConfigError: [Errno 20] Not a directory: ") and str(blocked) in summary[0]["error"]
     assert summary[1]["error"] is None
     alone = []
     for scenario, out_dir in zip(scenarios, [blocked, tmp_path / "alone"]):
@@ -611,6 +611,116 @@ def test_analyze_roundtrip_through_export(tmp_path):
     # the exported table truncates the throat at its inner edge, so the
     # extrapolated area limit agrees only to the truncation scale
     assert tab["area_infimum"] == pytest.approx(direct["area_infimum"], abs=5e-3)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The np.loadtxt calls made during one test, with the table memo empty at its start."""
+    monkeypatch.setattr(profiles, "_PARSED", {})
+    parse, calls = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def test_trumpet_round_trip_parses_no_table(tmp_path, loadtxt_calls):
+    # the exported table is kept as written, so reading it back in this process parses nothing
+    def analyze(n):
+        dat = tmp_path / f"n{n}" / "trumpet" / "trumpet_profile.dat"
+        assert run(tmp_path / f"n{n}", "analyze", "--n", str(n), "--profile", "tabulated", "--path", str(dat)) == 0
+        return [(tmp_path / f"n{n}" / "analyze" / name).read_bytes() for name in ("analyze.json", "analyze.csv")]
+
+    reports = {}
+    for n in (3, 4, 5):
+        assert run(tmp_path / f"n{n}", "trumpet", "--n", str(n)) == 0
+        reports[n] = analyze(n)
+        if n == 3:
+            dat = tmp_path / "n3" / "trumpet" / "trumpet_profile.dat"
+            assert run(tmp_path / "n3", "penrose", "--profile", "tabulated", "--path", str(dat)) == 0
+    assert loadtxt_calls == []
+    # the same reports from a parse of the file, with the memo emptied
+    profiles._PARSED.clear()
+    assert analyze(3) == reports[3]
+    assert len(loadtxt_calls) == 1
+
+
+def test_table_written_elsewhere_is_parsed_once(tmp_path, loadtxt_calls, schw):
+    radii = np.geomspace(1e-4, 1e4, 512)
+    path = tmp_path / "table.dat"
+    path.write_text("# r u\n" + "".join(f"{r!r} {u!r}\n" for r, u in zip(radii.tolist(), schw.u(radii).tolist())))
+    assert run(tmp_path, "analyze", "--profile", "tabulated", "--path", str(path)) == 0
+    assert len(loadtxt_calls) == 1
+    assert run(tmp_path, "penrose", "--profile", "tabulated", "--path", str(path)) == 0
+    assert len(loadtxt_calls) == 1
+
+
+def test_table_not_in_utf8_exit_2(tmp_path, capsys):
+    # a Latin-1 byte in a comment: refused as a config error, as np.loadtxt(path) refuses it, not read as Latin-1
+    path = tmp_path / "latin1.dat"
+    path.write_bytes(b"# caf\xe9\n1 1\n2 1.5\n3 1.75\n4 1.875\n")
+    assert run(tmp_path, "penrose", "--profile", "tabulated", "--path", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: profile 'tabulated': 'utf-8' codec can't decode byte 0xe9")
+    assert not (tmp_path / "penrose").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["penrose", "--profile", "schwarzschild"], 0),
+        (["trumpet", "--alpha", "0.9"], 5),  # a weak alpha: verification fails, and the reports are written
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(tmp_path, monkeypatch, capsys, argv, code):
+    # stdout is a pipe whose reader is gone: the summary line cannot be printed, the run still stands
+    reader, writer = os.pipe()
+    os.close(reader)
+    with open(writer, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert run(tmp_path, *argv) == code
+            assert run(tmp_path, *argv) == code  # stdout is devnull now
+    names = {"penrose": ["penrose.csv", "penrose.json"], "trumpet": ["trumpet.json", "trumpet_profile.dat"]}[argv[0]]
+    assert sorted(p.name for p in (tmp_path / argv[0]).iterdir()) == names
+    assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_closed_stdout_in_a_process(tmp_path, unbuffered):
+    # the command line as a shell pipe into `true` runs it: the reports, the exit code, and no traceback
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(penroselab.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    (tmp_path / "a_file").write_text("x")
+    results = []
+    for out_dir in (tmp_path / "out", tmp_path / "a_file"):
+        reader, writer = os.pipe()
+        os.close(reader)
+        argv = [sys.executable, "-m", "penroselab.cli", "penrose", "--profile", "schwarzschild", "--out-dir", str(out_dir)]
+        proc = subprocess.run(argv, stdout=writer, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        os.close(writer)
+        results.append((proc.returncode, proc.stderr))
+    assert results[0] == (0, "")
+    assert sorted(p.name for p in (tmp_path / "out" / "penrose").iterdir()) == ["penrose.csv", "penrose.json"]
+    # an out_dir that cannot be written is still a config error
+    assert results[1][0] == 2 and results[1][1].startswith("config error: ") and "Traceback" not in results[1][1]
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["mu-bubble", "rigidity", "horizon"])
+def test_bad_epsilon_is_one_refusal_across_commands(tmp_path, capsys, command, epsilon):
+    # the same input, the same error: a config error before any step, with one message
+    flags = ["--epsilons", f"0.1,{epsilon}"] if command == "horizon" else ["--epsilon", epsilon]
+    assert run(tmp_path, command, "--profile", "schwarzschild", *flags) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: epsilon must be positive and finite, got {float(epsilon)}\n"
+    assert not (tmp_path / command).exists()
 
 
 def test_run_corpus_script(tmp_path, monkeypatch, capsys):

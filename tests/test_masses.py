@@ -15,7 +15,6 @@ from penroselab import (
     SchwarzschildLikeProfile,
     TabulatedProfile,
     UnsupportedDimensionError,
-    adm_flux,
     adm_hawking_check,
     adm_mass_from_tail,
     area_infimum_radial,
@@ -29,6 +28,8 @@ from penroselab import (
     sphere_mean_curvature,
 )
 from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT, _root
+
+from conftest import adm_flux
 
 
 def test_adm_mass_examples(euclid, schw, schw_ab):

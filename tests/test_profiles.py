@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,10 +26,11 @@ from penroselab import (
     unit_sphere_area,
     write_tabulated,
 )
+from penroselab import profiles
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
 from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
 from penroselab.reports import jsonable, write_csv, write_json, write_table
-from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO
+from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO, export_trumpet
 
 from conftest import scaled
 
@@ -315,6 +318,138 @@ def test_tabulated_reader_rejects_single_column(tmp_path):
     path.write_text("# comment\n1.0\n2.0\n3.0\n4.0\n")
     with pytest.raises(ValueError):
         read_tabulated(path)
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty table memo for one test, and a counter of the np.loadtxt calls made meanwhile."""
+    monkeypatch.setattr(profiles, "_PARSED", {})
+    parse = np.loadtxt
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return SimpleNamespace(entries=lambda: profiles._PARSED, parses=lambda: len(calls), loadtxt=parse)
+
+
+def _digest(path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def _assert_memo_is_the_parse(memo, path):
+    # the oracle: a fresh np.loadtxt of the file's bytes, compared bit for bit
+    table = memo.entries()[_digest(path)]
+    parsed = memo.loadtxt(path, comments="#", ndmin=2)
+    assert table.dtype == parsed.dtype and table.shape == parsed.shape
+    assert table.tobytes() == parsed.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exported_trumpet_memo_is_the_parse(tmp_path, memo, n):
+    path = tmp_path / "trumpet.dat"
+    export_trumpet(build_trumpet(n), path)
+    assert len(memo.entries()) == 1
+    _assert_memo_is_the_parse(memo, path)
+    tab = read_tabulated(path, n=n)
+    assert memo.parses() == 0
+    assert tab.radii.tobytes() == RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT).radii().tobytes()
+
+
+_AWKWARD = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1]
+
+
+@pytest.mark.parametrize(
+    "radii, values",
+    [
+        (_AWKWARD, _AWKWARD[::-1]),
+        (np.array(_AWKWARD), np.float32([0.1, 1 / 3, 1e-38, 3.4e38, 7.0])),  # float32 widened to float64
+        ([0, -1, 2**53 + 1, 10**20, 3], _AWKWARD),  # Python ints
+        (RadialGrid(1e-3, 1e3, 5), (x for x in _AWKWARD)),  # a grid's cached text, and a generator drawn once
+    ],
+    ids=["floats", "float32", "ints", "grid-generator"],
+)
+def test_written_memo_is_the_parse_bit_for_bit(tmp_path, memo, radii, values):
+    path = tmp_path / "t.dat"
+    write_tabulated(path, radii, values, header="awkward")
+    _assert_memo_is_the_parse(memo, path)
+
+
+def test_table_with_a_non_finite_entry_is_not_kept(tmp_path, memo):
+    # every read refuses it, and repr keeps no NaN payload: it is parsed when read
+    write_tabulated(tmp_path / "t.dat", [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 1.0, 1.0])
+    assert memo.entries() == {}
+    with pytest.raises(ValueError, match="tabulated values must be finite"):
+        read_tabulated(tmp_path / "t.dat")
+    assert memo.parses() == 1
+
+
+def test_rewritten_table_is_parsed_again(tmp_path, memo, schw):
+    radii = np.geomspace(1e-2, 1e2, 64)
+    path = tmp_path / "p.dat"
+    write_tabulated(path, radii, schw.u(radii))
+    assert read_tabulated(path).values.tobytes() == schw.u(radii).tobytes()
+    # new bytes at the same path: a miss, so the file is parsed and the profile follows it
+    path.write_text("".join(f"{r!r} {2.0 * u!r}\n" for r, u in zip(radii.tolist(), schw.u(radii).tolist())))
+    tab = read_tabulated(path)
+    assert memo.parses() == 1
+    assert tab.values.tobytes() == memo.loadtxt(path)[:, 1].tobytes() == (2.0 * schw.u(radii)).tobytes()
+    write_tabulated(path, radii, 3.0 * schw.u(radii))
+    assert read_tabulated(path).values.tobytes() == (3.0 * schw.u(radii)).tobytes()
+    assert memo.parses() == 1
+
+
+def test_same_bytes_at_a_second_path_hit_the_memo(tmp_path, memo, schw):
+    radii = np.geomspace(1e-2, 1e2, 64)
+    first, second = tmp_path / "a.dat", tmp_path / "b.dat"
+    write_tabulated(first, radii, schw.u(radii))
+    second.write_bytes(first.read_bytes())
+    tab = read_tabulated(second)
+    assert memo.parses() == 0
+    assert tab.params()["source"] == str(second)
+    assert tab.values.tobytes() == memo.loadtxt(second)[:, 1].tobytes()
+
+
+def test_memo_arrays_and_the_profiles_built_on_them_are_read_only(tmp_path, memo, schw):
+    radii = np.geomspace(1e-2, 1e2, 64)
+    written, direct = tmp_path / "w.dat", tmp_path / "d.dat"
+    write_tabulated(written, radii, schw.u(radii))
+    direct.write_text("1 1\n2 1.5\n3 1.75\n4 1.875\n")
+    for path in (written, direct):
+        tab = read_tabulated(path)
+        for array in (memo.entries()[_digest(path)], tab.radii, tab.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    assert memo.parses() == 1  # the directly written table
+
+
+def test_fifth_table_evicts_the_oldest(tmp_path, memo, schw):
+    radii = np.geomspace(1e-2, 1e2, 16)
+    paths = [tmp_path / f"t{k}.dat" for k in range(5)]
+    for k, path in enumerate(paths[:4]):
+        write_tabulated(path, radii, (k + 1) * schw.u(radii))
+    read_tabulated(paths[0])  # a hit makes t0 the newest, so t1 is now the oldest
+    write_tabulated(paths[4], radii, 5 * schw.u(radii))
+    assert list(memo.entries()) == [_digest(paths[k]) for k in (2, 3, 0, 4)]
+    assert memo.parses() == 0
+    tab = read_tabulated(paths[1])  # evicted: parsed again, and t2 goes
+    assert memo.parses() == 1 and tab.values.tobytes() == (2 * schw.u(radii)).tobytes()
+    assert list(memo.entries()) == [_digest(paths[k]) for k in (3, 0, 4, 1)]
+
+
+def test_table_not_in_utf8_is_refused_as_numpy_refuses_it(tmp_path, memo):
+    # bytes are decoded as np.loadtxt(path) decodes them: strictly as UTF-8, so a Latin-1 comment is refused
+    path = tmp_path / "latin1.dat"
+    path.write_bytes(b"# caf\xe9\n1 1\n2 1.5\n3 1.75\n4 1.875\n")
+    for _ in range(2):  # and nothing is kept
+        with pytest.raises(UnicodeDecodeError):
+            read_tabulated(path)
+    with pytest.raises(UnicodeDecodeError):
+        memo.loadtxt(path)
+    assert memo.entries() == {}
 
 
 def test_grid_validation():
