@@ -71,8 +71,8 @@ from .errors import (
     ParameterError,
     PenroseLabError,
 )
-from .geometry import _Sphere, intrinsic_diameter, sphere_area, sphere_mean_curvature, volume_between
-from .masses import VERDICT_EQUALITY, _hawking_value, _root, area_infimum_radial, penrose_check
+from .geometry import _at, _Sphere, intrinsic_diameter, sphere_area, sphere_mean_curvature, volume_between
+from .masses import VERDICT_EQUALITY, _root, area_infimum_radial, hawking_mass, penrose_check
 from .profiles import RadialProfile
 from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
@@ -379,10 +379,11 @@ def minimize(problem: MuBubbleProblem) -> MuBubbleSolution:
     if problem.barrier_radius is None and not fval < problem.functional(x[0]):
         raise DegenerateMinimizerError("functional minimized at the inner edge; no interior bubble")
 
-    mean_curv = float(sphere_mean_curvature(profile, rho))
+    sphere = _at(profile, rho, du=True)
+    mean_curv = float(sphere.mean_curvature)
     return MuBubbleSolution(
         rho_star=rho,
-        area=float(sphere_area(profile, rho)),
+        area=float(sphere.area),
         functional_value=fval,
         mean_curvature=mean_curv,
         el_residual=abs(mean_curv - problem.h(problem.dist(rho))),
@@ -505,8 +506,9 @@ def horizon_sequence(
     """Solve the bubble problem along a decreasing curvature schedule.
 
     Each step emits the mass lower bound sqrt(A/16pi)(1 - A H^2/16pi) of its
-    bubble sphere.  A step that raises :class:`PenroseLabError` is recorded
-    on the step and the schedule continues; any other exception propagates.
+    bubble sphere, the Hawking mass -r^2 u'(u + w) at r = rho*.  A step that
+    raises :class:`PenroseLabError` is recorded on the step and the schedule
+    continues; any other exception propagates.
     A dimension other than three raises :class:`UnsupportedDimensionError`,
     an anchor outside the profile's domain :class:`DomainError`, and an
     epsilon outside (0, inf) :class:`ParameterError`, all before any step.
@@ -527,8 +529,7 @@ def horizon_sequence(
             if table is None:
                 table = _AnchorTable(profile, anchor_radius)
             sol = minimize(build_problem(profile, anchor_radius, eps, beta=beta, table=table))
-            bound = _hawking_value(sol.area, sol.mean_curvature)
-            steps.append(HorizonStep(eps, beta, sol, None, float(bound)))
+            steps.append(HorizonStep(eps, beta, sol, None, hawking_mass(profile, sol.rho_star)))
         except PenroseLabError as exc:
             steps.append(HorizonStep(eps, beta, None, f"{type(exc).__name__}: {exc}", None, type(exc)))
     return HorizonSequenceResult(anchor_radius=float(anchor_radius), area_infimum=float(a_inf), steps=steps)

@@ -34,13 +34,7 @@ from .errors import (
     PenroseLabError,
 )
 from .geometry import _at, _Sphere, scalar_curvature
-from .masses import (
-    VERDICT_VIOLATED,
-    _hawking_value,
-    adm_mass_from_tail,
-    area_infimum_radial,
-    penrose_check,
-)
+from .masses import VERDICT_VIOLATED, adm_mass_from_tail, area_infimum_radial, penrose_check
 from .profiles import (
     CylinderProfile,
     EuclideanProfile,
@@ -205,10 +199,7 @@ def cmd_analyze(cfg: dict) -> int:
     # arc length measured from the inner grid edge, accumulated per interval
     seg = gauss_panel(lambda s: _Sphere(profile.n, s, profile.u(s)).ds, radii[:-1], radii[1:])
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    if profile.n == 3:
-        mh = _hawking_value(area, h)
-    else:
-        mh = np.full_like(area, np.nan)
+    mh = sphere.hawking_mass if profile.n == 3 else np.full_like(area, np.nan)
 
     summary: dict = {"profile": profile.describe()}
     try:
@@ -368,7 +359,7 @@ def cmd_trumpet(cfg: dict) -> int:
     spec = _object(cfg, "profile")
     if spec.get("kind") not in (None, "trumpet"):
         raise ConfigError("the trumpet command builds its own profile")
-    alpha = cfg.get("alpha", spec.get("alpha"))
+    alpha = spec.get("alpha", cfg.get("alpha"))  # --alpha sets profile.alpha, so it wins
     profile = build_profile({**cfg, "profile": {**spec, "kind": "trumpet", "alpha": alpha}})
     grid = build_grid(cfg, profile)
     verification = trumpet_mod.verify_trumpet(profile, grid)

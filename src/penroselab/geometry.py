@@ -13,10 +13,15 @@ numerator w = u + (2/(n-2)) r u':
     dR/dr  = (ds/dr) w / u
     lap u  = u'' + (n-1) u'/r     flat radial Laplacian
     R(g)   = -(4(n-1)/(n-2)) u^{-(n+2)/(n-2)} lap u
+    m_H    = -r^2 u' (u + w)      Hawking mass, n = 3
 
 H > 0 means mean-convex toward the asymptotically flat end; H, w and dR/dr
-have one sign.  Every sphere quantity comes from one kernel, ``_Sphere``.
-All functions are pure and accept scalar or array radii where noted.
+have one sign.  For n = 3, A H^2/16pi = (w/u)^2 turns the Hawking mass
+sqrt(A/16pi)(1 - A H^2/16pi) into (r/2)(u - w)(u + w) with u - w = -2 r u':
+no difference cancels as A H^2/16pi -> 1 far out.  dm_H/dr = -2 r^2 w lap u,
+so m_H does not decrease outward where R(g) >= 0 and H > 0.  Every sphere
+quantity comes from one kernel, ``_Sphere``.  All functions are pure and
+accept scalar or array radii where noted.
 
 Arc length and volume are integrals by the package's one rule,
 :func:`penroselab.quadrature.gauss_adaptive`.  At an open inner end,
@@ -88,6 +93,10 @@ class _Sphere:
     @property
     def radius_slope(self):
         return self.ds / self.u * self.w
+
+    @property
+    def hawking_mass(self):
+        return -self.r * self.r * self.du * (self.u + self.w) + 0.0  # u' = 0 gives -0.0; report 0.0
 
 
 def _at(profile: RadialProfile, r, du: bool = False) -> _Sphere:

@@ -2,7 +2,9 @@
 
 The total mass of an asymptotically flat profile u -> a + b r^{2-n} is 2ab:
 rescaling coordinates by a^{2/(n-2)} normalizes the factor to 1 + ab r^{2-n},
-which is the standard mass-m/2 tail.
+which is the standard mass-m/2 tail.  For n = 3 that is also the Hawking mass
+-r^2 u'(u + w) of every S_r on the tail; the reported mass stays the fit, as
+a tabulated profile's spline u' spoils m_H.
 
 The area infimum is taken over coordinate spheres only, which is the natural
 computable restriction in the rotationally symmetric class.  There
@@ -102,19 +104,14 @@ def adm_mass_from_tail(
     return 2.0 * a * b, tail
 
 
-def _hawking_value(area, mean_curvature):
-    """sqrt(A/16pi) (1 - A H^2/16pi); vectorized over arrays of A and H."""
-    return np.sqrt(area / (16 * math.pi)) * (1.0 - area * mean_curvature**2 / (16 * math.pi))
-
-
 def hawking_mass(profile: RadialProfile, r: float) -> float:
-    """Hawking mass of the coordinate sphere S_r (dimension three only).
+    """Hawking mass sqrt(A/16pi)(1 - A H^2/16pi) of the coordinate sphere S_r (dimension three only).
 
-    H is constant on a coordinate sphere, so the mean-curvature integral is
-    area * H^2 and the value is sqrt(A/16pi) (1 - A H^2/16pi).
+    H is constant on S_r, so the definition needs no integral; it is read as
+    ``_Sphere.hawking_mass``, -r^2 u'(u + w), which cancels nowhere far out.
     """
     profile.require_three("hawking_mass")
-    return float(_hawking_value(sphere_area(profile, r), sphere_mean_curvature(profile, r)))
+    return float(_at(profile, r, du=True).hawking_mass)
 
 
 def _root(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
@@ -311,14 +308,14 @@ def adm_hawking_check(profile: RadialProfile, r: float) -> AdmHawkingResult:
     """
     profile.require_three("adm_hawking_check")
     grid = default_grid(profile)
-    profile.require_radius(r)
-    area_r = float(sphere_area(profile, r))
+    sphere = _at(profile, r, du=True)
+    area_r = float(sphere.area)
     radii = grid.radii()
     outer = radii[radii >= r]
     if len(outer) and np.min(np.asarray(sphere_area(profile, outer))) < area_r * (1 - 1e-12):
         raise NotOuterMinimizingError(
             f"sphere_area dips below area(S_{r}) at larger radii; hypothesis refused"
         )
-    mh = hawking_mass(profile, r)
+    mh = float(sphere.hawking_mass)
     m, _ = adm_mass_from_tail(profile, grid)
     return AdmHawkingResult(radius=float(r), adm_mass=float(m), hawking_mass=mh, passed=m >= mh - ADM_HAWKING_SLACK)

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import penroselab
-from penroselab import RadialGrid, build_trumpet, export_trumpet, profiles, write_tabulated
+from penroselab import (
+    RadialGrid,
+    SchwarzschildLikeProfile,
+    build_trumpet,
+    export_trumpet,
+    hawking_mass,
+    profiles,
+    write_tabulated,
+)
 from penroselab.cli import main, run_command
 from penroselab.errors import ConfigError
 
@@ -46,10 +54,9 @@ def test_analyze_euclidean(tmp_path):
     assert header == ["r", "u", "du", "scalar_curvature", "mean_curvature", "area", "geodesic_s", "hawking_mass"]
     r_col = header.index("scalar_curvature")
     mh_col = header.index("hawking_mass")
-    r_idx = header.index("r")
     assert all(float(row[r_col]) == 0.0 for row in rows)
-    # zero up to cancellation noise, which scales with the sphere radius
-    assert all(abs(float(row[mh_col])) <= 1e-14 * (1 + float(row[r_idx])) for row in rows)
+    # u' = 0, so -r^2 u'(u + w) is +0.0 on every row, with no cancellation noise
+    assert {row[mh_col] for row in rows} == {"0.0"}
     summary = json.loads((tmp_path / "analyze" / "analyze.json").read_text())
     assert abs(summary["adm_mass"]) < 1e-9
 
@@ -61,6 +68,27 @@ def test_analyze_schwarzschild_horizon_row(tmp_path):
     nearest = min(rows, key=lambda row: abs(float(row[r_i]) - 0.5))
     assert abs(float(nearest[h_i])) < 1e-2
     assert float(nearest[a_i]) == pytest.approx(16 * math.pi, rel=1e-3)
+
+
+_HAWKING_COLUMN = {  # analyze flags, the profile, and its total mass 2ab from the tail a + b/r
+    "schwarzschild": (["--mass", "1"], lambda: SchwarzschildLikeProfile.from_mass(1.0), lambda p: 1.0),
+    "trumpet-1e10": (["--alpha", "1e10"], lambda: build_trumpet(alpha=1e10), lambda p: 2 * p.alpha0),
+    "trumpet-1e16": (["--alpha", "1e16"], lambda: build_trumpet(alpha=1e16), lambda p: 2 * p.alpha0),
+}
+
+
+@pytest.mark.parametrize("case", _HAWKING_COLUMN)
+def test_analyze_hawking_column_is_hawking_mass(tmp_path, case):
+    # every n = 3 row is the library's hawking_mass at its radius, bit for bit, and at r_hi it is
+    # the total mass; the definition's own difference reads 8.0e-4 low there at alpha 1e10 and
+    # 0.0 at 1e16
+    flags, make, mass = _HAWKING_COLUMN[case]
+    assert run(tmp_path, "analyze", "--profile", case.split("-")[0], *flags) == 0
+    header, rows = read_csv(tmp_path / "analyze" / "analyze.csv")
+    r_i, mh_i = header.index("r"), header.index("hawking_mass")
+    profile = make()
+    assert [float(row[mh_i]) for row in rows] == [hawking_mass(profile, float(row[r_i])) for row in rows]
+    assert float(rows[-1][mh_i]) == pytest.approx(mass(profile), rel=1e-15)
 
 
 def test_penrose_exit_codes(tmp_path):
@@ -188,6 +216,17 @@ def test_trumpet_command_pass_and_fail(tmp_path):
     payload = json.loads((tmp_path / "weak" / "trumpet" / "trumpet.json").read_text())
     failing = [c["name"] for c in payload["verification"]["checks"] if not c["passed"]]
     assert failing == ["mean_convexity"]
+
+
+def test_trumpet_alpha_flag_wins_over_config(tmp_path):
+    # --alpha sets profile.alpha, which wins over a top-level alpha; that one still counts alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "trumpet", "alpha": 2.0}))
+    assert main(["trumpet", "--config", str(cfg), "--alpha", "5", "--out-dir", str(tmp_path / "flag")]) == 0
+    assert main(["trumpet", "--config", str(cfg), "--out-dir", str(tmp_path / "file")]) == 0
+    for out, alpha in (("flag", 5.0), ("file", 2.0)):
+        payload = json.loads((tmp_path / out / "trumpet" / "trumpet.json").read_text())
+        assert payload["params"]["alpha"] == alpha
 
 
 def test_trumpet_dimension_four(tmp_path):

@@ -1,8 +1,10 @@
 import math
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -27,6 +29,7 @@ from penroselab import (
     sphere_area,
     sphere_mean_curvature,
 )
+from penroselab.geometry import _at, _Sphere
 from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT, _root
 
 from conftest import adm_flux
@@ -102,8 +105,6 @@ def test_adm_flux_reduction_symbolic(n):
     # the implemented closed form equals the flux of g = u^{4/(n-2)} delta in
     # the chart rescaled by a^{2/(n-2)} (where the factor tends to one), for a
     # pure tail u = a + b r^(2-n)
-    import sympy as sp
-
     a, b = sp.symbols("a b", positive=True)
     r = sp.symbols("r", positive=True)
     u = a + b * r ** (2 - n)
@@ -131,15 +132,66 @@ def test_hawking_mass_examples(euclid, schw):
     assert hawking_mass(schw, 3.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def _mp_hawking(u, du, r):
+    """The definition sqrt(A/16pi)(1 - A H^2/16pi), n = 3, in 40-digit arithmetic from callables of an mpf radius."""
+    with mp.workdps(40):
+        r = mp.mpf(r)
+        area = 4 * mp.pi * (u(r) ** 2 * r) ** 2
+        h = 2 / u(r) ** 2 * (1 / r + 2 * du(r) / u(r))
+        return mp.sqrt(area / (16 * mp.pi)) * (1 - area * h**2 / (16 * mp.pi))
+
+
 def test_hawking_mass_constant_along_schwarzschild():
+    # out to r = 1e8, where A H^2/16pi is within 4e-8 of 1 and the definition's own difference
+    # loses eight digits in floats (an error of 9.5e-9 at r = 1e8, up to 2.3e-12 on the default grid)
     for mass in (0.5, 1.0, 2.0):
         profile = SchwarzschildLikeProfile.from_mass(mass)
-        for r in np.geomspace(mass / 2 * 1.01, 1e3, 100):
-            val = hawking_mass(profile, r)
-            assert val == pytest.approx(mass, abs=1e-8)
-            # independent algebraic route: m_H = -2 r^2 u' (u + r u')
-            u, du = profile.u(r), profile.du(r)
-            assert val == pytest.approx(-2 * r**2 * du * (u + r * du), abs=1e-10)
+        half = mp.mpf(mass) / 2
+        for r in np.geomspace(mass / 2 * 1.01, 1e8, 100):
+            exact = _mp_hawking(lambda s: 1 + half / s, lambda s: -half / s**2, r)
+            assert hawking_mass(profile, r) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+def test_hawking_mass_product_form_symbolic():
+    # for any u(r), n = 3: the definition is the kernel's -r^2 u'(u + w), and its
+    # r-derivative is -2 r^2 w lap u, so m_H does not decrease where R >= 0 and w > 0
+    r = sp.symbols("r", positive=True)
+    u = sp.Function("u", positive=True)(r)
+    du = sp.diff(u, r)
+    sphere = _Sphere(3, r, u, du)
+    w = u + 2 * r * du
+    assert sp.simplify(sp.nsimplify(sphere.w) - w) == 0
+    area = sp.nsimplify(sphere.area / (4 * math.pi)) * 4 * sp.pi  # omega_2 = 4 pi, as a symbol
+    h = 2 * w / (u**3 * r)
+    definition = sp.sqrt(area / (16 * sp.pi)) * (1 - area * h**2 / (16 * sp.pi))
+    product = sp.nsimplify(sphere.hawking_mass)
+    assert sp.simplify(definition - product) == 0
+    lap = sp.diff(u, r, 2) + 2 * du / r
+    assert sp.simplify(sp.diff(product, r) + 2 * r**2 * w * lap) == 0
+
+
+_MONOTONE_PROFILES = {
+    "schwarzschild-like(1, 0.5)": lambda: SchwarzschildLikeProfile(1.0, 0.5),
+    "schwarzschild-like(2, 1)": lambda: SchwarzschildLikeProfile(2.0, 1.0),
+    "trumpet(min_alpha)": lambda: build_trumpet(alpha=min_alpha(3)),
+    "trumpet(1e10)": lambda: build_trumpet(alpha=1e10),
+    "trumpet(1e16)": lambda: build_trumpet(alpha=1e16),
+}
+
+
+@pytest.mark.parametrize("name", _MONOTONE_PROFILES)
+def test_hawking_mass_nondecreasing_outside_minimal_sphere(name):
+    # the radial proof: where R >= 0 and the spheres are mean-convex, m_H does not decrease
+    # outward, so between neighbouring mean-convex default-grid nodes it drops by rounding at
+    # most; in floats the definition's own difference drops by 3.7e-12 on Schwarzschild,
+    # 1.6e-2 at alpha 1e10, and to 0.0 from 2e16 at alpha 1e16
+    profile = _MONOTONE_PROFILES[name]()
+    sphere = _at(profile, default_grid(profile).radii(), du=True)
+    mh = sphere.hawking_mass
+    convex = (sphere.w[:-1] > 0) & (sphere.w[1:] > 0)
+    assert convex.sum() > 1000
+    drops = (mh[1:] - mh[:-1])[convex] / np.abs(mh[:-1][convex])
+    assert drops.min() >= -1e-15
 
 
 def test_hawking_mass_dimension_guard():
