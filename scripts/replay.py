@@ -24,8 +24,11 @@ relative change per file.  It ends with one line per field name (the last
 key of a leaf path): the ops it moved in, its largest relative change off a
 nonzero value and its largest absolute change, each with the op holding it,
 so a field moving off 0.0 (relative change inf) still reads as a size.
-Records made before ``hawking`` was added lack it, so re-record both trees
-with the same script.
+Its last line counts the ops whose exit code changed and those whose
+verdicts changed (a verdict is any boolean leaf or ``verdict`` field of a
+report or ``hawking`` record).  Piped into ``head``, it stops printing
+without a traceback, and its exit code stands.  Records made before
+``hawking`` was added lack it, so re-record both trees with the same script.
 
     python scripts/replay.py record --src src --out out/new.json
     python scripts/replay.py record --src ../parent/src --out out/old.json
@@ -41,6 +44,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -173,8 +177,16 @@ def record(args) -> int:
     digests = {key: run_op(cli, *prepare(op, work), op.get("hawking_radius")) for key, op in ops}
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(json.dumps({"src": str(Path(cli.__file__).parent), "ops": digests}, indent=1) + "\n")
-    print(f"{len(digests)} ops from {Path(cli.__file__).parent} -> {args.out}")
+    say(f"{len(digests)} ops from {Path(cli.__file__).parent} -> {args.out}")
     return 0
+
+
+def say(line: str) -> None:
+    """Print a line; once stdout's reader is gone (``| head``), the rest goes to devnull and the exit code stands."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:  # the Python docs' recipe: no traceback now, and no failed flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def leaves(obj, path=""):
@@ -192,6 +204,17 @@ def leaves(obj, path=""):
 def _field(path: str) -> str:
     """The field name of a leaf path: its last key, list indices dropped (``steps[2].area`` -> ``area``)."""
     return path.rsplit(".", 1)[-1].split("[", 1)[0]
+
+
+def verdicts(op: dict) -> dict:
+    """The verdict leaves of an op's reports and ``hawking`` record: each boolean and each ``verdict`` field."""
+    records = {**op.get("reports", {}), "hawking": op.get("hawking")}
+    return {
+        path: value
+        for name, record in records.items()
+        for path, value in leaves(record, name)
+        if isinstance(value, bool) or _field(path) == "verdict"
+    }
 
 
 def _relative(x, y) -> float | None:
@@ -218,8 +241,8 @@ def report_diff(prefix: str, old, new, moves: dict) -> None:
         if rel is not None:
             worst = max(worst, rel)
             line += f" (relative change {rel:.3g})"
-        print(line)
-    print(f"{prefix}: largest relative change {worst:.3g}")
+        say(line)
+    say(f"{prefix}: largest relative change {worst:.3g}")
 
 
 def field_summary(moves: dict) -> None:
@@ -237,12 +260,12 @@ def field_summary(moves: dict) -> None:
             line += "; largest absolute change {:.3g} at {}".format(*max((abs(y - x), p) for p, x, y in numeric))
         if len(numeric) < len(items):
             line += f"; {len(items) - len(numeric)} non-numeric changes"
-        print(line)
+        say(line)
 
 
 def diff(args) -> int:
     old, new = (json.loads(Path(p).read_text())["ops"] for p in (args.old, args.new))
-    differ = 0
+    differ = exits = verdict_ops = 0
     moves: dict = {}
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
@@ -250,21 +273,24 @@ def diff(args) -> int:
             continue
         differ += 1
         if a is None or b is None:
-            print(f"{key}: only in {'new' if a is None else 'old'}")
+            say(f"{key}: only in {'new' if a is None else 'old'}")
             continue
         if a["exit"] != b["exit"]:
-            print(f"{key}: exit {a['exit']} -> {b['exit']}")
+            exits += 1
+            say(f"{key}: exit {a['exit']} -> {b['exit']}")
+        verdict_ops += verdicts(a) != verdicts(b)
         for name in sorted(a["files"].keys() | b["files"].keys()):
             old_report, new_report = (op.get("reports", {}).get(name) for op in (a, b))
             if a["files"].get(name) != b["files"].get(name) or old_report != new_report:
-                print(f"{key}: {name} differs")
+                say(f"{key}: {name} differs")
                 if old_report is not None and new_report is not None:
                     report_diff(f"{key}: {name}", old_report, new_report, moves)
         if a.get("hawking") != b.get("hawking"):
-            print(f"{key}: hawking differs")
+            say(f"{key}: hawking differs")
             report_diff(f"{key}: hawking", a.get("hawking"), b.get("hawking"), moves)
     field_summary(moves)
-    print(f"{differ} of {len(old.keys() | new.keys())} ops differ")
+    say(f"{differ} of {len(old.keys() | new.keys())} ops differ")
+    say(f"exit codes changed: {exits}; verdicts changed: {verdict_ops}")
     return 1 if differ else 0
 
 

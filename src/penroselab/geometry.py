@@ -21,7 +21,8 @@ sqrt(A/16pi)(1 - A H^2/16pi) into (r/2)(u - w)(u + w) with u - w = -2 r u':
 no difference cancels as A H^2/16pi -> 1 far out.  dm_H/dr = -2 r^2 w lap u,
 so m_H does not decrease outward where R(g) >= 0 and H > 0.  Every sphere
 quantity comes from one kernel, ``_Sphere``.  All functions are pure and
-accept scalar or array radii where noted.
+accept scalar or array radii where noted; for n = 3 a float radius gives
+what its 1-element array gives, bit for bit (see ``_Sphere``).
 
 Arc length and volume are integrals by the package's one rule,
 :func:`penroselab.quadrature.gauss_adaptive`.  At an open inner end,
@@ -51,7 +52,8 @@ def scalar_curvature(profile: RadialProfile, r):
     """Scalar curvature of the conformal metric; vectorized over r."""
     n = profile.n
     lap = radial_laplacian(profile, r)
-    return -4.0 * (n - 1) / (n - 2) * profile.u(r) ** (-(n + 2) / (n - 2)) * lap
+    sphere = _Sphere(n, r, profile.u(r))  # u^{(n+2)/(n-2)} = u ds^2, divided out a factor at a time: no libm pow for n = 3
+    return -4.0 * (n - 1) / (n - 2) * lap / sphere.u / sphere.ds / sphere.ds
 
 
 class _Sphere:
@@ -60,7 +62,8 @@ class _Sphere:
     ds/dr and R are formed on construction, the rest where read.  A float
     and an array round alike: for n = 3 the only powers are x ** 1.0 and
     x ** 0.0, which Python and numpy return exactly, and |S_r| is a product
-    chain in R, which overflows to inf on both and forms no power of u.
+    chain in R, which overflows to inf on both and forms no power of u.  The
+    u and u' fed in round alike too (``RadialProfile.takes_floats``).
     """
 
     __slots__ = ("n", "r", "u", "du", "ds", "radius")

@@ -9,8 +9,10 @@ on a punctured ball or all of R^n minus the origin.  Everything downstream
 expression in u, u' and u'', so a profile exposes exactly those three
 evaluators, vectorized over radii, together with its dimension and domain.
 A float radius (``np.float64`` included) takes a scalar path: the domain
-check compares it directly and the evaluator sees it as a 1-element array,
-with results identical to the general path's.
+check compares it directly, and an evaluator marked ``takes_floats`` gets the
+float itself.  Such an evaluator forms constants and +, -, * and / only,
+which round a float and an array alike: bit for bit the array path; any
+other evaluator sees the float as a 1-element array.
 
 Closed-form kinds carry analytic derivatives.  Tabulated profiles interpolate
 with a cubic spline in log r (scipy's ``CubicSpline``, imported by the first
@@ -67,6 +69,7 @@ class RadialProfile:
     """
 
     kind = "base"
+    takes_floats = False  # True where _u, _du and _d2u take a float as an array: constants and IEEE +, -, *, / only
     breakpoints: tuple[float, ...] = ()
     domain = Domain(0.0, math.inf)  # built once; a subclass with another domain builds its own once
 
@@ -101,17 +104,17 @@ class RadialProfile:
         raise NotImplementedError
 
     def u(self, r):
-        return _dispatch(self._u, r)
+        return float(self._u(r)) if self.takes_floats and isinstance(r, float) else _dispatch(self._u, r)
 
     def du(self, r):
-        return _dispatch(self._du, r)
+        return float(self._du(r)) if self.takes_floats and isinstance(r, float) else _dispatch(self._du, r)
 
     def d2u(self, r):
-        return _dispatch(self._d2u, r)
+        return float(self._d2u(r)) if self.takes_floats and isinstance(r, float) else _dispatch(self._d2u, r)
 
 
 def _dispatch(fn, r):
-    if isinstance(r, float):  # the 1-element array the general path would build, without its wrappers
+    if isinstance(r, float):  # an evaluator not marked takes_floats: the 1-element array, without its wrappers
         return float(fn(np.array([r]))[0])
     arr = np.asarray(r, dtype=float)
     out = fn(np.atleast_1d(arr))
@@ -122,6 +125,7 @@ class EuclideanProfile(RadialProfile):
     """u identically 1: flat space."""
 
     kind = "euclidean"
+    takes_floats = True
     inner_exponent = 0.0
 
     def _u(self, r):
@@ -139,10 +143,14 @@ class SchwarzschildLikeProfile(RadialProfile):
 
     The conformal factor is harmonic, so the scalar curvature vanishes and
     the total mass (in the normalization of :func:`penroselab.masses.adm_mass_from_tail`)
-    is 2ab.
+    is 2ab.  The evaluators use +, -, * and / only, so they take floats:
+    the tail t = b r^{2-n} is n - 2 divisions of b by r, u' = (2-n) t / r
+    and u'' = (2-n)(1-n) t / r / r.  For n = 3 (and 5) the flat Laplacian
+    u'' + (n-1) u'/r is then exactly 0.0 wherever nothing over- or underflows.
     """
 
     kind = "schwarzschild-like"
+    takes_floats = True
 
     def __init__(self, a: float, b: float, n: int = 3):
         super().__init__(n)
@@ -164,14 +172,20 @@ class SchwarzschildLikeProfile(RadialProfile):
     def params(self):
         return {"a": self.a, "b": self.b}
 
+    def _tail(self, r):
+        t = self.b / r  # b r^{2-n}; no ** here: Python's float pow and numpy's round apart
+        for _ in range(self.n - 3):
+            t = t / r
+        return t
+
     def _u(self, r):
-        return self.a + self.b * r ** (2 - self.n)
+        return self.a + self._tail(r)
 
     def _du(self, r):
-        return self.b * (2 - self.n) * r ** (1 - self.n)
+        return (2 - self.n) * self._tail(r) / r
 
     def _d2u(self, r):
-        return self.b * (2 - self.n) * (1 - self.n) * r ** (-self.n)
+        return (2 - self.n) * (1 - self.n) * self._tail(r) / r / r
 
 
 class CylinderProfile(RadialProfile):

@@ -37,6 +37,7 @@ from penroselab import (
 )
 from penroselab.bubbles import LIP_FACTOR, MuBubbleProblem, _AnchorTable, _arccoth
 from penroselab.masses import _root, penrose_check
+from penroselab import profiles
 from penroselab.profiles import RadialProfile
 from penroselab.quadrature import gauss_nodes
 from penroselab.reports import jsonable
@@ -611,6 +612,22 @@ class TestSchedules:
         assert min(areas) >= 16 * math.pi - 1e-6
         for s in result.steps:
             assert s.solution.mean_curvature < 2 * s.epsilon
+
+    def test_schedules_wrap_no_float_in_an_array(self, schw, trumpet, monkeypatch):
+        # every scalar u, H, area and g on a closed form takes the float itself; the spy does see a trumpet's
+        real, wrapped = profiles._dispatch, []
+
+        def spy(fn, r):
+            if isinstance(r, float):
+                wrapped.append(r)
+            return real(fn, r)
+
+        monkeypatch.setattr(profiles, "_dispatch", spy)
+        assert all(s.error is None for s in horizon_sequence(schw, 2.0).steps)
+        assert rigidity_iteration(schw, 2.0, 0.1, 1.5).steps and penrose_check(schw).horizon_radius == pytest.approx(0.5)
+        assert wrapped == []
+        trumpet.u(1.0)
+        assert wrapped == [1.0]
 
     def test_horizon_sequence_trumpet_never_finds_horizon(self, trumpet):
         result = horizon_sequence(trumpet, 4.0, [0.04, 0.02, 0.01, 0.005])

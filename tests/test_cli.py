@@ -895,6 +895,38 @@ def test_replay_diff_names_a_moved_hawking_field(tmp_path, monkeypatch, capsys):
     assert f"{key}: hawking differs" in lines and "1 of 11 ops differ" in lines
 
 
+def _digest_op(exit_code=0, verdict="strict", mass=1.0, passed=True):
+    report = {"report": {"adm_mass": mass, "verdict": verdict}}
+    return {"exit": exit_code, "files": {"penrose.json": f"{mass}{verdict}"}, "reports": {"penrose.json": report},
+            "hawking": {"radius": 2.0, "passed": passed}}
+
+
+def test_replay_diff_ends_with_the_exit_and_verdict_counts(tmp_path, monkeypatch, capsys):
+    # one exit code moved (with its verdict), one float only, one hawking boolean: 1 exit, 2 verdicts
+    old = {"a": _digest_op(), "b": _digest_op(), "c": _digest_op(), "d": _digest_op()}
+    new = {"a": _digest_op(3, "violated"), "b": _digest_op(mass=1.0 + 1e-15), "c": _digest_op(passed=False),
+           "d": _digest_op()}
+    for name, ops in (("old", old), ("new", new)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"ops": ops}))
+    assert run_script(monkeypatch, "replay.py", "diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["3 of 4 ops differ", "exit codes changed: 1; verdicts changed: 2"]
+
+
+def test_replay_diff_into_a_closed_pipe(tmp_path):
+    # a reader that stops after one line (| head -1): no traceback, and the diff's exit code stands
+    ops = {f"op{i:05d}": _digest_op() for i in range(4000)}
+    (tmp_path / "old.json").write_text(json.dumps({"ops": ops}))
+    (tmp_path / "new.json").write_text(json.dumps({"ops": {key: _digest_op(3) for key in ops}}))
+    args = [sys.executable, str(SCRIPTS / "replay.py"), "diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")]
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "op00000: exit 0 -> 3\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and err == ""
+
+
 _SCIPY_PROBE = """
 import sys
 from penroselab.cli import main, run_command

@@ -116,6 +116,49 @@ def test_float_radius_equals_array_evaluation(kind):
         assert all(type(evaluate(float(r))) is float for r in radii[:5])
 
 
+FLOAT_EVALUATORS = [EuclideanProfile()] + [
+    SchwarzschildLikeProfile(a, b, n) for n in (3, 4, 5) for a, b in ((1.0, 0.5), (1.3, 0.7), (0.25, 3e5), (2.0, 0.0))
+]
+
+
+@pytest.mark.parametrize("profile", FLOAT_EVALUATORS, ids=lambda p: "-".join(map(str, p.describe().values())))
+def test_float_evaluators_equal_one_element_array(profile):
+    # a float goes through the evaluator itself, in the +, -, *, / an array goes through: bit for bit,
+    # over- and underflow included (Python floats go to inf silently, numpy warns)
+    assert profile.takes_floats
+    radii = np.exp(np.random.default_rng(5).uniform(math.log(1e-150), math.log(1e150), 2000))
+    for name in ("u", "du", "d2u"):
+        evaluate = getattr(profile, name)
+        scalar = [evaluate(float(r)) for r in radii]
+        with np.errstate(over="ignore"):
+            vector = [evaluate(np.array([r]))[0] for r in radii]
+        assert scalar == vector, name
+        assert {type(x) for x in scalar} == {float}, name
+
+
+def test_only_marked_evaluators_take_a_float(monkeypatch, counting):
+    # a float never reaches _dispatch on a profile marked takes_floats; on every other one it does
+    marked = (EuclideanProfile(), SchwarzschildLikeProfile(1.3, 0.7), SchwarzschildLikeProfile(1.0, 0.5, 5))
+    others = (build_trumpet(), CylinderProfile(), _tabulated_schwarzschild(), counting(SchwarzschildLikeProfile.from_mass(1.0)))
+    real = profiles._dispatch
+
+    def refuse(fn, r):
+        if isinstance(r, float):
+            raise AssertionError("float wrapped in an array")
+        return real(fn, r)
+
+    monkeypatch.setattr(profiles, "_dispatch", refuse)
+    for profile in marked:
+        for name in ("u", "du", "d2u"):
+            evaluate = getattr(profile, name)
+            assert evaluate(1.7) == evaluate(np.float64(1.7)) == evaluate(np.array([1.7]))[0]
+    for profile in others:
+        assert not profile.takes_floats
+        for name in ("u", "du", "d2u"):
+            with pytest.raises(AssertionError, match="float wrapped"):
+                getattr(profile, name)(1.7)
+
+
 @pytest.mark.parametrize("convert", [float, np.float64])
 def test_require_radius_at_scalars(schw, convert):
     for r in (0.0, -1.0, math.nan, math.inf):
