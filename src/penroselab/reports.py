@@ -4,8 +4,11 @@ Three writers: ``write_json`` for reports, ``write_csv`` for record tables,
 whose string cells may need csv quoting, and ``write_table`` for numeric
 tables, turned to text one column at a time.  Floats are written with repr
 (shortest round-trip form), so a numeric field survives CSV -> JSON -> CSV
-without loss; non-finite values are serialized as strings in JSON.  Files are
-written atomically (temp file, then rename).
+without loss; non-finite values are serialized as strings in JSON.  A JSON
+report's bytes are exactly those of ``json.dumps(jsonable(x), indent=2,
+sort_keys=True)`` plus a newline, laid out here without json's per-call
+encoder.  Files are written atomically as UTF-8 bytes (temp file, then
+rename).
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import contextlib
 import csv
 import io
 import itertools
-import json
 import math
 import os
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 
 def jsonable(obj):
@@ -39,19 +42,48 @@ def jsonable(obj):
     return obj
 
 
+def _layout(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of the plain values :func:`jsonable` returns; others raise TypeError."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "  # each entry on its own line, two spaces deeper than its container
+    if isinstance(value, dict):
+        entries = [f"{encode_basestring_ascii(k)}: {_layout(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(entries) + indent + "}" if entries else "{}"
+    if isinstance(value, list):
+        entries = [_layout(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(entries) + indent + "]" if entries else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _atomic_write(path, text: str) -> None:
-    """Write ``text`` to a new temp file beside ``path``, then rename it over ``path``.
+    """Write ``text`` as UTF-8 to a new temp file beside ``path``, then rename it over ``path``.
 
     The temp file is created with mode 0o666, so the kernel applies the umask
-    as for a plain ``open``; O_EXCL keeps it a file this call made.
+    as for a plain ``open``; O_EXCL keeps it a file this call made.  The
+    directory is made only when that create finds none.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    data = memoryview(text.encode("utf-8"))
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        try:
+            while data:  # os.write may write less than it was given
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -60,7 +92,7 @@ def _atomic_write(path, text: str) -> None:
 
 
 def write_json(path, payload) -> None:
-    _atomic_write(path, json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _layout(jsonable(payload)) + "\n")
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -76,6 +108,8 @@ def _cells(column):
     """A column as text: a tuple of strings (``RadialGrid.radii_text()``) as it is, else each value's float repr."""
     if isinstance(column, tuple) and column and isinstance(column[0], str):
         return column
+    if getattr(column, "dtype", None) == float:  # a float64 array's tolist() is already Python floats
+        return map(repr, column.tolist())
     return map(repr, map(float, column.tolist() if hasattr(column, "tolist") else column))
 
 

@@ -25,6 +25,7 @@ sampled positivity and that certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -120,12 +121,27 @@ def min_alpha(n: int) -> float:
     return 1.1 * required_alpha(n)
 
 
+@functools.cache  # one entry per dimension n
+def _blend(n: int) -> tuple[PanelAntiderivative, float]:
+    """The antiderivative of the slope zeta u1' + (1 - zeta) u2' on 256 panels of [r0, 2 r0], and its value at r0.
+
+    Both depend on n alone (alpha only shifts ``alpha0`` and ``c1``), so all trumpets of one dimension share them.
+    """
+    r0 = find_r0(n)
+    cutoff, (u1, u2) = SmoothCutoff(r0), _models(n)
+
+    def slope(r):
+        zeta, _ = cutoff(r)
+        return zeta * u1._du(r) + (1.0 - zeta) * u2._du(r)
+
+    prefix = PanelAntiderivative(slope, np.linspace(r0, 2.0 * r0, 257))
+    return prefix, float(prefix(r0))
+
+
 class TrumpetProfile(RadialProfile):
     """Blended conformal factor: cylindrical throat, Schwarzschild-type tail, glued at r0 = :func:`find_r0`."""
 
     kind = "trumpet"
-
-    _BLEND_PANELS = 256
 
     def __init__(self, n: int = 3, alpha: float | None = None):
         super().__init__(n)
@@ -144,20 +160,14 @@ class TrumpetProfile(RadialProfile):
         self._u1, self._u2 = _models(n)
         self.alpha0 = self.alpha + self._u1._u(self.r0)
         self.cutoff = SmoothCutoff(self.r0)
-        edges = np.linspace(self.r0, 2.0 * self.r0, self._BLEND_PANELS + 1)
-        self._blend_prefix = PanelAntiderivative(self._slope, edges)
-        self._i_blend = float(self._blend_prefix(self.r0))
+        self._blend_prefix, i_blend = _blend(n)
         # below r0 the factor is exactly u1 plus this constant
-        self.c1 = self.alpha + (2.0 * self.r0) ** (2 - n) - self._i_blend
+        self.c1 = self.alpha + (2.0 * self.r0) ** (2 - n) - i_blend
         self.inner_exponent = self._u1.inner_exponent
         self.breakpoints = (self.r0, 2.0 * self.r0)
 
     def params(self):
         return {"r0": self.r0, "alpha": self.alpha, "alpha0": self.alpha0}
-
-    def _slope(self, r):
-        zeta, _ = self.cutoff(r)
-        return zeta * self._u1._du(r) + (1.0 - zeta) * self._u2._du(r)
 
     def _u(self, r):
         n = self.n
@@ -172,7 +182,7 @@ class TrumpetProfile(RadialProfile):
         return out
 
     def _du(self, r):
-        return self._slope(r)
+        return self._blend_prefix.f(r)  # the blended slope, as integrated
 
     def _d2u(self, r):
         u1, u2 = self._u1, self._u2

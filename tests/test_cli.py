@@ -19,10 +19,12 @@ from penroselab import (
     export_trumpet,
     hawking_mass,
     profiles,
+    reports,
     write_tabulated,
 )
 from penroselab.cli import main, run_command
 from penroselab.errors import ConfigError
+from penroselab.reports import jsonable
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -252,6 +254,7 @@ def test_config_error_exit_2(tmp_path, capsys):
         (["penrose", "--config", str(tmp_path)], tmp_path),
         (["penrose", "--config", str(not_utf8)], not_utf8),
         (["penrose", "--profile", "euclidean", "--out-dir", str(a_file)], a_file),
+        (["penrose", "--profile", "euclidean", "--out-dir", str(a_file / "sub")], a_file / "sub"),
         (["trumpet", "--out-dir", str(a_file)], a_file),
     ]:
         assert main(argv) == 2
@@ -619,6 +622,33 @@ def test_reports_are_bit_identical(tmp_path):
     assert tables[1] == tables[0]
 
 
+def test_batch_json_reports_are_json_dumps(tmp_path, monkeypatch):
+    # every .json a batch of all seven commands writes is json.dumps of the payload's plain values
+    expected = {}
+
+    def write_json(path, payload):
+        expected[Path(path)] = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+        reports.write_json(path, payload)
+
+    monkeypatch.setattr("penroselab.cli.write_json", write_json)
+    schw = {"kind": "schwarzschild", "mass": 1.0}
+    scenarios = [
+        {"command": "analyze", "profile": schw, "grid": {"count": 64}},
+        {"command": "penrose", "profile": schw},
+        {"command": "mu-bubble", "profile": schw, "epsilon": 0.05},
+        {"command": "horizon", "profile": schw, "r0": 2.0, "epsilons": [0.1, 0.05]},
+        {"command": "rigidity", "profile": {"kind": "trumpet"}, "r0": 4.0, "epsilon": 0.02, "gamma": 1.5},
+        {"command": "trumpet"},
+    ]
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"command": "batch", "out_dir": str(tmp_path), "scenarios": scenarios}))
+    assert main(["batch", "--config", str(cfg)]) == 0
+    assert len(expected) == 1 + len(scenarios)  # batch.json and one report per scenario
+    assert set(expected) == set(tmp_path.rglob("*.json")) - {cfg}
+    for path, text in expected.items():
+        assert path.read_bytes() == text.encode()
+
+
 def test_csv_json_numeric_roundtrip(tmp_path):
     assert run(tmp_path, "penrose", "--profile", "schwarzschild", "--mass", "1") == 0
     header, rows = read_csv(tmp_path / "penrose" / "penrose.csv")
@@ -931,6 +961,7 @@ _SCIPY_PROBE = """
 import sys
 from penroselab.cli import main, run_command
 from penroselab.errors import ConfigError
+from penroselab.reports import jsonable
 
 def scipy_loaded():
     return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))

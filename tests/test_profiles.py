@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ from penroselab import (
 from penroselab import profiles
 from penroselab.geometry import radial_laplacian, sphere_mean_curvature
 from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
-from penroselab.reports import jsonable, write_csv, write_json, write_table
+from penroselab.reports import _layout, jsonable, write_csv, write_json, write_table
 from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO, export_trumpet
 
 from conftest import scaled
@@ -325,6 +326,71 @@ def test_write_leaves_a_temp_name_it_did_not_create(tmp_path, monkeypatch):
         write_json(tmp_path / "report.json", {"a": 1.0})
     assert taken.read_text() == "someone else's"
     assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([2**64, -(2**100), 10**40]),
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 0.1]),
+    st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2603\U0001d11e", "\ud800", ""]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4), max_leaves=24
+)
+
+
+@given(value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_layout_is_json_dumps(value):
+    assert _layout(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, Path("report.json"), [1.0, {"a": frozenset()}]])
+def test_json_layout_refuses_what_json_refuses(tmp_path, bad):
+    with pytest.raises(TypeError):
+        json.dumps(jsonable(bad))
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "report.json", {"a": bad})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_survives_one_byte_writes(tmp_path, monkeypatch):
+    # os.write may write less than it was given; the rest still lands, multi-byte UTF-8 split across calls
+    real_write, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(1)
+        return real_write(fd, bytes(data[:1]))
+
+    monkeypatch.setattr(os, "write", one_byte)
+    write_csv(tmp_path / "report.csv", ["name", "value"], [["\u00e9\u2603", 0.1], ["a,b", None]])
+    expected = 'name,value\n\u00e9\u2603,0.1\n"a,b",\n'
+    assert (tmp_path / "report.csv").read_bytes() == expected.encode("utf-8")
+    assert len(calls) == len(expected.encode("utf-8"))
+
+
+def test_failed_byte_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    write_json(path, {"a": 1.0})
+    before = path.read_bytes()
+
+    def no_space(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", no_space)
+    with pytest.raises(OSError):
+        write_json(path, {"a": 2.0})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]  # no temporary file left
+
+
+def test_write_makes_a_missing_nested_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "c" / "report.json"
+    write_json(path, {"a": [1, 2]})
+    write_csv(path.with_suffix(".csv"), ["a"], [[1.0]])
+    assert json.loads(path.read_text()) == {"a": [1, 2]}
+    assert sorted(p.name for p in path.parent.iterdir()) == ["report.csv", "report.json"]
 
 
 _TABLE_RADII = np.geomspace(1e-3, 1e3, 4097)

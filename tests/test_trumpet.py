@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,28 @@ class TestBuild:
         for r in (1e-6, 1e-3, 0.5):
             assert trumpet.u(r) == pytest.approx(r**-0.5 + trumpet.c1, rel=1e-14)
         assert trumpet.c1 > trumpet.alpha
+
+    def test_trumpets_of_one_dimension_share_one_blend(self):
+        a, b = build_trumpet(4), build_trumpet(4, alpha=30.0)
+        assert a._blend_prefix is b._blend_prefix
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_glue_band_against_an_mpmath_integral(self, n):
+        # u = alpha0 + (2 r0)^{2-n} - integral_r^{2 r0} of zeta u1' + (1 - zeta) u2', the cutoff in 30 digits
+        trumpet = build_trumpet(n)
+        r0 = mp.mpf(trumpet.r0)
+
+        def phi(s):
+            return mp.exp(-1 / s) if s > 0 else mp.mpf(0)
+
+        def slope(t):
+            zeta = phi((2 * r0 - t) / r0) / (phi((2 * r0 - t) / r0) + phi((t - r0) / r0))
+            return zeta * (2 - n) / 2 * t ** (-mp.mpf(n) / 2) + (1 - zeta) * (2 - n) * t ** (1 - n)
+
+        with mp.workdps(30):
+            for r in np.linspace(trumpet.r0, 2 * trumpet.r0, 11)[1:-1]:
+                exact = mp.mpf(trumpet.alpha0) + (2 * r0) ** (2 - n) - mp.quad(slope, [mp.mpf(r), 2 * r0])
+                assert abs(trumpet.u(r) - exact) <= 1e-14 * abs(exact)
 
 
 class TestVerification:
