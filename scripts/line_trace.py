@@ -10,12 +10,11 @@ as run, and a statement with no such line (a docstring) is never listed.
 Code that tests run in a subprocess (``python -m penroselab``) is not traced.
 
 Arguments go to pytest; the default is the tier-1 suite, ``tests``.  The
-list is a gate: ``KNOWN`` names, by file and source text, the four
-statements no test can run (``cli.py``'s ``__main__`` guard and the three
-abstract ``RadialProfile`` evaluators), and the exit code is 1 when any
-other statement is listed, as a run of part of the suite will.  The exit
-code is pytest's when that is not 0, so a list made from failing tests is
-not mistaken for a clean one.
+list is a gate: ``KNOWN`` names, by file and source text, the one
+statement no test can run (``cli.py``'s ``__main__`` guard), and the exit
+code is 1 when any other statement is listed, as a run of part of the
+suite will.  The exit code is pytest's when that is not 0, so a list made
+from failing tests is not mistaken for a clean one.
 
     python scripts/line_trace.py
     python scripts/line_trace.py tests/test_quadrature.py
@@ -33,7 +32,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "penroselab"
 # (file, first source line) of each statement no test can run, with how many there are
-KNOWN = Counter({("cli.py", "raise SystemExit(main())"): 1, ("profiles.py", "raise NotImplementedError"): 3})
+KNOWN = Counter({("cli.py", "raise SystemExit(main())"): 1})
 
 
 def statement_lines(path: Path) -> dict[int, int]:
@@ -85,9 +84,9 @@ def main(argv: list[str]) -> int:
             text = source[first - 1].strip()
             listed[path.name, text] += 1
             print(f"{path.relative_to(REPO)}:{first}  {text}")
-    unknown = sum((listed - KNOWN).values())
+    unknown, known = sum((listed - KNOWN).values()), sum(KNOWN.values())
     if unknown:
-        print(f"line_trace: {unknown} statement(s) run by no test beyond the {sum(KNOWN.values())} known ones")
+        print(f"line_trace: {unknown} statement(s) run by no test beyond the {known} known one{'s' * (known != 1)}")
     return code or int(unknown > 0)
 
 

@@ -8,7 +8,7 @@ Usage: python scripts/rigidity_demo.py [--epsilon 0.1] [--gamma 1.5]
 
 import argparse
 
-from penroselab import SchwarzschildLikeProfile, build_trumpet, rigidity_iteration
+from penroselab import SchwarzschildLikeProfile, TrumpetProfile, rigidity_iteration
 
 
 def show(trace, label):
@@ -41,7 +41,7 @@ def main():
     schw = SchwarzschildLikeProfile.from_mass(1.0)
     show(rigidity_iteration(schw, 2.0, args.epsilon, args.gamma), "schwarzschild m=1, r0=2")
 
-    trumpet = build_trumpet()
+    trumpet = TrumpetProfile()
     show(
         rigidity_iteration(trumpet, 4.0, min(args.epsilon, 0.04), args.gamma,
                            max_steps=3, epsilon_floor=1e-4),

@@ -11,8 +11,8 @@ from pathlib import Path
 from penroselab import (
     EuclideanProfile,
     SchwarzschildLikeProfile,
+    TrumpetProfile,
     adm_hawking_check,
-    build_trumpet,
     penrose_check,
 )
 from penroselab.reports import jsonable, write_csv, write_json
@@ -23,7 +23,7 @@ def corpus():
     for mass in (0.5, 1.0, 2.0):
         yield f"schwarzschild_m{mass:g}", SchwarzschildLikeProfile.from_mass(mass)
     yield "schwarzschild_a2_b1", SchwarzschildLikeProfile(2.0, 1.0)
-    yield "trumpet", build_trumpet()
+    yield "trumpet", TrumpetProfile()
 
 
 def main():

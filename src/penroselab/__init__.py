@@ -22,7 +22,6 @@ from .bubbles import (
     build_problem,
     choose_beta,
     diameter_report,
-    dist_to_anchor,
     halving_schedule,
     horizon_sequence,
     minimize,
@@ -82,7 +81,6 @@ from .trumpet import (
     SmoothCutoff,
     TrumpetProfile,
     TrumpetVerification,
-    build_trumpet,
     export_trumpet,
     find_r0,
     min_alpha,

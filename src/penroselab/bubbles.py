@@ -289,19 +289,15 @@ class MuBubbleProblem:
         self.g = sphere_mean_curvature(profile, self.edges) - h(rho)
         self._table, self._graded_from = table, j
 
-    def _require_collected(self, r: float, name: str) -> None:
-        """Refuse a radius outside the collection of balls, [table floor, r0]."""
-        self.profile.require_radius(r)
-        if not self.floor <= r <= self.anchor_radius:
-            raise OutOfCollectionError(f"{name} = {r} lies outside [{self.floor:.6g}, r0 = {self.anchor_radius}]")
-
     def functional(self, rho: float) -> float:
         """A(rho) = area(S_rho) + integral_rho^{r0} h(rho) dV.
 
         Radii outside [table floor, r0] raise :class:`OutOfCollectionError`;
         radii below the barrier radius raise :class:`BarrierError`.
         """
-        self._require_collected(rho, "rho")
+        self.profile.require_radius(rho)
+        if not self.floor <= rho <= self.anchor_radius:
+            raise OutOfCollectionError(f"rho = {rho} lies outside [{self.floor:.6g}, r0 = {self.anchor_radius}]")
         if rho < self.edges[0]:
             raise BarrierError(f"rho = {rho} lies below the barrier radius {self.edges[0]:.6g}")
         bulk, graded = self._bulk_tables(rho)
@@ -326,17 +322,6 @@ class MuBubbleProblem:
         r_b, top = self.barrier_radius, float(edges[j])  # fresh panels halving in width toward r_b
         fresh = np.concatenate([[r_b], r_b + (top - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1), [top]])
         return bulk, PanelAntiderivative(_bulk_density(self.profile, h, self.dist), fresh)
-
-
-def dist_to_anchor(problem: MuBubbleProblem, r: float) -> float:
-    """The checked ``problem.dist``: the signed, Lipschitz-shrunk arc length from S_r to the anchor.
-
-    Negative inside the anchor and zero at it; the shrink factor keeps the
-    Lipschitz constant strictly below one.  Radii outside the collection
-    [table floor, r0] raise :class:`OutOfCollectionError`, as in ``functional``.
-    """
-    problem._require_collected(r, "r")
-    return float(problem.dist(r))
 
 
 @dataclass(frozen=True)

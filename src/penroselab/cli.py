@@ -91,7 +91,7 @@ def build_profile(cfg: dict):
         if kind == "cylinder":
             return CylinderProfile(n=n)
         if kind == "trumpet":
-            return trumpet_mod.build_trumpet(n=n, alpha=spec.get("alpha"))
+            return trumpet_mod.TrumpetProfile(n=n, alpha=spec.get("alpha"))
         if kind == "tabulated":
             path = spec.get("path")
             if not path or not Path(path).exists():

@@ -82,19 +82,23 @@ def adm_mass_from_tail(
 
     The window is the 128-point ``RadialGrid`` on that decade.  Raises
     :class:`NotAsymptoticallyFlatError` when the max fit deviation exceeds
-    ``TAIL_RESIDUAL_REL * a`` or the fitted leading coefficient is not positive.
+    ``TAIL_RESIDUAL_REL * a``, the fitted leading coefficient is not positive,
+    or the fit overflows.
     """
     grid = grid or default_grid(profile)
     n = profile.n
     radii = RadialGrid(grid.r_hi / 10.0, grid.r_hi, 128).radii()
     profile.require_radius(radii)
     u = profile.u(radii)
-    # scale the decaying basis column to keep the normal equations tame
-    r_scale = math.sqrt(radii[0] * radii[-1])
-    basis = np.column_stack([np.ones_like(radii), (radii / r_scale) ** (2 - n)])
-    coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
-    a = float(coef[0])
-    b = float(coef[1] * r_scale ** (n - 2))
+    try:  # r_hi near the float ceiling overflows r_scale, and a large n overflows r_scale^{n-2}
+        with np.errstate(over="raise", divide="raise"):  # scale the decaying column: tame normal equations
+            r_scale = math.sqrt(radii[0] * radii[-1])
+            basis = np.column_stack([np.ones_like(radii), (radii / r_scale) ** (2 - n)])
+        coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
+        a, b = float(coef[0]), float(coef[1] * r_scale ** (n - 2))
+    except (FloatingPointError, np.linalg.LinAlgError, OverflowError) as exc:
+        window = f"[{radii[0]:.6g}, {radii[-1]:.6g}]"
+        raise NotAsymptoticallyFlatError(f"tail fit on {window} failed: {exc.args[-1]}") from None
     residual = float(np.max(np.abs(u - (a + b * radii ** (2 - n)))))
     tail = AsymptoticTail(a=a, b=b, fit_residual=residual)
     if a <= 0 or residual > TAIL_RESIDUAL_REL * abs(a):
@@ -200,9 +204,10 @@ def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
 def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) -> AreaInfimum:
     """Infimum of coordinate-sphere areas: the grid's least area S_{r_i}, then a root of H.
 
-    When H goes from - to + across [r_{i-1}, r_{i+1}], the minimal sphere is
-    the root of H there; otherwise (H = 0 up to rounding, as on the cylinder)
-    the sampled minimum stands.  An infimum attained only at the inner edge of
+    When H goes from - to + across [r_{i-1}, r_{i+1}] (across [r_{i-1}, r_i]
+    at the grid's top node), the minimal sphere is the root of H there;
+    otherwise (H = 0 up to rounding, as on the cylinder) the sampled minimum
+    stands.  An infimum attained only at the inner edge of
     the sampling range is, unless that edge is the domain's closed inner end
     itself, the root of H at its first change from + to - inward over r_1, r_0
     and five geometric nodes toward the domain's inner endpoint; with none it
@@ -232,12 +237,11 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
         vals = np.asarray(sphere_area(profile, nodes))
         limit = _neville_to_zero(np.sqrt(nodes - lo), vals)
         return AreaInfimum(value=float(limit), argmin_radius=None, throat_limit=True)
-    if i < len(radii) - 1:
-        pair = [i - 1, i + 1]
-        h_lo, h_hi = h[pair] if h is not None else _mean_curvature_or_zero(_at(profile, radii[pair], du=True))
-        if h_lo < 0 < h_hi:
-            r = _root(partial(sphere_mean_curvature, profile), radii[i - 1], radii[i + 1])
-            return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
+    pair = [i - 1, min(i + 1, len(radii) - 1)]  # at the top node, the root lies below it
+    h_lo, h_hi = h[pair] if h is not None else _mean_curvature_or_zero(_at(profile, radii[pair], du=True))
+    if h_lo < 0 < h_hi:
+        r = _root(partial(sphere_mean_curvature, profile), radii[pair[0]], radii[pair[1]])
+        return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
     return AreaInfimum(value=float(areas[i]), argmin_radius=float(radii[i]), throat_limit=False)
 
 

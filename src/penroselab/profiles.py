@@ -60,10 +60,12 @@ class Domain:
 class RadialProfile:
     """Base class: dimension, domain, and the u / u' / u'' evaluators.
 
-    An open inner end is always at r = 0: a domain with lo > 0 is closed
-    there (a tabulated profile's).  A profile with an open inner end also
-    carries ``inner_exponent``, the q with u ~ c r^{-q} as r -> 0, from
-    which the radial integrals decide whether that end is at finite distance.
+    A subclass defines the array evaluators ``_u``, ``_du`` and ``_d2u``
+    that ``u``, ``du`` and ``d2u`` call.  An open inner end is always at
+    r = 0: a domain with lo > 0 is closed there (a tabulated profile's).
+    A profile with an open inner end also carries ``inner_exponent``, the q
+    with u ~ c r^{-q} as r -> 0, from which the radial integrals decide
+    whether that end is at finite distance.
     ``breakpoints`` lists the radii where u switches between closed forms;
     the radial integrals split there.
     """
@@ -77,6 +79,10 @@ class RadialProfile:
         if int(n) != n or n < 3:
             raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
         self.n = int(n)
+        try:
+            unit_sphere_area(self.n)  # every area reads it; Gamma(n/2) overflows from n = 344
+        except OverflowError:
+            raise ValueError(f"dimension {n} is too large: the unit-sphere area overflows") from None
 
     def require_radius(self, r) -> None:
         if not self.domain.contains(r):
@@ -92,16 +98,6 @@ class RadialProfile:
 
     def describe(self) -> dict:
         return {"kind": self.kind, "n": self.n, **self.params()}
-
-    # subclasses implement the array evaluators
-    def _u(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _du(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _d2u(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def u(self, r):
         return float(self._u(r)) if self.takes_floats and isinstance(r, float) else _dispatch(self._u, r)

@@ -68,18 +68,14 @@ class SmoothCutoff:
     r0: float
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        ts = np.atleast_1d(t_arr)
-        a = (2.0 * self.r0 - ts) / self.r0
-        b = (ts - self.r0) / self.r0
+        t = np.asarray(t, dtype=float)
+        a = (2.0 * self.r0 - t) / self.r0
+        b = (t - self.r0) / self.r0
         pa, dpa = _phi(a)
         pb, dpb = _phi(b)
         denom = pa + pb
         zeta = pa / denom
         zeta_prime = -(dpa * pb + pa * dpb) / (self.r0 * denom**2)
-        if scalar:
-            return float(zeta[0]), float(zeta_prime[0])
         return zeta, zeta_prime
 
 
@@ -204,11 +200,6 @@ class TrumpetProfile(RadialProfile):
         zeta, dzeta = self.cutoff(r)
         lap1 = -((0.5 * (self.n - 2)) ** 2) * r ** (-0.5 * (self.n + 2))
         return zeta * lap1, np.zeros_like(r), dzeta * (self._u1._du(r) - self._u2._du(r))
-
-
-def build_trumpet(n: int = 3, alpha: float | None = None) -> TrumpetProfile:
-    """Construct the blended profile; alpha defaults to the certified bound."""
-    return TrumpetProfile(n=n, alpha=alpha)
 
 
 @dataclass(frozen=True)

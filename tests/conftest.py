@@ -7,7 +7,7 @@ from penroselab import (
     NotAsymptoticallyFlatError,
     RadialProfile,
     SchwarzschildLikeProfile,
-    build_trumpet,
+    TrumpetProfile,
 )
 
 
@@ -125,4 +125,4 @@ def cylinder():
 
 @pytest.fixture(scope="session")
 def trumpet():
-    return build_trumpet()
+    return TrumpetProfile()

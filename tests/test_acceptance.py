@@ -13,10 +13,10 @@ import pytest
 from penroselab import (
     PrescribedMeanCurvature,
     SchwarzschildLikeProfile,
+    TrumpetProfile,
     adm_mass_from_tail,
     area_infimum_radial,
     build_problem,
-    build_trumpet,
     default_grid,
     hawking_mass,
     horizon_sequence,
@@ -75,7 +75,7 @@ def test_criterion_1_schwarzschild_equality():
 
 def test_criterion_2_trumpet_horizon_free():
     with _Timer(5.0) as t:
-        trumpet = build_trumpet()
+        trumpet = TrumpetProfile()
         grid = default_grid(trumpet)
         verification = verify_trumpet(trumpet, grid)
         radii = grid.radii()
@@ -189,7 +189,7 @@ def test_criterion_8_flux_consistency():
     profiles = [
         SchwarzschildLikeProfile.from_mass(1.0),
         SchwarzschildLikeProfile(2.0, 1.0),
-        build_trumpet(),
+        TrumpetProfile(),
     ]
     with _Timer(2.0) as t:
         ok = True

@@ -25,7 +25,6 @@ from penroselab import (
     build_problem,
     choose_beta,
     diameter_report,
-    dist_to_anchor,
     geodesic_distance,
     halving_schedule,
     horizon_sequence,
@@ -219,10 +218,10 @@ class TestProblemSetup:
     def test_dist_to_anchor(self, euclid, schw, trumpet):
         lip = 1 - 1e-6
         prob = build_problem(euclid, 1.0, 0.1, beta=2.0)
-        assert dist_to_anchor(prob, 1.0) == 0.0
-        assert dist_to_anchor(prob, 0.5) == pytest.approx(-lip * 0.5, abs=1e-10)
+        assert prob.dist(1.0) == 0.0
+        assert prob.dist(0.5) == pytest.approx(-lip * 0.5, abs=1e-10)
         tprob = build_problem(trumpet, 4.0, 0.02)
-        d = [dist_to_anchor(tprob, r) for r in (1e-2, 1e-4, 1e-6)]
+        d = [tprob.dist(r) for r in (1e-2, 1e-4, 1e-6)]
         assert d[0] > d[1] > d[2]
         assert d[2] < -30.0
 
@@ -352,16 +351,12 @@ class TestProblemSetup:
 
     def test_functional_out_of_collection(self, schw):
         prob = build_problem(schw, 2.0, 0.1)
-        with pytest.raises(OutOfCollectionError):
-            prob.functional(2.5)
         # outside the anchor: the balls of the collection end at r0
-        with pytest.raises(OutOfCollectionError, match=r"^r = 2.5 lies outside \[2e-15, r0 = 2.0\]$"):
-            dist_to_anchor(prob, 2.5)
+        with pytest.raises(OutOfCollectionError, match=r"^rho = 2.5 lies outside \[2e-15, r0 = 2.0\]$"):
+            prob.functional(2.5)
         # below the anchor table's floor 1e-15 r0
         with pytest.raises(OutOfCollectionError):
             prob.functional(1e-16)
-        with pytest.raises(OutOfCollectionError):
-            dist_to_anchor(prob, 1e-16)
 
     def test_functional_below_barrier(self, schw):
         prob = build_problem(schw, 2.0, 0.1, beta=choose_beta(schw, 2.0, 0.1))

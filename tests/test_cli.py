@@ -15,7 +15,7 @@ import penroselab
 from penroselab import (
     RadialGrid,
     SchwarzschildLikeProfile,
-    build_trumpet,
+    TrumpetProfile,
     export_trumpet,
     hawking_mass,
     profiles,
@@ -74,8 +74,8 @@ def test_analyze_schwarzschild_horizon_row(tmp_path):
 
 _HAWKING_COLUMN = {  # analyze flags, the profile, and its total mass 2ab from the tail a + b/r
     "schwarzschild": (["--mass", "1"], lambda: SchwarzschildLikeProfile.from_mass(1.0), lambda p: 1.0),
-    "trumpet-1e10": (["--alpha", "1e10"], lambda: build_trumpet(alpha=1e10), lambda p: 2 * p.alpha0),
-    "trumpet-1e16": (["--alpha", "1e16"], lambda: build_trumpet(alpha=1e16), lambda p: 2 * p.alpha0),
+    "trumpet-1e10": (["--alpha", "1e10"], lambda: TrumpetProfile(alpha=1e10), lambda p: 2 * p.alpha0),
+    "trumpet-1e16": (["--alpha", "1e16"], lambda: TrumpetProfile(alpha=1e16), lambda p: 2 * p.alpha0),
 }
 
 
@@ -128,7 +128,7 @@ def test_penrose_table_with_least_area_at_its_inner_edge(tmp_path, capsys):
     # a trumpet table cut at 1e-3: the least sphere is the closed inner edge itself
     radii = np.geomspace(1e-3, 1e3, 4096)
     path = tmp_path / "trumpet.dat"
-    write_tabulated(path, radii, build_trumpet().u(radii))
+    write_tabulated(path, radii, TrumpetProfile().u(radii))
     assert run(tmp_path, "penrose", "--profile", "tabulated", "--path", str(path)) == 0
     assert "Traceback" not in capsys.readouterr().err
     report = json.loads((tmp_path / "penrose" / "penrose.json").read_text())
@@ -347,6 +347,48 @@ def test_penrose_grid_from_1e_300(tmp_path, kind, verdict):
     assert run(tmp_path, "penrose", "--profile", kind, "--grid-lo", "1e-300") == 0
     report = json.loads((tmp_path / "penrose" / "penrose.json").read_text())["report"]
     assert report["verdict"] == verdict
+
+
+@pytest.mark.parametrize("grid_hi", ["0.6", "0.5005", "0.5001"])
+def test_penrose_minimal_sphere_between_the_top_two_nodes(tmp_path, grid_hi):
+    # two nodes, the least area at the top one: the horizon r = 1/2 below it is refined, not read off the node
+    grid = ["--grid-lo", "0.4", "--grid-hi", grid_hi, "--grid-count", "2"]
+    assert run(tmp_path, "penrose", "--profile", "schwarzschild", *grid) == 0
+    report = json.loads((tmp_path / "penrose" / "penrose.json").read_text())["report"]
+    assert abs(report["bound"] - 1.0) <= 1e-15
+    assert report["verdict"] == "equality-within-tol"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # r^{n-1} in the sphere areas overflows for n = 100
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        pytest.param(["analyze", "--profile", "euclidean", "--n", "100"], 0, "adm_mass = n/a", id="analyze-n-100"),
+        pytest.param(["trumpet", "--n", "100"], 5, "verification FAILED: asymptotically_flat", id="trumpet-n-100"),
+        pytest.param(
+            ["analyze", "--profile", "euclidean", "--n", "344"], 2,
+            "config error: profile 'euclidean': dimension 344 is too large", id="analyze-n-344",
+        ),
+        pytest.param(
+            ["penrose", "--profile", "schwarzschild", "--grid-hi", "1e155"], 6,
+            "penrose: hypothesis refused: tail fit on [1e+154, 1e+155] failed: overflow", id="penrose-1e155",
+        ),
+        pytest.param(
+            ["penrose", "--profile", "schwarzschild", "--grid-hi", "1e308"], 6,
+            "penrose: hypothesis refused: tail fit on [1e+307, 1e+308] failed: overflow", id="penrose-1e308",
+        ),
+    ],
+)
+def test_tail_fit_and_sphere_area_overflows_refused(tmp_path, capsys, args, code, message):
+    # an overflowing tail fit is a refusal in the fit window's words, and a dimension whose
+    # unit-sphere area overflows is a config error: no traceback either way
+    assert run(tmp_path, *args) == code
+    out, err = capsys.readouterr()
+    assert message in out + err and "Traceback" not in err
+    if code == 0:  # analyze records the refusal and goes on
+        summary = json.loads((tmp_path / "analyze" / "analyze.json").read_text())
+        assert summary["adm_mass"] is None
+        assert summary["tail_error"] == "tail fit on [1000, 10000] failed: Numerical result out of range"
 
 
 @pytest.mark.parametrize("command", ["mu-bubble", "horizon", "rigidity", "penrose"])
@@ -660,7 +702,7 @@ def test_csv_json_numeric_roundtrip(tmp_path):
 
 
 def test_analyze_roundtrip_through_export(tmp_path):
-    trumpet = build_trumpet()
+    trumpet = TrumpetProfile()
     dat = tmp_path / "trumpet.dat"
     export_trumpet(trumpet, dat)
     assert run(tmp_path / "direct", "trumpet") == 0
@@ -812,25 +854,24 @@ def test_rigidity_demo_script(monkeypatch, capsys):
 
 def test_line_trace_lists_the_statements_a_test_file_leaves_unrun(tmp_path):
     # in a subprocess, as the script owns sys.settrace: test_quadrature.py runs the integrator's
-    # refusal (test_doubling_cap_raises) but minimises no bubble, and no test runs the abstract stubs
+    # refusal (test_doubling_cap_raises) but minimises no bubble
     repo = SCRIPTS.parent
     args = [str(repo / "tests" / "test_quadrature.py"), "-q", "-p", "no:cacheprovider"]
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "line_trace.py"), *args], capture_output=True, text=True, cwd=tmp_path
     )
-    # the tests passed, but part of the suite leaves more than the four known statements unrun: the gate fails
+    # the tests passed, but part of the suite leaves more than the one known statement unrun: the gate fails
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].endswith("run by no test beyond the 4 known ones")
+    assert proc.stdout.splitlines()[-1].endswith("run by no test beyond the 1 known one")
     listed = {line.split()[0] for line in proc.stdout.splitlines() if line.startswith("src/penroselab/")}
 
     def at(module, text):
         lines = (repo / "src" / "penroselab" / f"{module}.py").read_text().splitlines()
         return {f"src/penroselab/{module}.py:{i}" for i, line in enumerate(lines, 1) if line.strip().startswith(text)}
 
-    stubs, scan = at("profiles", "raise NotImplementedError"), at("bubbles", "brackets = ")
-    refusal = at("quadrature", "raise QuadratureError")
-    assert (len(stubs), len(scan), len(refusal)) == (3, 1, 1)
-    assert stubs | scan <= listed
+    scan, refusal = at("bubbles", "brackets = "), at("quadrature", "raise QuadratureError")
+    assert (len(scan), len(refusal)) == (1, 1)
+    assert scan <= listed
     assert not refusal & listed and not at("quadrature", "def gauss_adaptive") & listed  # defs run on import
 
 
@@ -841,7 +882,7 @@ def test_line_trace_exit_code_is_pytests_first(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "line_trace.py"), *args], capture_output=True, text=True, cwd=tmp_path
     )
-    assert proc.returncode == 5 and "beyond the 4 known ones" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 5 and "beyond the 1 known one" in proc.stdout, proc.stdout + proc.stderr
 
 
 def test_replay_script_finds_a_changed_byte(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from penroselab import (
     EuclideanProfile,
     SchwarzschildLikeProfile,
     TabulatedProfile,
-    build_trumpet,
+    TrumpetProfile,
     default_grid,
     geodesic_distance,
     intrinsic_diameter,
@@ -80,7 +80,7 @@ _TABLE_RADII = np.geomspace(1.0, 20.0, 64)
 _SPHERE_PROFILES = {  # profile and the radius range sampled
     "schwarzschild": (lambda: SchwarzschildLikeProfile.from_mass(1.0), 0.3, 10.0),
     "schwarzschild-like": (lambda: SchwarzschildLikeProfile(1.3, 0.7), 0.1, 10.0),
-    "trumpet": (build_trumpet, 1e-12, 10.0),
+    "trumpet": (TrumpetProfile, 1e-12, 10.0),
     "cylinder": (CylinderProfile, 1e-6, 1e6),
     "euclidean": (EuclideanProfile, 1e-3, 1e3),
     "tabulated": (lambda: TabulatedProfile(_TABLE_RADII, 1.0 + 0.5 / _TABLE_RADII), 1.0, 20.0),
@@ -122,7 +122,7 @@ def test_mean_curvature_against_an_mpmath_oracle(schw):
     assert near[0] <= 1.9e-10 and near[1] <= 1.4e-9
     off = _h_errors(schw, u, du, 0.5 * (1 + np.geomspace(1e-3, 1e-2, 200)))
     assert off[0] <= 1.9e-14 and off[1] <= 1.6e-13
-    trumpet = build_trumpet()
+    trumpet = TrumpetProfile()
     c1 = mp.mpf(trumpet.c1)  # below its gluing radius the trumpet is r^{-1/2} + c1 exactly
     throat = _h_errors(trumpet, lambda r: r**-half + c1, lambda r: -half * r ** (-3 * half), np.geomspace(5e-11, 2e-10, 200))
     assert throat[0] <= 1e-12 and throat[1] <= 1.4e-11
@@ -177,7 +177,7 @@ _CLOSED_FORMS = {
     "euclidean": EuclideanProfile(),
     "schwarzschild-like": SchwarzschildLikeProfile(1.0, 0.5),
     "cylinder": CylinderProfile(),
-    "trumpet": build_trumpet(3),
+    "trumpet": TrumpetProfile(3),
 }
 
 

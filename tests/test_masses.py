@@ -16,11 +16,11 @@ from penroselab import (
     RadialGrid,
     SchwarzschildLikeProfile,
     TabulatedProfile,
+    TrumpetProfile,
     UnsupportedDimensionError,
     adm_hawking_check,
     adm_mass_from_tail,
     area_infimum_radial,
-    build_trumpet,
     default_grid,
     find_horizon,
     hawking_mass,
@@ -95,7 +95,7 @@ def test_adm_flux_tends_to_tail_mass(n, a, b):
 @given(n=st.sampled_from([3, 4]), stretch=st.floats(1.0, 3.0))
 def test_adm_flux_tends_to_trumpet_mass(n, stretch):
     # beyond 2 r0 the trumpet is exactly alpha0 + r^(2-n)
-    trumpet = build_trumpet(n, alpha=stretch * min_alpha(n))
+    trumpet = TrumpetProfile(n, alpha=stretch * min_alpha(n))
     assert 2 * trumpet.r0 < _FLUX_RADII[0]
     _assert_flux_tends_to(trumpet, trumpet.alpha0, 1.0)
 
@@ -173,9 +173,9 @@ def test_hawking_mass_product_form_symbolic():
 _MONOTONE_PROFILES = {
     "schwarzschild-like(1, 0.5)": lambda: SchwarzschildLikeProfile(1.0, 0.5),
     "schwarzschild-like(2, 1)": lambda: SchwarzschildLikeProfile(2.0, 1.0),
-    "trumpet(min_alpha)": lambda: build_trumpet(alpha=min_alpha(3)),
-    "trumpet(1e10)": lambda: build_trumpet(alpha=1e10),
-    "trumpet(1e16)": lambda: build_trumpet(alpha=1e16),
+    "trumpet(min_alpha)": lambda: TrumpetProfile(alpha=min_alpha(3)),
+    "trumpet(1e10)": lambda: TrumpetProfile(alpha=1e10),
+    "trumpet(1e16)": lambda: TrumpetProfile(alpha=1e16),
 }
 
 
@@ -230,6 +230,16 @@ def test_area_infimum_below_a_grid_starting_outside_the_horizon(schw, r_lo, coun
     assert not res.throat_limit
     assert abs(res.argmin_radius - 0.5) <= 4 * math.ulp(0.5)
     assert res.value == pytest.approx(16 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("r_hi", [0.6, 0.5005, 0.5001])
+def test_area_infimum_between_the_top_two_nodes(schw, r_hi):
+    # the least sampled area is the grid's top node, but H changes sign from
+    # - to + below it: the minimal sphere r = 1/2 is found there, not the node
+    res = area_infimum_radial(schw, RadialGrid(0.4, r_hi, 2))
+    assert not res.throat_limit
+    assert abs(res.argmin_radius - 0.5) <= 4 * math.ulp(0.5)
+    assert res.value == pytest.approx(16 * math.pi, rel=1e-15)
 
 
 def test_area_infimum_cylinder_work_bound(cylinder, counting):
@@ -440,7 +450,7 @@ def test_root_is_brentq_bit_for_bit():
     # a seeded battery on the four functions above and on Schwarzschild and trumpet H: the port
     # returns brentq's root after evaluating f at brentq's points, with and without held ends
     rng = np.random.default_rng(20261019)
-    schw, trumpet = SchwarzschildLikeProfile.from_mass(1.0), build_trumpet(3)
+    schw, trumpet = SchwarzschildLikeProfile.from_mass(1.0), TrumpetProfile(3)
     cases = [  # f, its root, a range to draw each bracket end from (log-uniform when positive)
         (lambda x: math.cos(x) - x, 0.7390851332151607, -3.0, 3.0),
         (lambda x: x**3 - 2.0, 2.0 ** (1 / 3), -3.0, 5.0),

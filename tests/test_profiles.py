@@ -21,7 +21,7 @@ from penroselab import (
     RadialGrid,
     SchwarzschildLikeProfile,
     TabulatedProfile,
-    build_trumpet,
+    TrumpetProfile,
     default_grid,
     read_tabulated,
     unit_sphere_area,
@@ -94,8 +94,8 @@ FLOAT_PATH_PROFILES = {
     "euclidean": EuclideanProfile,
     "schwarzschild-like": lambda: SchwarzschildLikeProfile(1.3, 0.7),
     "cylinder": CylinderProfile,
-    "trumpet-3": lambda: build_trumpet(3),
-    "trumpet-4": lambda: build_trumpet(4),
+    "trumpet-3": lambda: TrumpetProfile(3),
+    "trumpet-4": lambda: TrumpetProfile(4),
     "tabulated": _tabulated_schwarzschild,
 }
 
@@ -140,7 +140,7 @@ def test_float_evaluators_equal_one_element_array(profile):
 def test_only_marked_evaluators_take_a_float(monkeypatch, counting):
     # a float never reaches _dispatch on a profile marked takes_floats; on every other one it does
     marked = (EuclideanProfile(), SchwarzschildLikeProfile(1.3, 0.7), SchwarzschildLikeProfile(1.0, 0.5, 5))
-    others = (build_trumpet(), CylinderProfile(), _tabulated_schwarzschild(), counting(SchwarzschildLikeProfile.from_mass(1.0)))
+    others = (TrumpetProfile(), CylinderProfile(), _tabulated_schwarzschild(), counting(SchwarzschildLikeProfile.from_mass(1.0)))
     real = profiles._dispatch
 
     def refuse(fn, r):
@@ -400,8 +400,8 @@ _CLOSED_FORMS = {
     "schwarzschild-like": SchwarzschildLikeProfile(2.0, 1.0),
     "schwarzschild-n4": SchwarzschildLikeProfile.from_mass(1.0, n=4),
     "cylinder": CylinderProfile(),
-    "trumpet": build_trumpet(3),
-    "trumpet-n4": build_trumpet(4),
+    "trumpet": TrumpetProfile(3),
+    "trumpet-n4": TrumpetProfile(4),
 }
 _TABLES = {
     kind: TabulatedProfile(_TABLE_RADII, p.u(_TABLE_RADII), n=p.n) for kind, p in _CLOSED_FORMS.items()
@@ -459,7 +459,7 @@ def _assert_memo_is_the_parse(memo, path):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_exported_trumpet_memo_is_the_parse(tmp_path, memo, n):
     path = tmp_path / "trumpet.dat"
-    export_trumpet(build_trumpet(n), path)
+    export_trumpet(TrumpetProfile(n), path)
     assert len(memo.entries()) == 1
     _assert_memo_is_the_parse(memo, path)
     tab = read_tabulated(path, n=n)
@@ -637,16 +637,16 @@ def test_write_json_numpy_array(tmp_path):
 
 
 _INNER_END_PROFILES = {
-    "trumpet-n3": lambda: build_trumpet(3),
-    "trumpet-n4": lambda: build_trumpet(4),
-    "trumpet-n5": lambda: build_trumpet(5),
+    "trumpet-n3": lambda: TrumpetProfile(3),
+    "trumpet-n4": lambda: TrumpetProfile(4),
+    "trumpet-n5": lambda: TrumpetProfile(5),
     "schwarzschild-like": lambda: SchwarzschildLikeProfile(2.0, 0.7),
     "schwarzschild-like-n4": lambda: SchwarzschildLikeProfile(1.0, 0.5, n=4),
     "schwarzschild-like-b0": lambda: SchwarzschildLikeProfile(1.5, 0.0),
     "euclidean": lambda: EuclideanProfile(),
     "cylinder": lambda: CylinderProfile(),
     "cylinder-n5": lambda: CylinderProfile(5),
-    "scaled-trumpet": lambda: scaled(build_trumpet(3), 2.5),
+    "scaled-trumpet": lambda: scaled(TrumpetProfile(3), 2.5),
 }
 
 

@@ -9,7 +9,7 @@ from scipy.special import sici
 from penroselab import (
     QuadratureError,
     SchwarzschildLikeProfile,
-    build_trumpet,
+    TrumpetProfile,
     geodesic_distance,
     volume_between,
 )
@@ -77,7 +77,7 @@ def test_schwarzschild_volume_against_sympy(r_a, r_b, counting):
 def test_trumpet_arc_across_the_blend(r_a, r_b, counting):
     # closed forms below r0 (u = r^{-1/2} + c1) and above 2 r0 (u = alpha0 + 1/r);
     # the blend between them by a tight scipy quad run of its own.
-    trumpet = counting(build_trumpet(3, alpha=2.3836749032336413))
+    trumpet = counting(TrumpetProfile(3, alpha=2.3836749032336413))
     base = trumpet.base
     r0, c1, a0 = base.r0, base.c1, base.alpha0
     inner = math.log(r0 / r_a) + 4 * c1 * (math.sqrt(r0) - math.sqrt(r_a)) + c1**2 * (r0 - r_a)

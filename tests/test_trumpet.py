@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from penroselab import (
     RadialGrid,
     SmoothCutoff,
+    TrumpetProfile,
     WeakAlphaWarning,
-    build_trumpet,
     default_grid,
     find_r0,
     geodesic_distance,
@@ -38,7 +38,7 @@ def test_find_r0_closed_form():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_slope_inequality_on_gluing_window(n):
     r0 = find_r0(n)
-    assert build_trumpet(n).describe()["r0"] == r0  # the one gluing radius, still reported
+    assert TrumpetProfile(n).describe()["r0"] == r0  # the one gluing radius, still reported
     r = np.linspace(1e-6, 2 * r0 * (1 - 1e-9), 1000)
     du1 = 0.5 * (2 - n) * r ** (-0.5 * n)
     du2 = (2 - n) * r ** (1 - n)
@@ -107,13 +107,13 @@ class TestBuild:
         assert trumpet.c1 > trumpet.alpha
 
     def test_trumpets_of_one_dimension_share_one_blend(self):
-        a, b = build_trumpet(4), build_trumpet(4, alpha=30.0)
+        a, b = TrumpetProfile(4), TrumpetProfile(4, alpha=30.0)
         assert a._blend_prefix is b._blend_prefix
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_glue_band_against_an_mpmath_integral(self, n):
         # u = alpha0 + (2 r0)^{2-n} - integral_r^{2 r0} of zeta u1' + (1 - zeta) u2', the cutoff in 30 digits
-        trumpet = build_trumpet(n)
+        trumpet = TrumpetProfile(n)
         r0 = mp.mpf(trumpet.r0)
 
         def phi(s):
@@ -152,7 +152,7 @@ class TestVerification:
     def test_laplacian_terms_from_exact_model_laplacians(self, n):
         # 1 + r^{2-n} is harmonic, so the second term is 0 and no rounding sets the check's maximum;
         # the three terms still add up to the flat Laplacian of u, to rounding of its own two terms
-        trumpet = build_trumpet(n)
+        trumpet = TrumpetProfile(n)
         radii = default_grid(trumpet).radii()
         terms = trumpet.laplacian_terms(radii)
         assert not np.any(terms[1])
@@ -174,7 +174,7 @@ class TestVerification:
 
     def test_weak_alpha_fails_certificate(self):
         with pytest.warns(WeakAlphaWarning):
-            weak = build_trumpet(alpha=required_alpha(3) / 2)
+            weak = TrumpetProfile(alpha=required_alpha(3) / 2)
         report = verify_trumpet(weak)
         assert not report.ok
         assert "mean_convexity" in report.failing()
@@ -195,10 +195,10 @@ class TestVerification:
     def test_non_finite_parameters_refused(self, params):
         # a NaN alpha would pass the alpha < amin check with no WeakAlphaWarning
         with pytest.raises(ValueError, match="finite"):
-            build_trumpet(**params)
+            TrumpetProfile(**params)
 
     def test_dimension_four(self):
-        t4 = build_trumpet(n=4)
+        t4 = TrumpetProfile(n=4)
         report = verify_trumpet(t4)
         assert report.ok
         assert report.mass is None
@@ -222,12 +222,12 @@ def test_export_roundtrip(tmp_path, trumpet):
 def test_large_alpha_area_infimum_is_the_unit_sphere(alpha):
     # below r0, u = r^(-1/2) + c1 with c1 > 0, so area(S_r) = 4 pi (1 + c1 r^(1/2))^4 falls to 4 pi as r -> 0;
     # read today: 4 pi (1 - 2.4e-3) at 1e6, and 1.7e13 times 4 pi at 1e10
-    report = penrose_check(build_trumpet(alpha=alpha))
+    report = penrose_check(TrumpetProfile(alpha=alpha))
     assert report.area_infimum == pytest.approx(4 * math.pi, rel=1e-12, abs=0)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the tail fit where r^(-1) lies below the rounding of u")
 def test_large_alpha_mass_is_twice_alpha0():
     # beyond 2 r0, u = alpha0 + 1/r exactly, so the total mass is 2 alpha0; read today: -4.8e19, "violated"
-    trumpet = build_trumpet(alpha=1e16)
+    trumpet = TrumpetProfile(alpha=1e16)
     assert penrose_check(trumpet).adm_mass == pytest.approx(2 * trumpet.alpha0, rel=1e-8, abs=0)
