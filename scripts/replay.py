@@ -4,7 +4,7 @@
 ``record`` draws the CLI ops of four seeded workloads from
 ``benchmarks/workloads.py`` (verdicts, bubble-schedules, bubble-trumpet and
 trumpet-roundtrip; by default seeds 1-3, rounds 0-1: 171 ops) and the fixed
-``commands`` lists below (22 ops over all seven commands, including the exit
+``commands`` lists below (24 ops over all seven commands, including the exit
 codes and the refusals the workloads never reach), runs each through
 ``penroselab.cli.run_command`` of the package under ``--src`` (the
 ``MAIN_ARGV`` ops through ``penroselab.cli.main``, so the argument parser
@@ -71,6 +71,7 @@ COMMANDS = (
     ("analyze schwarzschild", {"command": "analyze", "profile": SCHW}),
     ("analyze cylinder", {"command": "analyze", "profile": {"kind": "cylinder"}}),
     ("analyze trumpet n 4", {"command": "analyze", "profile": TRUMPET, "n": 4}),
+    ("analyze grid-count 2", {"command": "analyze", "profile": SCHW, "grid": {"count": 2}}),
     ("penrose cylinder", {"command": "penrose", "profile": {"kind": "cylinder"}}),
     ("penrose grid-lo 1", {"command": "penrose", "profile": SCHW, "grid": {"r_lo": 1.0}}),
     ("trumpet alpha 0.9", {"command": "trumpet", "alpha": 0.9}),
@@ -92,6 +93,7 @@ MAIN_ARGV = (
     ("mu-bubble config and flags", ["mu-bubble", "--epsilon", "0.05", "--mass", "2"],
      {"profile": SCHW, "epsilon": 0.1, "beta": 3.0}),
     ("horizon unknown flag", ["horizon", "--profile", "schwarzschild", "--bogus", "1"], None),
+    ("analyze n 80", ["analyze", "--profile", "schwarzschild", "--n", "80"], None),
 )
 
 

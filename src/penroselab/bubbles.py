@@ -92,10 +92,6 @@ def _require_epsilon(epsilon: float) -> None:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
 
 
-def _coth(x):
-    return 1.0 / np.tanh(x)
-
-
 def _arccoth(x: float) -> float:
     return 0.5 * math.log((x + 1.0) / (x - 1.0))
 
@@ -129,7 +125,7 @@ class PrescribedMeanCurvature:
         return arg
 
     def __call__(self, t):
-        out = self.epsilon * _coth(self._arg(t))
+        out = self.epsilon * (1.0 / np.tanh(self._arg(t)))  # eps coth; eps / tanh rounds apart
         return float(out) if isinstance(t, float) or np.ndim(t) == 0 else out
 
 
@@ -164,8 +160,7 @@ class _AnchorTable:
 
     def __init__(self, profile: RadialProfile, anchor_radius: float, full: _AnchorTable | None = None):
         if full is None:
-            dom = profile.domain
-            floor = dom.lo if dom.lo_closed else 1e-15 * anchor_radius
+            floor = profile.domain.lo or 1e-15 * anchor_radius
             coarse, fine = _PANELS
             m, edges = 0, np.geomspace(floor, anchor_radius, coarse + 1)
             half, sphere = _evaluate(profile, edges)
@@ -198,21 +193,6 @@ class _AnchorTable:
         if not floor < anchor < top:
             raise OutOfCollectionError(f"anchor {anchor} lies outside the table's ({floor:.6g}, {top:.6g}]")
         return _AnchorTable(self.profile, anchor, self.full or self)
-
-
-def _shrunk(arc):
-    """rho = -LIP_FACTOR * arc: the Lipschitz-shrunk signed arc length to the anchor (<= 0 inside)."""
-    return lambda r: -LIP_FACTOR * arc(r)
-
-
-def _bulk_density(profile, h, dist):
-    """The bulk weight h(rho) dV/dr as a function of r."""
-    return lambda r: h(dist(r)) * _Sphere(profile.n, r, profile.u(r)).dvol
-
-
-def _first_variation(profile, h, dist):
-    """g = H(S_rho) - h(rho(rho)); dA/drho = g area(S_rho) u(rho)^2."""
-    return lambda rho: sphere_mean_curvature(profile, rho) - h(dist(rho))
 
 
 class MuBubbleProblem:
@@ -258,7 +238,6 @@ class MuBubbleProblem:
         table: _AnchorTable | None = None,
     ):
         profile.require_three("MuBubbleProblem")
-        profile.require_radius(anchor_radius)
         h0 = float(sphere_mean_curvature(profile, anchor_radius))
         if not h0 > h(0.0):
             raise BarrierError(
@@ -270,8 +249,9 @@ class MuBubbleProblem:
         self.h = h
         table = _AnchorTable(profile, self.anchor_radius) if table is None else table
         self.floor = table.edges[0]
-        self.dist = dist = _shrunk(table.arc)
-        self.first_variation = _first_variation(profile, h, dist)
+        arc = table.arc
+        self.dist = dist = lambda r: -LIP_FACTOR * arc(r)  # rho: the shrunk signed arc length, <= 0 inside
+        self.first_variation = lambda r: sphere_mean_curvature(profile, r) - h(dist(r))  # g; dA/dr = g area u^2
 
         edges = table.edges
         edge_rho = -LIP_FACTOR * table.arc.suffix  # rho at each edge, exactly as dist returns it
@@ -321,7 +301,9 @@ class MuBubbleProblem:
             return bulk, None
         r_b, top = self.barrier_radius, float(edges[j])  # fresh panels halving in width toward r_b
         fresh = np.concatenate([[r_b], r_b + (top - r_b) * 0.5 ** np.arange(_HALVINGS, 0, -1), [top]])
-        return bulk, PanelAntiderivative(_bulk_density(self.profile, h, self.dist), fresh)
+        profile, dist = self.profile, self.dist
+        density = lambda r: h(dist(r)) * _Sphere(profile.n, r, profile.u(r)).dvol  # h(rho) dV/dr
+        return bulk, PanelAntiderivative(density, fresh)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +37,9 @@ from .errors import (
 from .geometry import _at, _Sphere, scalar_curvature
 from .masses import VERDICT_VIOLATED, adm_mass_from_tail, area_infimum_radial, penrose_check
 from .profiles import (
+    DEFAULT_GRID_COUNT,
+    DEFAULT_GRID_HI,
+    DEFAULT_GRID_LO,
     CylinderProfile,
     EuclideanProfile,
     RadialGrid,
@@ -196,9 +200,12 @@ def cmd_analyze(cfg: dict) -> int:
     sphere = _at(profile, radii, du=True)
     u, du, h, area = sphere.u, sphere.du, sphere.mean_curvature, sphere.area
     r_curv = scalar_curvature(profile, radii)
-    # arc length measured from the inner grid edge, accumulated per interval
-    seg = gauss_panel(lambda s: _Sphere(profile.n, s, profile.u(s)).ds, radii[:-1], radii[1:])
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    # arc length from the inner grid edge, on a grid m times as fine: no wider in log r than the default grid
+    step = lambda lo, hi, count: (math.log(hi) - math.log(lo)) / (count - 1)
+    m = math.ceil(step(grid.r_lo, grid.r_hi, grid.count) / step(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT))
+    fine = RadialGrid(grid.r_lo, grid.r_hi, (grid.count - 1) * m + 1).radii()  # the grid's own radii when m = 1
+    seg = gauss_panel(lambda s: _Sphere(profile.n, s, profile.u(s)).ds, fine[:-1], fine[1:])
+    s = np.concatenate([[0.0], np.cumsum(seg)[m - 1 :: m]])
     mh = sphere.hawking_mass if profile.n == 3 else np.full_like(area, np.nan)
 
     summary: dict = {"profile": profile.describe()}

@@ -134,10 +134,9 @@ def _radial_integral(profile: RadialProfile, density, tail_power, r_a: float, r_
     """
     if r_b < r_a:
         raise DomainError(f"need r_a <= r_b, got ({r_a}, {r_b})")
-    dom = profile.domain
     profile.require_radius(r_b)
     radii = [r_a, *(x for x in profile.breakpoints if r_a < x < r_b), r_b]
-    if r_a == dom.lo and not dom.lo_closed:
+    if r_a == profile.domain.lo == 0.0:
         p = tail_power(profile.inner_exponent)
         if p >= 1.0:
             return math.inf

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NotAsymptoticallyFlatError, NotOuterMinimizingError
+from .errors import NotAsymptoticallyFlatError, NotOuterMinimizingError, ParameterError
 from .geometry import _at, _Sphere, sphere_area, sphere_mean_curvature
 from .profiles import RadialGrid, RadialProfile, default_grid
 
@@ -212,7 +212,8 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
     itself, the root of H at its first change from + to - inward over r_1, r_0
     and five geometric nodes toward the domain's inner endpoint; with none it
     is extrapolated over those nodes (Richardson in sqrt(r - r_min)) and
-    flagged as a throat limit with no argmin.
+    flagged as a throat limit with no argmin.  A NaN sampled area (u overflowing
+    in a high dimension) raises :class:`ParameterError`; an infinite one is never least.
     """
     radii = (grid or default_grid(profile)).radii()
     return _area_infimum(profile, radii, np.asarray(sphere_area(profile, radii)))
@@ -220,6 +221,9 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
 
 def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
     """:func:`area_infimum_radial` from the grid's areas, and from its H-or-zero ``h`` when held."""
+    nan = np.isnan(areas)
+    if nan.any():  # argmin would pick the first NaN
+        raise ParameterError(f"dimension {profile.n}: the sphere area at r = {radii[nan.argmax()]:.6g} is NaN")
     i = int(np.argmin(areas))
     if i == 0:
         lo = profile.domain.lo

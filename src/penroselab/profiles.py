@@ -41,19 +41,17 @@ def unit_sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class Domain:
-    """Radial interval of validity; endpoints may be open."""
+    """Radial interval of validity: open at an end at 0 or inf (a closed form's), closed at any other (a table's)."""
 
     lo: float
     hi: float
-    lo_closed: bool = False
-    hi_closed: bool = False
 
     def contains(self, r) -> bool:
         """Whether every radius in r lies in the interval; NaN never does."""
         scalar = isinstance(r, float)  # a float is compared as it is, no array made
         r = r if scalar else np.asarray(r, dtype=float)
-        lo_ok = (r >= self.lo) if self.lo_closed else (r > self.lo)
-        hi_ok = (r <= self.hi) if self.hi_closed else (r < self.hi)
+        lo_ok = (r >= self.lo) if self.lo else (r > 0.0)
+        hi_ok = (r < self.hi) if self.hi == math.inf else (r <= self.hi)
         return bool(lo_ok and hi_ok) if scalar else bool(np.all(lo_ok & hi_ok))
 
 
@@ -237,7 +235,7 @@ class TabulatedProfile(RadialProfile):
         self._spline = CubicSpline(np.log(radii), values, extrapolate=True)
         self._spline_t = self._spline.derivative(1)
         self._spline_tt = self._spline.derivative(2)
-        self.domain = Domain(float(radii[0]), float(radii[-1]), True, True)
+        self.domain = Domain(float(radii[0]), float(radii[-1]))
 
     def params(self):
         p = {"samples": len(self.radii), "r_lo": float(self.radii[0]), "r_hi": float(self.radii[-1])}

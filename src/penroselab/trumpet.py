@@ -91,15 +91,6 @@ def _phi(s):
     return val, dval
 
 
-def _models(n: int) -> tuple[CylinderProfile, SchwarzschildLikeProfile]:
-    """The two model factors u1 (cylinder) and u2 = 1 + r^{2-n}.
-
-    The blend calls their array evaluators ``_u``/``_du``/``_d2u`` directly,
-    which skip the scalar dispatch on the profile's hot path.
-    """
-    return CylinderProfile(n), SchwarzschildLikeProfile(1.0, 1.0, n)
-
-
 def required_alpha(n: int) -> float:
     """The certificate bound max((2 r0)^{2-n}, (2/(n-2)) sup |r u1'| + |r u2'| over [r0, 2 r0]).
 
@@ -107,7 +98,7 @@ def required_alpha(n: int) -> float:
     |r u2'| = (n-2) r^{2-n} both decrease in r, so the supremum sits at r0.
     """
     r0 = find_r0(n)
-    u1, u2 = _models(n)
+    u1, u2 = _blend(n)[1:3]
     sup = abs(r0 * u1.du(r0)) + abs(r0 * u2.du(r0))
     return max((2.0 * r0) ** (2 - n), (2.0 / (n - 2)) * sup)
 
@@ -118,20 +109,22 @@ def min_alpha(n: int) -> float:
 
 
 @functools.cache  # one entry per dimension n
-def _blend(n: int) -> tuple[PanelAntiderivative, float]:
-    """The antiderivative of the slope zeta u1' + (1 - zeta) u2' on 256 panels of [r0, 2 r0], and its value at r0.
+def _blend(n: int) -> tuple:
+    """The glue of dimension n, shared by its trumpets: (zeta, u1, u2, the slope's antiderivative, its value at r0).
 
-    Both depend on n alone (alpha only shifts ``alpha0`` and ``c1``), so all trumpets of one dimension share them.
+    zeta is the cutoff at r0 = :func:`find_r0`, u1 the cylinder, u2 = 1 + r^{2-n}.  The slope zeta u1' + (1 - zeta) u2'
+    is integrated on 256 panels of [r0, 2 r0]; alpha only shifts ``alpha0`` and ``c1``.  A trumpet calls the models'
+    array evaluators ``_u``/``_du``/``_d2u`` directly, skipping the scalar dispatch.
     """
     r0 = find_r0(n)
-    cutoff, (u1, u2) = SmoothCutoff(r0), _models(n)
+    cutoff, u1, u2 = SmoothCutoff(r0), CylinderProfile(n), SchwarzschildLikeProfile(1.0, 1.0, n)
 
     def slope(r):
         zeta, _ = cutoff(r)
         return zeta * u1._du(r) + (1.0 - zeta) * u2._du(r)
 
     prefix = PanelAntiderivative(slope, np.linspace(r0, 2.0 * r0, 257))
-    return prefix, float(prefix(r0))
+    return cutoff, u1, u2, prefix, float(prefix(r0))
 
 
 class TrumpetProfile(RadialProfile):
@@ -153,10 +146,8 @@ class TrumpetProfile(RadialProfile):
                 WeakAlphaWarning,
                 stacklevel=2,
             )
-        self._u1, self._u2 = _models(n)
+        self.cutoff, self._u1, self._u2, self._blend_prefix, i_blend = _blend(n)
         self.alpha0 = self.alpha + self._u1._u(self.r0)
-        self.cutoff = SmoothCutoff(self.r0)
-        self._blend_prefix, i_blend = _blend(n)
         # below r0 the factor is exactly u1 plus this constant
         self.c1 = self.alpha + (2.0 * self.r0) ** (2 - n) - i_blend
         self.inner_exponent = self._u1.inner_exponent

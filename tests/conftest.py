@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,57 @@ class ScaledProfile(RadialProfile):
 
     def _d2u(self, r):
         return self.lam * self.base._d2u(r)
+
+
+class PlummerProfile(RadialProfile):
+    """u = a + b/r + sum_k m_k (r^2 + s_k^2)^{-1/2} in n = 3: Plummer cores on a Schwarzschild end.
+
+    Each core is superharmonic, its flat Laplacian -3 m_k s_k^2 (r^2 + s_k^2)^{-5/2}, and b/r is
+    harmonic, so R = -8 u^{-5} lap u >= 0.  u ~ b/r at the puncture (q = 1: infinitely far, so the
+    metric is complete), and u = a + (b + sum m_k)/r + O(r^{-3}): the mass is exactly ``mass``,
+    2a(b + sum m_k).  So the theorem holds on every such profile and is its own oracle.
+    """
+
+    kind = "plummer"
+    inner_exponent = 1.0
+
+    def __init__(self, a: float, b: float, masses, scales):
+        super().__init__(3)
+        self.a, self.b = float(a), float(b)
+        self.masses, self.scales = np.asarray(masses, dtype=float), np.asarray(scales, dtype=float)
+        self.mass = 2.0 * self.a * math.fsum([self.b, *self.masses])
+
+    def params(self):
+        return {"a": self.a, "b": self.b, "masses": self.masses.tolist(), "scales": self.scales.tolist()}
+
+    def _cores(self, r):
+        """r with a trailing core axis, and r^2 + s_k^2 on it."""
+        rr = r[..., None]
+        return rr, rr * rr + self.scales**2
+
+    def _u(self, r):
+        _, q = self._cores(r)
+        return self.a + self.b / r + (self.masses / np.sqrt(q)).sum(axis=-1)
+
+    def _du(self, r):
+        rr, q = self._cores(r)
+        return -self.b / (r * r) - (self.masses * rr / q**1.5).sum(axis=-1)
+
+    def _d2u(self, r):
+        rr, q = self._cores(r)
+        return 2.0 * self.b / r**3 + (self.masses * (2.0 * rr * rr - self.scales**2) / q**2.5).sum(axis=-1)
+
+
+def plummer_draws(count: int, seed: int = 1):
+    """``count`` seeded :class:`PlummerProfile` draws.
+
+    a = 1; b and the 1-3 core masses m_k log-uniform in [1e-3, 10]; the scales s_k log-uniform in [1e-2, 1e2].
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 4))
+        b = 10.0 ** rng.uniform(-3.0, 1.0)
+        yield PlummerProfile(1.0, b, 10.0 ** rng.uniform(-3.0, 1.0, k), 10.0 ** rng.uniform(-2.0, 2.0, k))
 
 
 def scaled(profile: RadialProfile, lam: float) -> ScaledProfile:

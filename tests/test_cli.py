@@ -391,6 +391,43 @@ def test_tail_fit_and_sphere_area_overflows_refused(tmp_path, capsys, args, code
         assert summary["tail_error"] == "tail fit on [1000, 10000] failed: Numerical result out of range"
 
 
+@pytest.mark.parametrize("count", [2, 8])
+def test_analyze_arc_length_on_a_coarse_grid(tmp_path, count):
+    # every interval is cut into panels no wider in log r than the default grid's: on Schwarzschild
+    # m = 1 the arc length from a is the closed form (r - a) + log(r / a) + (1/a - 1/r) / 4
+    assert run(tmp_path, "analyze", "--profile", "schwarzschild", "--grid-count", str(count)) == 0
+    header, rows = read_csv(tmp_path / "analyze" / "analyze.csv")
+    a, col = 1e-4, header.index("geodesic_s")
+    for row in rows[1:]:
+        r = float(row[0])
+        exact = math.fsum([r, -a, math.log(r / a), 0.25 / a, -0.25 / r])
+        assert float(row[col]) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "args,code,message",
+    [
+        (["analyze", "--profile", "schwarzschild", "--n", "80"], 2,
+         "config error: dimension 80: the sphere area at r = 0.0001 is NaN"),
+        (["analyze", "--profile", "euclidean", "--n", "80"], 0, "area_infimum = 0\n"),
+        (["trumpet", "--n", "80"], 5, "trumpet: verification FAILED"),
+    ],
+    ids=["schwarzschild", "euclidean", "trumpet"],
+)
+def test_nan_sphere_area_refused_by_name(tmp_path, args, code, message):
+    # in a fresh interpreter: in this one the overflow of u raises as a RuntimeWarning first.
+    # A NaN area (an underflowed r^79 times an overflowed power of u) is refused; infinite ones, far
+    # out on flat space and the trumpet, are never least and stay: the trumpet fails its checks as before
+    src = str(Path(penroselab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "penroselab.cli", *args, "--out-dir", str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert message in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
+    if code == 2:
+        assert not (tmp_path / "analyze").exists()
+
+
 @pytest.mark.parametrize("command", ["mu-bubble", "horizon", "rigidity", "penrose"])
 def test_bubble_and_penrose_commands_refuse_n_4_exit_2(tmp_path, capsys, command):
     # refused before any work: not a horizon schedule of failed steps (exit 4) with a report

@@ -654,7 +654,7 @@ _INNER_END_PROFILES = {
 def test_inner_exponent_matches_evaluator(make):
     # u ~ c r^{-q} at the puncture: u r^q settles to a positive constant
     profile = make()
-    assert not profile.domain.lo_closed
+    assert profile.domain.lo == 0.0
     q = profile.inner_exponent
     near, nearer = (profile.u(r) * r**q for r in (1e-8, 1e-12))
     assert near > 0 and nearer > 0
