@@ -4,7 +4,7 @@ The total mass of an asymptotically flat profile u -> a + b r^{2-n} is 2ab:
 rescaling coordinates by a^{2/(n-2)} normalizes the factor to 1 + ab r^{2-n},
 which is the standard mass-m/2 tail.  For n = 3 that is also the Hawking mass
 -r^2 u'(u + w) of every S_r on the tail; the reported mass stays the fit, as
-a tabulated profile's spline u' spoils m_H.
+the spline u' of a two-column (r, u) table spoils m_H.
 
 The area infimum is taken over coordinate spheres only, which is the natural
 computable restriction in the rotationally symmetric class.  There
@@ -214,6 +214,7 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
     is extrapolated over those nodes (Richardson in sqrt(r - r_min)) and
     flagged as a throat limit with no argmin.  A NaN sampled area (u overflowing
     in a high dimension) raises :class:`ParameterError`; an infinite one is never least.
+    A throat extrapolation that is not finite (over areas that overflow) raises it too.
     """
     radii = (grid or default_grid(profile)).radii()
     return _area_infimum(profile, radii, np.asarray(sphere_area(profile, radii)))
@@ -239,8 +240,11 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
             r = _root(partial(sphere_mean_curvature, profile), inward[k + 1], inward[k])
             return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
         vals = np.asarray(sphere_area(profile, nodes))
-        limit = _neville_to_zero(np.sqrt(nodes - lo), vals)
-        return AreaInfimum(value=float(limit), argmin_radius=None, throat_limit=True)
+        limit = float(_neville_to_zero(np.sqrt(nodes - lo), vals))
+        if not math.isfinite(limit):  # infinite areas below the grid extrapolate to NaN
+            edge = f"{radii[0]:.6g}"
+            raise ParameterError(f"dimension {profile.n}: the throat extrapolation below r = {edge} gives area {limit}")
+        return AreaInfimum(value=limit, argmin_radius=None, throat_limit=True)
     pair = [i - 1, min(i + 1, len(radii) - 1)]  # at the top node, the root lies below it
     h_lo, h_hi = h[pair] if h is not None else _mean_curvature_or_zero(_at(profile, radii[pair], du=True))
     if h_lo < 0 < h_hi:

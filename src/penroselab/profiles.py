@@ -15,8 +15,11 @@ which round a float and an array alike: bit for bit the array path; any
 other evaluator sees the float as a 1-element array.
 
 Closed-form kinds carry analytic derivatives.  Tabulated profiles interpolate
-with a cubic spline in log r (scipy's ``CubicSpline``, imported by the first
-table) and take u' and u'' from the spline's own derivatives.
+in log r with scipy (imported by the first table).  A table of (r, u) gets a
+cubic spline, and u' and u'' come from the spline's own derivatives; a table
+of (r, u, u', u'') gets Hermite interpolants that match all three columns.
+A file with exactly four columns is read as the latter, and any other width
+as its first two columns.
 """
 
 from __future__ import annotations
@@ -202,24 +205,33 @@ class CylinderProfile(RadialProfile):
 
 
 class TabulatedProfile(RadialProfile):
-    """Profile interpolated from (r, u) samples on a strictly increasing grid.
+    """Profile interpolated from samples on a strictly increasing grid, in t = log r.
 
-    Interpolation is a cubic spline in t = log r; derivatives come from the
-    spline itself (u' = U_t / r, u'' = (U_tt - U_t) / r^2), which avoids the
+    Given (r, u) alone, u is a cubic spline in t, and u' = U_t / r and
+    u'' = (U_tt - U_t) / r^2 come from the spline itself, which avoids the
     1/h^2 rounding amplification a difference stencil would add on top of the
-    interpolation error.
+    interpolation error.  Given ``derivatives`` = (u', u'') at the same radii,
+    u is the quintic Hermite in t on (u, u_t, u_tt), with u_t = r u' and
+    u_tt = r^2 u'' + r u', and v = r u' has its own cubic Hermite in t on
+    (v, v_t), from which u' = v / r and u'' = (v_t - v) / r^2 by the same
+    formulas.  Every consumer reads u' and u'' from v: the quintic's own
+    derivative would difference u values near a constant far out.
     """
 
     kind = "tabulated"
 
-    def __init__(self, radii, values, n: int = 3, source: str | None = None):
+    def __init__(self, radii, values, n: int = 3, source: str | None = None, derivatives=None):
         super().__init__(n)
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or len(radii) < 4:
             raise ValueError("need matching 1-d arrays with at least 4 samples")
-        for name, samples in (("radii", radii), ("values", values)):  # before scipy refuses them in its words
-            if not np.all(np.isfinite(samples)):
+        du, d2u = (None, None) if derivatives is None else map(_floats, derivatives)
+        if derivatives is not None and not (du.shape == d2u.shape == radii.shape):
+            raise ValueError("tabulated derivative columns must match the radii")
+        named = (("radii", radii), ("values", values), ("derivatives", du), ("derivatives", d2u))
+        for name, samples in named:  # before scipy refuses them in its words
+            if samples is not None and not np.all(np.isfinite(samples)):
                 raise ValueError(f"tabulated {name} must be finite")
         if np.any(radii <= 0):
             raise ValueError("tabulated radii must be positive")
@@ -230,11 +242,18 @@ class TabulatedProfile(RadialProfile):
         self.radii = radii
         self.values = values
         self.source = source
-        from scipy.interpolate import CubicSpline  # on first use: closed-form profiles never load scipy
+        from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly  # on first use: closed forms never load scipy
 
-        self._spline = CubicSpline(np.log(radii), values, extrapolate=True)
-        self._spline_t = self._spline.derivative(1)
-        self._spline_tt = self._spline.derivative(2)
+        t = np.log(radii)
+        if du is None:
+            self._spline = CubicSpline(t, values, extrapolate=True)
+            self._spline_t = self._spline.derivative(1)
+        else:
+            v = radii * du  # u_t, and v_t = u_tt
+            v_t = v + radii * radii * d2u
+            self._spline = PPoly(_quintic_hermite(t, values, v, v_t), t, extrapolate=True)
+            self._spline_t = CubicHermiteSpline(t, v, v_t, extrapolate=True)
+        self._spline_tt = self._spline_t.derivative(1)
         self.domain = Domain(float(radii[0]), float(radii[-1]))
 
     def params(self):
@@ -254,6 +273,17 @@ class TabulatedProfile(RadialProfile):
         return (self._spline_tt(t) - self._spline_t(t)) / r**2
 
 
+def _quintic_hermite(t, y, d, s) -> np.ndarray:
+    """``PPoly`` coefficients (highest power first) of the quintic on each [t_i, t_i+1] matching y, y' = d and y'' = s at both ends."""
+    h = np.diff(t)
+    y0, d0, s0 = y[:-1], d[:-1], s[:-1]
+    a = (y[1:] - y0 - h * (d0 + 0.5 * h * s0)) / h**3  # what the quadratic part leaves of y, y' and y'' at t_i+1
+    b = (d[1:] - d0 - h * s0) / h**2
+    c = (s[1:] - s0) / h
+    quintic, quartic, cubic = (6 * a - 3 * b + 0.5 * c) / h**2, (-15 * a + 7 * b - c) / h, 10 * a - 4 * b + 0.5 * c
+    return np.stack([quintic, quartic, cubic, 0.5 * s0, d0, y0])
+
+
 _PARSED: dict[bytes, np.ndarray] = {}  # SHA-256 of a table's bytes -> its (N, k) columns, read-only
 _PARSED_KEPT = 4  # the last tables written or read, oldest first
 
@@ -268,7 +298,10 @@ def _remember(digest: bytes, table: np.ndarray) -> None:
 
 
 def read_tabulated(path, n: int = 3) -> TabulatedProfile:
-    """Read a two-column (r, u) text file; '#' starts a comment line.
+    """Read a (r, u) or (r, u, u', u'') text file; '#' starts a comment line.
+
+    A file with exactly four columns is (r, u, u', u''), and any other width
+    is read as (r, u) from its first two columns.
 
     The file is parsed once per content: bytes this process wrote with
     :func:`write_tabulated` or read before (among the last four tables) are
@@ -284,12 +317,14 @@ def read_tabulated(path, n: int = 3) -> TabulatedProfile:
         if table.shape[1] < 2:
             raise ValueError(f"{path}: expected two columns (r, u)")
     _remember(digest, table)
-    return TabulatedProfile(table[:, 0], table[:, 1], n=n, source=str(path))
+    derivatives = (table[:, 2], table[:, 3]) if table.shape[1] == 4 else None
+    return TabulatedProfile(table[:, 0], table[:, 1], n=n, source=str(path), derivatives=derivatives)
 
 
-def write_tabulated(path, radii, values, header: str = "") -> None:
-    """Write a two-column (r, u) text file readable by :func:`read_tabulated`.
+def write_tabulated(path, radii, values, header: str = "", derivatives=None) -> None:
+    """Write a (r, u) text file readable by :func:`read_tabulated`, or (r, u, u', u'') given ``derivatives``.
 
+    ``derivatives`` is the pair of u' and u'' columns at the radii.
     ``radii`` may be a :class:`RadialGrid`, whose cached ``radii_text()`` is
     the r column.  ``write_table`` refuses columns of unequal length, and a
     failed write leaves any previous table whole rather than a truncated one
@@ -299,10 +334,11 @@ def write_tabulated(path, radii, values, header: str = "") -> None:
     """
     grid = isinstance(radii, RadialGrid)
     r = radii.radii() if grid else _floats(radii)
-    u = _floats(values)
-    head = "".join(f"# {line}\n" for line in [*header.splitlines(), "r u"])
-    text = write_table(path, head, [radii.radii_text() if grid else r, u], " ")
-    table = np.column_stack((r, u))
+    columns = [_floats(values), *map(_floats, derivatives or ())]
+    names = "r u du d2u" if derivatives else "r u"
+    head = "".join(f"# {line}\n" for line in [*header.splitlines(), names])
+    text = write_table(path, head, [radii.radii_text() if grid else r, *columns], " ")
+    table = np.column_stack((r, *columns))
     if np.isfinite(table).all():
         _remember(hashlib.sha256(text.encode()).digest(), table)
 

@@ -313,15 +313,19 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
 
 EXPORT_R_LO = 1e-10
 EXPORT_R_HI = 1e4
-EXPORT_COUNT = 32768
+EXPORT_COUNT = 4096
 
 
 def export_trumpet(profile: TrumpetProfile, dat_path) -> None:
-    """Write the profile as a two-column (r, u) table readable by ``read_tabulated``.
+    """Write the profile as a four-column (r, u, u', u'') table readable by ``read_tabulated``.
 
     The radii are the ``RadialGrid`` of EXPORT_COUNT geometric points from
     EXPORT_R_LO to EXPORT_R_HI, sampled and turned to text once per process.
+    The reader interpolates u, u' and u'' by Hermite from these columns; the
+    first two alone are a (r, u) table, which is how a reader of (r, u) takes it.
     The table is kept as written, so reading it back in this process parses nothing.
     """
     grid = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT)
-    write_tabulated(dat_path, grid, profile.u(grid.radii()), header="trumpet conformal factor")
+    r = grid.radii()
+    derivatives = (profile.du(r), profile.d2u(r))
+    write_tabulated(dat_path, grid, profile.u(r), header="trumpet conformal factor", derivatives=derivatives)

@@ -411,8 +411,11 @@ def test_analyze_arc_length_on_a_coarse_grid(tmp_path, count):
          "config error: dimension 80: the sphere area at r = 0.0001 is NaN"),
         (["analyze", "--profile", "euclidean", "--n", "80"], 0, "area_infimum = 0\n"),
         (["trumpet", "--n", "80"], 5, "trumpet: verification FAILED"),
+        # both sampled areas overflow to inf, and the throat extrapolation over the nodes below gives NaN
+        (["analyze", "--profile", "schwarzschild", "--grid-lo", "1e-300", "--grid-hi", "1e300", "--grid-count", "2"], 2,
+         "config error: dimension 3: the throat extrapolation below r = 1e-300 gives area nan"),
     ],
-    ids=["schwarzschild", "euclidean", "trumpet"],
+    ids=["schwarzschild", "euclidean", "trumpet", "infinite-areas"],
 )
 def test_nan_sphere_area_refused_by_name(tmp_path, args, code, message):
     # in a fresh interpreter: in this one the overflow of u raises as a RuntimeWarning first.
@@ -498,6 +501,17 @@ def test_non_finite_table_exit_2(tmp_path, capsys, row, message):
     path.write_text(f"# r u\n1.0 1.0\n{row}\n3.0 1.0\n4.0 1.0\n")
     assert run(tmp_path, "analyze", "--profile", "tabulated", "--path", str(path)) == 2
     assert f"tabulated {message} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [("2 1.5 -0.25 nan", "derivatives"), ("2 1.5 inf 0.1", "derivatives")])
+def test_refused_four_column_table_exit_2(tmp_path, capsys, row, message):
+    # four columns are (r, u, u', u''): a non-finite derivative is refused by name, with no traceback
+    path = tmp_path / "table.dat"
+    path.write_text(f"# r u du d2u\n1 2 -1 2\n{row}\n3 1.25 -0.1 0.07\n4 1.2 -0.06 0.03\n")
+    assert run(tmp_path, "penrose", "--profile", "tabulated", "--path", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: profile 'tabulated': tabulated {message} must be finite"]
+    assert not (tmp_path / "penrose").exists()
 
 
 @pytest.mark.parametrize("cfg", [{"command": "nonesuch"}, {}])

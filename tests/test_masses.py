@@ -253,6 +253,17 @@ def test_nan_area_refused_by_name(schw):
         _area_infimum(schw, radii, np.array([np.inf, np.nan, 3.0, np.nan]))
 
 
+def test_non_finite_throat_extrapolation_refused_by_name(schw):
+    # both sampled areas overflow to inf, so the least is the inner edge, and the throat extrapolation
+    # over the overflowing areas below it is NaN; errstate keeps the overflow from raising as a RuntimeWarning
+    radii = np.array([1e-300, 1e300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = np.asarray(sphere_area(schw, radii))
+        assert np.isinf(areas).all()
+        with pytest.raises(ParameterError, match=r"^dimension 3: the throat extrapolation below r = 1e-300 gives area nan$"):
+            _area_infimum(schw, radii, areas)
+
+
 def test_area_infimum_cylinder_work_bound(cylinder, counting):
     # every coordinate sphere has area 4 pi and H = 0 up to rounding, which
     # counts as 0: the least sampled area stands and no root is refined

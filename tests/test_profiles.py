@@ -209,6 +209,15 @@ def test_tabulated_validation():
     for radii, values in [(r[:3], np.ones(3)), (r, np.ones(3)), (r.reshape(2, 2), np.ones((2, 2)))]:
         with pytest.raises(ValueError, match="need matching 1-d arrays with at least 4 samples"):
             TabulatedProfile(radii, values)
+    # derivative columns (u', u'') of another shape, or with a non-finite entry
+    u, du, d2u = 1.0 + 1.0 / r, -1.0 / r**2, 2.0 / r**3
+    for short in ((du[:3], d2u), (du, d2u[:3]), (du.reshape(2, 2), d2u)):
+        with pytest.raises(ValueError, match="^tabulated derivative columns must match the radii$"):
+            TabulatedProfile(r, u, derivatives=short)
+    for bad in (np.nan, np.inf, -np.inf):
+        for pair in ((np.where(r == 2.0, bad, du), d2u), (du, np.where(r == 3.0, bad, d2u))):
+            with pytest.raises(ValueError, match="^tabulated derivatives must be finite$"):
+                TabulatedProfile(r, u, derivatives=pair)
 
 
 def test_tabulated_roundtrip(tmp_path, schw):
@@ -420,6 +429,85 @@ def test_tabulated_agrees_with_closed_form(kind, t):
     # H vanishes on horizons and on the cylinder: compare on its natural scale
     scale = (exact.n - 1) / (exact.u(r) ** (2 / (exact.n - 2)) * r)
     assert abs(sphere_mean_curvature(tab, r) - sphere_mean_curvature(exact, r)) <= 1e-6 * scale
+
+
+def test_two_column_table_is_the_cubic_spline_in_log_r(trumpet):
+    # the oracle: scipy's CubicSpline of u in t = log r, with u' = U_t / r and u'' = (U_tt - U_t) / r^2, bit for bit
+    from scipy.interpolate import CubicSpline
+
+    radii = np.geomspace(1e-4, 1e4, 512)
+    tab = TabulatedProfile(radii, trumpet.u(radii))
+    spline = CubicSpline(np.log(radii), trumpet.u(radii))
+    r = np.geomspace(1.1e-4, 9e3, 1001)
+    t = np.log(r)
+    assert tab.u(r).tobytes() == spline(t).tobytes()
+    assert tab.du(r).tobytes() == (spline.derivative(1)(t) / r).tobytes()
+    assert tab.d2u(r).tobytes() == ((spline.derivative(2)(t) - spline.derivative(1)(t)) / r**2).tobytes()
+
+
+def test_three_column_table_reads_its_first_two(tmp_path, schw):
+    # only exactly four columns carry u' and u''; any other width is (r, u)
+    radii = np.geomspace(1e-2, 1e2, 64)
+    path = tmp_path / "three.dat"
+    path.write_text("".join(f"{r!r} {u!r} 7.0\n" for r, u in zip(radii.tolist(), schw.u(radii).tolist())))
+    tab, plain = read_tabulated(path), TabulatedProfile(radii, schw.u(radii))
+    r = np.geomspace(1.1e-2, 90.0, 257)
+    for evaluator in ("u", "du", "d2u"):
+        assert getattr(tab, evaluator)(r).tobytes() == getattr(plain, evaluator)(r).tobytes()
+
+
+# Exported trumpets read back against the closed form, on off-node radii in [1e-9, 9e3]: the
+# largest relative error of u and u', of u'' and of the flat Laplacian on the scale
+# |u''| + (n-1)|u'|/r (R >= 0 is lap u <= 0).  Measured: u 4.0e-14, 1.1e-13, 2.1e-13;
+# u' 1.7e-8, 3.6e-8, 5.5e-8; u'' 1.7e-6, 2.3e-6, 3.1e-6; lap u 3.6e-8, 3.6e-8, 4.0e-8 (n = 3, 4, 5).
+# The (r, u) spline of 32,768 rows read u' 4.3e-9, 4.3e-5, 0.22 and u'' 3.6e-6, 2.4e-2, 72.
+EXPORT_U_TOL = 5e-13
+EXPORT_DU_TOL = 1e-7
+EXPORT_D2U_TOL = 1e-5
+EXPORT_LAPLACIAN_TOL = 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exported_trumpet_against_the_closed_form(tmp_path, n):
+    exact = TrumpetProfile(n)
+    path = tmp_path / "trumpet.dat"
+    export_trumpet(exact, path)
+    tab = read_tabulated(path, n=n)
+    r = np.geomspace(1e-9, 9e3, 200_001)
+    u, du, d2u = exact.u(r), exact.du(r), exact.d2u(r)
+    scale = np.abs(d2u) + (n - 1) * np.abs(du) / r
+    assert np.max(np.abs(tab.u(r) - u) / u) <= EXPORT_U_TOL
+    assert np.max(np.abs(tab.du(r) - du) / np.abs(du)) <= EXPORT_DU_TOL
+    assert np.max(np.abs(tab.d2u(r) - d2u) / scale) <= EXPORT_D2U_TOL
+    assert np.max((tab.d2u(r) + (n - 1) * tab.du(r) / r) / scale) <= EXPORT_LAPLACIAN_TOL
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exported_trumpet_as_a_two_column_reader_sees_it(tmp_path, n):
+    # the first two columns alone are (r, u) at the export radii: u within 1e-12 of the closed form there
+    exact = TrumpetProfile(n)
+    path = tmp_path / "trumpet.dat"
+    export_trumpet(exact, path)
+    table = np.loadtxt(path, comments="#", ndmin=2)
+    assert table.shape == (EXPORT_COUNT, 4)
+    old = TabulatedProfile(table[:, 0], table[:, 1], n=n)
+    radii = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT).radii()
+    assert np.max(np.abs(old.u(radii) - exact.u(radii)) / exact.u(radii)) <= 1e-12
+
+
+def test_four_column_table_round_trip(tmp_path, schw):
+    # write_tabulated's derivatives are read back as the Hermite columns: u is the written value at
+    # every node but the last, which closes the last interval's quintic
+    radii = np.geomspace(1e-2, 1e2, 64)
+    path = tmp_path / "four.dat"
+    write_tabulated(path, radii, schw.u(radii), header="h", derivatives=(schw.du(radii), schw.d2u(radii)))
+    assert path.read_text().splitlines()[:2] == ["# h", "# r u du d2u"]
+    tab = read_tabulated(path)
+    assert tab.u(radii[:-1]).tobytes() == schw.u(radii[:-1]).tobytes()
+    assert np.max(np.abs(tab.u(radii) / schw.u(radii) - 1)) <= 1e-15
+    assert np.max(np.abs(tab.du(radii) / schw.du(radii) - 1)) <= 1e-15
+    r = np.geomspace(1.1e-2, 90.0, 1001)
+    assert np.max(np.abs(tab.u(r) / schw.u(r) - 1)) <= 1e-9
 
 
 def test_tabulated_reader_rejects_single_column(tmp_path):
