@@ -42,11 +42,7 @@ def main():
     show(rigidity_iteration(schw, 2.0, args.epsilon, args.gamma), "schwarzschild m=1, r0=2")
 
     trumpet = TrumpetProfile()
-    show(
-        rigidity_iteration(trumpet, 4.0, min(args.epsilon, 0.04), args.gamma,
-                           max_steps=3, epsilon_floor=1e-4),
-        "trumpet, r0=4",
-    )
+    show(rigidity_iteration(trumpet, 4.0, min(args.epsilon, 0.04), args.gamma), "trumpet, r0=4")
 
 
 if __name__ == "__main__":

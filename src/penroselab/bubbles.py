@@ -84,6 +84,8 @@ _BAND_PANELS = 3  # the graded band ends this many panels above the barrier radi
 _HALVINGS = 30  # the graded panels halve in width this many times toward the barrier radius
 _BETA_MARGIN = 0.9
 _DEPTH_COTH = 1.8  # h is kept below this multiple of eps on the reachable region
+MAX_STEPS = 20  # rigidity_iteration's last step k
+EPSILON_FLOOR = 1e-6  # rigidity_iteration stops before any eps_k below this
 
 
 def _require_epsilon(epsilon: float) -> None:
@@ -529,14 +531,7 @@ class RigidityTrace:
     error: str | None = None  # the refusal that stopped the schedule
 
 
-def rigidity_iteration(
-    profile: RadialProfile,
-    anchor_radius: float,
-    epsilon: float,
-    gamma: float,
-    max_steps: int = 20,
-    epsilon_floor: float = 1e-6,
-) -> RigidityTrace:
+def rigidity_iteration(profile: RadialProfile, anchor_radius: float, epsilon: float, gamma: float) -> RigidityTrace:
     """Shrinking-curvature schedule eps^(gamma^k) with nested re-anchoring.
 
     Step k+1 anchors at step k's minimizing sphere, which enforces nesting by
@@ -550,12 +545,12 @@ def rigidity_iteration(
       (1 - eps^((gamma-1)(2-gamma)))^(-1),
 
     with eps_0 = sqrt(8 pi / area(S_{r0})) the admissible-curvature threshold
-    and Lambda_0 = A_inf area(S_{r0}) / (2 pi).  The schedule stops before
-    the first eps_k below ``epsilon_floor``; an epsilon below it, which would
-    leave no step, raises :class:`ParameterError`, as does one outside
-    (0, inf).  A step refused as too large for its anchor
-    (:class:`EpsilonTooLargeError`) ends the schedule and is recorded as
-    ``error``; the bounds cover the steps before it.
+    and Lambda_0 = A_inf area(S_{r0}) / (2 pi).  The schedule stops after
+    step ``MAX_STEPS`` = 20, or before the first eps_k below ``EPSILON_FLOOR``
+    = 1e-6; an epsilon below the floor, which would leave no step, raises
+    :class:`ParameterError`, as does one outside (0, inf).  A step refused
+    as too large for its anchor (:class:`EpsilonTooLargeError`) ends the
+    schedule and is recorded as ``error``; the bounds cover the steps before it.
     """
     profile.require_three("rigidity_iteration")
     if not 1.0 < gamma < 2.0:
@@ -565,8 +560,8 @@ def rigidity_iteration(
     eps0 = math.sqrt(8.0 * math.pi / a0)
     if not epsilon < eps0:
         raise EpsilonTooLargeError(f"need 0 < epsilon < {eps0:.6g}, got {epsilon}")
-    if epsilon < epsilon_floor:
-        raise ParameterError(f"epsilon = {epsilon} lies below epsilon_floor = {epsilon_floor:g}")
+    if epsilon < EPSILON_FLOOR:
+        raise ParameterError(f"epsilon = {epsilon} lies below epsilon_floor = {EPSILON_FLOOR:g}")
     report = penrose_check(profile)
     a_inf = report.area_infimum
     lambda0 = a_inf * a0 / (2.0 * math.pi)
@@ -576,9 +571,9 @@ def rigidity_iteration(
     anchor = float(anchor_radius)
     table = _AnchorTable(profile, anchor)
     refusal = None
-    for k in range(max_steps + 1):
+    for k in range(MAX_STEPS + 1):
         eps_k = epsilon ** (gamma**k)
-        if eps_k < epsilon_floor:
+        if eps_k < EPSILON_FLOOR:
             break
         try:
             problem = build_problem(profile, anchor, eps_k, area_infimum=a_inf, table=table.cut(anchor))

@@ -85,7 +85,7 @@ def build_profile(cfg: dict):
         raise ConfigError("config needs a 'profile' object with a 'kind' field")
     kind = spec["kind"]
     try:
-        n = _dimension(cfg)
+        n = _number(cfg, "n")  # the profile refuses any n but an integer >= 3
         if kind == "euclidean":
             return EuclideanProfile(n=n)
         if kind == "schwarzschild":
@@ -259,14 +259,6 @@ def _object(cfg: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"config field {key!r} must be an object, got {value!r}")
     return value
-
-
-def _dimension(cfg: dict) -> int:
-    """Config field ``n``, an integer >= 3; 3 when it is absent or null."""
-    n = _number(cfg, "n")
-    if not (n.is_integer() and n >= 3):
-        raise ConfigError(f"config field 'n' must be an integer >= 3, got {cfg['n']!r}")
-    return int(n)
 
 
 _DEFAULTS = {"n": 3.0, "r0": 2.0, "epsilon": 0.1, "gamma": 1.5}

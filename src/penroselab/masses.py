@@ -232,15 +232,15 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
             return AreaInfimum(value=float(areas[0]), argmin_radius=float(lo), throat_limit=False)
         # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
         nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
-        inward = np.concatenate([radii[1::-1], nodes[1:]])  # d area/dr has the sign of H
-        h_in = _mean_curvature_or_zero(_at(profile, inward, du=True))
+        inward = np.concatenate([radii[1:2], nodes])  # r_1, then the nodes from r_0 in: one sphere for H and areas
+        probe = _at(profile, inward, du=True)
+        h_in = _mean_curvature_or_zero(probe)  # d area/dr has the sign of H
         turn = np.nonzero((h_in[:-1] > 0) & (h_in[1:] < 0))[0]  # + to - inward: a minimal sphere
         if len(turn):
             k = int(turn[0])
             r = _root(partial(sphere_mean_curvature, profile), inward[k + 1], inward[k])
             return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
-        vals = np.asarray(sphere_area(profile, nodes))
-        limit = float(_neville_to_zero(np.sqrt(nodes - lo), vals))
+        limit = float(_neville_to_zero(np.sqrt(nodes - lo), probe.area[1:]))
         if not math.isfinite(limit):  # infinite areas below the grid extrapolate to NaN
             edge = f"{radii[0]:.6g}"
             raise ParameterError(f"dimension {profile.n}: the throat extrapolation below r = {edge} gives area {limit}")

@@ -42,6 +42,17 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def dimension(n) -> int:
+    """The one dimension rule: n as an int, refused unless an integer >= 3 whose unit-sphere area is finite."""
+    if not (n >= 3 and n % 1 == 0):  # NaN, inf (inf % 1 is NaN) and fractions fail here
+        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
+    try:
+        unit_sphere_area(int(n))  # every area reads it; Gamma(n/2) overflows from n = 344
+    except OverflowError:
+        raise ValueError(f"dimension {int(n)} is too large: the unit-sphere area overflows") from None
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Radial interval of validity: open at an end at 0 or inf (a closed form's), closed at any other (a table's)."""
@@ -77,20 +88,14 @@ class RadialProfile:
     domain = Domain(0.0, math.inf)  # built once; a subclass with another domain builds its own once
 
     def __init__(self, n: int = 3):
-        if int(n) != n or n < 3:
-            raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
-        self.n = int(n)
-        try:
-            unit_sphere_area(self.n)  # every area reads it; Gamma(n/2) overflows from n = 344
-        except OverflowError:
-            raise ValueError(f"dimension {n} is too large: the unit-sphere area overflows") from None
+        self.n = dimension(n)
 
     def require_radius(self, r) -> None:
         if not self.domain.contains(r):
             raise DomainError(f"radius {r!r} outside domain {self.domain} of {self.kind} profile")
 
     def require_three(self, what: str) -> None:
-        """The one dimension rule: ``what``, a three-dimensional entry point, refuses n != 3."""
+        """The n = 3 rule: ``what``, a three-dimensional entry point, refuses n != 3."""
         if self.n != 3:
             raise UnsupportedDimensionError(f"{what} is defined only for n = 3")
 
@@ -111,8 +116,6 @@ class RadialProfile:
 
 
 def _dispatch(fn, r):
-    if isinstance(r, float):  # an evaluator not marked takes_floats: the 1-element array, without its wrappers
-        return float(fn(np.array([r]))[0])
     arr = np.asarray(r, dtype=float)
     out = fn(np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out

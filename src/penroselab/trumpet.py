@@ -41,6 +41,7 @@ from .profiles import (
     RadialProfile,
     SchwarzschildLikeProfile,
     default_grid,
+    dimension,
     unit_sphere_area,
     write_tabulated,
 )
@@ -51,10 +52,9 @@ def find_r0(n: int) -> float:
     """Largest admissible gluing radius: u1' > u2' on (0, 2 r0).
 
     The slope inequality reduces to r^{(n-2)/2} < 2, so r0 = 2^{2/(n-2)} / 2.
+    n passes the one dimension rule, :func:`~penroselab.profiles.dimension`.
     """
-    if n < 3:
-        raise ValueError("dimension must be at least 3")
-    return 0.5 * 2.0 ** (2.0 / (n - 2))
+    return 0.5 * 2.0 ** (2.0 / (dimension(n) - 2))
 
 
 @dataclass(frozen=True)

@@ -494,6 +494,17 @@ def test_front_door_refusals_exit_2(tmp_path, capsys, command, content, message)
     assert not (tmp_path / command).exists()
 
 
+@pytest.mark.parametrize("n", ["NaN", "Infinity", "3.5", "344"])
+def test_dimension_refused_by_the_profile_exit_2(tmp_path, capsys, n):
+    # JSON's NaN and Infinity parse as floats; the profile's one dimension rule refuses them like 3.5 and 344
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"profile": {{"kind": "euclidean"}}, "n": {n}}}')
+    assert run(tmp_path, "analyze", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: profile 'euclidean': dimension")
+    assert not (tmp_path / "analyze").exists()
+
+
 @pytest.mark.parametrize("row, message", [("2.0 nan", "values"), ("2.0 1e999", "values"), ("inf 1.0", "radii")])
 def test_non_finite_table_exit_2(tmp_path, capsys, row, message):
     # read by np.loadtxt, refused by TabulatedProfile before the spline sees it

@@ -11,6 +11,8 @@ from penroselab import (
     CylinderProfile,
     DomainError,
     EuclideanProfile,
+    QuadratureError,
+    RadialProfile,
     SchwarzschildLikeProfile,
     TabulatedProfile,
     TrumpetProfile,
@@ -159,6 +161,30 @@ def test_geodesic_distance_examples(euclid, cylinder, trumpet):
     assert geodesic_distance(euclid, 0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DomainError, match=r"need r_a <= r_b, got \(2.0, 1.0\)"):
         geodesic_distance(euclid, 2.0, 1.0)
+
+
+class _QuarterPowerProfile(RadialProfile):
+    """u = r^(-1/4) + 1 in n = 3: an open inner end at finite distance with a fractional subleading power."""
+
+    kind = "quarter-power"
+    inner_exponent = 0.25
+
+    def _u(self, r):
+        return r**-0.25 + 1.0
+
+    def _du(self, r):
+        return -0.25 * r**-1.25
+
+    def _d2u(self, r):
+        return 0.3125 * r**-2.25
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError, reason="ROADMAP aim 3: fractional subleading powers at an open end")
+def test_geodesic_distance_with_a_fractional_subleading_power():
+    # ds = u^2 dr = (r^(-1/2) + 2 r^(-1/4) + 1) dr, so the arc length from 0 to 2 is 2 sqrt 2 + (8/3) 2^(3/4) + 2;
+    # the map s = (r/r_b)^(1-p) makes only r^(-1/2) regular, and s^(1/2) terms stall the doublings
+    exact = 2 * math.sqrt(2) + 8 / 3 * 2**0.75 + 2
+    assert geodesic_distance(_QuarterPowerProfile(), 0.0, 2.0) == pytest.approx(exact, rel=0, abs=1e-12)
 
 
 def test_volume_examples(euclid, cylinder):

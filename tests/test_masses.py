@@ -274,6 +274,13 @@ def test_area_infimum_cylinder_work_bound(cylinder, counting):
     assert profile.points <= default_grid(cylinder).count + 128
 
 
+def test_throat_probe_evaluates_u_once(trumpet, counting):
+    # the grid, then one probe of r_1 and the six nodes from r_0 inward: H and the extrapolated areas share it
+    profile = counting(trumpet)
+    assert area_infimum_radial(profile).throat_limit
+    assert profile.sizes == [default_grid(trumpet).count, 7]
+
+
 def test_area_infimum_at_a_closed_inner_edge(trumpet):
     # a table of the trumpet on [1e-3, 1e3]: below r0 the area 4 pi (1 + c1 sqrt(r))^4
     # increases, so the least area is the table's inner edge, which the grid starts on

@@ -23,6 +23,8 @@ from penroselab import (
     TabulatedProfile,
     TrumpetProfile,
     default_grid,
+    find_r0,
+    min_alpha,
     read_tabulated,
     unit_sphere_area,
     write_tabulated,
@@ -48,6 +50,15 @@ def test_dimension_validation():
         SchwarzschildLikeProfile(a=-1.0, b=0.5)
     with pytest.raises(ValueError):
         SchwarzschildLikeProfile(a=1.0, b=-0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3.5, math.nan, math.inf, 344])
+def test_one_dimension_rule(n):
+    # every entry point that takes a dimension refuses the same n, in one ValueError naming it;
+    # 344 is an integer, but Gamma(172) in its unit-sphere area overflows
+    for build in (EuclideanProfile, TrumpetProfile, find_r0, min_alpha):
+        with pytest.raises(ValueError, match="dimension"):
+            build(n)
 
 
 @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (math.nan, 1.0)])

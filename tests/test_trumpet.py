@@ -32,7 +32,7 @@ def test_find_r0_closed_form():
     assert find_r0(3) == pytest.approx(2.0, rel=1e-14)
     assert find_r0(4) == pytest.approx(1.0, rel=1e-14)
     assert find_r0(6) == pytest.approx(0.5 * 2 ** 0.5, rel=1e-14)
-    with pytest.raises(ValueError, match="dimension must be at least 3"):
+    with pytest.raises(ValueError, match="dimension must be an integer >= 3"):
         find_r0(2)
 
 
