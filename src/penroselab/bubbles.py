@@ -111,8 +111,8 @@ class PrescribedMeanCurvature:
 
     def __post_init__(self):
         _require_epsilon(self.epsilon)
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:  # beta = inf makes h = eps, with no barrier
+            raise ParameterError(f"beta must be positive and finite, got {self.beta}")
 
     @property
     def barrier(self) -> float:

@@ -3,7 +3,9 @@
 Runs are config-first: a JSON file with a ``command`` field plus profile,
 grid, and command parameters (a field its command does not read is ignored);
 each override flag (one row of ``_FLAGS``) sets its config field.  Every
-command writes its report through ``_report``.
+command writes its report through ``_report``, which reads each CSV row from
+a JSON record, and ``run_command`` maps an ``OSError`` (an unwritable report
+path) to a config error, for ``main`` and ``batch`` alike.
 Exit codes: 0 ok, 2 config error (also an unreadable config or profile file,
 an unwritable ``out_dir`` or a non-finite profile parameter), 3 inequality
 violated, 4 degenerate minimizer (for ``horizon``, curvatures refused as too
@@ -16,7 +18,6 @@ no exit code: summary lines that cannot be printed are dropped.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .errors import (
     PenroseLabError,
 )
 from .geometry import _at, _Sphere, scalar_curvature
-from .masses import VERDICT_VIOLATED, adm_mass_from_tail, area_infimum_radial, penrose_check
+from .masses import VERDICT_VIOLATED, _area_infimum, _mean_curvature_or_zero, adm_mass_from_tail, penrose_check
 from .profiles import (
     DEFAULT_GRID_COUNT,
     DEFAULT_GRID_HI,
@@ -124,15 +125,6 @@ def build_grid(cfg: dict, profile) -> RadialGrid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _os_errors_refused():
-    """An OSError writing a report (an unwritable ``out_dir``) is a config error, with the OSError's text."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _say(line: str) -> None:
     """Print a summary line; once stdout's reader is gone, the rest goes to devnull and the exit code stands."""
     try:
@@ -177,20 +169,17 @@ def _out_dir(cfg: dict) -> Path:
     return Path(cfg.get("out_dir", "out")) / cfg["command"]
 
 
-def _report(cfg: dict, payload: dict, header=None, rows=()) -> Path:
-    """Write <out_dir>/<command>/<command>.json echoing the config, and the CSV when a header is given."""
+def _report(cfg: dict, payload: dict, header=None, records=()) -> Path:
+    """Write <out_dir>/<command>/<command>.json echoing the config, and with a header the CSV.
+
+    The CSV has one row per record, its fields in header order (absent ones empty).
+    """
     out = _out_dir(cfg)
     stem = cfg["command"].replace("-", "_")
-    with _os_errors_refused():
-        write_json(out / f"{stem}.json", {"command": cfg["command"], "config": cfg, **payload})
-        if header is not None:
-            write_csv(out / f"{stem}.csv", header, rows)
+    write_json(out / f"{stem}.json", {"command": cfg["command"], "config": cfg, **payload})
+    if header is not None:
+        write_csv(out / f"{stem}.csv", header, [[record.get(c) for c in header] for record in records])
     return out
-
-
-def _columns(header: list[str], records: list[dict]) -> list[list]:
-    """One CSV row per record, its fields in header order (absent ones empty)."""
-    return [[record.get(c) for c in header] for record in records]
 
 
 def cmd_analyze(cfg: dict) -> int:
@@ -216,14 +205,13 @@ def cmd_analyze(cfg: dict) -> int:
     except PenroseLabError as exc:
         summary["adm_mass"] = None
         summary["tail_error"] = str(exc)
-    inf_res = area_infimum_radial(profile, grid)
+    inf_res = _area_infimum(profile, radii, area, _mean_curvature_or_zero(sphere))
     summary["area_infimum"] = inf_res.value
     summary["area_infimum_argmin"] = inf_res.argmin_radius
     summary["area_infimum_throat_limit"] = inf_res.throat_limit
     out = _report(cfg, summary)
     head = "r,u,du,scalar_curvature,mean_curvature,area,geodesic_s,hawking_mass\n"
-    with _os_errors_refused():
-        write_table(out / "analyze.csv", head, [grid.radii_text(), u, du, r_curv, h, area, s, mh], ",")
+    write_table(out / "analyze.csv", head, [grid.radii_text(), u, du, r_curv, h, area, s, mh], ",")
     _say(f"analyze: {len(radii)} rows -> {out}/analyze.csv")
     a_mass = summary["adm_mass"]
     mass_txt = f"{a_mass:.9g}" if a_mass is not None else "n/a"
@@ -236,7 +224,7 @@ def cmd_penrose(cfg: dict) -> int:
     grid = build_grid(cfg, profile)
     report = penrose_check(profile, grid)
     cols = ["adm_mass", "area_infimum", "bound", "ratio", "verdict", "horizon_radius"]
-    _report(cfg, {"report": report}, cols, _columns(cols, [jsonable(report)]))
+    _report(cfg, {"report": report}, cols, [jsonable(report)])
     _say(
         f"penrose: mass = {report.adm_mass:.9g}, bound = {report.bound:.9g}, "
         f"ratio = {report.ratio:.9g}, verdict = {report.verdict}"
@@ -283,6 +271,13 @@ def _epsilons(cfg: dict):
 _BUBBLE_COLS = ["epsilon", "beta", "rho_star", "area", "mean_curvature", "el_residual"]
 
 
+def _flat(record) -> dict:
+    """A CSV record: its own fields, then its solution's inline."""
+    row = jsonable(record)
+    row.update(row.pop("solution") or {})
+    return row
+
+
 def cmd_mu_bubble(cfg: dict) -> int:
     profile = build_profile(cfg)
     r0 = _number(cfg, "r0")
@@ -296,8 +291,7 @@ def cmd_mu_bubble(cfg: dict) -> int:
         "el_within_tol": sol.el_residual <= bubbles.EL_RESIDUAL_TOL,
         "diameter": bubbles.diameter_report(sol),
     }
-    row = [epsilon, problem.h.beta, sol.rho_star, sol.area, sol.mean_curvature, sol.el_residual]
-    _report(cfg, payload, _BUBBLE_COLS, [row])
+    _report(cfg, payload, _BUBBLE_COLS, [_flat(payload)])
     _say(
         f"mu-bubble: rho_star = {sol.rho_star:.9g}, H = {sol.mean_curvature:.9g}, "
         f"el_residual = {sol.el_residual:.3g}"
@@ -308,18 +302,11 @@ def cmd_mu_bubble(cfg: dict) -> int:
 _STEP_COLS = [*_BUBBLE_COLS, "mass_lower_bound", "error"]
 
 
-def _flat(step) -> dict:
-    """A schedule step's report row: its own fields, then its solution's inline."""
-    row = jsonable(step)
-    row.update(row.pop("solution") or {})
-    return row
-
-
 def cmd_horizon(cfg: dict) -> int:
     profile = build_profile(cfg)
     result = bubbles.horizon_sequence(profile, _number(cfg, "r0"), _epsilons(cfg))
     steps = [_flat(s) for s in result.steps]
-    _report(cfg, {"result": {**vars(result), "steps": steps}}, _STEP_COLS, _columns(_STEP_COLS, steps))
+    _report(cfg, {"result": {**vars(result), "steps": steps}}, _STEP_COLS, steps)
     bounds = result.mass_lower_bounds
     final = f"{bounds[-1]:.9g}" if bounds else "n/a"
     _say(f"horizon: {len(result.steps)} steps, final mass lower bound = {final}")
@@ -342,7 +329,7 @@ def cmd_rigidity(cfg: dict) -> int:
     record = {**vars(trace), "steps": [_flat(s) for s in trace.steps]}
     if record["error"] is None:  # a schedule that ran to its floor names no refusal
         del record["error"]
-    _report(cfg, {"trace": record}, _RIGIDITY_COLS, _columns(_RIGIDITY_COLS, record["steps"]))
+    _report(cfg, {"trace": record}, _RIGIDITY_COLS, record["steps"])
     final = f"{trace.steps[-1].solution.rho_star:.9g}" if trace.steps else "n/a"
     _say(
         f"rigidity: {len(trace.steps)} steps, final rho_star = {final}, "
@@ -362,8 +349,7 @@ def cmd_trumpet(cfg: dict) -> int:
     profile = build_profile({**cfg, "profile": {**spec, "kind": "trumpet", "alpha": alpha}})
     grid = build_grid(cfg, profile)
     verification = trumpet_mod.verify_trumpet(profile, grid)
-    with _os_errors_refused():
-        trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
+    trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
     payload = {"params": profile.describe(), "verification": verification}
     if profile.n == 3:
         report = penrose_check(profile, grid)
@@ -430,6 +416,8 @@ def run_command(cfg: dict) -> int:
     except NotAsymptoticallyFlatError as exc:
         print(f"{command}: hypothesis refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except OSError as exc:  # a report path that cannot be written: a config error with the OSError's text
+        raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     _say(f"{command}: done in {elapsed:.3f}s")
     return code

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PenroseLabError, WeakAlphaWarning
 from .geometry import _at, geodesic_distance, scalar_curvature
-from .masses import adm_mass_from_tail, area_infimum_radial
+from .masses import _area_infimum, _mean_curvature_or_zero, adm_mass_from_tail
 from .profiles import (
     CylinderProfile,
     RadialGrid,
@@ -263,7 +263,8 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     )
 
     # (c) mean convexity: sampled positivity plus the alpha certificate
-    deriv = _at(profile, radii, du=True).radius_slope
+    sphere = _at(profile, radii, du=True)  # (c) and (e) read u and u' from this one evaluation
+    deriv = sphere.radius_slope
     grid_ok = bool(np.all(deriv > 0))
     alpha_req = required_alpha(n)
     cert_ok = profile.alpha >= alpha_req * (1 - 1e-12)
@@ -288,7 +289,7 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     )
 
     # (e) throat area limit
-    inf_res = area_infimum_radial(profile, grid)
+    inf_res = _area_infimum(profile, radii, sphere.area, _mean_curvature_or_zero(sphere))
     target = unit_sphere_area(n)
     throat_ok = inf_res.throat_limit and abs(inf_res.value - target) <= THROAT_AREA_TOL
     checks.append(

@@ -144,6 +144,12 @@ class TestPrescribedFamily:
         with pytest.raises(ParameterError, match="epsilon must be positive"):
             PrescribedMeanCurvature(eps, 2.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+    def test_beta_outside_zero_to_infinity_refused(self, beta):
+        # beta = inf would make h = eps, with no barrier at t = -4 beta / (3 eps)
+        with pytest.raises(ParameterError, match="beta must be positive and finite"):
+            PrescribedMeanCurvature(0.1, beta)
+
     @pytest.mark.parametrize("eps, beta", [(0.1, 2.0), (0.05, 0.3), (1e-3, 7.5), (0.7, 0.02)])
     def test_float_argument_equals_array_evaluation(self, eps, beta):
         # the scalar path keeps numpy's tanh: math.tanh differs from it in the last bits

@@ -16,13 +16,14 @@ from penroselab import (
     RadialGrid,
     SchwarzschildLikeProfile,
     TrumpetProfile,
+    area_infimum_radial,
     export_trumpet,
     hawking_mass,
     profiles,
     reports,
     write_tabulated,
 )
-from penroselab.cli import main, run_command
+from penroselab.cli import build_grid, build_profile, main, run_command
 from penroselab.errors import ConfigError
 from penroselab.reports import jsonable
 
@@ -784,6 +785,78 @@ def test_analyze_roundtrip_through_export(tmp_path):
     # the exported table truncates the throat at its inner edge, so the
     # extrapolated area limit agrees only to the truncation scale
     assert tab["area_infimum"] == pytest.approx(direct["area_infimum"], abs=5e-3)
+
+
+def test_tabulated_analyze_evaluates_its_grid_twice(tmp_path, monkeypatch):
+    # u on the whole grid: once for u, u', H, the areas and the area infimum, once for the scalar curvature
+    dat = tmp_path / "trumpet.dat"
+    export_trumpet(TrumpetProfile(), dat)
+    sizes, u = [], profiles.TabulatedProfile._u
+    monkeypatch.setattr(profiles.TabulatedProfile, "_u", lambda self, r: sizes.append(np.size(r)) or u(self, r))
+    assert run(tmp_path, "analyze", "--profile", "tabulated", "--path", str(dat)) == 0
+    assert sizes.count(profiles.DEFAULT_GRID_COUNT) == 2
+
+
+@pytest.mark.parametrize("kind", ["schwarzschild", "trumpet", "cylinder", "tabulated"])
+def test_analyze_area_infimum_is_area_infimum_radial(tmp_path, kind):
+    # read from the grid analyze already evaluated, A_g is the library's bit for bit on each path:
+    # an interior root of H, the throat limit, the sampled minimum and a table's closed inner edge
+    flags = ["--profile", kind]
+    if kind == "tabulated":  # Schwarzschild m = 1 outside its horizon, from r = 1
+        grid = RadialGrid(1.0, 1e4, 512)
+        write_tabulated(tmp_path / "schw.dat", grid, 1.0 + 0.5 / grid.radii())
+        flags += ["--path", str(tmp_path / "schw.dat")]
+    assert run(tmp_path, "analyze", *flags) == 0
+    summary = json.loads((tmp_path / "analyze" / "analyze.json").read_text())
+    profile = build_profile(summary["config"])
+    grid = build_grid(summary["config"], profile)
+    expected = area_infimum_radial(profile, grid)
+    assert summary["area_infimum"] == expected.value
+    assert summary["area_infimum_argmin"] == expected.argmin_radius
+    assert summary["area_infimum_throat_limit"] is expected.throat_limit
+    if kind == "cylinder":  # H = 0 to rounding: the sampled minimum stands
+        assert expected.argmin_radius in grid.radii()
+    else:
+        argmin = {"schwarzschild": pytest.approx(0.5, rel=1e-12), "trumpet": None, "tabulated": 1.0}[kind]
+        assert expected.argmin_radius == argmin and expected.throat_limit is (kind == "trumpet")
+
+
+@pytest.mark.parametrize(
+    "scenario, target",
+    [
+        ({"command": "penrose", "profile": {"kind": "schwarzschild"}}, "penrose/penrose.json"),
+        ({"command": "penrose", "profile": {"kind": "schwarzschild"}}, "penrose/penrose.csv"),
+        ({"command": "analyze", "profile": {"kind": "schwarzschild"}}, "analyze/analyze.csv"),
+        ({"command": "trumpet"}, "trumpet/trumpet_profile.dat"),
+    ],
+)
+def test_report_path_that_is_a_directory_exit_2(tmp_path, capsys, scenario, target):
+    # every write site: one config error line naming the path alone, and a recorded ConfigError in a batch that goes on
+    cfg = tmp_path / "cfg.json"
+    blocked = tmp_path / "alone" / target
+    blocked.mkdir(parents=True)
+    cfg.write_text(json.dumps({**scenario, "out_dir": str(tmp_path / "alone")}))
+    assert main([scenario["command"], "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and str(blocked) in err[0]
+
+    blocked = tmp_path / "batch" / "scenario_000" / target
+    blocked.mkdir(parents=True)
+    scenarios = [scenario, {"command": "penrose", "profile": {"kind": "euclidean"}}]
+    cfg.write_text(json.dumps({"command": "batch", "out_dir": str(tmp_path), "scenarios": scenarios}))
+    assert main(["batch", "--config", str(cfg)]) == 2
+    summary = json.loads((tmp_path / "batch" / "batch.json").read_text())["scenarios"]
+    assert [s["exit_code"] for s in summary] == [2, 0]
+    assert summary[0]["error"].startswith("ConfigError: ") and str(blocked) in summary[0]["error"]
+    assert summary[1]["error"] is None
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan", "0", "-1"])
+def test_mu_bubble_beta_outside_zero_to_infinity_exit_2(tmp_path, capsys, beta):
+    # beta = inf would make h = eps, which has no barrier
+    assert run(tmp_path, "mu-bubble", "--profile", "schwarzschild", "--beta", beta) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: beta must be positive and finite, got {float(beta)}"]
+    assert not (tmp_path / "mu-bubble").exists()
 
 
 @pytest.fixture

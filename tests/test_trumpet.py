@@ -198,6 +198,20 @@ class TestVerification:
         with pytest.raises(ValueError, match="finite"):
             TrumpetProfile(**params)
 
+    def test_grid_evaluated_twice(self):
+        # u on the whole grid: once for the spheres of checks (c) and (e), once for R in check (b)
+        class Counting(TrumpetProfile):
+            sizes = []
+
+            def _u(self, r):
+                self.sizes.append(np.size(r))
+                return super()._u(r)
+
+        trumpet = Counting()
+        verify_trumpet(trumpet)
+        count = default_grid(trumpet).count
+        assert Counting.sizes.count(count) == 2 and max(Counting.sizes) == count
+
     def test_dimension_four(self):
         t4 = TrumpetProfile(n=4)
         report = verify_trumpet(t4)
