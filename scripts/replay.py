@@ -4,8 +4,9 @@
 ``record`` draws the CLI ops of four seeded workloads from
 ``benchmarks/workloads.py`` (verdicts, bubble-schedules, bubble-trumpet and
 trumpet-roundtrip; by default seeds 1-3, rounds 0-1: 171 ops) and the fixed
-``commands`` lists below (24 ops over all seven commands, including the exit
-codes and the refusals the workloads never reach), runs each through
+``commands`` lists below (26 ops over all seven commands, including the exit
+codes and the refusals the workloads never reach, and a two-column (r, u)
+table that no process wrote, so its first read parses it), runs each through
 ``penroselab.cli.run_command`` of the package under ``--src`` (the
 ``MAIN_ARGV`` ops through ``penroselab.cli.main``, so the argument parser
 and the flag overrides are replayed too), and writes one digest per op: its
@@ -55,7 +56,8 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 WORKLOADS = ("verdicts", "bubble-schedules", "bubble-trumpet", "trumpet-roundtrip", "commands")
 
 SCHW, TRUMPET = {"kind": "schwarzschild", "mass": 1.0}, {"kind": "trumpet"}
-# (label, config): every command, with the exits 4, 5 and 6, the refusals and a raised config error
+SCHW_TABLE = {"kind": "tabulated", "schwarzschild_table": True}  # ``prepare`` writes the (r, u) file and names it
+# (label, config): every command, with the exits 4, 5 and 6, the refusals, a raised config error and a (r, u) table
 COMMANDS = (
     ("mu-bubble default", {"command": "mu-bubble", "profile": SCHW}),
     ("mu-bubble beta 3", {"command": "mu-bubble", "profile": SCHW, "beta": 3.0}),
@@ -74,6 +76,8 @@ COMMANDS = (
     ("analyze grid-count 2", {"command": "analyze", "profile": SCHW, "grid": {"count": 2}}),
     ("penrose cylinder", {"command": "penrose", "profile": {"kind": "cylinder"}}),
     ("penrose grid-lo 1", {"command": "penrose", "profile": SCHW, "grid": {"r_lo": 1.0}}),
+    ("analyze schwarzschild table", {"command": "analyze", "profile": SCHW_TABLE}),
+    ("penrose schwarzschild table", {"command": "penrose", "profile": SCHW_TABLE}),
     ("trumpet alpha 0.9", {"command": "trumpet", "alpha": 0.9}),
     ("batch", {"command": "batch", "scenarios": [
         {"command": "penrose", "profile": SCHW},
@@ -114,7 +118,9 @@ def prepare(op: dict, work: Path) -> tuple[dict, list | None]:
     """The op's config with a fixed out_dir, its earlier output removed; as ``run.py``'s ``_prepare``.
 
     A ``MAIN_ARGV`` op also gets its argv, with ``--out-dir`` and any ``--config`` file added; its config
-    then names only the command and the out_dir.
+    then names only the command and the out_dir.  A ``schwarzschild_table`` profile gets the path of
+    a (r, u) table of Schwarzschild m = 1, 512 rows on [1e-4, 1e4], written here as plain text (not by
+    ``write_tabulated``, whose table the reader would find kept).
     """
     cfg = {"command": op["argv"][0]} if "argv" in op else copy.deepcopy(op["cli"])
     out = work / (f"slot{op['slot']}" if "slot" in op else "op")
@@ -122,6 +128,11 @@ def prepare(op: dict, work: Path) -> tuple[dict, list | None]:
     profile = cfg.get("profile", {})
     if "trumpet_slot" in profile:
         profile["path"] = str(work / f"slot{profile.pop('trumpet_slot')}" / "trumpet" / "trumpet_profile.dat")
+    if profile.pop("schwarzschild_table", False):
+        radii = [10.0 ** (-4.0 + 8.0 * k / 511) for k in range(512)]
+        work.mkdir(parents=True, exist_ok=True)
+        profile["path"] = str(work / "schwarzschild.dat")
+        Path(profile["path"]).write_text("# r u\n" + "".join(f"{r!r} {1.0 + 0.5 / r!r}\n" for r in radii))
     shutil.rmtree(out / cfg["command"], ignore_errors=True)
     if "argv" not in op:
         return cfg, None

@@ -46,7 +46,6 @@ from .errors import (
 from .geometry import (
     geodesic_distance,
     intrinsic_diameter,
-    radial_laplacian,
     scalar_curvature,
     sphere_area,
     sphere_mean_curvature,

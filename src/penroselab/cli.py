@@ -35,8 +35,8 @@ from .errors import (
     NotAsymptoticallyFlatError,
     PenroseLabError,
 )
-from .geometry import _at, _Sphere, scalar_curvature
-from .masses import VERDICT_VIOLATED, _area_infimum, _mean_curvature_or_zero, adm_mass_from_tail, penrose_check
+from .geometry import _at, _Sphere
+from .masses import VERDICT_VIOLATED, _area_infimum, _w_or_zero, adm_mass_from_tail, penrose_check
 from .profiles import (
     DEFAULT_GRID_COUNT,
     DEFAULT_GRID_HI,
@@ -186,9 +186,8 @@ def cmd_analyze(cfg: dict) -> int:
     profile = build_profile(cfg)
     grid = build_grid(cfg, profile)
     radii = grid.radii()
-    sphere = _at(profile, radii, du=True)
-    u, du, h, area = sphere.u, sphere.du, sphere.mean_curvature, sphere.area
-    r_curv = scalar_curvature(profile, radii)
+    sphere = _at(profile, radii, d2u=True)
+    u, du, h, area, r_curv = sphere.u, sphere.du, sphere.mean_curvature, sphere.area, sphere.scalar_curvature
     # arc length from the inner grid edge, on a grid m times as fine: no wider in log r than the default grid
     step = lambda lo, hi, count: (math.log(hi) - math.log(lo)) / (count - 1)
     m = math.ceil(step(grid.r_lo, grid.r_hi, grid.count) / step(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT))
@@ -205,7 +204,7 @@ def cmd_analyze(cfg: dict) -> int:
     except PenroseLabError as exc:
         summary["adm_mass"] = None
         summary["tail_error"] = str(exc)
-    inf_res = _area_infimum(profile, radii, area, _mean_curvature_or_zero(sphere))
+    inf_res = _area_infimum(profile, radii, area, _w_or_zero(sphere))
     summary["area_infimum"] = inf_res.value
     summary["area_infimum_argmin"] = inf_res.argmin_radius
     summary["area_infimum_throat_limit"] = inf_res.throat_limit

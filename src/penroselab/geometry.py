@@ -19,10 +19,10 @@ H > 0 means mean-convex toward the asymptotically flat end; H, w and dR/dr
 have one sign.  For n = 3, A H^2/16pi = (w/u)^2 turns the Hawking mass
 sqrt(A/16pi)(1 - A H^2/16pi) into (r/2)(u - w)(u + w) with u - w = -2 r u':
 no difference cancels as A H^2/16pi -> 1 far out.  dm_H/dr = -2 r^2 w lap u,
-so m_H does not decrease outward where R(g) >= 0 and H > 0.  Every sphere
-quantity comes from one kernel, ``_Sphere``.  All functions are pure and
-accept scalar or array radii where noted; for n = 3 a float radius gives
-what its 1-element array gives, bit for bit (see ``_Sphere``).
+so m_H does not decrease outward where R(g) >= 0 and H > 0.  Every row of
+the table comes from one kernel, ``_Sphere``.  All functions are pure
+and accept scalar or array radii where noted; for n = 3 a float radius
+gives what its 1-element array gives, bit for bit (see ``_Sphere``).
 
 Arc length and volume are integrals by the package's one rule,
 :func:`penroselab.quadrature.gauss_adaptive`.  At an open inner end,
@@ -42,34 +42,20 @@ from .profiles import RadialProfile, unit_sphere_area
 from .quadrature import gauss_adaptive
 
 
-def radial_laplacian(profile: RadialProfile, r):
-    """u''(r) + (n-1)/r u'(r); vectorized over r."""
-    profile.require_radius(r)
-    return profile.d2u(r) + (profile.n - 1) * profile.du(r) / r
-
-
-def scalar_curvature(profile: RadialProfile, r):
-    """Scalar curvature of the conformal metric; vectorized over r."""
-    n = profile.n
-    lap = radial_laplacian(profile, r)
-    sphere = _Sphere(n, r, profile.u(r))  # u^{(n+2)/(n-2)} = u ds^2, divided out a factor at a time: no libm pow for n = 3
-    return -4.0 * (n - 1) / (n - 2) * lap / sphere.u / sphere.ds / sphere.ds
-
-
 class _Sphere:
-    """The table above for S_r, from u = u(r) and, where w is read, du = u'(r).
+    """The table above for S_r, from u = u(r), du = u'(r) where w is read and d2u = u''(r) where R(g) is.
 
     ds/dr and R are formed on construction, the rest where read.  A float
     and an array round alike: for n = 3 the only powers are x ** 1.0 and
     x ** 0.0, which Python and numpy return exactly, and |S_r| is a product
     chain in R, which overflows to inf on both and forms no power of u.  The
-    u and u' fed in round alike too (``RadialProfile.takes_floats``).
+    u, u' and u'' fed in round alike too (``RadialProfile.takes_floats``).
     """
 
-    __slots__ = ("n", "r", "u", "du", "ds", "radius")
+    __slots__ = ("n", "r", "u", "du", "d2u", "ds", "radius")
 
-    def __init__(self, n: int, r, u, du=None):
-        self.n, self.r, self.u, self.du = n, r, u, du
+    def __init__(self, n: int, r, u, du=None, d2u=None):
+        self.n, self.r, self.u, self.du, self.d2u = n, r, u, du, d2u
         self.ds = u * u ** ((4.0 - n) / (n - 2))
         self.radius = self.ds * r
 
@@ -101,11 +87,22 @@ class _Sphere:
     def hawking_mass(self):
         return -self.r * self.r * self.du * (self.u + self.w) + 0.0  # u' = 0 gives -0.0; report 0.0
 
+    @property
+    def scalar_curvature(self):
+        n = self.n
+        lap = self.d2u + (n - 1) * self.du / self.r
+        return -4.0 * (n - 1) / (n - 2) * lap / self.u / self.ds / self.ds  # u^{(n+2)/(n-2)} = u ds^2, no libm pow
 
-def _at(profile: RadialProfile, r, du: bool = False) -> _Sphere:
-    """The :class:`_Sphere` of S_r on the profile, u (and u') evaluated at checked radii."""
+
+def _at(profile: RadialProfile, r, du: bool = False, d2u: bool = False) -> _Sphere:
+    """The :class:`_Sphere` of S_r on the profile, u (and u', and u'') evaluated at checked radii."""
     profile.require_radius(r)
-    return _Sphere(profile.n, r, profile.u(r), profile.du(r) if du else None)
+    return _Sphere(profile.n, r, profile.u(r), profile.du(r) if du or d2u else None, profile.d2u(r) if d2u else None)
+
+
+def scalar_curvature(profile: RadialProfile, r):
+    """Scalar curvature of the conformal metric; vectorized over r."""
+    return _at(profile, r, d2u=True).scalar_curvature
 
 
 def sphere_area(profile: RadialProfile, r):

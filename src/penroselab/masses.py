@@ -8,10 +8,11 @@ the spline u' of a two-column (r, u) table spoils m_H.
 
 The area infimum is taken over coordinate spheres only, which is the natural
 computable restriction in the rotationally symmetric class.  There
-d area(S_r)/dr has the sign of H(S_r), so a least area sits at a - to + root
-of H and a horizon is a root of H; ``_root`` refines both.  When the infimum
-is approached only at the inner edge of the domain (no minimal sphere), the
-limit is extrapolated and flagged as a throat limit.
+d area(S_r)/dr has the sign of H(S_r) = (n-1) w / (R u), which is the sign of
+w, so a least area sits at a - to + root of H and a horizon is a root of H.
+The grid brackets both by the sign of w, and ``_root`` refines the root of H.
+When the infimum is approached only at the inner edge of the domain (no
+minimal sphere), the limit is extrapolated and flagged as a throat limit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _DEGENERATE_BOUND = 1e-9
 _ROOT_XTOL = 1e-300
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # a Python float, as every value in _root's loop is
 _ROOT_MAXITER = 100
-_H_NOISE = 4.0 * np.finfo(float).eps
+_W_NOISE = 4.0 * np.finfo(float).eps
 
 VERDICT_STRICT = "strict"
 VERDICT_EQUALITY = "equality-within-tol"
@@ -185,10 +186,10 @@ def _value(fx, x: float) -> float:
     return fx
 
 
-def _mean_curvature_or_zero(sphere: _Sphere):
-    """H of a sphere given u', or 0 when its numerator w is rounding: |w| <= 4 eps (u + |w - u|)."""
+def _w_or_zero(sphere: _Sphere):
+    """w of a sphere given u', or 0 where it is rounding: |w| <= 4 eps (u + |w - u|).  H has its sign."""
     w, u = sphere.w, sphere.u
-    return np.where(np.abs(w) <= _H_NOISE * (u + np.abs(w - u)), 0.0, sphere.mean_curvature)
+    return np.where(np.abs(w) <= _W_NOISE * (u + np.abs(w - u)), 0.0, w)
 
 
 def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
@@ -220,8 +221,8 @@ def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) 
     return _area_infimum(profile, radii, np.asarray(sphere_area(profile, radii)))
 
 
-def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
-    """:func:`area_infimum_radial` from the grid's areas, and from its H-or-zero ``h`` when held."""
+def _area_infimum(profile: RadialProfile, radii, areas, w=None) -> AreaInfimum:
+    """:func:`area_infimum_radial` from the grid's areas, and from its w-or-zero ``w`` when held."""
     nan = np.isnan(areas)
     if nan.any():  # argmin would pick the first NaN
         raise ParameterError(f"dimension {profile.n}: the sphere area at r = {radii[nan.argmax()]:.6g} is NaN")
@@ -232,10 +233,10 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
             return AreaInfimum(value=float(areas[0]), argmin_radius=float(lo), throat_limit=False)
         # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
         nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
-        inward = np.concatenate([radii[1:2], nodes])  # r_1, then the nodes from r_0 in: one sphere for H and areas
+        inward = np.concatenate([radii[1:2], nodes])  # r_1, then the nodes from r_0 in: one sphere for w and areas
         probe = _at(profile, inward, du=True)
-        h_in = _mean_curvature_or_zero(probe)  # d area/dr has the sign of H
-        turn = np.nonzero((h_in[:-1] > 0) & (h_in[1:] < 0))[0]  # + to - inward: a minimal sphere
+        w_in = _w_or_zero(probe)  # d area/dr has the sign of H and w
+        turn = np.nonzero((w_in[:-1] > 0) & (w_in[1:] < 0))[0]  # + to - inward: a minimal sphere
         if len(turn):
             k = int(turn[0])
             r = _root(partial(sphere_mean_curvature, profile), inward[k + 1], inward[k])
@@ -246,8 +247,8 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
             raise ParameterError(f"dimension {profile.n}: the throat extrapolation below r = {edge} gives area {limit}")
         return AreaInfimum(value=limit, argmin_radius=None, throat_limit=True)
     pair = [i - 1, min(i + 1, len(radii) - 1)]  # at the top node, the root lies below it
-    h_lo, h_hi = h[pair] if h is not None else _mean_curvature_or_zero(_at(profile, radii[pair], du=True))
-    if h_lo < 0 < h_hi:
+    w_lo, w_hi = w[pair] if w is not None else _w_or_zero(_at(profile, radii[pair], du=True))
+    if w_lo < 0 < w_hi:
         r = _root(partial(sphere_mean_curvature, profile), radii[pair[0]], radii[pair[1]])
         return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
     return AreaInfimum(value=float(areas[i]), argmin_radius=float(radii[i]), throat_limit=False)
@@ -256,14 +257,14 @@ def _area_infimum(profile: RadialProfile, radii, areas, h=None) -> AreaInfimum:
 def find_horizon(profile: RadialProfile, grid: RadialGrid | None = None) -> float | None:
     """Outermost radius with H = 0 to rounding (r_hi on the cylinder), or None when all are mean-convex."""
     radii = (grid or default_grid(profile)).radii()
-    return _horizon(profile, radii, _mean_curvature_or_zero(_at(profile, radii, du=True)))
+    return _horizon(profile, radii, _w_or_zero(_at(profile, radii, du=True)))
 
 
-def _horizon(profile: RadialProfile, radii, h) -> float | None:
-    """:func:`find_horizon` from H-or-zero ``h`` on the grid's radii."""
-    sign_change = np.nonzero(h[:-1] * h[1:] < 0)[0]
+def _horizon(profile: RadialProfile, radii, w) -> float | None:
+    """:func:`find_horizon` from w-or-zero ``w`` on the grid's radii."""
+    sign_change = np.nonzero(w[:-1] * w[1:] < 0)[0]
     if len(sign_change) == 0:
-        zero = np.nonzero(h == 0)[0]
+        zero = np.nonzero(w == 0)[0]
         return float(radii[zero[-1]]) if len(zero) else None
     j = int(sign_change[-1])
     return _root(partial(sphere_mean_curvature, profile), radii[j], radii[j + 1])
@@ -283,8 +284,8 @@ def penrose_check(profile: RadialProfile, grid: RadialGrid | None = None) -> Pen
     m, _tail = adm_mass_from_tail(profile, grid)
     radii = grid.radii()
     sphere = _at(profile, radii, du=True)
-    h = _mean_curvature_or_zero(sphere)
-    inf_res = _area_infimum(profile, radii, sphere.area, h)
+    w = _w_or_zero(sphere)
+    inf_res = _area_infimum(profile, radii, sphere.area, w)
     a_g = max(inf_res.value, 0.0)
     bound = math.sqrt(a_g / (16 * math.pi))
     if bound <= _DEGENERATE_BOUND:
@@ -303,7 +304,7 @@ def penrose_check(profile: RadialProfile, grid: RadialGrid | None = None) -> Pen
         bound=float(bound),
         ratio=float(ratio),
         verdict=verdict,
-        horizon_radius=_horizon(profile, radii, h),
+        horizon_radius=_horizon(profile, radii, w),
     )
 
 

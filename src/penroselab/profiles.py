@@ -319,9 +319,11 @@ def read_tabulated(path, n: int = 3) -> TabulatedProfile:
         table = np.loadtxt(io.StringIO(data.decode("utf-8"), newline=None), comments="#", ndmin=2)
         if table.shape[1] < 2:
             raise ValueError(f"{path}: expected two columns (r, u)")
-    _remember(digest, table)
+    table.flags.writeable = False  # before the profile takes views of its columns
     derivatives = (table[:, 2], table[:, 3]) if table.shape[1] == 4 else None
-    return TabulatedProfile(table[:, 0], table[:, 1], n=n, source=str(path), derivatives=derivatives)
+    profile = TabulatedProfile(table[:, 0], table[:, 1], n=n, source=str(path), derivatives=derivatives)
+    _remember(digest, table)  # only a table the profile accepted
+    return profile
 
 
 def write_tabulated(path, radii, values, header: str = "", derivatives=None) -> None:

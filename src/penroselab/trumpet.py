@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PenroseLabError, WeakAlphaWarning
-from .geometry import _at, geodesic_distance, scalar_curvature
-from .masses import _area_infimum, _mean_curvature_or_zero, adm_mass_from_tail
+from .geometry import _at, geodesic_distance
+from .masses import _area_infimum, _w_or_zero, adm_mass_from_tail
 from .profiles import (
     CylinderProfile,
     RadialGrid,
@@ -250,9 +250,10 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     checks.append(CheckResult("asymptotically_flat", af_ok, detail))
 
     # (b) scalar curvature sign, through the Laplacian decomposition
+    sphere = _at(profile, radii, d2u=True)  # (b), (c) and (e) read u, u' and u'' from this one evaluation
     t1, t2, t3 = profile.laplacian_terms(radii)
     terms_max = float(max(t1.max(), t2.max(), t3.max())) + 0.0  # 0 * lap1 beyond 2 r0 is -0.0; report 0.0
-    r_min = float(np.min(np.asarray(scalar_curvature(profile, radii))))
+    r_min = float(np.min(sphere.scalar_curvature))
     sc_ok = terms_max <= LAPLACIAN_TERM_TOL and r_min >= -SCALAR_CURVATURE_TOL
     checks.append(
         CheckResult(
@@ -263,7 +264,6 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     )
 
     # (c) mean convexity: sampled positivity plus the alpha certificate
-    sphere = _at(profile, radii, du=True)  # (c) and (e) read u and u' from this one evaluation
     deriv = sphere.radius_slope
     grid_ok = bool(np.all(deriv > 0))
     alpha_req = required_alpha(n)
@@ -289,7 +289,7 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     )
 
     # (e) throat area limit
-    inf_res = _area_infimum(profile, radii, sphere.area, _mean_curvature_or_zero(sphere))
+    inf_res = _area_infimum(profile, radii, sphere.area, _w_or_zero(sphere))
     target = unit_sphere_area(n)
     throat_ok = inf_res.throat_limit and abs(inf_res.value - target) <= THROAT_AREA_TOL
     checks.append(

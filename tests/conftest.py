@@ -117,6 +117,21 @@ class CountingProfile(ScaledProfile):
         return super()._u(r)
 
 
+def count_evaluations(monkeypatch, cls) -> dict:
+    """Patch the class's ``_u``, ``_du`` and ``_d2u`` to record the number of radii of each call: {name: sizes}."""
+    sizes = {"_u": [], "_du": [], "_d2u": []}
+    for name, calls in sizes.items():
+        f = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, r, f=f, calls=calls: calls.append(np.size(r)) or f(self, r))
+    return sizes
+
+
+def radial_laplacian(profile: RadialProfile, r):
+    """u''(r) + (n-1) u'(r)/r from the profile's own evaluators: an oracle for the Laplacian inside R(g)."""
+    profile.require_radius(r)
+    return profile.d2u(r) + (profile.n - 1) * profile.du(r) / r
+
+
 def adm_flux(profile: RadialProfile, rho: float) -> float:
     """Coordinate flux mass integral at the sphere S_rho: a first-order oracle for the tail mass.
 

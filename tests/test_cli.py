@@ -21,11 +21,16 @@ from penroselab import (
     hawking_mass,
     profiles,
     reports,
+    scalar_curvature,
+    sphere_area,
+    sphere_mean_curvature,
     write_tabulated,
 )
 from penroselab.cli import build_grid, build_profile, main, run_command
 from penroselab.errors import ConfigError
 from penroselab.reports import jsonable
+
+from conftest import count_evaluations
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -787,14 +792,36 @@ def test_analyze_roundtrip_through_export(tmp_path):
     assert tab["area_infimum"] == pytest.approx(direct["area_infimum"], abs=5e-3)
 
 
-def test_tabulated_analyze_evaluates_its_grid_twice(tmp_path, monkeypatch):
-    # u on the whole grid: once for u, u', H, the areas and the area infimum, once for the scalar curvature
+def test_tabulated_analyze_evaluates_its_grid_once(tmp_path, monkeypatch):
+    # u, u' and u'' on the whole grid once each: one sphere for R, H, the areas and the area infimum
     dat = tmp_path / "trumpet.dat"
     export_trumpet(TrumpetProfile(), dat)
-    sizes, u = [], profiles.TabulatedProfile._u
-    monkeypatch.setattr(profiles.TabulatedProfile, "_u", lambda self, r: sizes.append(np.size(r)) or u(self, r))
+    sizes = count_evaluations(monkeypatch, profiles.TabulatedProfile)
     assert run(tmp_path, "analyze", "--profile", "tabulated", "--path", str(dat)) == 0
-    assert sizes.count(profiles.DEFAULT_GRID_COUNT) == 2
+    assert {name: calls.count(profiles.DEFAULT_GRID_COUNT) for name, calls in sizes.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
+
+
+@pytest.mark.parametrize("kind", ["trumpet", "tabulated"])
+def test_analyze_columns_are_the_library_on_the_grid(tmp_path, kind):
+    # R, H, the area and m_H of each row are the library's functions on the grid, repr for repr
+    flags = ["--profile", kind]
+    if kind == "tabulated":  # the exported closed-form trumpet
+        export_trumpet(TrumpetProfile(), tmp_path / "trumpet.dat")
+        flags += ["--path", str(tmp_path / "trumpet.dat")]
+    assert run(tmp_path, "analyze", *flags) == 0
+    config = json.loads((tmp_path / "analyze" / "analyze.json").read_text())["config"]
+    profile = build_profile(config)
+    radii = build_grid(config, profile).radii()
+    library = {
+        "scalar_curvature": scalar_curvature(profile, radii).tolist(),
+        "mean_curvature": sphere_mean_curvature(profile, radii).tolist(),
+        "area": sphere_area(profile, radii).tolist(),
+        "hawking_mass": [hawking_mass(profile, r) for r in radii.tolist()],
+    }
+    header, rows = read_csv(tmp_path / "analyze" / "analyze.csv")
+    for name, values in library.items():
+        column = header.index(name)
+        assert [row[column] for row in rows] == list(map(repr, values)), name
 
 
 @pytest.mark.parametrize("kind", ["schwarzschild", "trumpet", "cylinder", "tabulated"])

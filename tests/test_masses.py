@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from penroselab import (
     CylinderProfile,
+    EuclideanProfile,
     NotAsymptoticallyFlatError,
     NotOuterMinimizingError,
     RadialGrid,
@@ -23,17 +24,19 @@ from penroselab import (
     adm_mass_from_tail,
     area_infimum_radial,
     default_grid,
+    export_trumpet,
     find_horizon,
     hawking_mass,
     horizon_sequence,
     min_alpha,
     penrose_check,
+    read_tabulated,
     sphere_area,
     sphere_mean_curvature,
 )
 from penroselab.errors import ParameterError
 from penroselab.geometry import _at, _Sphere, scalar_curvature
-from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT, VERDICT_VIOLATED, _area_infimum, _root
+from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT, VERDICT_VIOLATED, _area_infimum, _root, _w_or_zero
 
 from conftest import PlummerProfile, adm_flux, plummer_draws
 
@@ -202,6 +205,30 @@ def test_hawking_mass_dimension_guard():
         hawking_mass(SchwarzschildLikeProfile.from_mass(1.0, n=4), 1.0)
     with pytest.raises(UnsupportedDimensionError, match="adm_hawking_check is defined only for n = 3"):
         adm_hawking_check(SchwarzschildLikeProfile.from_mass(1.0, n=4), 10.0)
+
+
+def _exported_trumpet(tmp_path):
+    export_trumpet(TrumpetProfile(), tmp_path / "trumpet.dat")
+    return read_tabulated(tmp_path / "trumpet.dat")
+
+
+_SIGN_PROFILES = {
+    "euclidean": lambda tmp_path: EuclideanProfile(),
+    "schwarzschild": lambda tmp_path: SchwarzschildLikeProfile.from_mass(1.0),
+    "cylinder": lambda tmp_path: CylinderProfile(),
+    **{f"trumpet-n{n}": (lambda tmp_path, n=n: TrumpetProfile(n)) for n in (3, 4, 5)},
+    "exported-n3": _exported_trumpet,
+}
+
+
+@pytest.mark.parametrize("name", _SIGN_PROFILES)
+def test_w_or_zero_has_the_sign_of_h_or_zero(tmp_path, name):
+    # the brackets read w: H = (n-1) w / (R u) has its sign, with 0 where w is rounding, |w| <= 4 eps (u + |w - u|)
+    profile = _SIGN_PROFILES[name](tmp_path)
+    sphere = _at(profile, default_grid(profile).radii(), du=True)
+    w, u = sphere.w, sphere.u
+    h_or_zero = np.where(np.abs(w) <= 4 * np.finfo(float).eps * (u + np.abs(w - u)), 0.0, sphere.mean_curvature)
+    assert np.array_equal(np.sign(_w_or_zero(sphere)), np.sign(h_or_zero))
 
 
 def test_area_infimum_schwarzschild(schw):

@@ -30,7 +30,7 @@ from penroselab import (
     write_tabulated,
 )
 from penroselab import profiles
-from penroselab.geometry import radial_laplacian, sphere_mean_curvature
+from penroselab.geometry import scalar_curvature, sphere_mean_curvature
 from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
 from penroselab.reports import _layout, jsonable, write_csv, write_json, write_table
 from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO, export_trumpet
@@ -91,9 +91,9 @@ def test_vectorized_evaluation(schw):
 
 def test_domain_check(schw):
     with pytest.raises(DomainError):
-        radial_laplacian(schw, 0.0)
+        scalar_curvature(schw, 0.0)
     with pytest.raises(DomainError):
-        radial_laplacian(schw, -1.0)
+        scalar_curvature(schw, -1.0)
 
 
 def _tabulated_schwarzschild():
@@ -592,6 +592,21 @@ def test_table_with_a_non_finite_entry_is_not_kept(tmp_path, memo):
     with pytest.raises(ValueError, match="tabulated values must be finite"):
         read_tabulated(tmp_path / "t.dat")
     assert memo.parses() == 1
+
+
+def test_refused_table_leaves_the_memo_as_it_was(tmp_path, memo, schw):
+    # a table the profile refuses is neither kept nor allowed to evict one it accepted
+    radii = np.geomspace(1e-2, 1e2, 16)
+    for k in range(profiles._PARSED_KEPT):
+        write_tabulated(tmp_path / f"t{k}.dat", radii, (k + 1) * schw.u(radii))
+    kept = [(digest, id(table)) for digest, table in memo.entries().items()]
+    refused = tmp_path / "nan.dat"
+    refused.write_text("1 1\n2 nan\n3 1.75\n4 1.875\n5 1.9\n")
+    for parses in (1, 2):  # so the second read parses it again
+        with pytest.raises(ValueError, match="tabulated values must be finite"):
+            read_tabulated(refused)
+        assert memo.parses() == parses
+        assert [(digest, id(table)) for digest, table in memo.entries().items()] == kept  # same keys, order, arrays
 
 
 def test_rewritten_table_is_parsed_again(tmp_path, memo, schw):

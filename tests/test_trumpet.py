@@ -17,7 +17,6 @@ from penroselab import (
     geodesic_distance,
     min_alpha,
     penrose_check,
-    radial_laplacian,
     read_tabulated,
     required_alpha,
     scalar_curvature,
@@ -26,6 +25,8 @@ from penroselab import (
     export_trumpet,
     verify_trumpet,
 )
+
+from conftest import count_evaluations, radial_laplacian
 
 
 def test_find_r0_closed_form():
@@ -198,19 +199,14 @@ class TestVerification:
         with pytest.raises(ValueError, match="finite"):
             TrumpetProfile(**params)
 
-    def test_grid_evaluated_twice(self):
-        # u on the whole grid: once for the spheres of checks (c) and (e), once for R in check (b)
-        class Counting(TrumpetProfile):
-            sizes = []
-
-            def _u(self, r):
-                self.sizes.append(np.size(r))
-                return super()._u(r)
-
-        trumpet = Counting()
+    def test_grid_evaluated_once(self, monkeypatch):
+        # u, u' and u'' on the whole grid once each: one sphere for R in check (b) and for checks (c) and (e)
+        sizes = count_evaluations(monkeypatch, TrumpetProfile)
+        trumpet = TrumpetProfile()
         verify_trumpet(trumpet)
         count = default_grid(trumpet).count
-        assert Counting.sizes.count(count) == 2 and max(Counting.sizes) == count
+        assert {name: calls.count(count) for name, calls in sizes.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
+        assert max(max(calls) for calls in sizes.values()) == count
 
     def test_dimension_four(self):
         t4 = TrumpetProfile(n=4)
