@@ -55,11 +55,10 @@ from .masses import (
     AdmHawkingResult,
     AreaInfimum,
     AsymptoticTail,
+    GridScan,
     PenroseReport,
     adm_hawking_check,
     adm_mass_from_tail,
-    area_infimum_radial,
-    find_horizon,
     hawking_mass,
     penrose_check,
 )

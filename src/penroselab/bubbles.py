@@ -72,7 +72,7 @@ from .errors import (
     PenroseLabError,
 )
 from .geometry import _at, _Sphere, intrinsic_diameter, sphere_area, sphere_mean_curvature, volume_between
-from .masses import VERDICT_EQUALITY, _root, area_infimum_radial, hawking_mass, penrose_check
+from .masses import VERDICT_EQUALITY, GridScan, _root, hawking_mass, penrose_check
 from .profiles import RadialProfile
 from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
@@ -400,7 +400,7 @@ def select_beta(
     """
     base = choose_beta(profile, anchor_radius, epsilon)
     if area_infimum is None:
-        area_infimum = area_infimum_radial(profile).value
+        area_infimum = GridScan(profile).area_infimum.value
     if area_infimum <= 1e-12:
         return base
     a0 = float(sphere_area(profile, anchor_radius))
@@ -488,7 +488,7 @@ def horizon_sequence(
     profile.require_radius(anchor_radius)
     for eps in epsilons:
         _require_epsilon(eps)
-    a_inf = area_infimum_radial(profile).value
+    a_inf = GridScan(profile).area_infimum.value
     steps: list[HorizonStep] = []
     table = None  # the anchor's table, built once select_beta has accepted the anchor, then shared
     for eps in epsilons:

@@ -35,8 +35,8 @@ from .errors import (
     NotAsymptoticallyFlatError,
     PenroseLabError,
 )
-from .geometry import _at, _Sphere
-from .masses import VERDICT_VIOLATED, _area_infimum, _w_or_zero, adm_mass_from_tail, penrose_check
+from .geometry import _Sphere
+from .masses import VERDICT_VIOLATED, GridScan, adm_mass_from_tail, penrose_check
 from .profiles import (
     DEFAULT_GRID_COUNT,
     DEFAULT_GRID_HI,
@@ -185,9 +185,9 @@ def _report(cfg: dict, payload: dict, header=None, records=()) -> Path:
 def cmd_analyze(cfg: dict) -> int:
     profile = build_profile(cfg)
     grid = build_grid(cfg, profile)
-    radii = grid.radii()
-    sphere = _at(profile, radii, d2u=True)
-    u, du, h, area, r_curv = sphere.u, sphere.du, sphere.mean_curvature, sphere.area, sphere.scalar_curvature
+    scan = GridScan(profile, grid)
+    r_curv, sphere = scan.scalar_curvature(), scan.sphere
+    u, du, h, area = sphere.u, sphere.du, sphere.mean_curvature, sphere.area
     # arc length from the inner grid edge, on a grid m times as fine: no wider in log r than the default grid
     step = lambda lo, hi, count: (math.log(hi) - math.log(lo)) / (count - 1)
     m = math.ceil(step(grid.r_lo, grid.r_hi, grid.count) / step(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_COUNT))
@@ -204,14 +204,14 @@ def cmd_analyze(cfg: dict) -> int:
     except PenroseLabError as exc:
         summary["adm_mass"] = None
         summary["tail_error"] = str(exc)
-    inf_res = _area_infimum(profile, radii, area, _w_or_zero(sphere))
+    inf_res = scan.area_infimum
     summary["area_infimum"] = inf_res.value
     summary["area_infimum_argmin"] = inf_res.argmin_radius
     summary["area_infimum_throat_limit"] = inf_res.throat_limit
     out = _report(cfg, summary)
     head = "r,u,du,scalar_curvature,mean_curvature,area,geodesic_s,hawking_mass\n"
     write_table(out / "analyze.csv", head, [grid.radii_text(), u, du, r_curv, h, area, s, mh], ",")
-    _say(f"analyze: {len(radii)} rows -> {out}/analyze.csv")
+    _say(f"analyze: {grid.count} rows -> {out}/analyze.csv")
     a_mass = summary["adm_mass"]
     mass_txt = f"{a_mass:.9g}" if a_mass is not None else "n/a"
     _say(f"adm_mass = {mass_txt}  area_infimum = {inf_res.value:.9g}")
@@ -347,11 +347,12 @@ def cmd_trumpet(cfg: dict) -> int:
     alpha = spec.get("alpha", cfg.get("alpha"))  # --alpha sets profile.alpha, so it wins
     profile = build_profile({**cfg, "profile": {**spec, "kind": "trumpet", "alpha": alpha}})
     grid = build_grid(cfg, profile)
-    verification = trumpet_mod.verify_trumpet(profile, grid)
+    scan = GridScan(profile, grid)
+    verification = trumpet_mod.verify_trumpet(scan)
     trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
     payload = {"params": profile.describe(), "verification": verification}
     if profile.n == 3:
-        report = penrose_check(profile, grid)
+        report = scan.penrose(adm_mass_from_tail(profile, grid)[0])
         payload["penrose"] = report
         _say(
             f"trumpet: mass = {report.adm_mass:.9g}, area_infimum = {report.area_infimum:.9g}, "

@@ -13,13 +13,15 @@ w, so a least area sits at a - to + root of H and a horizon is a root of H.
 The grid brackets both by the sign of w, and ``_root`` refines the root of H.
 When the infimum is approached only at the inner edge of the domain (no
 minimal sphere), the limit is extrapolated and flagged as a throat limit.
+``GridScan`` is the one reader of a profile on a grid: the area infimum, the
+horizon, R(g) and the verdict all read its one evaluation of u and u'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -202,110 +204,107 @@ def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
     return p[0]
 
 
-def area_infimum_radial(profile: RadialProfile, grid: RadialGrid | None = None) -> AreaInfimum:
-    """Infimum of coordinate-sphere areas: the grid's least area S_{r_i}, then a root of H.
+class GridScan:
+    """One evaluation of u and u' on a grid (the default grid when None): ``sphere``, its ``w`` and their readers."""
 
-    When H goes from - to + across [r_{i-1}, r_{i+1}] (across [r_{i-1}, r_i]
-    at the grid's top node), the minimal sphere is the root of H there;
-    otherwise (H = 0 up to rounding, as on the cylinder) the sampled minimum
-    stands.  An infimum attained only at the inner edge of
-    the sampling range is, unless that edge is the domain's closed inner end
-    itself, the root of H at its first change from + to - inward over r_1, r_0
-    and five geometric nodes toward the domain's inner endpoint; with none it
-    is extrapolated over those nodes (Richardson in sqrt(r - r_min)) and
-    flagged as a throat limit with no argmin.  A NaN sampled area (u overflowing
-    in a high dimension) raises :class:`ParameterError`; an infinite one is never least.
-    A throat extrapolation that is not finite (over areas that overflow) raises it too.
-    """
-    radii = (grid or default_grid(profile)).radii()
-    return _area_infimum(profile, radii, np.asarray(sphere_area(profile, radii)))
+    def __init__(self, profile: RadialProfile, grid: RadialGrid | None = None):
+        self.profile, self.grid = profile, grid or default_grid(profile)
+        self.radii = self.grid.radii()
+        self.sphere = _at(profile, self.radii, du=True)
+        self.w = _w_or_zero(self.sphere)
 
+    def scalar_curvature(self):
+        """R(g) on the grid, with u'' evaluated into the held sphere."""
+        self.sphere.d2u = self.profile.d2u(self.radii)
+        return self.sphere.scalar_curvature
 
-def _area_infimum(profile: RadialProfile, radii, areas, w=None) -> AreaInfimum:
-    """:func:`area_infimum_radial` from the grid's areas, and from its w-or-zero ``w`` when held."""
-    nan = np.isnan(areas)
-    if nan.any():  # argmin would pick the first NaN
-        raise ParameterError(f"dimension {profile.n}: the sphere area at r = {radii[nan.argmax()]:.6g} is NaN")
-    i = int(np.argmin(areas))
-    if i == 0:
-        lo = profile.domain.lo
-        if radii[0] == lo:  # only a closed inner end can lie on the grid
-            return AreaInfimum(value=float(areas[0]), argmin_radius=float(lo), throat_limit=False)
-        # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
-        nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
-        inward = np.concatenate([radii[1:2], nodes])  # r_1, then the nodes from r_0 in: one sphere for w and areas
-        probe = _at(profile, inward, du=True)
-        w_in = _w_or_zero(probe)  # d area/dr has the sign of H and w
-        turn = np.nonzero((w_in[:-1] > 0) & (w_in[1:] < 0))[0]  # + to - inward: a minimal sphere
-        if len(turn):
-            k = int(turn[0])
-            r = _root(partial(sphere_mean_curvature, profile), inward[k + 1], inward[k])
+    @cached_property
+    def area_infimum(self) -> AreaInfimum:
+        """Infimum of coordinate-sphere areas: the grid's least area S_{r_i}, then a root of H.
+
+        When H goes from - to + across [r_{i-1}, r_{i+1}] (across [r_{i-1}, r_i] at the grid's top
+        node), the minimal sphere is the root of H there; otherwise (H = 0 up to rounding, as on the
+        cylinder) the sampled minimum stands.  An infimum attained only at the inner edge of the
+        sampling range is, unless that edge is the domain's closed inner end itself, the root of H at
+        its first change from + to - inward over r_1, r_0 and five geometric nodes toward the domain's
+        inner endpoint; with none it is extrapolated over those nodes (Richardson in sqrt(r - r_min))
+        and flagged as a throat limit with no argmin.  A NaN sampled area (u overflowing in a high
+        dimension) raises :class:`ParameterError`; an infinite one is never least.  A throat
+        extrapolation that is not finite (over areas that overflow) raises it too.
+        """
+        profile, radii, areas = self.profile, self.radii, self.sphere.area
+        nan = np.isnan(areas)
+        if nan.any():  # argmin would pick the first NaN
+            raise ParameterError(f"dimension {profile.n}: the sphere area at r = {radii[nan.argmax()]:.6g} is NaN")
+        i = int(np.argmin(areas))
+        if i == 0:
+            lo = profile.domain.lo
+            if radii[0] == lo:  # only a closed inner end can lie on the grid
+                return AreaInfimum(value=float(areas[0]), argmin_radius=float(lo), throat_limit=False)
+            # geometric nodes toward the inner endpoint, then Richardson in sqrt(r - lo)
+            nodes = lo + (radii[0] - lo) * 0.25 ** np.arange(6)
+            inward = np.concatenate([radii[1:2], nodes])  # r_1, then the nodes from r_0 in: one sphere for w and areas
+            probe = _at(profile, inward, du=True)
+            w_in = _w_or_zero(probe)  # d area/dr has the sign of H and w
+            turn = np.nonzero((w_in[:-1] > 0) & (w_in[1:] < 0))[0]  # + to - inward: a minimal sphere
+            if len(turn):
+                k = int(turn[0])
+                r = _root(partial(sphere_mean_curvature, profile), inward[k + 1], inward[k])
+                return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
+            limit = float(_neville_to_zero(np.sqrt(nodes - lo), probe.area[1:]))
+            if not math.isfinite(limit):  # infinite areas below the grid extrapolate to NaN
+                edge = f"{radii[0]:.6g}"
+                raise ParameterError(f"dimension {profile.n}: the throat extrapolation below r = {edge} gives area {limit}")
+            return AreaInfimum(value=limit, argmin_radius=None, throat_limit=True)
+        pair = [i - 1, min(i + 1, len(radii) - 1)]  # at the top node, the root lies below it
+        w_lo, w_hi = self.w[pair]
+        if w_lo < 0 < w_hi:
+            r = _root(partial(sphere_mean_curvature, profile), radii[pair[0]], radii[pair[1]])
             return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
-        limit = float(_neville_to_zero(np.sqrt(nodes - lo), probe.area[1:]))
-        if not math.isfinite(limit):  # infinite areas below the grid extrapolate to NaN
-            edge = f"{radii[0]:.6g}"
-            raise ParameterError(f"dimension {profile.n}: the throat extrapolation below r = {edge} gives area {limit}")
-        return AreaInfimum(value=limit, argmin_radius=None, throat_limit=True)
-    pair = [i - 1, min(i + 1, len(radii) - 1)]  # at the top node, the root lies below it
-    w_lo, w_hi = w[pair] if w is not None else _w_or_zero(_at(profile, radii[pair], du=True))
-    if w_lo < 0 < w_hi:
-        r = _root(partial(sphere_mean_curvature, profile), radii[pair[0]], radii[pair[1]])
-        return AreaInfimum(value=float(sphere_area(profile, r)), argmin_radius=r, throat_limit=False)
-    return AreaInfimum(value=float(areas[i]), argmin_radius=float(radii[i]), throat_limit=False)
+        return AreaInfimum(value=float(areas[i]), argmin_radius=float(radii[i]), throat_limit=False)
 
+    def horizon_radius(self) -> float | None:
+        """Outermost radius with H = 0 to rounding (r_hi on the cylinder), or None when all are mean-convex."""
+        radii, w = self.radii, self.w
+        sign_change = np.nonzero(w[:-1] * w[1:] < 0)[0]
+        if len(sign_change) == 0:
+            zero = np.nonzero(w == 0)[0]
+            return float(radii[zero[-1]]) if len(zero) else None
+        j = int(sign_change[-1])
+        return _root(partial(sphere_mean_curvature, self.profile), radii[j], radii[j + 1])
 
-def find_horizon(profile: RadialProfile, grid: RadialGrid | None = None) -> float | None:
-    """Outermost radius with H = 0 to rounding (r_hi on the cylinder), or None when all are mean-convex."""
-    radii = (grid or default_grid(profile)).radii()
-    return _horizon(profile, radii, _w_or_zero(_at(profile, radii, du=True)))
+    def penrose(self, m: float) -> PenroseReport:
+        """The n = 3 verdict m >= sqrt(A_g/16pi) from the total mass m, with this scan's horizon.
 
-
-def _horizon(profile: RadialProfile, radii, w) -> float | None:
-    """:func:`find_horizon` from w-or-zero ``w`` on the grid's radii."""
-    sign_change = np.nonzero(w[:-1] * w[1:] < 0)[0]
-    if len(sign_change) == 0:
-        zero = np.nonzero(w == 0)[0]
-        return float(radii[zero[-1]]) if len(zero) else None
-    j = int(sign_change[-1])
-    return _root(partial(sphere_mean_curvature, profile), radii[j], radii[j + 1])
+        A ratio within ``EQUALITY_TOL`` of 1 is reported as equality, and so is the degenerate flat
+        case (mass and infimum both at numerical zero), with ratio 1.
+        """
+        self.profile.require_three("penrose_check")
+        a_g = max(self.area_infimum.value, 0.0)
+        bound = math.sqrt(a_g / (16 * math.pi))
+        if bound <= _DEGENERATE_BOUND:
+            ratio = 1.0 if abs(m) <= _DEGENERATE_BOUND else math.inf
+        else:
+            ratio = m / bound
+        if abs(ratio - 1.0) <= EQUALITY_TOL:
+            verdict = VERDICT_EQUALITY
+        elif ratio > 1.0:
+            verdict = VERDICT_STRICT
+        else:
+            verdict = VERDICT_VIOLATED
+        return PenroseReport(adm_mass=float(m), area_infimum=float(a_g), bound=float(bound), ratio=float(ratio),
+                             verdict=verdict, horizon_radius=self.horizon_radius())
 
 
 def penrose_check(profile: RadialProfile, grid: RadialGrid | None = None) -> PenroseReport:
-    """Assemble the mass-vs-area verdict m >= sqrt(A/16pi) for n = 3.
+    """The verdict m >= sqrt(A/16pi) for n = 3: :meth:`GridScan.penrose` of the tail mass.
 
-    The area infimum and horizon of :func:`area_infimum_radial` and
-    :func:`find_horizon` come from one evaluation of u and u' on the grid.
-    A ratio within ``EQUALITY_TOL`` of 1 is reported as equality.  The
-    degenerate flat case (mass and infimum both at numerical zero) is
-    reported as equality with ratio 1.
+    It refuses n != 3, then a tail that is not asymptotically flat, and only then evaluates the grid.
     """
     profile.require_three("penrose_check")
     grid = grid or default_grid(profile)
     m, _tail = adm_mass_from_tail(profile, grid)
-    radii = grid.radii()
-    sphere = _at(profile, radii, du=True)
-    w = _w_or_zero(sphere)
-    inf_res = _area_infimum(profile, radii, sphere.area, w)
-    a_g = max(inf_res.value, 0.0)
-    bound = math.sqrt(a_g / (16 * math.pi))
-    if bound <= _DEGENERATE_BOUND:
-        ratio = 1.0 if abs(m) <= _DEGENERATE_BOUND else math.inf
-    else:
-        ratio = m / bound
-    if abs(ratio - 1.0) <= EQUALITY_TOL:
-        verdict = VERDICT_EQUALITY
-    elif ratio > 1.0:
-        verdict = VERDICT_STRICT
-    else:
-        verdict = VERDICT_VIOLATED
-    return PenroseReport(
-        adm_mass=float(m),
-        area_infimum=float(a_g),
-        bound=float(bound),
-        ratio=float(ratio),
-        verdict=verdict,
-        horizon_radius=_horizon(profile, radii, w),
-    )
+    return GridScan(profile, grid).penrose(m)
 
 
 def adm_hawking_check(profile: RadialProfile, r: float) -> AdmHawkingResult:

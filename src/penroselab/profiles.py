@@ -314,7 +314,7 @@ def read_tabulated(path, n: int = 3) -> TabulatedProfile:
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).digest()
-    table = _PARSED.get(digest)
+    table = _PARSED.pop(digest, None)  # kept again below only if the profile accepts it
     if table is None:
         table = np.loadtxt(io.StringIO(data.decode("utf-8"), newline=None), comments="#", ndmin=2)
         if table.shape[1] < 2:

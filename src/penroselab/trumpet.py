@@ -33,14 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PenroseLabError, WeakAlphaWarning
-from .geometry import _at, geodesic_distance
-from .masses import _area_infimum, _w_or_zero, adm_mass_from_tail
+from .geometry import geodesic_distance
+from .masses import GridScan, adm_mass_from_tail
 from .profiles import (
     CylinderProfile,
     RadialGrid,
     RadialProfile,
     SchwarzschildLikeProfile,
-    default_grid,
     dimension,
     unit_sphere_area,
     write_tabulated,
@@ -216,8 +215,8 @@ SCALAR_CURVATURE_TOL = 1e-10
 THROAT_AREA_TOL = 1e-4
 
 
-def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> TrumpetVerification:
-    """Run the five verification checks on a built trumpet profile.
+def verify_trumpet(scan: GridScan) -> TrumpetVerification:
+    """Run the five verification checks on the grid scan of a built trumpet profile.
 
     (a) asymptotic flatness: tail fit succeeds and (for n = 3) recovers the
         mass 2 alpha0;
@@ -227,16 +226,17 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
         alpha certificate that guarantees positivity off the sampled grid;
     (d) completeness: radial arc length from the puncture diverges;
     (e) throat area limit: sphere areas decrease to the unit-sphere area.
+
+    (b), (c) and (e) read the scan's one evaluation of u, u' and u''.
     """
-    grid = grid or default_grid(profile)
-    radii = grid.radii()
+    profile, radii = scan.profile, scan.radii
     n = profile.n
     checks: list[CheckResult] = []
 
     # (a) asymptotically flat tail
     mass = None
     try:
-        m_fit, tail = adm_mass_from_tail(profile, grid)
+        m_fit, tail = adm_mass_from_tail(profile, scan.grid)
         if n == 3:
             mass = 2.0 * profile.alpha0
             af_ok = abs(m_fit - mass) <= 1e-8 * max(1.0, abs(mass))
@@ -250,10 +250,9 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     checks.append(CheckResult("asymptotically_flat", af_ok, detail))
 
     # (b) scalar curvature sign, through the Laplacian decomposition
-    sphere = _at(profile, radii, d2u=True)  # (b), (c) and (e) read u, u' and u'' from this one evaluation
     t1, t2, t3 = profile.laplacian_terms(radii)
     terms_max = float(max(t1.max(), t2.max(), t3.max())) + 0.0  # 0 * lap1 beyond 2 r0 is -0.0; report 0.0
-    r_min = float(np.min(sphere.scalar_curvature))
+    r_min = float(np.min(scan.scalar_curvature()))
     sc_ok = terms_max <= LAPLACIAN_TERM_TOL and r_min >= -SCALAR_CURVATURE_TOL
     checks.append(
         CheckResult(
@@ -264,7 +263,7 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     )
 
     # (c) mean convexity: sampled positivity plus the alpha certificate
-    deriv = sphere.radius_slope
+    deriv = scan.sphere.radius_slope
     grid_ok = bool(np.all(deriv > 0))
     alpha_req = required_alpha(n)
     cert_ok = profile.alpha >= alpha_req * (1 - 1e-12)
@@ -289,7 +288,7 @@ def verify_trumpet(profile: TrumpetProfile, grid: RadialGrid | None = None) -> T
     )
 
     # (e) throat area limit
-    inf_res = _area_infimum(profile, radii, sphere.area, _w_or_zero(sphere))
+    inf_res = scan.area_infimum
     target = unit_sphere_area(n)
     throat_ok = inf_res.throat_limit and abs(inf_res.value - target) <= THROAT_AREA_TOL
     checks.append(

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from penroselab import (
+    GridScan,
     PrescribedMeanCurvature,
     SchwarzschildLikeProfile,
     TrumpetProfile,
     adm_mass_from_tail,
-    area_infimum_radial,
     build_problem,
     default_grid,
     hawking_mass,
@@ -59,7 +59,7 @@ def test_criterion_1_schwarzschild_equality():
         with _Timer(1.0) as t:
             profile = SchwarzschildLikeProfile.from_mass(mass)
             m_fit, _ = adm_mass_from_tail(profile)
-            inf_res = area_infimum_radial(profile)
+            inf_res = GridScan(profile).area_infimum
             report = penrose_check(profile)
         ok = (
             abs(m_fit - mass) <= 1e-8
@@ -77,12 +77,12 @@ def test_criterion_2_trumpet_horizon_free():
     with _Timer(5.0) as t:
         trumpet = TrumpetProfile()
         grid = default_grid(trumpet)
-        verification = verify_trumpet(trumpet, grid)
+        verification = verify_trumpet(GridScan(trumpet, grid))
         radii = grid.radii()
         terms = trumpet.laplacian_terms(radii)
         max_term = max(float(np.max(term)) for term in terms)
         min_h = float(np.min(np.asarray(sphere_mean_curvature(trumpet, radii))))
-        inf_res = area_infimum_radial(trumpet, grid)
+        inf_res = GridScan(trumpet, grid).area_infimum
         report = penrose_check(trumpet, grid)
     ok = (
         verification.ok

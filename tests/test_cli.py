@@ -13,10 +13,10 @@ import pytest
 
 import penroselab
 from penroselab import (
+    GridScan,
     RadialGrid,
     SchwarzschildLikeProfile,
     TrumpetProfile,
-    area_infimum_radial,
     export_trumpet,
     hawking_mass,
     profiles,
@@ -29,6 +29,7 @@ from penroselab import (
 from penroselab.cli import build_grid, build_profile, main, run_command
 from penroselab.errors import ConfigError
 from penroselab.reports import jsonable
+from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_LO
 
 from conftest import count_evaluations
 
@@ -420,8 +421,11 @@ def test_analyze_arc_length_on_a_coarse_grid(tmp_path, count):
         # both sampled areas overflow to inf, and the throat extrapolation over the nodes below gives NaN
         (["analyze", "--profile", "schwarzschild", "--grid-lo", "1e-300", "--grid-hi", "1e300", "--grid-count", "2"], 2,
          "config error: dimension 3: the throat extrapolation below r = 1e-300 gives area nan"),
+        # penrose fits the tail before it evaluates the grid, so the overflowing fit is refused first
+        (["penrose", "--profile", "schwarzschild", "--grid-lo", "1e-300", "--grid-hi", "1e300", "--grid-count", "2"], 6,
+         "penrose: hypothesis refused: tail fit on [1e+299, 1e+300]"),
     ],
-    ids=["schwarzschild", "euclidean", "trumpet", "infinite-areas"],
+    ids=["schwarzschild", "euclidean", "trumpet", "infinite-areas", "tail-refused-first"],
 )
 def test_nan_sphere_area_refused_by_name(tmp_path, args, code, message):
     # in a fresh interpreter: in this one the overflow of u raises as a RuntimeWarning first.
@@ -435,6 +439,8 @@ def test_nan_sphere_area_refused_by_name(tmp_path, args, code, message):
     assert message in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
     if code == 2:
         assert not (tmp_path / "analyze").exists()
+    if code == 6:  # refused before u and u' overflow on the grid
+        assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["mu-bubble", "horizon", "rigidity", "penrose"])
@@ -801,6 +807,21 @@ def test_tabulated_analyze_evaluates_its_grid_once(tmp_path, monkeypatch):
     assert {name: calls.count(profiles.DEFAULT_GRID_COUNT) for name, calls in sizes.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
 
 
+def test_trumpet_n3_evaluates_its_grid_once(tmp_path, monkeypatch):
+    # the checks and the penrose block read one scan: u, u' and u'' once each on the default grid (from 1e-4),
+    # told apart from the export's 4,096 radii (from 1e-10) by the first radius of each call
+    firsts = {"_u": [], "_du": [], "_d2u": []}
+    for name, calls in firsts.items():
+        f = getattr(TrumpetProfile, name)
+        record = lambda self, r, f=f, calls=calls: calls.append((np.size(r), np.ravel(r)[0])) or f(self, r)
+        monkeypatch.setattr(TrumpetProfile, name, record)
+    assert run(tmp_path, "trumpet", "--n", "3") == 0
+    grid = (profiles.DEFAULT_GRID_COUNT, profiles.DEFAULT_GRID_LO)
+    export = (EXPORT_COUNT, EXPORT_R_LO)
+    assert {name: calls.count(grid) for name, calls in firsts.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
+    assert {name: calls.count(export) for name, calls in firsts.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
+
+
 @pytest.mark.parametrize("kind", ["trumpet", "tabulated"])
 def test_analyze_columns_are_the_library_on_the_grid(tmp_path, kind):
     # R, H, the area and m_H of each row are the library's functions on the grid, repr for repr
@@ -837,7 +858,7 @@ def test_analyze_area_infimum_is_area_infimum_radial(tmp_path, kind):
     summary = json.loads((tmp_path / "analyze" / "analyze.json").read_text())
     profile = build_profile(summary["config"])
     grid = build_grid(summary["config"], profile)
-    expected = area_infimum_radial(profile, grid)
+    expected = GridScan(profile, grid).area_infimum
     assert summary["area_infimum"] == expected.value
     assert summary["area_infimum_argmin"] == expected.argmin_radius
     assert summary["area_infimum_throat_limit"] is expected.throat_limit

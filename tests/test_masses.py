@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from penroselab import (
     CylinderProfile,
     EuclideanProfile,
+    GridScan,
     NotAsymptoticallyFlatError,
     NotOuterMinimizingError,
     RadialGrid,
@@ -22,10 +23,8 @@ from penroselab import (
     UnsupportedDimensionError,
     adm_hawking_check,
     adm_mass_from_tail,
-    area_infimum_radial,
     default_grid,
     export_trumpet,
-    find_horizon,
     hawking_mass,
     horizon_sequence,
     min_alpha,
@@ -36,9 +35,9 @@ from penroselab import (
 )
 from penroselab.errors import ParameterError
 from penroselab.geometry import _at, _Sphere, scalar_curvature
-from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT, VERDICT_VIOLATED, _area_infimum, _root, _w_or_zero
+from penroselab.masses import VERDICT_EQUALITY, VERDICT_STRICT, VERDICT_VIOLATED, _root, _w_or_zero
 
-from conftest import PlummerProfile, adm_flux, plummer_draws
+from conftest import PlummerProfile, adm_flux, count_evaluations, plummer_draws
 
 
 def test_adm_mass_examples(euclid, schw, schw_ab):
@@ -232,7 +231,7 @@ def test_w_or_zero_has_the_sign_of_h_or_zero(tmp_path, name):
 
 
 def test_area_infimum_schwarzschild(schw):
-    res = area_infimum_radial(schw)
+    res = GridScan(schw).area_infimum
     assert not res.throat_limit
     assert abs(res.argmin_radius - 0.5) <= 4 * math.ulp(0.5)
     assert res.value == pytest.approx(16 * math.pi, rel=1e-10)
@@ -246,9 +245,9 @@ _MINIMAL_SPHERES = [(2.0, 1.0), (1.0, 1.3), (0.7, 2.9), (3.1, 0.37), (1.0, 1e-3)
 @pytest.mark.parametrize("a,b", _MINIMAL_SPHERES)
 def test_minimal_sphere_is_the_root_of_h(a, b):
     profile = SchwarzschildLikeProfile(a, b)
-    res = area_infimum_radial(profile)
+    res = GridScan(profile).area_infimum
     assert abs(res.argmin_radius - b / a) <= 4 * math.ulp(b / a)
-    assert abs(find_horizon(profile) - b / a) <= 4 * math.ulp(b / a)
+    assert abs(GridScan(profile).horizon_radius() - b / a) <= 4 * math.ulp(b / a)
     assert res.value == pytest.approx(16 * math.pi * (2 * a * b) ** 2, rel=1e-15)
 
 
@@ -256,7 +255,7 @@ def test_minimal_sphere_is_the_root_of_h(a, b):
 def test_area_infimum_below_a_grid_starting_outside_the_horizon(schw, r_lo, count):
     # the least sampled area is the grid's inner edge, but H changes sign from
     # + to - below it: the minimal sphere r = 1/2 is found there, not a throat
-    res = area_infimum_radial(schw, RadialGrid(r_lo, 1e4, count))
+    res = GridScan(schw, RadialGrid(r_lo, 1e4, count)).area_infimum
     assert not res.throat_limit
     assert abs(res.argmin_radius - 0.5) <= 4 * math.ulp(0.5)
     assert res.value == pytest.approx(16 * math.pi, rel=1e-12)
@@ -266,7 +265,7 @@ def test_area_infimum_below_a_grid_starting_outside_the_horizon(schw, r_lo, coun
 def test_area_infimum_between_the_top_two_nodes(schw, r_hi):
     # the least sampled area is the grid's top node, but H changes sign from
     # - to + below it: the minimal sphere r = 1/2 is found there, not the node
-    res = area_infimum_radial(schw, RadialGrid(0.4, r_hi, 2))
+    res = GridScan(schw, RadialGrid(0.4, r_hi, 2)).area_infimum
     assert not res.throat_limit
     assert abs(res.argmin_radius - 0.5) <= 4 * math.ulp(0.5)
     assert res.value == pytest.approx(16 * math.pi, rel=1e-15)
@@ -274,28 +273,29 @@ def test_area_infimum_between_the_top_two_nodes(schw, r_hi):
 
 def test_nan_area_refused_by_name(schw):
     # a NaN sampled area (u overflowing in a high dimension) is refused, not picked by argmin;
-    # an infinite one is never least
-    radii = RadialGrid(1.0, 4.0, 4).radii()
+    # an infinite one is never least.  The scan's intrinsic radii are replaced, so its areas read inf, NaN, 3, NaN
+    scan = GridScan(schw, RadialGrid(1.0, 4.0, 4))
+    scan.sphere.radius = np.sqrt(np.array([np.inf, np.nan, 3.0, np.nan]) / (4 * math.pi))
+    assert np.array_equal(scan.sphere.area, [np.inf, np.nan, 3.0, np.nan], equal_nan=True)
     with pytest.raises(ParameterError, match=r"^dimension 3: the sphere area at r = 1\.5874 is NaN$"):
-        _area_infimum(schw, radii, np.array([np.inf, np.nan, 3.0, np.nan]))
+        scan.area_infimum
 
 
 def test_non_finite_throat_extrapolation_refused_by_name(schw):
     # both sampled areas overflow to inf, so the least is the inner edge, and the throat extrapolation
     # over the overflowing areas below it is NaN; errstate keeps the overflow from raising as a RuntimeWarning
-    radii = np.array([1e-300, 1e300])
     with np.errstate(over="ignore", invalid="ignore"):
-        areas = np.asarray(sphere_area(schw, radii))
-        assert np.isinf(areas).all()
+        scan = GridScan(schw, RadialGrid(1e-300, 1e300, 2))
+        assert np.isinf(scan.sphere.area).all()
         with pytest.raises(ParameterError, match=r"^dimension 3: the throat extrapolation below r = 1e-300 gives area nan$"):
-            _area_infimum(schw, radii, areas)
+            scan.area_infimum
 
 
 def test_area_infimum_cylinder_work_bound(cylinder, counting):
     # every coordinate sphere has area 4 pi and H = 0 up to rounding, which
     # counts as 0: the least sampled area stands and no root is refined
     profile = counting(cylinder)
-    res = area_infimum_radial(profile)
+    res = GridScan(profile).area_infimum
     assert res.value == pytest.approx(4 * math.pi, rel=1e-15)
     assert not res.throat_limit
     assert profile.points <= default_grid(cylinder).count + 128
@@ -304,7 +304,7 @@ def test_area_infimum_cylinder_work_bound(cylinder, counting):
 def test_throat_probe_evaluates_u_once(trumpet, counting):
     # the grid, then one probe of r_1 and the six nodes from r_0 inward: H and the extrapolated areas share it
     profile = counting(trumpet)
-    assert area_infimum_radial(profile).throat_limit
+    assert GridScan(profile).area_infimum.throat_limit
     assert profile.sizes == [default_grid(trumpet).count, 7]
 
 
@@ -313,20 +313,20 @@ def test_area_infimum_at_a_closed_inner_edge(trumpet):
     # increases, so the least area is the table's inner edge, which the grid starts on
     radii = np.geomspace(1e-3, 1e3, 4096)
     table = TabulatedProfile(radii, trumpet.u(radii))
-    res = area_infimum_radial(table)
+    res = GridScan(table).area_infimum
     assert res.argmin_radius == 1e-3 and not res.throat_limit
     assert res.value == sphere_area(table, 1e-3)
     assert res.value == pytest.approx(4 * math.pi * (1 + trumpet.c1 * math.sqrt(1e-3)) ** 4, rel=1e-12)
 
 
 def test_area_infimum_euclid_throat(euclid):
-    res = area_infimum_radial(euclid)
+    res = GridScan(euclid).area_infimum
     assert res.throat_limit and res.argmin_radius is None
     assert abs(res.value) < 1e-12
 
 
 def test_area_infimum_trumpet_throat(trumpet):
-    res = area_infimum_radial(trumpet)
+    res = GridScan(trumpet).area_infimum
     assert res.throat_limit and res.argmin_radius is None
     assert res.value == pytest.approx(4 * math.pi, abs=1e-4)
 
@@ -337,13 +337,13 @@ def test_throat_flag_for_everywhere_mean_convex_profiles(euclid, trumpet):
     for profile in (euclid, trumpet):
         radii = default_grid(profile, count=512).radii()
         assert np.all(np.asarray(sphere_mean_curvature(profile, radii)) > 0)
-        assert area_infimum_radial(profile).throat_limit
+        assert GridScan(profile).area_infimum.throat_limit
 
 
 def test_find_horizon(schw, trumpet, euclid):
-    assert abs(find_horizon(schw) - 0.5) <= 4 * math.ulp(0.5)
-    assert find_horizon(trumpet) is None
-    assert find_horizon(euclid) is None
+    assert abs(GridScan(schw).horizon_radius() - 0.5) <= 4 * math.ulp(0.5)
+    assert GridScan(trumpet).horizon_radius() is None
+    assert GridScan(euclid).horizon_radius() is None
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -351,7 +351,7 @@ def test_find_horizon_cylinder(n):
     # H = 0 on every sphere of the cylinder, and the computed H is rounding
     # alone: every sampled sphere is minimal, the outermost one is r_hi
     profile = CylinderProfile(n)
-    assert find_horizon(profile) == default_grid(profile).r_hi
+    assert GridScan(profile).horizon_radius() == default_grid(profile).r_hi
 
 
 def test_penrose_equality_case(schw):
@@ -432,21 +432,27 @@ def test_plummer_core_mass_is_exact():
     assert penrose_check(profile).adm_mass == pytest.approx(profile.mass, rel=1e-8, abs=0)
 
 
-def test_penrose_dimension_guard():
+def test_penrose_dimension_guard(monkeypatch):
+    # refused before any evaluation of u, u' or u''
+    sizes = count_evaluations(monkeypatch, SchwarzschildLikeProfile)
     with pytest.raises(UnsupportedDimensionError):
         penrose_check(SchwarzschildLikeProfile.from_mass(1.0, n=4))
+    assert sizes == {"_u": [], "_du": [], "_d2u": []}
 
 
-def test_penrose_check_evaluates_u_on_its_grid_once(schw, counting):
-    # the area infimum and the horizon scan read one evaluation of u on the grid,
-    # and area_infimum_radial alone evaluates u there once as well
+def test_penrose_check_evaluates_u_on_its_grid_once(schw, counting, monkeypatch):
+    # the area infimum and the horizon read one evaluation of u and u' on the grid, and no u'';
+    # a scan alone evaluates u there once as well
     count = default_grid(schw).count
     profile = counting(schw)
     assert penrose_check(profile) == penrose_check(schw)
     assert profile.sizes.count(count) == 1
     alone = counting(schw)
-    assert area_infimum_radial(alone) == area_infimum_radial(schw)
+    assert GridScan(alone).area_infimum == GridScan(schw).area_infimum
     assert alone.sizes.count(count) == 1
+    sizes = count_evaluations(monkeypatch, SchwarzschildLikeProfile)
+    penrose_check(schw)
+    assert {name: calls.count(count) for name, calls in sizes.items()} == {"_u": 1, "_du": 1, "_d2u": 0}
 
 
 @pytest.mark.parametrize(
@@ -462,11 +468,13 @@ def test_penrose_check_evaluates_u_on_its_grid_once(schw, counting):
     ],
 )
 def test_penrose_check_reads_the_standalone_infimum_and_horizon(request, name, grid):
-    # the shared scan gives the bits area_infimum_radial and find_horizon give alone
+    # the verdict gives the bits a scan's own area infimum and horizon give; test_area_infimum_schwarzschild,
+    # test_find_horizon and test_find_horizon_cylinder hold those against closed forms
     profile = request.getfixturevalue(name)
     report = penrose_check(profile, grid)
-    assert report.area_infimum == max(area_infimum_radial(profile, grid).value, 0.0)
-    assert report.horizon_radius == find_horizon(profile, grid)
+    scan = GridScan(profile, grid)
+    assert report.area_infimum == max(scan.area_infimum.value, 0.0)
+    assert report.horizon_radius == scan.horizon_radius()
 
 
 def test_adm_hawking_check(schw, trumpet):

@@ -594,6 +594,15 @@ def test_table_with_a_non_finite_entry_is_not_kept(tmp_path, memo):
     assert memo.parses() == 1
 
 
+def test_written_table_every_read_refuses_leaves_the_memo(tmp_path, memo):
+    # finite, so kept when written; the profile refuses it on the first read, and the entry goes with the refusal
+    write_tabulated(tmp_path / "t.dat", [1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 1.0, 1.0])
+    assert len(memo.entries()) == 1
+    with pytest.raises(ValueError, match="tabulated conformal factors must be positive"):
+        read_tabulated(tmp_path / "t.dat")
+    assert memo.entries() == {} and memo.parses() == 0
+
+
 def test_refused_table_leaves_the_memo_as_it_was(tmp_path, memo, schw):
     # a table the profile refuses is neither kept nor allowed to evict one it accepted
     radii = np.geomspace(1e-2, 1e2, 16)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penroselab import (
+    GridScan,
     RadialGrid,
     SmoothCutoff,
     TrumpetProfile,
@@ -133,14 +134,14 @@ class TestBuild:
 
 class TestVerification:
     def test_default_passes_all_checks(self, trumpet):
-        report = verify_trumpet(trumpet)
+        report = verify_trumpet(GridScan(trumpet))
         assert report.ok and report.failing() == []
         assert report.mass == pytest.approx(2 * trumpet.alpha0, rel=1e-12)
         assert report.throat_area == pytest.approx(4 * math.pi, abs=1e-4)
 
     def test_failed_tail_fit_is_a_failed_check(self, trumpet):
         # a grid ending at r = 1 fits its tail inside the throat: check (a) fails and the others still run
-        report = verify_trumpet(trumpet, RadialGrid(1e-3, 1.0, 512))
+        report = verify_trumpet(GridScan(trumpet, RadialGrid(1e-3, 1.0, 512)))
         assert report.failing() == ["asymptotically_flat"] and report.mass is None
         assert report.checks[0].detail["error"].startswith("tail fit residual ")
 
@@ -160,7 +161,7 @@ class TestVerification:
         assert not np.any(terms[1])
         scale = np.abs(trumpet.d2u(radii)) + (n - 1) * np.abs(trumpet.du(radii)) / radii
         assert np.all(np.abs(sum(terms) - radial_laplacian(trumpet, radii)) <= 1e-13 * scale)
-        detail = verify_trumpet(trumpet).checks[1].detail
+        detail = verify_trumpet(GridScan(trumpet)).checks[1].detail
         assert detail["max_laplacian_term"] <= 0
 
     def test_scalar_curvature_nonnegative_on_grid(self, trumpet):
@@ -177,7 +178,7 @@ class TestVerification:
     def test_weak_alpha_fails_certificate(self):
         with pytest.warns(WeakAlphaWarning):
             weak = TrumpetProfile(alpha=required_alpha(3) / 2)
-        report = verify_trumpet(weak)
+        report = verify_trumpet(GridScan(weak))
         assert not report.ok
         assert "mean_convexity" in report.failing()
         detail = next(c.detail for c in report.checks if c.name == "mean_convexity")
@@ -203,14 +204,14 @@ class TestVerification:
         # u, u' and u'' on the whole grid once each: one sphere for R in check (b) and for checks (c) and (e)
         sizes = count_evaluations(monkeypatch, TrumpetProfile)
         trumpet = TrumpetProfile()
-        verify_trumpet(trumpet)
+        verify_trumpet(GridScan(trumpet))
         count = default_grid(trumpet).count
         assert {name: calls.count(count) for name, calls in sizes.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
         assert max(max(calls) for calls in sizes.values()) == count
 
     def test_dimension_four(self):
         t4 = TrumpetProfile(n=4)
-        report = verify_trumpet(t4)
+        report = verify_trumpet(GridScan(t4))
         assert report.ok
         assert report.mass is None
         assert report.throat_area == pytest.approx(2 * math.pi**2, abs=1e-4)
