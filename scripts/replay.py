@@ -4,7 +4,7 @@
 ``record`` draws the CLI ops of four seeded workloads from
 ``benchmarks/workloads.py`` (verdicts, bubble-schedules, bubble-trumpet and
 trumpet-roundtrip; by default seeds 1-3, rounds 0-1: 171 ops) and the fixed
-``commands`` lists below (26 ops over all seven commands, including the exit
+``commands`` lists below (27 ops over all seven commands, including the exit
 codes and the refusals the workloads never reach, and a two-column (r, u)
 table that no process wrote, so its first read parses it), runs each through
 ``penroselab.cli.run_command`` of the package under ``--src`` (the
@@ -98,6 +98,7 @@ MAIN_ARGV = (
      {"profile": SCHW, "epsilon": 0.1, "beta": 3.0}),
     ("horizon unknown flag", ["horizon", "--profile", "schwarzschild", "--bogus", "1"], None),
     ("analyze n 80", ["analyze", "--profile", "schwarzschild", "--n", "80"], None),
+    ("trumpet n 3 grid-hi 1e155", ["trumpet", "--n", "3", "--grid-hi", "1e155"], None),
 )
 
 

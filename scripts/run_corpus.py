@@ -11,9 +11,9 @@ from pathlib import Path
 from penroselab import (
     EuclideanProfile,
     SchwarzschildLikeProfile,
+    GridScan,
     TrumpetProfile,
     adm_hawking_check,
-    penrose_check,
 )
 from penroselab.reports import jsonable, write_csv, write_json
 
@@ -35,7 +35,7 @@ def main():
     rows = []
     reports = {}
     for name, profile in corpus():
-        report = penrose_check(profile)
+        report = GridScan(profile).penrose()
         reports[name] = record = jsonable(report)
         rows.append([name] + [record[c] for c in columns[1:]])
         hr = "none" if report.horizon_radius is None else f"{report.horizon_radius:.6g}"

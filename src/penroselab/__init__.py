@@ -60,7 +60,6 @@ from .masses import (
     adm_hawking_check,
     adm_mass_from_tail,
     hawking_mass,
-    penrose_check,
 )
 from .profiles import (
     CylinderProfile,

@@ -72,7 +72,7 @@ from .errors import (
     PenroseLabError,
 )
 from .geometry import _at, _Sphere, intrinsic_diameter, sphere_area, sphere_mean_curvature, volume_between
-from .masses import VERDICT_EQUALITY, GridScan, _root, hawking_mass, penrose_check
+from .masses import VERDICT_EQUALITY, GridScan, _root, hawking_mass
 from .profiles import RadialProfile
 from .quadrature import NodeTable, PanelAntiderivative, gauss_nodes, node_tails
 
@@ -562,7 +562,7 @@ def rigidity_iteration(profile: RadialProfile, anchor_radius: float, epsilon: fl
         raise EpsilonTooLargeError(f"need 0 < epsilon < {eps0:.6g}, got {epsilon}")
     if epsilon < EPSILON_FLOOR:
         raise ParameterError(f"epsilon = {epsilon} lies below epsilon_floor = {EPSILON_FLOOR:g}")
-    report = penrose_check(profile)
+    report = GridScan(profile).penrose()
     a_inf = report.area_infimum
     lambda0 = a_inf * a0 / (2.0 * math.pi)
     equality = report.verdict == VERDICT_EQUALITY

@@ -36,7 +36,7 @@ from .errors import (
     PenroseLabError,
 )
 from .geometry import _Sphere
-from .masses import VERDICT_VIOLATED, GridScan, adm_mass_from_tail, penrose_check
+from .masses import VERDICT_VIOLATED, GridScan
 from .profiles import (
     DEFAULT_GRID_COUNT,
     DEFAULT_GRID_HI,
@@ -198,9 +198,7 @@ def cmd_analyze(cfg: dict) -> int:
 
     summary: dict = {"profile": profile.describe()}
     try:
-        m, tail = adm_mass_from_tail(profile, grid)
-        summary["adm_mass"] = m
-        summary["tail"] = tail
+        summary["adm_mass"], summary["tail"] = scan.tail
     except PenroseLabError as exc:
         summary["adm_mass"] = None
         summary["tail_error"] = str(exc)
@@ -220,8 +218,7 @@ def cmd_analyze(cfg: dict) -> int:
 
 def cmd_penrose(cfg: dict) -> int:
     profile = build_profile(cfg)
-    grid = build_grid(cfg, profile)
-    report = penrose_check(profile, grid)
+    report = GridScan(profile, build_grid(cfg, profile)).penrose()
     cols = ["adm_mass", "area_infimum", "bound", "ratio", "verdict", "horizon_radius"]
     _report(cfg, {"report": report}, cols, [jsonable(report)])
     _say(
@@ -346,13 +343,12 @@ def cmd_trumpet(cfg: dict) -> int:
         raise ConfigError("the trumpet command builds its own profile")
     alpha = spec.get("alpha", cfg.get("alpha"))  # --alpha sets profile.alpha, so it wins
     profile = build_profile({**cfg, "profile": {**spec, "kind": "trumpet", "alpha": alpha}})
-    grid = build_grid(cfg, profile)
-    scan = GridScan(profile, grid)
+    scan = GridScan(profile, build_grid(cfg, profile))
+    report = scan.penrose() if profile.n == 3 else None  # a refused tail writes nothing
     verification = trumpet_mod.verify_trumpet(scan)
     trumpet_mod.export_trumpet(profile, _out_dir(cfg) / "trumpet_profile.dat")
     payload = {"params": profile.describe(), "verification": verification}
-    if profile.n == 3:
-        report = scan.penrose(adm_mass_from_tail(profile, grid)[0])
+    if report is not None:
         payload["penrose"] = report
         _say(
             f"trumpet: mass = {report.adm_mass:.9g}, area_infimum = {report.area_infimum:.9g}, "

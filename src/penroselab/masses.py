@@ -13,8 +13,9 @@ w, so a least area sits at a - to + root of H and a horizon is a root of H.
 The grid brackets both by the sign of w, and ``_root`` refines the root of H.
 When the infimum is approached only at the inner edge of the domain (no
 minimal sphere), the limit is extrapolated and flagged as a throat limit.
-``GridScan`` is the one reader of a profile on a grid: the area infimum, the
-horizon, R(g) and the verdict all read its one evaluation of u and u'.
+``GridScan`` is the one reader of a profile on a grid: the mass reads its one
+tail fit, the area infimum, horizon and R(g) its one evaluation of u and u',
+and its verdict refuses n != 3, then a bad tail, before it evaluates the grid.
 """
 
 from __future__ import annotations
@@ -205,13 +206,24 @@ def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
 
 
 class GridScan:
-    """One evaluation of u and u' on a grid (the default grid when None): ``sphere``, its ``w`` and their readers."""
+    """A profile on a grid (the default grid when None), read on first use: its ``tail``, its ``sphere`` and ``w``."""
 
     def __init__(self, profile: RadialProfile, grid: RadialGrid | None = None):
         self.profile, self.grid = profile, grid or default_grid(profile)
         self.radii = self.grid.radii()
-        self.sphere = _at(profile, self.radii, du=True)
-        self.w = _w_or_zero(self.sphere)
+
+    @cached_property
+    def tail(self) -> tuple[float, AsymptoticTail]:
+        """(m, tail) of :func:`adm_mass_from_tail` on this grid; a refusal raises on every read."""
+        return adm_mass_from_tail(self.profile, self.grid)
+
+    @cached_property
+    def sphere(self) -> _Sphere:
+        return _at(self.profile, self.radii, du=True)
+
+    @cached_property
+    def w(self):
+        return _w_or_zero(self.sphere)
 
     def scalar_curvature(self):
         """R(g) on the grid, with u'' evaluated into the held sphere."""
@@ -273,13 +285,15 @@ class GridScan:
         j = int(sign_change[-1])
         return _root(partial(sphere_mean_curvature, self.profile), radii[j], radii[j + 1])
 
-    def penrose(self, m: float) -> PenroseReport:
-        """The n = 3 verdict m >= sqrt(A_g/16pi) from the total mass m, with this scan's horizon.
+    def penrose(self) -> PenroseReport:
+        """The n = 3 verdict m >= sqrt(A_g/16pi) from this scan's tail mass, area infimum and horizon.
 
+        It refuses n != 3, then a tail that is not asymptotically flat, and only then evaluates the grid.
         A ratio within ``EQUALITY_TOL`` of 1 is reported as equality, and so is the degenerate flat
         case (mass and infimum both at numerical zero), with ratio 1.
         """
-        self.profile.require_three("penrose_check")
+        self.profile.require_three("GridScan.penrose")
+        m = self.tail[0]
         a_g = max(self.area_infimum.value, 0.0)
         bound = math.sqrt(a_g / (16 * math.pi))
         if bound <= _DEGENERATE_BOUND:
@@ -296,38 +310,26 @@ class GridScan:
                              verdict=verdict, horizon_radius=self.horizon_radius())
 
 
-def penrose_check(profile: RadialProfile, grid: RadialGrid | None = None) -> PenroseReport:
-    """The verdict m >= sqrt(A/16pi) for n = 3: :meth:`GridScan.penrose` of the tail mass.
-
-    It refuses n != 3, then a tail that is not asymptotically flat, and only then evaluates the grid.
-    """
-    profile.require_three("penrose_check")
-    grid = grid or default_grid(profile)
-    m, _tail = adm_mass_from_tail(profile, grid)
-    return GridScan(profile, grid).penrose(m)
-
-
 def adm_hawking_check(profile: RadialProfile, r: float) -> AdmHawkingResult:
     """Check total mass >= Hawking mass of S_r, refusing at non-outer-minimizing r.
 
-    Both halves read the profile's :func:`~penroselab.profiles.default_grid`.
+    Both halves read the scan of the profile's :func:`~penroselab.profiles.default_grid`.
     The outer-minimizing hypothesis is tested in its coordinate-sphere form:
     every sphere of larger radius on that grid must have at least the area of
-    S_r, and the total mass is the tail fit on it.  Failure raises
+    S_r, and the total mass is the scan's tail.  Failure raises
     :class:`NotOuterMinimizingError` (check refused, not failed).  The grid
     comparison is deliberate: it decides a refusal and solves for nothing,
     so no root is refined.
     """
     profile.require_three("adm_hawking_check")
-    grid = default_grid(profile)
+    scan = GridScan(profile)
     sphere = _at(profile, r, du=True)
     area_r = float(sphere.area)
-    radii = grid.radii()
-    outer = radii[radii >= r]
+    outer = scan.radii[scan.radii >= r]
     if len(outer) and np.min(np.asarray(sphere_area(profile, outer))) < area_r * (1 - 1e-12):
         raise NotOuterMinimizingError(
             f"sphere_area dips below area(S_{r}) at larger radii; hypothesis refused"
         )
     mh = float(sphere.hawking_mass)
-    m, _ = adm_mass_from_tail(profile, grid)
+    m = scan.tail[0]
     return AdmHawkingResult(radius=float(r), adm_mass=float(m), hawking_mass=mh, passed=m >= mh - ADM_HAWKING_SLACK)

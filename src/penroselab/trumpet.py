@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PenroseLabError, WeakAlphaWarning
 from .geometry import geodesic_distance
-from .masses import GridScan, adm_mass_from_tail
+from .masses import GridScan
 from .profiles import (
     CylinderProfile,
     RadialGrid,
@@ -227,7 +227,7 @@ def verify_trumpet(scan: GridScan) -> TrumpetVerification:
     (d) completeness: radial arc length from the puncture diverges;
     (e) throat area limit: sphere areas decrease to the unit-sphere area.
 
-    (b), (c) and (e) read the scan's one evaluation of u, u' and u''.
+    (a) reads the scan's tail, and (b), (c) and (e) its one evaluation of u, u' and u''.
     """
     profile, radii = scan.profile, scan.radii
     n = profile.n
@@ -236,7 +236,7 @@ def verify_trumpet(scan: GridScan) -> TrumpetVerification:
     # (a) asymptotically flat tail
     mass = None
     try:
-        m_fit, tail = adm_mass_from_tail(profile, scan.grid)
+        m_fit, tail = scan.tail
         if n == 3:
             mass = 2.0 * profile.alpha0
             af_ok = abs(m_fit - mass) <= 1e-8 * max(1.0, abs(mass))

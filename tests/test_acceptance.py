@@ -21,7 +21,6 @@ from penroselab import (
     hawking_mass,
     horizon_sequence,
     minimize,
-    penrose_check,
     required_alpha,
     rigidity_iteration,
     sphere_area,
@@ -60,7 +59,7 @@ def test_criterion_1_schwarzschild_equality():
             profile = SchwarzschildLikeProfile.from_mass(mass)
             m_fit, _ = adm_mass_from_tail(profile)
             inf_res = GridScan(profile).area_infimum
-            report = penrose_check(profile)
+            report = GridScan(profile).penrose()
         ok = (
             abs(m_fit - mass) <= 1e-8
             and not inf_res.throat_limit
@@ -83,7 +82,7 @@ def test_criterion_2_trumpet_horizon_free():
         max_term = max(float(np.max(term)) for term in terms)
         min_h = float(np.min(np.asarray(sphere_mean_curvature(trumpet, radii))))
         inf_res = GridScan(trumpet, grid).area_infimum
-        report = penrose_check(trumpet, grid)
+        report = GridScan(trumpet, grid).penrose()
     ok = (
         verification.ok
         and len(grid.radii()) == 4096

@@ -35,7 +35,7 @@ from penroselab import (
     sphere_mean_curvature,
 )
 from penroselab.bubbles import LIP_FACTOR, MuBubbleProblem, _AnchorTable, _arccoth
-from penroselab.masses import _root, penrose_check
+from penroselab.masses import GridScan, _root
 from penroselab import profiles
 from penroselab.profiles import RadialProfile
 from penroselab.quadrature import gauss_nodes
@@ -625,7 +625,7 @@ class TestSchedules:
 
         monkeypatch.setattr(profiles, "_dispatch", spy)
         assert all(s.error is None for s in horizon_sequence(schw, 2.0).steps)
-        assert rigidity_iteration(schw, 2.0, 0.1, 1.5).steps and penrose_check(schw).horizon_radius == pytest.approx(0.5)
+        assert rigidity_iteration(schw, 2.0, 0.1, 1.5).steps and GridScan(schw).penrose().horizon_radius == pytest.approx(0.5)
         assert wrapped == []
         trumpet.u(1.0)
         assert wrapped == [1.0]
@@ -759,7 +759,7 @@ class TestRigidity:
 
     def test_refusal_names_the_anchor_it_refused(self, schw):
         # gamma near 1: step 1's epsilon leaves no margin below 0.9 H at step 0's sphere, not at r0
-        a_inf = penrose_check(schw).area_infimum
+        a_inf = GridScan(schw).penrose().area_infimum
         rho0 = minimize(build_problem(schw, 2.0, 0.3, area_infimum=a_inf)).rho_star
         refused = rigidity_iteration(schw, 2.0, 0.3, 1.05).error
         assert refused.startswith("EpsilonTooLargeError: ") and "no margin below 0.9 H" in refused
@@ -948,7 +948,7 @@ def test_dimension_guard():
     p4 = SchwarzschildLikeProfile.from_mass(1.0, n=4)
     calls = {
         "hawking_mass": lambda: hawking_mass(p4, 1.0),
-        "penrose_check": lambda: penrose_check(p4),
+        "GridScan.penrose": lambda: GridScan(p4).penrose(),
         "adm_hawking_check": lambda: adm_hawking_check(p4, 10.0),
         "MuBubbleProblem": lambda: build_problem(p4, 2.0, 0.1, beta=1.0),
         "horizon_sequence": lambda: horizon_sequence(p4, 2.0),  # not a schedule of refused steps

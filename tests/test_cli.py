@@ -424,8 +424,10 @@ def test_analyze_arc_length_on_a_coarse_grid(tmp_path, count):
         # penrose fits the tail before it evaluates the grid, so the overflowing fit is refused first
         (["penrose", "--profile", "schwarzschild", "--grid-lo", "1e-300", "--grid-hi", "1e300", "--grid-count", "2"], 6,
          "penrose: hypothesis refused: tail fit on [1e+299, 1e+300]"),
+        # trumpet at n = 3 reads its verdict first, so the same refusal comes before its grid and its table
+        (["trumpet", "--n", "3", "--grid-hi", "1e155"], 6, "trumpet: hypothesis refused: tail fit on [1e+154, 1e+155]"),
     ],
-    ids=["schwarzschild", "euclidean", "trumpet", "infinite-areas", "tail-refused-first"],
+    ids=["schwarzschild", "euclidean", "trumpet", "infinite-areas", "tail-refused-first", "trumpet-tail-refused-first"],
 )
 def test_nan_sphere_area_refused_by_name(tmp_path, args, code, message):
     # in a fresh interpreter: in this one the overflow of u raises as a RuntimeWarning first.
@@ -439,8 +441,9 @@ def test_nan_sphere_area_refused_by_name(tmp_path, args, code, message):
     assert message in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
     if code == 2:
         assert not (tmp_path / "analyze").exists()
-    if code == 6:  # refused before u and u' overflow on the grid
+    if code == 6:  # refused before u and u' overflow on the grid, and before any file is written
         assert "RuntimeWarning" not in proc.stderr
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["mu-bubble", "horizon", "rigidity", "penrose"])
@@ -809,7 +812,8 @@ def test_tabulated_analyze_evaluates_its_grid_once(tmp_path, monkeypatch):
 
 def test_trumpet_n3_evaluates_its_grid_once(tmp_path, monkeypatch):
     # the checks and the penrose block read one scan: u, u' and u'' once each on the default grid (from 1e-4),
-    # told apart from the export's 4,096 radii (from 1e-10) by the first radius of each call
+    # told apart from the export's 4,096 radii (from 1e-10) by the first radius of each call, and u once
+    # on the 128-point tail window (from 1e3)
     firsts = {"_u": [], "_du": [], "_d2u": []}
     for name, calls in firsts.items():
         f = getattr(TrumpetProfile, name)
@@ -820,6 +824,8 @@ def test_trumpet_n3_evaluates_its_grid_once(tmp_path, monkeypatch):
     export = (EXPORT_COUNT, EXPORT_R_LO)
     assert {name: calls.count(grid) for name, calls in firsts.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
     assert {name: calls.count(export) for name, calls in firsts.items()} == {"_u": 1, "_du": 1, "_d2u": 1}
+    window = (128, 1e3)
+    assert {name: calls.count(window) for name, calls in firsts.items()} == {"_u": 1, "_du": 0, "_d2u": 0}
 
 
 @pytest.mark.parametrize("kind", ["trumpet", "tabulated"])

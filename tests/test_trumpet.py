@@ -17,7 +17,6 @@ from penroselab import (
     find_r0,
     geodesic_distance,
     min_alpha,
-    penrose_check,
     read_tabulated,
     required_alpha,
     scalar_curvature,
@@ -234,7 +233,7 @@ def test_export_roundtrip(tmp_path, trumpet):
 def test_large_alpha_area_infimum_is_the_unit_sphere(alpha):
     # below r0, u = r^(-1/2) + c1 with c1 > 0, so area(S_r) = 4 pi (1 + c1 r^(1/2))^4 falls to 4 pi as r -> 0;
     # read today: 4 pi (1 - 2.4e-3) at 1e6, and 1.7e13 times 4 pi at 1e10
-    report = penrose_check(TrumpetProfile(alpha=alpha))
+    report = GridScan(TrumpetProfile(alpha=alpha)).penrose()
     assert report.area_infimum == pytest.approx(4 * math.pi, rel=1e-12, abs=0)
 
 
@@ -242,7 +241,7 @@ def test_large_alpha_area_infimum_is_the_unit_sphere(alpha):
 def test_large_alpha_mass_is_twice_alpha0():
     # beyond 2 r0, u = alpha0 + 1/r exactly, so the total mass is 2 alpha0; read today: -4.8e19, "violated"
     trumpet = TrumpetProfile(alpha=1e16)
-    assert penrose_check(trumpet).adm_mass == pytest.approx(2 * trumpet.alpha0, rel=1e-8, abs=0)
+    assert GridScan(trumpet).penrose().adm_mass == pytest.approx(2 * trumpet.alpha0, rel=1e-8, abs=0)
 
 
 # The tail mass of an exported table, fitted on the default grid's [1e3, 1e4], against 2 alpha0 within 1e-6
