@@ -288,16 +288,16 @@ def _quintic_hermite(t, y, d, s) -> np.ndarray:
 
 
 _PARSED: dict[bytes, np.ndarray] = {}  # SHA-256 of a table's bytes -> its (N, k) columns, read-only
-_PARSED_KEPT = 4  # the last tables written or read, oldest first
+_SLOPE_TEXT: dict[bytes, tuple[str, ...]] = {}  # SHA-256 of a (u', u'') column pair's bytes -> each row's "u' u''" text
+_PARSED_KEPT = 4  # the last tables written or read, and the last slope pairs written, oldest first
 
 
-def _remember(digest: bytes, table: np.ndarray) -> None:
-    """Keep ``table``, read-only, as the newest of the last ``_PARSED_KEPT`` parsed tables."""
-    table.flags.writeable = False
-    _PARSED.pop(digest, None)
-    _PARSED[digest] = table
-    if len(_PARSED) > _PARSED_KEPT:
-        del _PARSED[next(iter(_PARSED))]
+def _keep(memo: dict, key: bytes, value) -> None:
+    """Keep ``value`` as the newest of the last ``_PARSED_KEPT`` entries of ``memo``."""
+    memo.pop(key, None)
+    memo[key] = value
+    if len(memo) > _PARSED_KEPT:
+        del memo[next(iter(memo))]
 
 
 def read_tabulated(path, n: int = 3) -> TabulatedProfile:
@@ -322,16 +322,20 @@ def read_tabulated(path, n: int = 3) -> TabulatedProfile:
     table.flags.writeable = False  # before the profile takes views of its columns
     derivatives = (table[:, 2], table[:, 3]) if table.shape[1] == 4 else None
     profile = TabulatedProfile(table[:, 0], table[:, 1], n=n, source=str(path), derivatives=derivatives)
-    _remember(digest, table)  # only a table the profile accepted
+    _keep(_PARSED, digest, table)  # only a table the profile accepted
     return profile
 
 
 def write_tabulated(path, radii, values, header: str = "", derivatives=None) -> None:
     """Write a (r, u) text file readable by :func:`read_tabulated`, or (r, u, u', u'') given ``derivatives``.
 
-    ``derivatives`` is the pair of u' and u'' columns at the radii.
+    ``derivatives`` is the pair of u' and u'' columns at the radii; any other
+    number of columns is refused, as a file of that width would read as (r, u).
     ``radii`` may be a :class:`RadialGrid`, whose cached ``radii_text()`` is
-    the r column.  ``write_table`` refuses columns of unequal length, and a
+    the r column.  The text of each row's "u' u''" cells is kept for the last
+    four distinct column pairs written, keyed by their bytes: every trumpet of
+    one dimension exports the same slopes, so only its u is formatted anew.
+    Columns of unequal length are refused before any file is touched, and a
     failed write leaves any previous table whole rather than a truncated one
     that would read as shorter.  The columns written are kept as the parse of
     the text (repr round-trips every float), so reading the file back parses
@@ -339,13 +343,30 @@ def write_tabulated(path, radii, values, header: str = "", derivatives=None) -> 
     """
     grid = isinstance(radii, RadialGrid)
     r = radii.radii() if grid else _floats(radii)
-    columns = [_floats(values), *map(_floats, derivatives or ())]
-    names = "r u du d2u" if derivatives else "r u"
+    columns = [_floats(values)]
+    cells = [radii.radii_text() if grid else r, columns[0]]
+    if derivatives is not None:
+        columns += map(_floats, derivatives)
+        if len(columns) != 3:
+            raise ValueError(f"derivatives must be the two columns u' and u'', got {len(columns) - 1}")
+        cells.append(_slope_text(*columns[1:]))
+    names = "r u du d2u" if derivatives is not None else "r u"
     head = "".join(f"# {line}\n" for line in [*header.splitlines(), names])
-    text = write_table(path, head, [radii.radii_text() if grid else r, *columns], " ")
+    text = write_table(path, head, cells, " ")
     table = np.column_stack((r, *columns))
     if np.isfinite(table).all():
-        _remember(hashlib.sha256(text.encode()).digest(), table)
+        table.flags.writeable = False
+        _keep(_PARSED, hashlib.sha256(text.encode()).digest(), table)
+
+
+def _slope_text(du: np.ndarray, d2u: np.ndarray) -> tuple[str, ...]:
+    """Each row's "u' u''" cells, two float reprs and a space; formatted once per pair among the last four."""
+    if du.shape != d2u.shape:  # before the key: the bytes of unequal columns could join as those of an equal pair
+        raise ValueError("derivative columns u' and u'' must have equal length")
+    key = hashlib.sha256(du.tobytes() + d2u.tobytes()).digest()
+    text = _SLOPE_TEXT.get(key) or tuple(map(" ".join, zip(map(repr, du.tolist()), map(repr, d2u.tolist()))))
+    _keep(_SLOPE_TEXT, key, text)
+    return text
 
 
 def _floats(column) -> np.ndarray:

@@ -105,7 +105,8 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def _cells(column):
-    """A column as text: a tuple of strings (``RadialGrid.radii_text()``) as it is, else each value's float repr."""
+    """A column as text: a tuple of strings as it is (``RadialGrid.radii_text()``, or the "u' u''"
+    cells ``write_tabulated`` keeps, two columns to a string), else each value's float repr."""
     if isinstance(column, tuple) and column and isinstance(column[0], str):
         return column
     if getattr(column, "dtype", None) == float:  # a float64 array's tolist() is already Python floats

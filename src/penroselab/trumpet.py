@@ -323,6 +323,9 @@ def export_trumpet(profile: TrumpetProfile, dat_path) -> None:
     EXPORT_R_LO to EXPORT_R_HI, sampled and turned to text once per process.
     The reader interpolates u, u' and u'' by Hermite from these columns; the
     first two alone are a (r, u) table, which is how a reader of (r, u) takes it.
+    alpha shifts only ``alpha0`` and ``c1``, so every trumpet of one dimension
+    has the same u' and u'' here, bit for bit: ``write_tabulated`` keeps their
+    text, and a later export of that dimension formats only its u column.
     The table is kept as written, so reading it back in this process parses nothing.
     """
     grid = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT)

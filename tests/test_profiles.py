@@ -29,7 +29,7 @@ from penroselab import (
     unit_sphere_area,
     write_tabulated,
 )
-from penroselab import profiles
+from penroselab import profiles, reports
 from penroselab.geometry import scalar_curvature, sphere_mean_curvature
 from penroselab.profiles import DEFAULT_GRID_HI, MAX_GRID_COUNT
 from penroselab.reports import _layout, jsonable, write_csv, write_json, write_table
@@ -521,6 +521,16 @@ def test_four_column_table_round_trip(tmp_path, schw):
     assert np.max(np.abs(tab.u(r) / schw.u(r) - 1)) <= 1e-9
 
 
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_derivatives_other_than_two_columns_are_refused(tmp_path, schw, width):
+    # a file of 3 or 5 columns would read as (r, u) under a "du d2u" header, its slopes dropped unread
+    radii = np.geomspace(1e-2, 1e2, 16)
+    columns = (schw.du(radii), schw.d2u(radii), schw.du(radii))[:width]
+    with pytest.raises(ValueError, match=f"derivatives must be the two columns u' and u'', got {width}"):
+        write_tabulated(tmp_path / "t.dat", radii, schw.u(radii), derivatives=columns)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tabulated_reader_rejects_single_column(tmp_path):
     path = tmp_path / "bad.dat"
     path.write_text("# comment\n1.0\n2.0\n3.0\n4.0\n")
@@ -530,8 +540,9 @@ def test_tabulated_reader_rejects_single_column(tmp_path):
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty table memo for one test, and a counter of the np.loadtxt calls made meanwhile."""
+    """Empty table and slope-text memos for one test, and a counter of the np.loadtxt calls made meanwhile."""
     monkeypatch.setattr(profiles, "_PARSED", {})
+    monkeypatch.setattr(profiles, "_SLOPE_TEXT", {})
     parse = np.loadtxt
     calls = []
 
@@ -540,7 +551,29 @@ def memo(monkeypatch):
         return parse(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counted)
-    return SimpleNamespace(entries=lambda: profiles._PARSED, parses=lambda: len(calls), loadtxt=parse)
+    return SimpleNamespace(
+        entries=lambda: profiles._PARSED, slopes=lambda: profiles._SLOPE_TEXT, parses=lambda: len(calls), loadtxt=parse
+    )
+
+
+@pytest.fixture
+def reprs(monkeypatch):
+    """The values the table writers turn to text with repr during one test, in call order."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    for module in (profiles, reports):  # a module global shadows the builtin in that module's map(repr, ...)
+        monkeypatch.setattr(module, "repr", counted, raising=False)
+    return calls
+
+
+def _table_text(header, *columns) -> str:
+    """The oracle: the header lines, then each row's float reprs joined by a space."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "".join(f"# {line}\n" for line in header) + "".join(" ".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _digest(path) -> bytes:
@@ -670,6 +703,63 @@ def test_fifth_table_evicts_the_oldest(tmp_path, memo, schw):
     tab = read_tabulated(paths[1])  # evicted: parsed again, and t2 goes
     assert memo.parses() == 1 and tab.values.tobytes() == (2 * schw.u(radii)).tobytes()
     assert list(memo.entries()) == [_digest(paths[k]) for k in (3, 0, 4, 1)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_second_export_of_a_dimension_formats_only_u(tmp_path, memo, reprs, n):
+    # alpha shifts only u, so the second trumpet reuses the first one's slope text; the bytes are the oracle's
+    first, second = TrumpetProfile(n, 1.2 * min_alpha(n)), TrumpetProfile(n, 1.3 * min_alpha(n))
+    radii = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT).radii()
+    export_trumpet(first, tmp_path / "first.dat")
+    reprs.clear()
+    export_trumpet(second, tmp_path / "second.dat")
+    assert reprs == second.u(radii).tolist()  # the u column alone, no radius and no slope cell
+    columns = (radii, second.u(radii), second.du(radii), second.d2u(radii))
+    expected = _table_text(["trumpet conformal factor", "r u du d2u"], *columns)
+    assert (tmp_path / "second.dat").read_bytes() == expected.encode()
+    assert len(memo.slopes()) == 1
+    _assert_memo_is_the_parse(memo, tmp_path / "second.dat")
+
+
+def test_slopes_differing_only_by_the_sign_of_zero_are_kept_apart(tmp_path, memo):
+    # -0.0 == 0.0, but their bytes differ, and so does their text
+    radii, u = [1.0, 2.0, 3.0, 4.0], [2.0, 1.5, 1.25, 1.125]
+    d2u = [1.0, 0.25, 0.0, -0.0]
+    for name, du in (("plus", [0.0, 0.0, -1.0, 0.0]), ("minus", [0.0, -0.0, -1.0, 0.0])):
+        write_tabulated(tmp_path / f"{name}.dat", radii, u, derivatives=(du, d2u))
+        assert (tmp_path / f"{name}.dat").read_text() == _table_text(["r u du d2u"], radii, u, du, d2u)
+    assert "2.0 1.5 -0.0 0.25" in (tmp_path / "minus.dat").read_text().splitlines()
+    assert len(memo.slopes()) == 2
+
+
+def test_fifth_slope_pair_evicts_the_oldest(tmp_path, memo, reprs, schw):
+    # a kept pair formats only r and u (2 cells a row); a pair not kept formats all four
+    radii = np.geomspace(1e-2, 1e2, 16)
+    pairs = [(k * schw.du(radii), k * schw.d2u(radii)) for k in range(1, 6)]
+
+    def cells_formatted(k):
+        reprs.clear()
+        write_tabulated(tmp_path / "t.dat", radii, schw.u(radii), derivatives=pairs[k])
+        assert (tmp_path / "t.dat").read_text() == _table_text(["r u du d2u"], radii, schw.u(radii), *pairs[k])
+        return len(reprs) // len(radii)
+
+    assert [cells_formatted(k) for k in range(4)] == [4, 4, 4, 4]
+    assert cells_formatted(0) == 2  # a hit makes pair 0 the newest, so pair 1 is now the oldest
+    assert cells_formatted(4) == 4  # and the fifth pair evicts it
+    assert len(memo.slopes()) == profiles._PARSED_KEPT
+    assert [cells_formatted(k) for k in (2, 3, 0, 4)] == [2, 2, 2, 2]
+    assert cells_formatted(1) == 4
+
+
+@pytest.mark.parametrize("short", [0, 1])
+def test_slopes_of_unequal_length_are_refused_before_the_file(tmp_path, memo, schw, short):
+    radii = np.geomspace(1e-2, 1e2, 16)
+    slopes = [schw.du(radii), schw.d2u(radii)]
+    slopes[short] = slopes[short][:-1]
+    with pytest.raises(ValueError, match="derivative columns u' and u'' must have equal length"):
+        write_tabulated(tmp_path / "t.dat", radii, schw.u(radii), derivatives=slopes)
+    assert list(tmp_path.iterdir()) == []
+    assert memo.entries() == {} and memo.slopes() == {}
 
 
 def test_table_not_in_utf8_is_refused_as_numpy_refuses_it(tmp_path, memo):

@@ -25,6 +25,7 @@ from penroselab import (
     export_trumpet,
     verify_trumpet,
 )
+from penroselab.trumpet import EXPORT_COUNT, EXPORT_R_HI, EXPORT_R_LO
 
 from conftest import count_evaluations, radial_laplacian
 
@@ -225,6 +226,19 @@ def test_export_roundtrip(tmp_path, trumpet):
     assert np.allclose(
         np.asarray(sphere_area(tab, probe)), np.asarray(sphere_area(trumpet, probe)), rtol=1e-9
     )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_export_slopes_do_not_depend_on_alpha(n):
+    # alpha shifts only alpha0 and c1, so every trumpet of a dimension exports the same u' and u'' bit for bit
+    radii = RadialGrid(EXPORT_R_LO, EXPORT_R_HI, EXPORT_COUNT).radii()
+    with pytest.warns(WeakAlphaWarning):  # 0.8 lies below the certified bound
+        trumpets = [TrumpetProfile(n, factor * min_alpha(n)) for factor in (0.8, 1.0, 1.3)]
+    first, *others = trumpets
+    for other in others:
+        assert other.du(radii).tobytes() == first.du(radii).tobytes()
+        assert other.d2u(radii).tobytes() == first.d2u(radii).tobytes()
+    assert len({t.u(radii).tobytes() for t in trumpets}) == 3
 
 
 # Known wrong answers at a large but certified alpha, on the default grid.  Strict, so a fix shows as XPASS.
